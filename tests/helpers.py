@@ -5,11 +5,15 @@ only hit generators that themselves map to zero)."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+from synto.cli import main
 from synto.spectral import (ADAMS_RULE, DiffEntry, DifferentialSpec,
                             Presentation, SSGen, Window, leibniz_extend)
 
@@ -24,6 +28,21 @@ def source_env() -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def run_cli(argv, env=None):
+    """main() in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    patched = dict(os.environ)
+    patched.pop("SYNTO_COLOR", None)
+    patched.update(env or {})
+    with mock.patch.dict(os.environ, patched, clear=True):
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse --version/--help
+                code = e.code or 0
+    return code, out.getvalue(), err.getvalue()
 
 
 def dense_rank(p: int, cols: list[dict[int, int]], nrows: int) -> int:

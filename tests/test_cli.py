@@ -3,37 +3,19 @@ presentation-file parsing, and round trips."""
 
 import importlib
 import inspect
-import io
 import json
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from helpers import SRC, source_env
+from helpers import SRC, run_cli, source_env
 from synto.cli import (CLIUsageError, RunConfig, format_series,
                        parse_presentation, main)
 from synto.fgl import p_series, right_unit_t
-
-
-def run_cli(argv, env=None):
-    """main() in-process; returns (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    patched = dict(os.environ)
-    patched.pop("SYNTO_COLOR", None)
-    patched.update(env or {})
-    with mock.patch.dict(os.environ, patched, clear=True):
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse --version/--help
-                code = e.code or 0
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestRunConfig:
