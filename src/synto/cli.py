@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -25,8 +24,8 @@ from .fgl import p_series, right_unit_t
 from .spectral import (DiffEntry, DifferentialSpec, Presentation, SSGen,
                        Window, build_page, run_to_stable)
 from .summand import (GeneratorTable, default_table_window,
-                      derive_differentials, hodge_tate_check, syntomic_table,
-                      _run_window)
+                      derive_differentials, hodge_tate_check, run_window,
+                      syntomic_table)
 from .chart import ascii_chart, svg_chart
 
 
@@ -37,24 +36,6 @@ class CLIUsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIUsageError(message)
-
-
-@dataclass
-class RunConfig:
-    prime: int
-    window: Optional[tuple[int, int, int, int]] = None
-    trunc: Optional[int] = None
-    frobenius_unit: str = "one"
-    fmt: str = "table"
-    out: Optional[str] = None
-    verbose: int = 0
-    verify: bool = True
-
-    def __post_init__(self):
-        if self.window is not None:
-            dlo, dhi, wlo, whi = self.window
-            if dlo > dhi or wlo > whi:
-                raise CLIUsageError("window bounds must satisfy min <= max")
 
 
 def _is_prime(n: int) -> bool:
@@ -367,26 +348,25 @@ def _split_combination(text: str, ln: int) -> list[tuple[str, int]]:
 
 def cmd_syntomic(args) -> int:
     p = _require_prime(args.prime)
-    cfg = RunConfig(p, tuple(args.window) if args.window else None,
-                    frobenius_unit=args.frobenius_unit, fmt=args.format,
-                    out=args.out, verbose=args.verbose,
-                    verify=not args.no_verify)
-    table = syntomic_table(p, cfg.window, cfg.frobenius_unit,
-                           verify=cfg.verify)
-    if cfg.verify:
+    window = tuple(args.window) if args.window else None
+    if window is not None and (window[0] > window[1] or window[2] > window[3]):
+        raise CLIUsageError("window bounds must satisfy min <= max")
+    verify = not args.no_verify
+    table = syntomic_table(p, window, args.frobenius_unit, verify=verify)
+    if verify:
         hodge_tate_check(p)
-    if cfg.verbose:
+    if args.verbose:
         print(f"# {len(table.entries)} generators, window "
-              f"{cfg.window or default_table_window(p)}", file=sys.stderr)
-    if cfg.fmt == "table":
-        _emit(format_table(table, color=_use_color() and not cfg.out),
-              cfg.out)
-    elif cfg.fmt == "json":
-        _emit(json.dumps(table.to_json_dict(), indent=1) + "\n", cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(table.to_csv(), cfg.out)
-    elif cfg.fmt == "svg":
-        _emit(svg_chart(table), cfg.out)
+              f"{window or default_table_window(p)}", file=sys.stderr)
+    if args.format == "table":
+        _emit(format_table(table, color=_use_color() and not args.out),
+              args.out)
+    elif args.format == "json":
+        _emit(json.dumps(table.to_json_dict(), indent=1) + "\n", args.out)
+    elif args.format == "csv":
+        _emit(table.to_csv(), args.out)
+    elif args.format == "svg":
+        _emit(svg_chart(table), args.out)
     return 0
 
 
@@ -397,6 +377,8 @@ def cmd_fgl(args) -> int:
         if name not in ("p", "v1", "v2"):
             raise CLIUsageError(f"--mod accepts p, v1, v2; got {name!r}")
     trunc = args.trunc
+    if trunc < 1:
+        raise CLIUsageError(f"--trunc must be positive, got {trunc}")
     try:
         if args.series == "p-series":
             poly = p_series(p, trunc, ideal)
@@ -430,8 +412,12 @@ def cmd_ss(args) -> int:
         structure = args.preset
         spec = derive_differentials(prime, structure)
         pres = spec.pres
-        window = _run_window(prime, structure, -2,
-                             2 * prime * prime + 2 * prime + 2)
+        window = run_window(prime, structure, -2,
+                            2 * prime * prime + 2 * prime + 2)
+    last = max(spec.pages, default=0)
+    if args.max_page is not None and last > args.max_page:
+        raise CLIUsageError(f"--max-page {args.max_page} stops before the "
+                            f"last differential page, {last}")
 
     page = build_page(pres, window)
     print(f"prime {prime}, E1: {page.total_dim()} classes, window "
@@ -540,6 +526,15 @@ def main(argv=None) -> int:
     except VerificationError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 1
 
 
 def main_syntomic() -> int:

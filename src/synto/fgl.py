@@ -41,8 +41,6 @@ from synto.graded import (
     rewrite,
 )
 
-ORIENTATIONS = ("t", "x", "y", "z")
-
 
 def required_depth(p: int, trunc: int) -> int:
     """Largest n with p^n < trunc (at least 1): how many l_n/v_n/t_n matter."""
@@ -53,12 +51,14 @@ def required_depth(p: int, trunc: int) -> int:
 
 
 def pipeline_catalog(p: int, trunc: int) -> Catalog:
-    return canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
-                             orientations=ORIENTATIONS)
+    return canonical_catalog(p, depth=max(2, required_depth(p, trunc)))
 
 
 def orientation_truncation(cat: Catalog, trunc: int) -> Truncation:
-    return Truncation(frozenset(cat.index[o] for o in ORIENTATIONS), trunc)
+    """Truncation over the catalog's orientation generators, the symbols of
+    degree -2 (see ``canonical_catalog``)."""
+    return Truncation(frozenset(i for i, s in enumerate(cat.symbols)
+                                if s.degree == -2), trunc)
 
 
 def log_coefficients(p: int, depth: int, cat: Catalog) -> list[Poly]:
@@ -143,7 +143,8 @@ def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
 def formal_sum(p: int, trunc: int, vars: tuple[str, str] = ("x", "y"),
                cat: Optional[Catalog] = None) -> Poly:
     """F(x, y) = exp(log x + log y), truncated at total (x,y)-exponent trunc."""
-    cat = cat or pipeline_catalog(p, trunc)
+    cat = cat or canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
+                                   orientations=("t",) + vars)
     F = formal_sum_of(p, trunc, [Poly.gen(cat, QQ, v) for v in vars], cat)
     F.assert_p_integral(p)
     return F

@@ -70,11 +70,6 @@ class CoeffRing:
     def neg(self, a):
         return (-a) % self.char if self.char else -a
 
-    def inv(self, a):
-        if self.char:
-            return pow(a, -1, self.char)
-        return Fraction(1) / a
-
 
 QQ = CoeffRing(0)
 
@@ -359,12 +354,6 @@ class Poly:
     def coefficient(self, m: Mono):
         return self.terms.get(m, self.ring.normalize(0))
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {self.catalog.bidegree(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
-
     def map_coefficients(self, ring: CoeffRing, fn) -> "Poly":
         return Poly.from_terms(self.catalog, ring,
                                ((m, fn(c)) for m, c in self.terms.items()),
@@ -426,38 +415,6 @@ def rewrite(poly: Poly, rules: list[tuple[Mono, Mono]]) -> Poly:
     return Poly.from_terms(poly.catalog, poly.ring,
                            ((apply_rules(m), c) for m, c in poly.terms.items()),
                            poly.trunc)
-
-
-def substitute(poly: Poly, name: str, value: Poly) -> Poly:
-    """Substitute a polynomial for an even generator.
-
-    g^e becomes value^e; the remaining factor multiplies on the left.  Signs
-    are delegated to Poly.__mul__, which is only correct when `name` is even
-    (substituting an odd generator would need orientation bookkeeping that
-    nothing here requires).
-    """
-    cat = poly.catalog
-    i = cat.index[name]
-    if cat.symbols[i].parity != "even":
-        raise ValueError("substitute only handles even generators")
-    out = Poly.zero(cat, poly.ring, poly.trunc)
-    powers: dict[int, Poly] = {}
-
-    def power(e: int) -> Poly:
-        if e not in powers:
-            powers[e] = value ** e
-        return powers[e]
-
-    for m, c in poly.terms.items():
-        e = m[i]
-        if e == 0:
-            out = out + Poly.from_terms(cat, poly.ring, [(m, c)], poly.trunc)
-            continue
-        if e < 0:
-            raise ValueError("cannot substitute into a negative exponent")
-        rest = tuple(0 if j == i else x for j, x in enumerate(m))
-        out = out + Poly.from_terms(cat, poly.ring, [(rest, c)], poly.trunc) * power(e)
-    return out
 
 
 def format_poly(poly: Poly, unicode: bool = False, order_index: Optional[int] = None) -> str:

@@ -6,6 +6,12 @@ pivot of each row at its smallest nonzero coordinate.  RREF is canonical
 for a subspace, so spans built from the same vectors in any order agree,
 which is what makes page-turning representatives deterministic.
 
+The same class writes a vector over the vectors inserted into it, by
+augmented labels: vector i enters as v ⊕ e_{off+i}, where ``off`` lies past
+every row coordinate.  A vector w whose reduction has no coordinate below
+``off`` lies in the span, and the label part of that reduction is minus
+the coefficients that write w over the inserted vectors.
+
 Desk-scale sizes only (hundreds of coordinates); everything is dicts and
 single passes, no Markowitz scoring needed beyond the min-pivot rule.
 """
@@ -76,54 +82,13 @@ class Span:
         self.rows[piv] = r
         return piv
 
+    def copy(self) -> "Span":
+        out = Span(self.p)
+        out.rows = {k: dict(v) for k, v in self.rows.items()}
+        return out
+
     def pivot_rows(self) -> list[tuple[int, Vec]]:
         return sorted(self.rows.items())
-
-
-class Tracker:
-    """Span that remembers how each row was built from inserted vectors.
-
-    Used two ways: expressing a vector in terms of a known generating set
-    (matrix columns of an induced differential) and harvesting kernel
-    relations between inserted columns.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, tuple[Vec, Vec]] = {}  # pivot -> (vector, expression)
-
-    def _reduce(self, v: Vec) -> tuple[Vec, Vec]:
-        out, expr = dict(v), {}
-        for piv in sorted(set(out) & set(self.rows)):
-            c = out.get(piv)
-            if c:
-                row, rexpr = self.rows[piv]
-                out = vec_addmul(self.p, out, row, -c)
-                expr = vec_addmul(self.p, expr, rexpr, c)
-        return out, expr
-
-    def insert(self, label: int, v: Vec) -> bool:
-        """True if v enlarged the span (recorded as `label`)."""
-        r, expr = self._reduce(v)
-        if not r:
-            return False
-        piv = min(r)
-        inv = pow(r[piv], -1, self.p)
-        r = vec_scale(self.p, r, inv)
-        expr = vec_addmul(self.p, vec_scale(self.p, expr, -inv), {label: 1}, inv)
-        # keep the vector side in RREF; expressions follow along
-        for q, (row, rexpr) in list(self.rows.items()):
-            c = row.get(piv)
-            if c:
-                self.rows[q] = (vec_addmul(self.p, row, r, -c),
-                                vec_addmul(self.p, rexpr, expr, -c))
-        self.rows[piv] = (r, expr)
-        return True
-
-    def express(self, v: Vec) -> Optional[Vec]:
-        """Coefficients writing v over inserted labels, or None if outside."""
-        r, expr = self._reduce(v)
-        return None if r else expr
 
 
 def kernel_basis(p: int, cols: list[Vec]) -> list[Vec]:
@@ -131,18 +96,19 @@ def kernel_basis(p: int, cols: list[Vec]) -> list[Vec]:
 
     One basis vector per dependent column j, with coefficient 1 at j and
     support only on earlier columns: the standard special solutions, in a
-    deterministic order.
+    deterministic order.  Column j enters the span as col ⊕ e_{off+j}; when
+    its reduction has no coordinate below ``off``, the column is dependent
+    and the label part of the reduction is the special solution.
     """
-    tracker = Tracker(p)
+    off = 1 + max((max(c) for c in cols if c), default=-1)
+    span = Span(p)
     out = []
     for j, col in enumerate(cols):
-        if not col:
-            out.append({j: 1})
-            continue
-        if not tracker.insert(j, col):
-            expr = tracker.express(col)
-            assert expr is not None
-            out.append(vec_addmul(p, {j: 1}, expr, -1))
+        r = span.reduce({**col, off + j: 1})
+        if min(r) >= off:
+            out.append({i - off: c for i, c in r.items()})
+        else:
+            span.insert(r)
     return out
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from synto.graded import Catalog, GeneratorSymbol, Mono, VerificationError
-from synto.linalg import Span, Tracker, Vec, kernel_basis, vec_addmul
+from synto.linalg import Span, Vec, kernel_basis, vec_addmul
 
 
 class WindowInconclusiveError(VerificationError):
@@ -369,11 +369,7 @@ class BidegreeData:
         c.monos = self.monos
         c.index = self.index
         c.alive = [dict(v) for v in self.alive]
-        if self.boundaries is None:
-            c.boundaries = None
-        else:
-            c.boundaries = Span(self.boundaries.p)
-            c.boundaries.rows = {k: dict(v) for k, v in self.boundaries.rows.items()}
+        c.boundaries = None if self.boundaries is None else self.boundaries.copy()
         return c
 
 
@@ -518,21 +514,21 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             continue
         tb = targets[b]
         td = data[tb]
-        tracker = Tracker(p)
-        for k, (_, row) in enumerate(
-                [] if td.boundaries is None else td.boundaries.pivot_rows()):
-            tracker.insert(-1 - k, row)
+        # boundaries plus labelled classes: alive class i enters as
+        # v ⊕ e_{off+i}, so an image reduces to minus its class coordinates
+        span = Span(p) if td.boundaries is None else td.boundaries.copy()
+        off = len(td.monos)
         for i, v in enumerate(td.alive):
-            if not tracker.insert(i, v):
+            if span.insert({**v, off + i: 1}) >= off:
                 raise VerificationError(
                     f"stale representative in bidegree {tb}")
         cols = []
         for dv in images[b]:
-            expr = tracker.express(dv)
-            if expr is None:
+            red = span.reduce(dv)
+            if min(red, default=off) < off:
                 raise VerificationError(
                     f"d_{r} image not a cycle mod boundaries at {tb}")
-            cols.append({i: c for i, c in expr.items() if i >= 0})
+            cols.append({i - off: -c % p for i, c in red.items()})
         kernels[b] = kernel_basis(p, cols)
         ranks_out[b] = len(d.alive) - len(kernels[b])
 
@@ -561,11 +557,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             for j, c in k.items():
                 vec = vec_addmul(p, vec, d.alive[j], c)
             cycles.append(vec)
-        if d.boundaries is None or not d.boundaries.rows:
-            base = Span(p)
-        else:
-            base = Span(p)
-            base.rows = {k: dict(v) for k, v in d.boundaries.rows.items()}
+        base = Span(p) if d.boundaries is None else d.boundaries.copy()
         pivots = []
         for v in cycles:
             piv = base.insert(v)
@@ -580,15 +572,14 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 
-def possible_pages(page: SSPage, rule: BidegreeRule,
-                   alive_only: bool = True) -> dict[int, int]:
+def possible_pages(page: SSPage, rule: BidegreeRule) -> dict[int, int]:
     """r -> number of populated bidegree pairs in d_r position.
 
     Only rules with weight_per_r > 0 terminate (the weight span bounds r).
     """
     if rule.weight_per_r <= 0:
         raise ValueError("need weight_per_r > 0 to enumerate candidate pages")
-    pop = {b for b, d in page.data.items() if (d.alive if alive_only else d.monos)}
+    pop = {b for b, d in page.data.items() if d.alive}
     weights = sorted({w for _, w in pop})
     by_r: dict[int, int] = {}
     for d1, w1 in pop:

@@ -10,7 +10,8 @@ The pipeline, per prime p:
    E₁ = F_p[t^{±1}]⊗Λ(λ₁,λ₂) resp. F_p[t,μ]/(tμ)⊗Λ(λ₁,λ₂) and certify the
    closed-form answers on the boundary-safe part of the window.
 3. ``build_can`` / ``build_frobenius`` assemble the two comparison maps on
-   the certified E∞ bases.
+   bases read off the certified E∞ pages, so the closed forms serve only as
+   certificates and never as a second list of classes.
 4. ``syntomic_table`` takes the degreewise fiber of (φ − can): kernel classes
    keep their names, cokernel classes acquire a ∂ prefix, and the result is
    the mod (p, v1, v2) generator table, free over F_p[v₂] on 4p+4 classes.
@@ -36,7 +37,8 @@ __all__ = [
     "tp_presentation", "tcminus_presentation", "tp_einfty", "tcminus_einfty",
     "BasisClass", "GradedLinearMap", "build_can", "build_frobenius",
     "TableEntry", "GeneratorTable", "SyntomicWindowError", "syntomic_table",
-    "default_table_window", "HodgeTateReport", "hodge_tate_check",
+    "default_table_window", "run_window", "HodgeTateReport",
+    "hodge_tate_check",
     "motivic_collapse_check", "v2_bockstein_check", "FROBENIUS_CONVENTIONS",
 ]
 
@@ -51,20 +53,13 @@ class AxiomSet:
     The Hochschild-level ring is Λ(λ₁, λ₂) ⊗ F_p[μ].  The three generators
     are matched to formal-group classes: λ₁ to the circle suspension σ²t₁
     (one degree down, as a cocycle representative), λ₂ to (σ²t₁)^p, and μ to
-    σ²v₂.  ``phi_inverts_mu`` records that the relevant Frobenius map
-    inverts μ, which is what makes negative t-powers appear in its image.
+    σ²v₂.
     """
 
     p: int
     lambda1_degree: int
     lambda2_degree: int
     mu_degree: int
-    phi_inverts_mu: bool = True
-    identifications: tuple[tuple[str, str], ...] = (
-        ("lambda1", "sigma2t1"),
-        ("lambda2", "sigma2t1^p"),
-        ("mu", "sigma2v2"),
-    )
 
     def validate(self) -> None:
         """Degrees must match the formal-group generator catalog."""
@@ -81,9 +76,6 @@ class AxiomSet:
             if got != want:
                 raise VerificationError(
                     f"axiom degree mismatch ({what}): {got} != {want}")
-        if not self.phi_inverts_mu:
-            raise VerificationError(
-                "the comparison pipeline needs the Frobenius to invert mu")
 
 
 def default_axioms(p: int) -> AxiomSet:
@@ -232,7 +224,7 @@ def _tcminus_closed_form(pres: Presentation, p: int, m) -> bool:
 _CLOSED_FORMS = {"tp": _tp_closed_form, "tcminus": _tcminus_closed_form}
 
 
-def _run_window(p: int, structure: str, deg_lo: int, deg_hi: int) -> Window:
+def run_window(p: int, structure: str, deg_lo: int, deg_hi: int) -> Window:
     """A window around [deg_lo, deg_hi] wide enough that every bidegree with
     a degree in that range sits more than two differentials away from any
     binding edge, so its classes come out unflagged."""
@@ -276,12 +268,12 @@ def _einfty(p: int, structure: str, deg_window=None) -> SSPage:
     key = (p, structure, tuple(deg_window))
     if key not in _EINFTY_CACHE:
         spec = derive_differentials(p, structure)
-        win = _run_window(p, structure, deg_window[0], deg_window[1])
+        win = run_window(p, structure, deg_window[0], deg_window[1])
         page = build_page(spec.pres, win)
         final, _log = run_to_stable(page, spec)
         _certify(final, p, structure)
         # the requested degree range must be fully boundary-safe, so that
-        # closed-form enumerations over it are certified
+        # the bases read off this page over it are certified
         for b in final.flags:
             if deg_window[0] <= b[0] <= deg_window[1] and final.data[b].monos:
                 raise VerificationError(
@@ -320,78 +312,27 @@ class BasisClass:
     eps2: int
 
 
-def _class_name(t_exp: int, mu_exp: int, eps1: int, eps2: int) -> str:
-    """ASCII monomial name in catalog order.
+def _einfty_basis(p: int, structure: str, win) -> list[BasisClass]:
+    """The certified E∞ classes of ``structure`` whose degree and Adams
+    weight lie in ``win`` = (deg_min, deg_max, weight_min, weight_max),
+    sorted by degree, weight and name.  At p = 2 the TP classes are
+    t^{4k}·λ^ε with |t^4| = −8, |λ₁| = 3 and |λ₂| = 7:
 
-    >>> _class_name(-4, 0, 1, 0)
-    't^-4*lambda1'
-    >>> _class_name(0, 2, 0, 1)
-    'mu^2*lambda2'
-    >>> _class_name(0, 0, 0, 0)
-    '1'
+    >>> [c.name for c in _einfty_basis(2, "tp", (-2, 8, 0, 2))]
+    ['t^4*lambda2', '1', 't^4*lambda1*lambda2', 'lambda1', 'lambda2', 't^-4']
     """
-    parts = []
-    for base, e in (("t", t_exp), ("mu", mu_exp),
-                    ("lambda1", eps1), ("lambda2", eps2)):
-        if e == 1:
-            parts.append(base)
-        elif e:
-            parts.append(f"{base}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _make_class(p: int, t_exp: int, mu_exp: int, eps1: int, eps2: int):
-    deg = (-2 * t_exp + 2 * p * p * mu_exp
-           + eps1 * (2 * p - 1) + eps2 * (2 * p * p - 1))
-    return BasisClass(deg, eps1 + eps2, _class_name(t_exp, mu_exp, eps1, eps2),
-                      t_exp, mu_exp, eps1, eps2)
-
-
-def _in_window(c: BasisClass, win) -> bool:
+    page = _einfty(p, structure, win[:2])
+    cat = page.pres.catalog
+    ix = cat.index
     dlo, dhi, wlo, whi = win
-    return dlo <= c.degree <= dhi and wlo <= c.weight <= whi
-
-
-def _tp_basis(p: int, win) -> list[BasisClass]:
-    """In-window classes t^{kp²}·λ^ε, k ∈ Z."""
-    dlo, dhi, _, _ = win
     out = []
-    for eps1 in (0, 1):
-        for eps2 in (0, 1):
-            c0 = eps1 * (2 * p - 1) + eps2 * (2 * p * p - 1)
-            # degree = -2kp^2 + c0 in [dlo, dhi]
-            kmin = -((dhi - c0) // (2 * p * p))
-            kmax = (c0 - dlo) // (2 * p * p)
-            for k in range(kmin, kmax + 1):
-                c = _make_class(p, k * p * p, 0, eps1, eps2)
-                if _in_window(c, win):
-                    out.append(c)
-    return sorted(out)
-
-
-def _tcminus_basis(p: int, win) -> list[BasisClass]:
-    """In-window classes of F_p[t^{p²},μ]/(t^{p²}μ)⊗Λ plus the leftovers."""
-    dlo, dhi, _, _ = win
-    out = []
-    for eps1 in (0, 1):
-        for eps2 in (0, 1):
-            c0 = eps1 * (2 * p - 1) + eps2 * (2 * p * p - 1)
-            kmax = (c0 - dlo) // (2 * p * p)
-            for k in range(0, kmax + 1):
-                c = _make_class(p, k * p * p, 0, eps1, eps2)
-                if _in_window(c, win):
-                    out.append(c)
-            jmax = (dhi - c0) // (2 * p * p)
-            for j in range(1, jmax + 1):
-                c = _make_class(p, 0, j, eps1, eps2)
-                if _in_window(c, win):
-                    out.append(c)
-    for d in range(1, p):
-        for t_exp, eps1, eps2 in ((d, 1, 0), (p * d, 0, 1),
-                                  (d, 1, 1), (p * d, 1, 1)):
-            c = _make_class(p, t_exp, 0, eps1, eps2)
-            if _in_window(c, win):
-                out.append(c)
+    for _b, m, _vec in page.class_reps(include_flagged=False):
+        eps1, eps2 = m[ix["lambda1"]], m[ix["lambda2"]]
+        c = BasisClass(cat.degree(m), eps1 + eps2, cat.mono_str(m),
+                       m[ix["t"]], m[ix["mu"]] if "mu" in ix else 0,
+                       eps1, eps2)
+        if dlo <= c.degree <= dhi and wlo <= c.weight <= whi:
+            out.append(c)
     return sorted(out)
 
 
@@ -443,10 +384,6 @@ class GradedLinearMap:
     def apply(self, name: str) -> dict[str, int]:
         return dict(self.columns.get(name, {}))
 
-    def degrees(self) -> list[int]:
-        ds = {c.degree for c in self.source} | {c.degree for c in self.target}
-        return sorted(ds)
-
     def block(self, degree: int):
         """(source classes, target classes, dense column list) in degree."""
         src = [c for c in self.source if c.degree == degree]
@@ -465,10 +402,8 @@ def build_can(p: int, window=None) -> GradedLinearMap:
     """The canonical comparison map.  It sends λ₁^{ε₁}λ₂^{ε₂}·t^{kp²} with
     k ≥ 0 to the class of the same name and is zero on every other class."""
     win = window or default_table_window(p)
-    _einfty(p, "tp", (win[0], win[1]))
-    _einfty(p, "tcminus", (win[0], win[1]))
-    source = _tcminus_basis(p, win)
-    target = _tp_basis(p, win)
+    target = _einfty_basis(p, "tp", win)
+    source = _einfty_basis(p, "tcminus", win)
     tgt_names = {c.name for c in target}
     columns = {}
     for c in source:
@@ -494,11 +429,9 @@ def build_frobenius(p: int, window=None,
     else:
         raise ValueError(f"unknown Frobenius unit convention {convention!r}")
     win = window or default_table_window(p)
-    _einfty(p, "tp", (win[0], win[1]))
-    _einfty(p, "tcminus", (win[0], win[1]))
-    source = _tcminus_basis(p, win)
-    target = _tp_basis(p, win)
-    tgt_names = {c.name for c in target}
+    target = _einfty_basis(p, "tp", win)
+    source = _einfty_basis(p, "tcminus", win)
+    by_exps = {(c.t_exp, c.eps1, c.eps2): c for c in target}
     columns = {}
     for c in source:
         if c.t_exp == 0:
@@ -506,11 +439,11 @@ def build_frobenius(p: int, window=None,
             u = 1 if k == 0 else unit(k, c.eps1, c.eps2) % p
             if u == 0:
                 raise VerificationError("Frobenius unit must lie in F_p^x")
-            tname = _class_name(-k * p * p, 0, c.eps1, c.eps2)
-            if tname not in tgt_names:
+            t = by_exps.get((-k * p * p, c.eps1, c.eps2))
+            if t is None:
                 raise VerificationError(
-                    f"phi: target basis has no class named {tname}")
-            columns[c.name] = {tname: u}
+                    f"phi: target basis has no image class for {c.name}")
+            columns[c.name] = {t.name: u}
     return GradedLinearMap("phi", p, source, target, columns)
 
 

@@ -20,7 +20,7 @@ from synto.fgl import (compose, exp_coefficients, formal_sum, formal_sum_of,
                        log_coefficients, log_of, orientation_truncation,
                        p_series, pipeline_catalog, required_depth,
                        right_unit_t)
-from synto.graded import QQ, Poly
+from synto.graded import QQ, Poly, canonical_catalog
 from synto.linalg import vec_addmul
 from synto.spectral import (build_page, check_square_zero, leibniz_extend,
                             turn_page)
@@ -279,7 +279,8 @@ class TestAcceptance:
 
             # associativity
             trunc = 6 if p == 2 else 5
-            acat = pipeline_catalog(p, trunc)
+            acat = canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
+                                     orientations=("t", "x", "y", "z"))
             atrc = orientation_truncation(acat, trunc)
             ax = Poly.gen(acat, QQ, "x", atrc)
             ay = Poly.gen(acat, QQ, "y", atrc)

@@ -9,19 +9,13 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from helpers import SRC, run_cli, source_env
-from synto.cli import (CLIUsageError, RunConfig, format_series,
-                       parse_presentation, main)
+from synto.cli import CLIUsageError, format_series, parse_presentation, main
 from synto.fgl import p_series, right_unit_t
-
-
-class TestRunConfig:
-    def test_window_validation(self):
-        with pytest.raises(CLIUsageError):
-            RunConfig(3, (4, -4, 0, 8))
 
 
 class TestFormatSeries:
@@ -84,6 +78,12 @@ class TestSyntomicCommand:
         assert code == 2
         assert "assertion failed" in err and "generators" in err
 
+    def test_window_min_above_max_is_usage_error(self):
+        code, out, err = run_cli(["syntomic", "--prime", "3",
+                                  "--window", "4", "-4", "0", "8"])
+        assert code == 1 and out == ""
+        assert "min <= max" in err
+
     def test_window_containing_table_succeeds(self):
         # p = 2: the table tops out at degree 10, inside this window
         code, _, _ = run_cli(["syntomic", "--prime", "2",
@@ -138,9 +138,19 @@ class TestFglCommand:
         assert {t["t_exponent"] for t in doc["terms"]} >= {2}
 
     def test_too_small_window_is_usage_error(self):
-        code, _, err = run_cli(["fgl", "p-series", "--prime", "3",
-                                "--mod", "p,v1", "--trunc", "4"])
-        assert code == 1 and "window too small" in err
+        for argv, message in [
+            (["p-series", "--prime", "3", "--mod", "p,v1", "--trunc", "4"],
+             "window too small"),
+            (["p-series", "--prime", "2", "--trunc", "-3"],
+             "--trunc must be positive, got -3"),
+            (["p-series", "--prime", "2", "--trunc", "0"],
+             "--trunc must be positive, got 0"),
+            (["right-unit", "--prime", "2", "--trunc", "0"],
+             "--trunc must be positive, got 0"),
+        ]:
+            code, out, err = run_cli(["fgl"] + argv)
+            assert (code, out) == (1, ""), argv
+            assert message in err, argv
 
     def test_bad_ideal_name(self):
         code, _, err = run_cli(["fgl", "p-series", "--prime", "3",
@@ -180,6 +190,21 @@ class TestSsCommand:
         assert code == 2
         assert "assertion failed" in err and "inconclusive" in err
         assert "E1: 8 classes" in out  # the run log stops where it failed
+
+    def test_max_page_below_last_differential_is_usage_error(self):
+        code, out, err = run_cli(["ss", "--preset", "tp", "--prime", "3",
+                                  "--max-page", "2"])
+        assert code == 1 and out == ""
+        assert "--max-page 2" in err and "page, 9" in err
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # a reader that went away, as in `synto ss ... | head -2`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as closed:
+            with mock.patch.object(sys, "stdout", closed):
+                code = main(["ss", "--preset", "tp", "--prime", "2"])
+        assert code == 1
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.ss"

@@ -13,7 +13,8 @@ from synto.fgl import (cobar_d_t, coefficientwise_frobenius, exp_coefficients,
                        formal_sum, formal_sum_of, log_coefficients, log_of,
                        orientation_truncation, p_series, pipeline_catalog,
                        required_depth, right_unit_t)
-from synto.graded import QQ, Poly, VerificationError, format_poly
+from synto.graded import (QQ, Poly, VerificationError, canonical_catalog,
+                          format_poly)
 
 
 class TestLogCoefficients:
@@ -87,7 +88,8 @@ class TestFormalSum:
 
     @pytest.mark.parametrize("p,trunc", [(2, 6), (3, 5)])
     def test_associative(self, p, trunc):
-        cat = pipeline_catalog(p, trunc)
+        cat = canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
+                                orientations=("t", "x", "y", "z"))
         trc = orientation_truncation(cat, trunc)
         x = Poly.gen(cat, QQ, "x", trc)
         y = Poly.gen(cat, QQ, "y", trc)

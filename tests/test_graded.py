@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from synto.graded import (QQ, Catalog, CoeffRing, GeneratorSymbol, Poly,
                           Truncation, VerificationError, canonical_catalog,
-                          format_poly, rewrite, substitute, superscript)
+                          format_poly, rewrite, superscript)
 
 CAT3 = canonical_catalog(3)
 FP3 = CoeffRing(3)
@@ -122,12 +122,6 @@ class TestPoly:
         g = f.kill_generators(["v1"])
         assert dict(g.terms) == {mono(t=1): Fraction(5)}
 
-    def test_homogeneous(self):
-        assert Poly.gen(CAT3, QQ, "t").is_homogeneous()
-        f = Poly.from_terms(CAT3, QQ, [(mono(t=1), 1), (mono(v1=1), 1)])
-        assert not f.is_homogeneous()
-        assert f.bidegrees() == {(-2, 1), (4, 0)}
-
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(Poly.gen(CAT3, QQ, "t"))
@@ -148,26 +142,6 @@ class TestRewrite:
         f = Poly.gen(CAT3, FP3, "t")
         with pytest.raises(ValueError):
             rewrite(f, [(mono(lambda1=1), mono(t=1))])
-
-
-class TestSubstitute:
-    def test_linear_substitution(self):
-        # v1 -> t^2 inside v1*t + v2
-        f = Poly.from_terms(CAT3, QQ, [(mono(v1=1, t=1), 1), (mono(v2=1), 1)])
-        g = substitute(f, "v1", Poly.gen(CAT3, QQ, "t") ** 2)
-        assert dict(g.terms) == {mono(t=3): Fraction(1),
-                                 mono(v2=1): Fraction(1)}
-
-    def test_powers_expand(self):
-        f = Poly.from_terms(CAT3, QQ, [(mono(v1=2), 1)])
-        tv = Poly.gen(CAT3, QQ, "t") + Poly.gen(CAT3, QQ, "v2")
-        g = substitute(f, "v1", tv)
-        assert g == tv * tv
-
-    def test_odd_target_rejected(self):
-        f = Poly.gen(CAT3, QQ, "lambda1")
-        with pytest.raises(ValueError):
-            substitute(f, "lambda1", Poly.gen(CAT3, QQ, "t"))
 
 
 class TestFormat:

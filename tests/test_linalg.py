@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import dense_rank
-from synto.linalg import Span, Tracker, kernel_basis, rank, vec_addmul, vec_scale
+from synto.linalg import Span, kernel_basis, rank, vec_addmul, vec_scale
 
 
 class TestVecOps:
@@ -41,22 +41,21 @@ class TestSpan:
     def test_empty_vector_is_dependent(self):
         assert Span(3).insert({}) is None
 
+    def test_labels_express_a_vector(self):
+        # vector i enters as v + e_{off+i}; a vector in the span reduces to
+        # minus its coefficients over the labels
+        s, off = Span(5), 10
+        cols = [{0: 1, 1: 2}, {1: 1, 2: 3}]
+        for i, v in enumerate(cols):
+            assert s.insert({**v, off + i: 1}) < off
+        target = vec_addmul(5, vec_scale(5, cols[0], 2), cols[1], 3)
+        assert s.reduce(target) == {off: 3, off + 1: 2}
+        assert min(s.reduce({3: 1})) < off
 
-class TestTracker:
-    def test_express_reconstructs(self):
-        t = Tracker(5)
-        cols = {10: {0: 1, 1: 2}, 11: {1: 1, 2: 3}}
-        for label, v in cols.items():
-            assert t.insert(label, v)
-        target = vec_addmul(5, vec_scale(5, cols[10], 2), cols[11], 3)
-        expr = t.express(target)
-        assert expr == {10: 2, 11: 3}
-        assert t.express({3: 1}) is None
-
-    def test_dependent_insert_returns_false(self):
-        t = Tracker(3)
-        assert t.insert(0, {0: 1})
-        assert not t.insert(1, {0: 2})
+    def test_dependent_labelled_insert_pivots_past_off(self):
+        s, off = Span(3), 5
+        assert s.insert({0: 1, off: 1}) == 0
+        assert s.insert({0: 2, off + 1: 1}) >= off
 
 
 class TestKernel:
