@@ -20,13 +20,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     **{f"syntomic-p{p}.csv": ["syntomic", "--prime", str(p), "--format", "csv"]
-       for p in (2, 3, 5, 7)},
+       for p in (2, 3, 5, 7, 11)},
     **{f"syntomic-p3-{unit}.json": ["syntomic", "--prime", "3", "--format",
                                     "json", "--frobenius-unit", unit]
        for unit in ("one", "alt")},
     "syntomic-p5.txt": ["syntomic", "--prime", "5", "--format", "table"],
-    **{f"ss-{preset}-p3.txt": ["ss", "--preset", preset, "--prime", "3", "-v"]
-       for preset in ("tp", "tcminus")},
+    **{f"ss-{preset}-p{p}.txt": ["ss", "--preset", preset, "--prime", str(p),
+                                 "-v"]
+       for preset in ("tp", "tcminus") for p in (3, 5)},
     "fgl-p-series-p3.txt": ["fgl", "p-series", "--prime", "3", "--mod",
                             "p,v1", "--trunc", "12"],
     "fgl-right-unit-p2.json": ["fgl", "right-unit", "--prime", "2",
