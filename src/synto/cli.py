@@ -299,6 +299,12 @@ def parse_presentation(text: str):
         return None
     if prime is None:
         raise PresentationParseError("missing 'prime <p>' line")
+    names = {g.name for g in gens}
+    for ln, exps in rels:
+        for nm in exps:
+            if nm not in names:
+                raise PresentationParseError(
+                    f"line {ln}: unknown generator {nm!r} in relation")
     try:
         pres = Presentation(prime, gens, relations=[r for _ln, r in rels])
     except (VerificationError, ValueError) as e:
@@ -414,16 +420,11 @@ def cmd_ss(args) -> int:
         pres = spec.pres
         window = run_window(prime, structure, -2,
                             2 * prime * prime + 2 * prime + 2)
-    last = max(spec.pages, default=0)
-    if args.max_page is not None and last > args.max_page:
-        raise CLIUsageError(f"--max-page {args.max_page} stops before the "
-                            f"last differential page, {last}")
-
     page = build_page(pres, window)
     print(f"prime {prime}, E1: {page.total_dim()} classes, window "
           f"deg [{window.deg_min}, {window.deg_max}] "
           f"weight [{window.weight_min}, {window.weight_max}]")
-    final, log = run_to_stable(page, spec, max_page=args.max_page)
+    final, log = run_to_stable(page, spec)
     for entry in log:
         if entry["page"] == "stable":
             print(f"stable: {entry['classes']} classes")
@@ -502,7 +503,6 @@ def build_parser() -> _Parser:
     src.add_argument("--preset", choices=("tp", "tcminus"))
     pss.add_argument("--prime", type=int, default=2,
                      help="prime for --preset runs")
-    pss.add_argument("--max-page", type=int, default=None)
     pss.add_argument("--verbose", "-v", action="count", default=0)
     pss.set_defaults(func=cmd_ss)
 

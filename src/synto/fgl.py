@@ -32,13 +32,10 @@ from typing import Iterable, Optional, Sequence
 from synto.graded import (
     QQ,
     Catalog,
-    CoeffRing,
-    Mono,
     Poly,
     Truncation,
     VerificationError,
     canonical_catalog,
-    rewrite,
 )
 
 
@@ -191,19 +188,6 @@ def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
     if trunc > 1 and eta.coefficient(cat.unit_mono("t")) != 1:
         raise VerificationError("right unit lost its linear normalization")
     return reduce_ideal(eta, p, ideal)
-
-
-def cobar_d_t(p: int, trunc: int, ideal: Iterable[str] = ("p", "v1")) -> Poly:
-    """eta_R(t) - t, with t1 rewritten as t*sigma2t1.
-
-    Mod (p, v1, t^{p+2}) this is t^{p+1}*sigma2t1: the leading cobar
-    differential on the orientation class.
-    """
-    cat_trunc_p = right_unit_t(p, trunc, ideal)
-    cat = cat_trunc_p.catalog
-    ring = cat_trunc_p.ring
-    d = cat_trunc_p - Poly.gen(cat, ring, "t", cat_trunc_p.trunc)
-    return rewrite(d, [(cat.mono({"t1": 1}), cat.mono({"t": 1, "sigma2t1": 1}))])
 
 
 def coefficientwise_frobenius(poly: Poly, p: int, e: int = 1) -> Poly:

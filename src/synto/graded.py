@@ -94,9 +94,6 @@ class Catalog:
     def __len__(self) -> int:
         return self.n
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.symbols)
-
     def mono(self, exps: dict[str, int]) -> Mono:
         out = [0] * self.n
         for name, e in exps.items():

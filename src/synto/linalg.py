@@ -65,9 +65,6 @@ class Span:
                 out = vec_addmul(self.p, out, self.rows[piv], -c)
         return out
 
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
-
     def insert(self, v: Vec) -> Optional[int]:
         """Add v to the span; returns the new pivot, or None if dependent."""
         r = self.reduce(v)
@@ -86,9 +83,6 @@ class Span:
         out = Span(self.p)
         out.rows = {k: dict(v) for k, v in self.rows.items()}
         return out
-
-    def pivot_rows(self) -> list[tuple[int, Vec]]:
-        return sorted(self.rows.items())
 
 
 def kernel_basis(p: int, cols: list[Vec]) -> list[Vec]:
@@ -110,8 +104,3 @@ def kernel_basis(p: int, cols: list[Vec]) -> list[Vec]:
         else:
             span.insert(r)
     return out
-
-
-def rank(p: int, cols: list[Vec]) -> int:
-    span = Span(p)
-    return sum(1 for c in cols if span.insert(c) is not None)

@@ -632,28 +632,27 @@ def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, 
     return frozenset(flagged)
 
 
-def run_to_stable(page: SSPage, spec: DifferentialSpec,
-                  max_page: Optional[int] = None) -> tuple[SSPage, list[dict]]:
+def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[dict]]:
     """Turn every specified page, then certify stability.
 
-    Stability = no pair of surviving populated bidegrees sits in d_r
-    position for any r beyond the last specified page; failing that the
-    window is inconclusive (hard error), because out-of-spec differentials
-    could not be ruled out.
+    A page that carries no d_r leaves the classes as they are, so only the
+    spec pages are turned.  Stability = no pair of surviving populated
+    bidegrees sits in d_r position for any r beyond the last specified page;
+    failing that the window is inconclusive (hard error), because out-of-spec
+    differentials could not be ruled out.
     """
     flags = flag_boundary(page, spec)
     current = SSPage(page.pres, page.window, page.r, page.data, flags)
     log: list[dict] = []
     last = max(spec.pages, default=0)
-    if max_page is not None and last > max_page:
-        raise ValueError("spec pages exceed max_page")
-    while current.r <= last:
+    for r in spec.pages:
+        if r < current.r:
+            continue
+        current = SSPage(current.pres, current.window, r, current.data, flags)
         before = current.total_dim()
-        nxt = turn_page(current, spec)
-        if current.r in spec.pages:
-            log.append({"page": current.r, "classes_before": before,
-                        "classes_after": nxt.total_dim()})
-        current = nxt
+        current = turn_page(current, spec)
+        log.append({"page": r, "classes_before": before,
+                    "classes_after": current.total_dim()})
     beyond = {r: c for r, c in possible_pages(current, spec.rule).items() if r > last}
     if beyond:
         raise WindowInconclusiveError(

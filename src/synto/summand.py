@@ -5,7 +5,8 @@ The pipeline, per prime p:
 1. ``derive_differentials`` turns formal-group data into t-Bockstein
    differentials: the right-unit deviation gives d_p(t) = t^{p+1}·λ₁ through
    the circle-suspension class σ²t₁, and its p-th power gives
-   d_{p²}(t^p) = t^{p²+p}·λ₂.
+   d_{p²}(t^p) = t^{p²+p}·λ₂.  One right unit per prime carries every such
+   fact; it is certified once and the report cached, for both structures.
 2. ``tp_einfty`` / ``tcminus_einfty`` run the spectral sequence engine on
    E₁ = F_p[t^{±1}]⊗Λ(λ₁,λ₂) resp. F_p[t,μ]/(tμ)⊗Λ(λ₁,λ₂) and certify the
    closed-form answers on the boundary-safe part of the window.
@@ -22,10 +23,12 @@ Hodge–Tate comparison (`hodge_tate_check`) validate the surrounding claims.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .graded import VerificationError, canonical_catalog, rewrite
-from .fgl import p_series, right_unit_t, cobar_d_t, coefficientwise_frobenius
+from .graded import Poly, VerificationError, canonical_catalog, rewrite
+from .fgl import (coefficientwise_frobenius, orientation_truncation, p_series,
+                  right_unit_t)
 from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
                        DiffEntry, DifferentialSpec, Presentation, SSGen,
                        SSPage, Window, build_page, collapse_check,
@@ -105,38 +108,53 @@ def tcminus_presentation(p: int) -> Presentation:
     ], relations=[{"t": 1, "mu": 1}])
 
 
-def _rewrite_through_suspension(poly, p):
+def _rewrite_through_suspension(poly):
     """Replace t₁ by t·σ²t₁ so cobar terms read off differentials."""
     cat = poly.catalog
-    pattern = cat.mono({"t1": 1})
-    repl = cat.mono({"t": 1, "sigma2t1": 1})
-    return rewrite(poly, [(pattern, repl)])
+    return rewrite(poly, [(cat.mono({"t1": 1}),
+                           cat.mono({"t": 1, "sigma2t1": 1}))])
 
 
-def verify_t_power_permanent(p: int) -> dict:
-    """Check that t^{p²} supports no differential: η_R(t^{p²}) ≡ t^{p²}
-    mod (p, v₁, t^{p³+p²}).
+@functools.cache
+def _formal_group_certificate(p: int) -> dict:
+    """Every formal-group fact behind the two differentials, checked on one
+    right unit η = η_R(t) mod (p, v₁, t^{p²+2p}); returns the permanence
+    report.  Any failure is a hard error.
 
-    Every term of η_R(t) − t visible below t^{p+2} rewrites (t₁ ↦ t·σ²t₁) to
-    t-degree ≥ p+1, and the truncated tail sits at t-degree ≥ p+2 already.
-    Raising to the p²-th power is exponentwise mod p, so every term of
-    η_R(t^{p²}) − t^{p²} has t-degree ≥ (p+1)p² = p³ + p².
+    Cut to t^{p+2}, η − t rewrites (t₁ ↦ t·σ²t₁) to exactly t^{p+1}·σ²t₁,
+    so every term has t-degree ≥ p+1 and the truncated tail sits at ≥ p+2.
+    Raising to the p²-th power is exponentwise mod p, so η_R(t^{p²}) − t^{p²}
+    has t-degree ≥ (p+1)p² = p³ + p² and t^{p²} is a permanent cycle.  The
+    p-th power η^p − t^p rewrites to exactly t^{p²+p}·(σ²t₁)^p.
     """
-    dev = right_unit_t(p, p + 2, ideal=("p", "v1"))
-    t = dev.catalog.mono({"t": 1})
-    dev = dev - dev.from_terms(dev.catalog, dev.ring, [(t, 1)], dev.trunc)
-    rew = _rewrite_through_suspension(dev, p)
-    degrees = sorted({m[rew.catalog.index["t"]] for m in rew.terms})
+    default_axioms(p).validate()
+    # the two permanence bounds come first: the exact leading term implies
+    # them, and in this order a fault trips the weakest check that sees it
+    eta = right_unit_t(p, p * p + 2 * p, ideal=("p", "v1"))
+    cat, ring = eta.catalog, eta.ring
+    cut = eta.with_trunc(orientation_truncation(cat, p + 2))
+    dev = _rewrite_through_suspension(cut - Poly.gen(cat, ring, "t", cut.trunc))
+    degrees = sorted({m[cat.index["t"]] for m in dev.terms})
     if degrees and degrees[0] < p + 1:
         raise VerificationError(
             f"right-unit deviation has a rewritten term at t-degree "
             f"{degrees[0]} < {p + 1}; t^(p^2) permanence fails")
-    frob = coefficientwise_frobenius(rew, p, e=2)
-    fdeg = sorted({m[frob.catalog.index["t"]] for m in frob.terms})
+    frob = coefficientwise_frobenius(dev, p, e=2)
+    fdeg = sorted({m[cat.index["t"]] for m in frob.terms})
     bound = p ** 3 + p ** 2
     if fdeg and fdeg[0] < bound:
         raise VerificationError(
             f"eta_R(t^(p^2)) deviates from t^(p^2) below t^{bound}")
+    if dict(dev.terms) != {cat.mono({"t": p + 1, "sigma2t1": 1}): 1}:
+        raise VerificationError(
+            "cobar differential of t is not t^(p+1)*sigma2t1; "
+            "formal-group sign convention mismatch")
+    tp = Poly.from_terms(cat, ring, [(cat.mono({"t": p}), 1)], eta.trunc)
+    devp = _rewrite_through_suspension(eta ** p - tp)
+    if dict(devp.terms) != {cat.mono({"t": p * p + p, "sigma2t1": p}): 1}:
+        raise VerificationError(
+            "p-th power of the right unit is not t^p + t^(p^2+p)*sigma2t1^p; "
+            "formal-group sign convention mismatch")
     return {
         "p": p,
         "min_rewritten_degree": degrees[0] if degrees else None,
@@ -146,46 +164,29 @@ def verify_t_power_permanent(p: int) -> dict:
     }
 
 
+def verify_t_power_permanent(p: int) -> dict:
+    """Report that t^{p²} supports no differential: η_R(t^{p²}) ≡ t^{p²}
+    mod (p, v₁, t^{p³+p²}), read off ``_formal_group_certificate``."""
+    return dict(_formal_group_certificate(p))
+
+
+_PRESENTATIONS = {"tp": tp_presentation, "tcminus": tcminus_presentation}
+
+
 def derive_differentials(p: int, structure: str = "tp") -> DifferentialSpec:
     """t-Bockstein differentials from the formal-group right unit.
 
     d_p(t) = t^{p+1}·λ₁ comes from η_R(t) − t ≡ t^{p+1}·σ²t₁ and the
     identification λ₁ ↔ σ²t₁; d_{p²}(t^p) = t^{p²+p}·λ₂ from the p-th power
-    and λ₂ ↔ (σ²t₁)^p.  t^{p²}, λ₁, λ₂ and μ are permanent cycles; the
-    t^{p²} case is verified via ``verify_t_power_permanent``.
-
-    A leading-term mismatch in either formal-group computation is a hard
-    error: it means the sign conventions upstream are misconfigured.
+    and λ₂ ↔ (σ²t₁)^p.  t^{p²}, λ₁, λ₂ and μ are permanent cycles.  Both
+    structures read these facts off one right unit per prime, certified once
+    and cached by ``_formal_group_certificate``; a mismatch there is a hard
+    error, meaning the sign conventions upstream are misconfigured.
     """
-    ax = default_axioms(p)
-    ax.validate()
-
-    d1 = cobar_d_t(p, p + 2)
-    cat = d1.catalog
-    lead = cat.mono({"t": p + 1, "sigma2t1": 1})
-    if dict(d1.terms) != {lead: 1}:
-        raise VerificationError(
-            "cobar differential of t is not t^(p+1)*sigma2t1; "
-            "formal-group sign convention mismatch")
-
-    eta = right_unit_t(p, p * p + 2 * p, ideal=("p", "v1"))
-    tp = eta.from_terms(eta.catalog, eta.ring,
-                        [(eta.catalog.mono({"t": p}), 1)], eta.trunc)
-    devp = _rewrite_through_suspension(eta ** p - tp, p)
-    lead2 = devp.catalog.mono({"t": p * p + p, "sigma2t1": p})
-    if dict(devp.terms) != {lead2: 1}:
-        raise VerificationError(
-            "p-th power of the right unit is not t^p + t^(p^2+p)*sigma2t1^p; "
-            "formal-group sign convention mismatch")
-
-    verify_t_power_permanent(p)
-
-    if structure == "tp":
-        pres = tp_presentation(p)
-    elif structure == "tcminus":
-        pres = tcminus_presentation(p)
-    else:
+    if structure not in _PRESENTATIONS:
         raise ValueError(f"unknown structure {structure!r}")
+    _formal_group_certificate(p)
+    pres = _PRESENTATIONS[structure](p)
     pcat = pres.catalog
     entries = (
         DiffEntry(p, "t", 1, ((pcat.mono({"t": p + 1, "lambda1": 1}), 1),)),

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -185,17 +186,17 @@ class TestSsCommand:
     def test_file_run_small_window_is_honest(self, tmp_path):
         f = tmp_path / "toy.ss"
         f.write_text(TOY_PRESENTATION)
-        code, out, err = run_cli(["ss", "--file", str(f), "--max-page", "1"])
+        code, out, err = run_cli(["ss", "--file", str(f)])
         # the toy window cannot certify stability beyond page 1
         assert code == 2
         assert "assertion failed" in err and "inconclusive" in err
         assert "E1: 8 classes" in out  # the run log stops where it failed
 
-    def test_max_page_below_last_differential_is_usage_error(self):
+    def test_max_page_is_gone(self):
         code, out, err = run_cli(["ss", "--preset", "tp", "--prime", "3",
-                                  "--max-page", "2"])
+                                  "--max-page", "3"])
         assert code == 1 and out == ""
-        assert "--max-page 2" in err and "page, 9" in err
+        assert "unrecognized arguments: --max-page 3" in err
 
     def test_closed_stdout_exits_1_without_traceback(self):
         # a reader that went away, as in `synto ss ... | head -2`
@@ -225,6 +226,12 @@ class TestSsCommand:
         code, _, err = run_cli(["ss", "--file", str(f)])
         assert code == 1 and "line 2" in err and "foo" in err
 
+    def test_relation_on_unknown_generator(self, tmp_path):
+        f = tmp_path / "bad.ss"
+        f.write_text("prime 3\ngen x deg 0 weight 1 parity even\nrel x*y\n")
+        code, _, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and "line 3" in err and "'y'" in err
+
     def test_missing_file(self):
         code, _, err = run_cli(["ss", "--file", "/nonexistent/f.ss"])
         assert code == 1
@@ -234,6 +241,72 @@ class TestSsCommand:
         f.write_text("prime 6\n")
         code, _, err = run_cli(["ss", "--file", str(f)])
         assert code == 1 and "not prime" in err
+
+
+FUZZ_BASE = """\
+prime 2
+gen t deg -2 weight 1 parity even invertible
+gen mu deg 8 weight 0 parity even maxexp 2
+gen l1 deg 3 weight 0 parity odd
+gen l2 deg 7 weight 0 parity odd
+rel t*mu
+diff page 2 t -> t^3*l1
+diff page 4 t^2 -> t^6*l2 + t^6*l2
+window deg -4 12 weight -2 6
+"""
+
+# Substitutes hold no number above 3, so no mutant window grows past the
+# base one and every case runs in milliseconds.
+FUZZ_TOKENS = ("0", "1", "-1", "2", "3", "t", "mu", "l1", "->", "t^-1",
+               "t^2", "*", "+", "-", "even", "odd", "invertible", "maxexp",
+               "page", "weight", "deg", "window", "gen", "rel", "diff",
+               "prime", "#", "x^")
+
+
+def mutate(rng, text):
+    """One to three random edits: delete, duplicate or swap a line; delete,
+    swap or substitute a token."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        op = rng.randrange(6)
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif toks:
+            k = rng.randrange(len(toks))
+            if op == 3:
+                del toks[k]
+            elif op == 4:
+                j = rng.randrange(len(toks))
+                toks[k], toks[j] = toks[j], toks[k]
+            else:
+                toks[k] = rng.choice(FUZZ_TOKENS)
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+class TestSsFileFuzz:
+    def test_mutants_exit_cleanly(self, tmp_path):
+        # every mutant is a result (0), a usage error (1) or a failed check
+        # (2), never a traceback
+        rng = random.Random(20240)
+        f = tmp_path / "mutant.ss"
+        codes = set()
+        for case in range(300):
+            text = mutate(rng, FUZZ_BASE)
+            f.write_text(text)
+            code, _out, _err = run_cli(["ss", "--file", str(f)])
+            assert code in (0, 1, 2), (case, text)
+            codes.add(code)
+        assert codes == {0, 1, 2}
 
 
 class TestParsePresentation:

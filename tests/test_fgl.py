@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from synto.fgl import (cobar_d_t, coefficientwise_frobenius, exp_coefficients,
+from synto.fgl import (coefficientwise_frobenius, exp_coefficients,
                        formal_sum, formal_sum_of, log_coefficients, log_of,
                        orientation_truncation, p_series, pipeline_catalog,
                        required_depth, right_unit_t)
 from synto.graded import (QQ, Poly, VerificationError, canonical_catalog,
                           format_poly)
+from synto.summand import _rewrite_through_suspension
 
 
 class TestLogCoefficients:
@@ -167,19 +168,39 @@ class TestRightUnit:
         assert eta.coefficient(eta.catalog.unit_mono("t")) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cut_series_is_the_short_right_unit(self, p):
+        # the one right unit summand certifies, cut to t^{p+2}, is the
+        # right unit computed at truncation p+2
+        ideal = ("p", "v1")
+        eta = right_unit_t(p, p * p + 2 * p, ideal=ideal)
+        cut = eta.with_trunc(orientation_truncation(eta.catalog, p + 2))
+        short = right_unit_t(p, p + 2, ideal=ideal)
+        assert cut == short and cut.trunc == short.trunc
+        assert cut.catalog.symbols == short.catalog.symbols
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_cobar_leading_term(self, p):
-        d = cobar_d_t(p, p + 2)
+        d = cobar_deviation(p, p + 2)
         cat = d.catalog
         assert dict(d.terms) == {cat.mono({"t": p + 1, "sigma2t1": 1}): 1}
 
     def test_cobar_longer_window_p2(self):
         # beyond the leading term the deviation keeps only t1-divisible
         # monomials (all rewritten through sigma2t1)
-        d = cobar_d_t(2, 6)
+        d = cobar_deviation(2, 6)
         cat = d.catalog
         assert cat.mono({"t": 3, "sigma2t1": 1}) in d.terms
         ti = cat.index["t1"]
         assert all(m[ti] == 0 for m in d.terms)
+
+
+def cobar_deviation(p, trunc):
+    """eta_R(t) - t mod (p, v1), cut to t^trunc from the right unit at
+    t^{p^2+2p} as summand certifies it, with t1 rewritten as t*sigma2t1."""
+    eta = right_unit_t(p, p * p + 2 * p, ideal=("p", "v1"))
+    cut = eta.with_trunc(orientation_truncation(eta.catalog, trunc))
+    return _rewrite_through_suspension(
+        cut - Poly.gen(cut.catalog, cut.ring, "t", cut.trunc))
 
 
 class TestFrobenius:

@@ -19,7 +19,7 @@ def mono(**exps):
 
 class TestCatalog:
     def test_canonical_symbols(self):
-        names = CAT3.names()
+        names = tuple(s.name for s in CAT3.symbols)
         assert names == ("t", "v1", "v2", "t1", "t2",
                          "sigma2t1", "sigma2v2", "lambda1", "lambda2", "mu")
         assert CAT3.symbols[CAT3.index["t"]].degree == -2

@@ -343,12 +343,6 @@ class TestRunToStable:
         with pytest.raises(WindowInconclusiveError):
             run_to_stable(page, spec)
 
-    def test_max_page_guard(self):
-        pres, window, spec = xy_complex()
-        page = build_page(pres, window)
-        with pytest.raises(ValueError):
-            run_to_stable(page, spec, max_page=0)
-
 
 class TestPossiblePages:
     def test_xy_complex_candidates(self):

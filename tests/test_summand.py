@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from synto.graded import VerificationError
+from synto import summand
+from synto.fgl import orientation_truncation
+from synto.graded import Poly, VerificationError
 from synto.spectral import ChartEntry
 from synto.summand import (AxiomSet, BasisClass, GeneratorTable,
                            GradedLinearMap, SyntomicWindowError, TableEntry,
@@ -16,6 +18,8 @@ from synto.summand import (AxiomSet, BasisClass, GeneratorTable,
                            tcminus_einfty, tcminus_presentation, tp_einfty,
                            tp_presentation, v2_bockstein_check,
                            verify_t_power_permanent)
+
+_certificate = summand._formal_group_certificate
 
 
 class TestAxioms:
@@ -50,6 +54,69 @@ class TestDeriveDifferentials:
         assert report["min_rewritten_degree"] >= p + 1
         assert report["min_frobenius_degree"] >= p ** 3 + p ** 2
         assert report["bound"] == p ** 3 + p ** 2
+
+
+class TestFormalGroupCertificate:
+    """The per-prime certificate behind derive_differentials: one right unit,
+    and a hard error from each of its checks."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _certificate.cache_clear()
+        yield
+        _certificate.cache_clear()
+
+    def test_one_right_unit_per_prime(self, monkeypatch):
+        calls = []
+        real = summand.right_unit_t
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(summand, "right_unit_t", counted)
+        for p in (2, 3):
+            derive_differentials(p, "tp")
+            derive_differentials(p, "tcminus")
+            report = verify_t_power_permanent(p)
+            report["bound"] = 0  # the caller gets a copy, not the cache
+            assert verify_t_power_permanent(p)["bound"] == p ** 3 + p ** 2
+        assert calls == [(2, 8), (3, 15)]
+
+    @pytest.mark.parametrize("extra, widen, message", [
+        ({"t": 2}, 0, "rewritten term at t-degree 2 < 4"),
+        ({"t": 4}, 0, r"cobar differential of t is not t\^\(p\+1\)"),
+        # t^5 lies past the cut; its p-th power t^15 shows once the
+        # truncation is widened
+        ({"t": 5}, 3, "p-th power of the right unit is not"),
+    ])
+    def test_corrupted_right_unit(self, monkeypatch, extra, widen, message):
+        real = summand.right_unit_t
+
+        def corrupted(p, trunc, ideal=()):
+            eta = real(p, trunc, ideal)
+            cat = eta.catalog
+            return Poly.from_terms(
+                cat, eta.ring, [*eta.terms.items(), (cat.mono(extra), 1)],
+                orientation_truncation(cat, trunc + widen))
+
+        monkeypatch.setattr(summand, "right_unit_t", corrupted)
+        with pytest.raises(VerificationError, match=message):
+            derive_differentials(3, "tp")
+
+    def test_frobenius_bound(self, monkeypatch):
+        # the rewritten-degree bound implies this one for any series, so it
+        # is reached through the Frobenius it reads
+        monkeypatch.setattr(summand, "coefficientwise_frobenius",
+                            lambda poly, p, e=1: poly)
+        with pytest.raises(VerificationError, match=r"below t\^36"):
+            derive_differentials(3, "tp")
+
+    def test_axiom_degrees(self, monkeypatch):
+        monkeypatch.setattr(summand, "default_axioms",
+                            lambda p: AxiomSet(p, 4, 17, 18))
+        with pytest.raises(VerificationError, match="axiom degree mismatch"):
+            derive_differentials(3, "tp")
 
 
 class TestEInfty:
