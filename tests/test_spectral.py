@@ -1,6 +1,7 @@
 """Spectral sequence engine: enumeration, Leibniz differentials, page
 turning against a dense oracle, windowing honesty, collapse checking."""
 
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,80 @@ class TestPresentation:
         ext = pres.grading_extremes()
         assert ext == {"deg_min": -1, "deg_max": 0,
                        "weight_min": 0, "weight_max": 5}
+
+
+def _random_presentation(rng):
+    """1–4 generators, each odd, invertible, capped or plain, with degrees
+    and weights in −4..4, at most one monomial relation, and a window
+    inside ±8."""
+    gens = []
+    for name in "abcd"[:rng.randint(1, 4)]:
+        deg, wt = rng.randint(-4, 4), rng.randint(-4, 4)
+        kind = rng.choice(("odd", "invertible", "max_exp", "plain"))
+        if kind == "odd":
+            gens.append(SSGen(name, deg, wt, "odd"))
+        elif kind == "invertible":
+            gens.append(SSGen(name, deg, wt, invertible=True))
+        elif kind == "max_exp":
+            gens.append(SSGen(name, deg, wt, max_exp=rng.randint(0, 4)))
+        else:
+            gens.append(SSGen(name, deg, wt))
+    rels = []
+    if rng.random() < 0.5:
+        rel = {g.name: rng.randint(0, 2) for g in gens}
+        rel[rng.choice(gens).name] = rng.randint(1, 2)
+        rels.append(rel)
+    d0, d1 = sorted(rng.randint(-8, 8) for _ in range(2))
+    w0, w1 = sorted(rng.randint(-8, 8) for _ in range(2))
+    return Presentation(3, gens, rels), Window(d0, d1, w0, w1)
+
+
+def _structural(g, lo, hi):
+    """The exponents of g in [lo, hi] that the algebra allows."""
+    if g.parity == "odd":
+        lo, hi = max(lo, 0), min(hi, 1)
+    elif not g.invertible:
+        lo = max(lo, 0)
+    if g.max_exp is not None:
+        hi = min(hi, g.max_exp)
+    return range(lo, hi + 1)
+
+
+class TestEnumerationOracle:
+    """enumerate_basis and grading_extremes against brute force over random
+    presentations."""
+
+    def test_random_presentations(self):
+        rng = random.Random(7)
+        runs, enumerated = 300, 0
+        for _ in range(runs):
+            pres, win = _random_presentation(rng)
+            cat = pres.catalog
+            try:
+                basis = pres.enumerate_basis(win)
+            except WindowInconclusiveError:
+                basis = None
+            if basis is not None:
+                enumerated += 1
+                # a box twice as wide as the claimed ranges, plus 4
+                axes = []
+                for g, (lo, hi) in zip(pres.gens, pres.exponent_ranges(win)):
+                    pad = max(hi - lo, 0) // 2 + 2
+                    axes.append(_structural(g, lo - pad, hi + pad))
+                want = sorted(m for m in itertools.product(*axes)
+                              if win.contains(*cat.bidegree(m))
+                              and not pres.killed(m))
+                assert basis == want, (pres.gens, pres.relations, win)
+            if all(g.parity == "odd" or (not g.invertible and g.max_exp is not None)
+                   for g in pres.gens):
+                monos = list(itertools.product(
+                    *(_structural(g, 0, 4) for g in pres.gens)))
+                degs = [cat.degree(m) for m in monos]
+                wts = [cat.weight(m) for m in monos]
+                assert pres.grading_extremes() == {
+                    "deg_min": min(degs), "deg_max": max(degs),
+                    "weight_min": min(wts), "weight_max": max(wts)}
+        assert enumerated >= runs // 2
 
 
 def xy_complex():
