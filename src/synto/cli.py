@@ -73,8 +73,11 @@ def _sty(s: str, code: str, on: bool) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CLIUsageError(str(e)) from None
     else:
         sys.stdout.write(text)
 
@@ -418,8 +421,8 @@ def cmd_ss(args) -> int:
         structure = args.preset
         spec = derive_differentials(prime, structure)
         pres = spec.pres
-        window = run_window(prime, structure, -2,
-                            2 * prime * prime + 2 * prime + 2)
+        window = run_window(prime, structure,
+                            *default_table_window(prime)[:2])
     page = build_page(pres, window)
     print(f"prime {prime}, E1: {page.total_dim()} classes, window "
           f"deg [{window.deg_min}, {window.deg_max}] "

@@ -76,6 +76,22 @@ class SSGen:
     max_exp: Optional[int] = None
 
 
+def _extent(ranges: Sequence[tuple[Optional[int], Optional[int]]],
+            coeffs: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
+    """Min and max of sum(e_i * c_i) over e_i in ranges[i] = (lo, hi), where
+    None is an unbounded end; None where the sum is unbounded."""
+    lo: Optional[int] = 0
+    hi: Optional[int] = 0
+    for (a, b), c in zip(ranges, coeffs):
+        if c == 0:
+            continue
+        if c < 0:
+            a, b = b, a
+        lo = None if lo is None or a is None else lo + a * c
+        hi = None if hi is None or b is None else hi + b * c
+    return lo, hi
+
+
 class Presentation:
     """Generators with exponent bounds plus monomial-kill relations."""
 
@@ -103,13 +119,15 @@ class Presentation:
         return any(all(x >= e for x, e in zip(m, rel) if e > 0)
                    for rel in self.relations)
 
-    def _structural_range(self, i: int) -> tuple[Optional[int], Optional[int]]:
-        g = self.gens[i]
-        if g.parity == "odd":
-            return 0, 1
-        lo = None if g.invertible else 0
-        hi = g.max_exp
-        return lo, hi
+    def _structural_ranges(self) -> list[tuple[Optional[int], Optional[int]]]:
+        """Per-generator exponent interval of the algebra (None = unbounded)."""
+        return [(0, 1) if g.parity == "odd"
+                else (None if g.invertible else 0, g.max_exp)
+                for g in self.gens]
+
+    def _gradings(self, window: Window) -> list[tuple[list[int], int, int]]:
+        return [([g.degree for g in self.gens], window.deg_min, window.deg_max),
+                ([g.weight for g in self.gens], window.weight_min, window.weight_max)]
 
     def exponent_ranges(self, window: Window) -> list[tuple[int, int]]:
         """Finite per-generator exponent bounds implied by the window.
@@ -118,96 +136,50 @@ class Presentation:
         generator no constraint can bound (e.g. an invertible generator of
         bidegree (0,0)) is an enumeration error.
         """
-        n = len(self.gens)
-        lo = [self._structural_range(i)[0] for i in range(n)]
-        hi = [self._structural_range(i)[1] for i in range(n)]
-        gradings = [
-            ([g.degree for g in self.gens], window.deg_min, window.deg_max),
-            ([g.weight for g in self.gens], window.weight_min, window.weight_max),
-        ]
-
-        def contrib(i: int, coeffs) -> tuple[Optional[int], Optional[int]]:
-            c = coeffs[i]
-            if c == 0:
-                return 0, 0
-            ends = []
-            for e in (lo[i], hi[i]):
-                ends.append(None if e is None else e * c)
-            a, b = ends
-            if c > 0:
-                return a, b
-            return b, a
-
-        for _ in range(4 * n + 8):
+        ranges = self._structural_ranges()
+        gradings = self._gradings(window)
+        for _ in range(4 * len(ranges) + 8):
             changed = False
             for coeffs, gmin, gmax in gradings:
-                mins = [contrib(i, coeffs)[0] for i in range(n)]
-                maxs = [contrib(i, coeffs)[1] for i in range(n)]
-                for i in range(n):
-                    c = coeffs[i]
+                snap = list(ranges)
+                for i, c in enumerate(coeffs):
                     if c == 0:
                         continue
-                    others_min = (None if any(mins[j] is None for j in range(n) if j != i)
-                                  else sum(mins[j] for j in range(n) if j != i))
-                    others_max = (None if any(maxs[j] is None for j in range(n) if j != i)
-                                  else sum(maxs[j] for j in range(n) if j != i))
-                    # e_i * c <= gmax - others_min  and  e_i * c >= gmin - others_max
-                    # (floor(a/b) = a//b; ceil(a/b) = -((-a)//b) for any sign of b)
-                    if others_min is not None:
-                        bound = gmax - others_min
-                        if c > 0:
-                            new = bound // c
-                            if hi[i] is None or new < hi[i]:
-                                hi[i], changed = new, True
-                        else:
-                            new = -((-bound) // c)
-                            if lo[i] is None or new > lo[i]:
-                                lo[i], changed = new, True
-                    if others_max is not None:
-                        bound = gmin - others_max
-                        if c > 0:
-                            new = -((-bound) // c)
-                            if lo[i] is None or new > lo[i]:
-                                lo[i], changed = new, True
-                        else:
-                            new = bound // c
-                            if hi[i] is None or new < hi[i]:
-                                hi[i], changed = new, True
+                    # e_i*|c| = s*(g - sum_{j != i} e_j*c_j), g in [gmin, gmax]
+                    s, k = (1, c) if c > 0 else (-1, -c)
+                    a, b = _extent(snap[:i] + snap[i + 1:] + [(gmin, gmax)],
+                                   [-s * x for x in coeffs[:i] + coeffs[i + 1:]] + [s])
+                    lo, hi = ranges[i]
+                    if a is not None and (lo is None or -(-a // k) > lo):
+                        lo = -(-a // k)
+                    if b is not None and (hi is None or b // k < hi):
+                        hi = b // k
+                    if (lo, hi) != ranges[i]:
+                        ranges[i], changed = (lo, hi), True
             if not changed:
                 break
-        bad = [self.gens[i].name for i in range(n)
-               if lo[i] is None or hi[i] is None]
+        bad = [g.name for g, (lo, hi) in zip(self.gens, ranges)
+               if lo is None or hi is None]
         if bad:
             raise WindowInconclusiveError(
                 f"window does not bound exponents of {', '.join(bad)}")
-        return [(lo[i], hi[i]) for i in range(n)]
+        return ranges
 
     def enumerate_basis(self, window: Window) -> list[Mono]:
         """All relation-free monomials in the window, in catalog order."""
         n = len(self.gens)
         ranges = self.exponent_ranges(window)
-        degs = [g.degree for g in self.gens]
-        wts = [g.weight for g in self.gens]
-        # suffix extremes for pruning
-        suf_dmin = [0] * (n + 1)
-        suf_dmax = [0] * (n + 1)
-        suf_wmin = [0] * (n + 1)
-        suf_wmax = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            lo, hi = ranges[i]
-            dvals = (lo * degs[i], hi * degs[i])
-            wvals = (lo * wts[i], hi * wts[i])
-            suf_dmin[i] = suf_dmin[i + 1] + min(dvals)
-            suf_dmax[i] = suf_dmax[i + 1] + max(dvals)
-            suf_wmin[i] = suf_wmin[i + 1] + min(wvals)
-            suf_wmax[i] = suf_wmax[i + 1] + max(wvals)
+        gradings = self._gradings(window)
+        # extremes of each grading over the exponents not yet chosen
+        suffix = [[_extent(ranges[i:], coeffs[i:]) for coeffs, _, _ in gradings]
+                  for i in range(n + 1)]
+        (degs, dmin, dmax), (wts, wmin, wmax) = gradings
         out: list[Mono] = []
         exps = [0] * n
 
         def walk(i: int, d: int, w: int) -> None:
-            if d + suf_dmin[i] > window.deg_max or d + suf_dmax[i] < window.deg_min:
-                return
-            if w + suf_wmin[i] > window.weight_max or w + suf_wmax[i] < window.weight_min:
+            (dlo, dhi), (wlo, whi) = suffix[i]
+            if d + dlo > dmax or d + dhi < dmin or w + wlo > wmax or w + whi < wmin:
                 return
             if i == n:
                 m = tuple(exps)
@@ -220,42 +192,24 @@ class Presentation:
                 walk(i + 1, d + e * degs[i], w + e * wts[i])
             exps[i] = 0
 
-        walk(0, 0, 0)
-        out.sort()
+        walk(0, 0, 0)  # depth-first in increasing exponents: catalog order
         return out
 
     def grading_extremes(self) -> dict[str, Optional[int]]:
         """Structural sup/inf of degree and weight over all monomials (None = unbounded)."""
-        tot: dict[str, Optional[int]] = {
-            "deg_min": 0, "deg_max": 0, "weight_min": 0, "weight_max": 0}
-        for i, g in enumerate(self.gens):
-            lo, hi = self._structural_range(i)
-            for key, coeff in (("deg", g.degree), ("weight", g.weight)):
-                if coeff == 0:
-                    continue
-                if coeff > 0:
-                    cmin = None if lo is None else lo * coeff
-                    cmax = None if hi is None else hi * coeff
-                else:
-                    cmin = None if hi is None else hi * coeff
-                    cmax = None if lo is None else lo * coeff
-                for mkey, v in ((f"{key}_min", cmin), (f"{key}_max", cmax)):
-                    cur = tot[mkey]
-                    tot[mkey] = None if (cur is None or v is None) else cur + v
-        return tot
+        ranges = self._structural_ranges()
+        dmin, dmax = _extent(ranges, [g.degree for g in self.gens])
+        wmin, wmax = _extent(ranges, [g.weight for g in self.gens])
+        return {"deg_min": dmin, "deg_max": dmax,
+                "weight_min": wmin, "weight_max": wmax}
 
     def binding_edges(self, window: Window) -> set[str]:
         """Window edges that actually cut the algebra."""
-        ext = self.grading_extremes()
         edges = set()
-        if ext["deg_min"] is None or ext["deg_min"] < window.deg_min:
-            edges.add("deg_min")
-        if ext["deg_max"] is None or ext["deg_max"] > window.deg_max:
-            edges.add("deg_max")
-        if ext["weight_min"] is None or ext["weight_min"] < window.weight_min:
-            edges.add("weight_min")
-        if ext["weight_max"] is None or ext["weight_max"] > window.weight_max:
-            edges.add("weight_max")
+        for edge, v in self.grading_extremes().items():
+            bound = getattr(window, edge)
+            if v is None or (v < bound if edge.endswith("min") else v > bound):
+                edges.add(edge)
         return edges
 
 
@@ -272,10 +226,9 @@ class DiffEntry:
 class DifferentialSpec:
     """Generator-level differentials; anything unlisted at a page is a cycle."""
 
-    def __init__(self, pres: Presentation, entries: Iterable[DiffEntry],
-                 rule: BidegreeRule = ADAMS_RULE):
+    def __init__(self, pres: Presentation, entries: Iterable[DiffEntry]):
         self.pres = pres
-        self.rule = rule
+        self.rule = ADAMS_RULE
         self.entries = tuple(entries)
         self._by_page: dict[int, dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]] = {}
         cat = pres.catalog
@@ -286,8 +239,8 @@ class DifferentialSpec:
             if e.base_exp > 1 and cat.symbols[gi].parity == "odd":
                 raise ValueError(f"odd generator {e.gen} has no power {e.base_exp}")
             base = cat.mono({e.gen: e.base_exp})
-            want = (cat.degree(base) + rule.shift(e.page)[0],
-                    cat.weight(base) + rule.shift(e.page)[1])
+            want = (cat.degree(base) + self.rule.shift(e.page)[0],
+                    cat.weight(base) + self.rule.shift(e.page)[1])
             image = tuple((m, c % pres.p) for m, c in e.image
                           if c % pres.p and not pres.killed(m))
             for m, _ in image:

@@ -36,7 +36,7 @@ from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
 from .linalg import Span, kernel_basis
 
 __all__ = [
-    "AxiomSet", "default_axioms", "derive_differentials",
+    "derive_differentials",
     "tp_presentation", "tcminus_presentation", "tp_einfty", "tcminus_einfty",
     "BasisClass", "GradedLinearMap", "build_can", "build_frobenius",
     "TableEntry", "GeneratorTable", "SyntomicWindowError", "syntomic_table",
@@ -44,45 +44,6 @@ __all__ = [
     "hodge_tate_check",
     "motivic_collapse_check", "v2_bockstein_check", "FROBENIUS_CONVENTIONS",
 ]
-
-
-# ---------------------------------------------------------------------------
-# input axioms
-
-@dataclass(frozen=True)
-class AxiomSet:
-    """Ring-level inputs the pipeline takes as given for a prime p.
-
-    The Hochschild-level ring is Λ(λ₁, λ₂) ⊗ F_p[μ].  The three generators
-    are matched to formal-group classes: λ₁ to the circle suspension σ²t₁
-    (one degree down, as a cocycle representative), λ₂ to (σ²t₁)^p, and μ to
-    σ²v₂.
-    """
-
-    p: int
-    lambda1_degree: int
-    lambda2_degree: int
-    mu_degree: int
-
-    def validate(self) -> None:
-        """Degrees must match the formal-group generator catalog."""
-        cat = canonical_catalog(self.p)
-        s2t1 = cat.symbols[cat.index["sigma2t1"]]
-        s2v2 = cat.symbols[cat.index["sigma2v2"]]
-        checks = (
-            (self.lambda1_degree, s2t1.degree - 1, "lambda1 vs sigma2t1"),
-            (self.lambda2_degree, self.p * s2t1.degree - 1,
-             "lambda2 vs sigma2t1^p"),
-            (self.mu_degree, s2v2.degree, "mu vs sigma2v2"),
-        )
-        for got, want, what in checks:
-            if got != want:
-                raise VerificationError(
-                    f"axiom degree mismatch ({what}): {got} != {want}")
-
-
-def default_axioms(p: int) -> AxiomSet:
-    return AxiomSet(p, 2 * p - 1, 2 * p * p - 1, 2 * p * p)
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +82,31 @@ def _formal_group_certificate(p: int) -> dict:
     right unit η = η_R(t) mod (p, v₁, t^{p²+2p}); returns the permanence
     report.  Any failure is a hard error.
 
+    The engine's generators must match formal-group classes in both
+    presentations: λ₁ the circle suspension σ²t₁ one degree down (as a
+    cocycle representative), λ₂ likewise (σ²t₁)^p, and μ the class σ²v₂.
+
     Cut to t^{p+2}, η − t rewrites (t₁ ↦ t·σ²t₁) to exactly t^{p+1}·σ²t₁,
     so every term has t-degree ≥ p+1 and the truncated tail sits at ≥ p+2.
     Raising to the p²-th power is exponentwise mod p, so η_R(t^{p²}) − t^{p²}
     has t-degree ≥ (p+1)p² = p³ + p² and t^{p²} is a permanent cycle.  The
-    p-th power η^p − t^p rewrites to exactly t^{p²+p}·(σ²t₁)^p.
+    p-th power η^p − t^p rewrites to exactly t^{p²+p}·(σ²t₁)^p.  At this
+    truncation, over F_p, η^p − t^p is the Frobenius image of the cut η − t,
+    so the p-th-power check passes exactly when the d_p check does.  Both
+    are kept, since every internal check stays a hard error (ROADMAP.md).
     """
-    default_axioms(p).validate()
+    fcat = canonical_catalog(p)
+    s2t1, s2v2 = (fcat.symbols[fcat.index[n]].degree
+                  for n in ("sigma2t1", "sigma2v2"))
+    want = {"lambda1": (s2t1 - 1, "lambda1 vs sigma2t1"),
+            "lambda2": (p * s2t1 - 1, "lambda2 vs sigma2t1^p"),
+            "mu": (s2v2, "mu vs sigma2v2")}
+    for pres in (tp_presentation(p), tcminus_presentation(p)):
+        for g in pres.gens:
+            degree, what = want.get(g.name, (g.degree, None))
+            if g.degree != degree:
+                raise VerificationError(
+                    f"axiom degree mismatch ({what}): {g.degree} != {degree}")
     # the two permanence bounds come first: the exact leading term implies
     # them, and in this order a fault trips the weakest check that sees it
     eta = right_unit_t(p, p * p + 2 * p, ideal=("p", "v1"))
@@ -265,7 +244,7 @@ _EINFTY_CACHE: dict[tuple, SSPage] = {}
 
 def _einfty(p: int, structure: str, deg_window=None) -> SSPage:
     if deg_window is None:
-        deg_window = (-2, 2 * p * p + 2 * p + 2)
+        deg_window = default_table_window(p)[:2]
     key = (p, structure, tuple(deg_window))
     if key not in _EINFTY_CACHE:
         spec = derive_differentials(p, structure)
@@ -455,6 +434,11 @@ class SyntomicWindowError(VerificationError):
     """The requested window cuts off part of the generator table."""
 
 
+def _v2_bidegree(p: int) -> tuple[int, int]:
+    """(degree, weight) of v₂, the step of every v₂-tower."""
+    return (2 * p * p - 2, p * p - 1)
+
+
 def default_table_window(p: int) -> tuple[int, int, int, int]:
     """Degrees [−2, 2p²+2p+2], weights [0, 2p²]: every base generator plus
     one v₂-tower step."""
@@ -494,7 +478,7 @@ class GeneratorTable:
 
     @property
     def v2_bidegree(self) -> tuple[int, int]:
-        return (2 * self.p * self.p - 2, self.p * self.p - 1)
+        return _v2_bidegree(self.p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -518,7 +502,7 @@ class GeneratorTable:
         p = data["prime"]
         if data.get("module") != "free_over_v2":
             raise VerificationError("unknown module statement in table JSON")
-        if list(data.get("v2_bidegree", [])) != [2 * p * p - 2, p * p - 1]:
+        if list(data.get("v2_bidegree", [])) != list(_v2_bidegree(p)):
             raise VerificationError("v2 bidegree does not match the prime")
         entries = [TableEntry(g["name"], g["degree"], g["weight"], g["origin"])
                    for g in data["generators"]]
@@ -571,10 +555,10 @@ def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
 
 
 def _table_notes(p: int) -> list[str]:
-    n = 2 * p * p - 2
+    n, a = _v2_bidegree(p)
     return [
         "v2 acts on the kernel part through the identification v2 = t*mu; "
-        f"one v2-tower step shifts (degree, weight) by ({n}, {p * p - 1}).",
+        f"one v2-tower step shifts (degree, weight) by ({n}, {a}).",
         "leftover-family degrees use |t^d*x| = |x| - 2d, so "
         "|t^d*lambda1*lambda2| = 2p^2 + 2p - 2 - 2d; the variant reading "
         "2p^2 - 2p - 2 - 2d is inconsistent with the weight-2 positions "
@@ -744,7 +728,7 @@ def motivic_collapse_check(p: int, table: GeneratorTable | None = None,
     """
     if table is None:
         table = syntomic_table(p)
-    entries = _chart_entries(table, period=2 * p * p - 2)
+    entries = _chart_entries(table, period=_v2_bidegree(p)[0])
     report = collapse_check(entries, ADAMS_RULE, r_min=2)
     report.notes.append(
         "lines 0 and 2 are even-degree, lines 1 and 3 odd-degree: parity "
@@ -763,7 +747,7 @@ def v2_bockstein_check(p: int, table: GeneratorTable | None = None,
     """
     if table is None:
         table = syntomic_table(p)
-    n, a = 2 * p * p - 2, p * p - 1
+    n, a = _v2_bidegree(p)
     rule = BidegreeRule(deg_per_r=n, deg_const=-1, weight_per_r=a,
                         weight_const=0)
     report = collapse_check(_chart_entries(table), rule, r_min=1)

@@ -398,6 +398,24 @@ class TestChartCommand:
         assert code == 1
 
 
+class TestOutFlag:
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        table_json = tmp_path / "t.json"
+        run_cli(["syntomic", "--prime", "2", "--format", "json",
+                 "--out", str(table_json)])
+        out = str(tmp_path / "missing" / "x.txt")
+        for argv in (["syntomic", "--prime", "3", "--format", "csv"],
+                     ["fgl", "p-series", "--prime", "3", "--trunc", "10"],
+                     ["chart", "--in", str(table_json)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "synto", *argv, "--out", out],
+                capture_output=True, text=True, env=source_env())
+            assert proc.returncode == 1, argv
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
+
+
 def declared_scripts():
     """[project.scripts] of pyproject.toml: console-script name -> "module:attr"."""
     try:

@@ -2,16 +2,17 @@
 comparison maps, the generator table, and the consistency checkers."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from synto import summand
 from synto.fgl import orientation_truncation
 from synto.graded import Poly, VerificationError
-from synto.spectral import ChartEntry
-from synto.summand import (AxiomSet, BasisClass, GeneratorTable,
+from synto.spectral import ChartEntry, Presentation
+from synto.summand import (BasisClass, GeneratorTable,
                            GradedLinearMap, SyntomicWindowError, TableEntry,
-                           build_can, build_frobenius, default_axioms,
+                           build_can, build_frobenius,
                            default_table_window, derive_differentials,
                            hodge_tate_check, motivic_collapse_check,
                            syntomic_table,
@@ -22,15 +23,41 @@ from synto.summand import (AxiomSet, BasisClass, GeneratorTable,
 _certificate = summand._formal_group_certificate
 
 
+def with_degree(make, name, degree):
+    """``make`` with generator ``name`` moved to ``degree``."""
+    def patched(p):
+        pres = make(p)
+        gens = [replace(g, degree=degree) if g.name == name else g
+                for g in pres.gens]
+        rels = [{g.name: e for g, e in zip(pres.gens, rel) if e}
+                for rel in pres.relations]
+        return Presentation(p, gens, rels)
+    return patched
+
+
 class TestAxioms:
+    """λ₁, λ₂ and μ of both presentations against σ²t₁ and σ²v₂."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _certificate.cache_clear()
+        yield
+        _certificate.cache_clear()
+
     def test_defaults_validate(self):
         for p in (2, 3, 5):
-            default_axioms(p).validate()
+            _certificate(p)
 
-    def test_degree_mismatch_raises(self):
-        ax = AxiomSet(3, lambda1_degree=4, lambda2_degree=17, mu_degree=18)
-        with pytest.raises(VerificationError, match="lambda1"):
-            ax.validate()
+    def test_degree_mismatch_raises(self, monkeypatch):
+        for make, name, message in (
+                ("tp_presentation", "lambda1", "lambda1 vs sigma2t1"),
+                ("tcminus_presentation", "lambda2", "lambda2 vs sigma2t1"),
+                ("tcminus_presentation", "mu", "mu vs sigma2v2")):
+            with monkeypatch.context() as m:
+                m.setattr(summand, make,
+                          with_degree(getattr(summand, make), name, 4))
+                with pytest.raises(VerificationError, match=message):
+                    _certificate(3)
 
 
 class TestDeriveDifferentials:
@@ -113,8 +140,8 @@ class TestFormalGroupCertificate:
             derive_differentials(3, "tp")
 
     def test_axiom_degrees(self, monkeypatch):
-        monkeypatch.setattr(summand, "default_axioms",
-                            lambda p: AxiomSet(p, 4, 17, 18))
+        monkeypatch.setattr(summand, "tp_presentation",
+                            with_degree(tp_presentation, "lambda1", 4))
         with pytest.raises(VerificationError, match="axiom degree mismatch"):
             derive_differentials(3, "tp")
 
