@@ -89,16 +89,9 @@ def _series_terms(poly) -> list[tuple[int, object, str]]:
     """(t-exponent, coefficient, ASCII coefficient-monomial) per term."""
     cat = poly.catalog
     ti = cat.index["t"]
-    out = []
-    for m, c in sorted(poly.terms.items(), key=lambda kv: (kv[0][ti], kv[0])):
-        parts = []
-        for i, e in enumerate(m):
-            if i == ti or not e:
-                continue
-            name = cat.symbols[i].name
-            parts.append(name if e == 1 else f"{name}^{e}")
-        out.append((m[ti], c, "*".join(parts) if parts else "1"))
-    return out
+    return [(m[ti], c, cat.mono_str(m[:ti] + (0,) + m[ti + 1:]))
+            for m, c in sorted(poly.terms.items(),
+                               key=lambda kv: (kv[0][ti], kv[0]))]
 
 
 def format_series(poly, order_bound: Optional[int] = None) -> str:

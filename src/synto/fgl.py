@@ -9,7 +9,7 @@ compositional inverse of log, solved degree by degree (the system is
 triangular because log is monic).  Everything else is composition:
 
     F(x, y)  = exp(log x + log y)          the formal sum,
-    [p](t)   = exp(p * log t)              the p-series,
+    [p](t)   = exp(p * log t)              the p-series t +_G ... +_G t,
     eta_R(t) = exp(log t + log(t1 t^p) + log(t2 t^{p^2}) + ...)
                                            the right unit on the orientation.
 
@@ -148,7 +148,8 @@ def formal_sum(p: int, trunc: int, vars: tuple[str, str] = ("x", "y"),
 
 
 def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
-    """[p](t) = exp(p log t), reduced mod ideal, exact through t^{trunc-1}."""
+    """[p](t) = t +_G ... +_G t (p summands), reduced mod ideal, exact
+    through t^{trunc-1}."""
     ideal = tuple(ideal)
     if "v1" in ideal and trunc < p ** 2 + 1:
         raise ValueError(
@@ -159,10 +160,7 @@ def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
             f"window too small: need trunc >= {p + 1} to exhibit the "
             f"v1*t^{p} leading term mod (p)")
     cat = pipeline_catalog(p, trunc)
-    trc = orientation_truncation(cat, trunc)
-    ls = log_coefficients(p, required_depth(p, trunc), cat)
-    t = Poly.gen(cat, QQ, "t", trc)
-    series = compose(exp_coefficients(p, trunc, cat), log_of(t, p, ls, trc).scale(p))
+    series = formal_sum_of(p, trunc, [Poly.gen(cat, QQ, "t")] * p, cat)
     series.assert_p_integral(p)
     return reduce_ideal(series, p, ideal)
 

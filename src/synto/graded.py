@@ -15,7 +15,9 @@ ideals the pipeline quotients by are generated by (p, v1, v2), and the only
 multiplicative relations are "this monomial is zero" (e.g. t*mu), so
 reduction is a per-monomial filter.
 
->>> cat = canonical_catalog(3)
+>>> cat = Catalog([GeneratorSymbol("t", -2, 1, "even"),
+...                GeneratorSymbol("lambda1", 5, 0, "odd"),
+...                GeneratorSymbol("lambda2", 17, 0, "odd")])
 >>> lam1, lam2 = cat.unit_mono("lambda1"), cat.unit_mono("lambda2")
 >>> P = Poly.from_terms(cat, FP3 := CoeffRing(3), [(lam2, 1)])
 >>> Q = Poly.from_terms(cat, FP3, [(lam1, 1)])
@@ -177,8 +179,9 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
     and weight 1.  v_i and t_i both sit in degree 2p^i - 2; v_i has weight 0,
     t_i weight 1.  sigma2t1 (degree 2p) and sigma2v2 (degree 2p^2) are the
     weight-0 "suspension" names: multiplication by t recovers t1 and v2 via
-    the rewrite rules below.  lambda1, lambda2 are odd; mu is the even degree
-    2p^2 class.
+    the rewrite rules below.  Every generator is even: λ₁, λ₂ and μ are
+    declared by the engine's presentations (``summand.tp_presentation`` and
+    ``summand.tcminus_presentation``), not here.
 
     Weight additivity is a *multiplication* invariant; the rewrite
     t*sigma2v2 -> v2 moves weight 1 to weight 0 on purpose (the two sides
@@ -192,9 +195,6 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
         syms.append(GeneratorSymbol(f"t{i}", 2 * p**i - 2, 1, "even"))
     syms.append(GeneratorSymbol("sigma2t1", 2 * p, 0, "even"))
     syms.append(GeneratorSymbol("sigma2v2", 2 * p**2, 0, "even"))
-    syms.append(GeneratorSymbol("lambda1", 2 * p - 1, 1, "odd"))
-    syms.append(GeneratorSymbol("lambda2", 2 * p**2 - 1, 1, "odd"))
-    syms.append(GeneratorSymbol("mu", 2 * p**2, 0, "even"))
     cat = Catalog(syms)
     for s in cat.symbols:
         if (s.degree % 2 == 0) != (s.parity == "even"):

@@ -1,6 +1,11 @@
 """Sparse exact linear algebra over F_p.
 
 Vectors are dicts from integer coordinate to nonzero canonical residue.
+They are values: nothing here changes a vector it was given or has stored
+(`vec_addmul`, `vec_scale` and `Span.insert` always build new dicts), and
+callers keep to the same rule.  So copies of a `Span` or of a list of
+vectors may share the vectors themselves.
+
 The workhorse is `Span`, a row space kept in fully reduced RREF with the
 pivot of each row at its smallest nonzero coordinate.  RREF is canonical
 for a subspace, so spans built from the same vectors in any order agree,
@@ -81,7 +86,7 @@ class Span:
 
     def copy(self) -> "Span":
         out = Span(self.p)
-        out.rows = {k: dict(v) for k, v in self.rows.items()}
+        out.rows = dict(self.rows)
         return out
 
 

@@ -321,7 +321,7 @@ class BidegreeData:
         c = BidegreeData.__new__(BidegreeData)
         c.monos = self.monos
         c.index = self.index
-        c.alive = [dict(v) for v in self.alive]
+        c.alive = list(self.alive)  # vectors are values (see linalg)
         c.boundaries = None if self.boundaries is None else self.boundaries.copy()
         return c
 
@@ -371,17 +371,30 @@ def build_page(pres: Presentation, window: Window) -> SSPage:
                   {b: BidegreeData(ms) for b, ms in sorted(data.items())})
 
 
-def check_square_zero(page: SSPage, spec: DifferentialSpec, r: int) -> None:
-    """d_r(d_r(m)) = 0 for every window monomial in the derivation's domain."""
+def check_square_zero(page: SSPage, spec: DifferentialSpec,
+                      r: int) -> dict[Mono, Optional[dict[Mono, int]]]:
+    """d_r(d_r(m)) = 0 for every window monomial in the derivation's domain.
+
+    Returns the map it filled, monomial -> d_r(m) (None outside the domain).
+    Its keys are every window monomial and every term of their images, and
+    each d_r(m) is computed once.
+    """
     cat = page.pres.catalog
+    dmap: dict[Mono, Optional[dict[Mono, int]]] = {}
+
+    def d(m: Mono) -> Optional[dict[Mono, int]]:
+        if m not in dmap:
+            dmap[m] = leibniz_extend(spec, r, m)
+        return dmap[m]
+
     for b in sorted(page.data):
         for m in page.data[b].monos:
-            first = leibniz_extend(spec, r, m)
+            first = d(m)
             if first is None:
                 continue
             acc: dict[Mono, int] = {}
             for m1, c1 in first.items():
-                second = leibniz_extend(spec, r, m1)
+                second = d(m1)
                 if second is None:
                     raise VerificationError(
                         f"d_{r} image of {cat.mono_str(m)} leaves the "
@@ -395,6 +408,7 @@ def check_square_zero(page: SSPage, spec: DifferentialSpec, r: int) -> None:
             if acc:
                 bad = cat.mono_str(m)
                 raise VerificationError(f"d_{r} squared is nonzero on {bad}")
+    return dmap
 
 
 def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
@@ -409,30 +423,34 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     ents = spec.by_page(r)
     if not ents:
         return SSPage(page.pres, page.window, r + 1, page.data, page.flags)
-    check_square_zero(page, spec, r)
+    dmap = check_square_zero(page, spec, r)
     p = page.pres.p
     cat = page.pres.catalog
     shift = spec.rule.shift(r)
     data = {b: d.clone() for b, d in page.data.items()}
 
-    # differentials of every alive class, bucketed by source bidegree
-    images: dict[tuple[int, int], list[Vec]] = {}
-    targets: dict[tuple[int, int], tuple[int, int]] = {}
+    # One pass per source bidegree b: d_r of its alive classes, their class
+    # coordinates in the target tb, the kernel, then the images join tb's
+    # boundaries.  tb = b + shift is injective, so no other source has
+    # touched tb's boundaries before b is reduced against them.
+    kernels: dict[tuple[int, int], list[Vec]] = {}
+    ranks_in: dict[tuple[int, int], int] = {}
     for b in sorted(data):
         d = data[b]
         if not d.alive:
             continue
         tb = (b[0] + shift[0], b[1] + shift[1])
-        if tb not in data:
-            continue  # differential leaves the window (flagged separately)
-        if not data[tb].alive:
-            continue  # target group is zero, so the induced map is zero
-        tindex = data[tb].index
-        cols = []
+        td = data.get(tb)
+        if td is None or not td.alive:
+            # the differential leaves the window (flagged separately), or
+            # the target group is zero, so the induced map is zero
+            kernels[b] = [{j: 1} for j in range(len(d.alive))]
+            continue
+        images = []
         for v in d.alive:
             dv: dict[int, int] = {}
             for i, c in v.items():
-                h = leibniz_extend(spec, r, d.monos[i])
+                h = dmap[d.monos[i]]
                 if h is None:
                     # Boundary-corrupted survivors (a killer fell outside the
                     # window) can sit outside the derivation's domain; they
@@ -444,29 +462,13 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                         f"alive class {cat.mono_str(d.monos[i])} is outside "
                         f"the domain of d_{r}")
                 for m1, c1 in h.items():
-                    j = tindex.get(m1)
+                    j = td.index.get(m1)
                     if j is None:
                         raise VerificationError(
                             f"d_{r} image term {cat.mono_str(m1)} missing from "
                             f"target bidegree {tb}")
                     dv = vec_addmul(p, dv, {j: 1}, c * c1)
-            cols.append(dv)
-        images[b] = cols
-        targets[b] = tb
-
-    # induced matrices in class coordinates, then kernels
-    kernels: dict[tuple[int, int], list[Vec]] = {}
-    ranks_out: dict[tuple[int, int], int] = {}
-    for b in sorted(data):
-        d = data[b]
-        if not d.alive:
-            continue
-        if b not in images:
-            kernels[b] = [{j: 1} for j in range(len(d.alive))]
-            ranks_out[b] = 0
-            continue
-        tb = targets[b]
-        td = data[tb]
+            images.append(dv)
         # boundaries plus labelled classes: alive class i enters as
         # v ⊕ e_{off+i}, so an image reduces to minus its class coordinates
         span = Span(p) if td.boundaries is None else td.boundaries.copy()
@@ -476,27 +478,20 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                 raise VerificationError(
                     f"stale representative in bidegree {tb}")
         cols = []
-        for dv in images[b]:
+        for dv in images:
             red = span.reduce(dv)
             if min(red, default=off) < off:
                 raise VerificationError(
                     f"d_{r} image not a cycle mod boundaries at {tb}")
             cols.append({i - off: -c % p for i, c in red.items()})
         kernels[b] = kernel_basis(p, cols)
-        ranks_out[b] = len(d.alive) - len(kernels[b])
-
-    # accumulate new boundaries
-    ranks_in: dict[tuple[int, int], int] = {b: 0 for b in data}
-    for b, cols in sorted(images.items()):
-        tb = targets[b]
-        td = data[tb]
         if td.boundaries is None:
             td.boundaries = Span(p)
         before = td.boundaries.dim
-        for dv in cols:
+        for dv in images:
             if dv:
                 td.boundaries.insert(dv)
-        ranks_in[tb] = ranks_in.get(tb, 0) + td.boundaries.dim - before
+        ranks_in[tb] = td.boundaries.dim - before
 
     # new representatives: RREF(boundaries + cycles) rows outside boundaries
     for b in sorted(data):
@@ -517,11 +512,11 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             if piv is not None:
                 pivots.append(piv)
         d.alive = [base.rows[piv] for piv in sorted(pivots)]
-        expect = old_dim - ranks_out[b] - ranks_in.get(b, 0)
-        if len(d.alive) != expect:
+        rank_out, rank_in = old_dim - len(kernels[b]), ranks_in.get(b, 0)
+        if len(d.alive) != old_dim - rank_out - rank_in:
             raise VerificationError(
                 f"rank bookkeeping failed at bidegree {b} page {r}: "
-                f"{old_dim} - {ranks_out[b]} - {ranks_in.get(b, 0)} != {len(d.alive)}")
+                f"{old_dim} - {rank_out} - {rank_in} != {len(d.alive)}")
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 

@@ -9,7 +9,13 @@ from synto.graded import (QQ, Catalog, CoeffRing, GeneratorSymbol, Poly,
                           Truncation, VerificationError, canonical_catalog,
                           format_poly, rewrite, superscript)
 
-CAT3 = canonical_catalog(3)
+# the canonical catalog at p = 3, which is all even, followed by odd
+# generators of the tests' own, so that Koszul signs and odd squares are
+# exercised
+CAT3 = Catalog(canonical_catalog(3).symbols + (
+    GeneratorSymbol("lambda1", 5, 1, "odd"),
+    GeneratorSymbol("lambda2", 17, 1, "odd"),
+    GeneratorSymbol("mu", 18, 0, "even")))
 FP3 = CoeffRing(3)
 
 

@@ -1,18 +1,21 @@
 """Spectral sequence engine: enumeration, Leibniz differentials, page
 turning against a dense oracle, windowing honesty, collapse checking."""
 
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dense_matrix, dense_page_dims, dense_rank, random_square_zero_case
+from helpers import (dense_matrix, dense_page_dims, dense_rank,
+                     random_square_zero_case, run_cli)
+from synto import spectral
 from synto.graded import VerificationError
 from synto.linalg import vec_addmul
 from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
-                            DifferentialSpec, Presentation, SSGen, Window,
-                            WindowInconclusiveError, build_page,
+                            DifferentialSpec, Presentation, SSGen, SSPage,
+                            Window, WindowInconclusiveError, build_page,
                             check_square_zero, collapse_check, flag_boundary,
                             leibniz_extend, possible_pages, run_to_stable,
                             turn_page)
@@ -276,6 +279,118 @@ class TestSquareZero:
         page = build_page(pres, Window(-3, 0, 0, 3))
         with pytest.raises(VerificationError, match="squared"):
             check_square_zero(page, spec, 1)
+
+
+# Omega(F_3[x1, x2]) in degrees 0..8, with the one page d_1
+DERHAM_SMALL = """prime 3
+gen x1 deg 2 weight 0 parity even
+gen x2 deg 2 weight 0 parity even
+gen dx1 deg 1 weight 1 parity odd
+gen dx2 deg 1 weight 1 parity odd
+diff page 1 x1 -> dx1
+diff page 1 x2 -> dx2
+window deg 0 8 weight 0 2
+"""
+
+
+class TestDifferentialMap:
+    """turn_page reads d_r off the map check_square_zero fills, so each
+    d_r(m) is computed once per page."""
+
+    @pytest.mark.parametrize("source", ["preset-tp-p3", "derham"])
+    def test_leibniz_once_per_page_and_monomial(self, source, monkeypatch,
+                                                tmp_path):
+        if source == "derham":
+            path = tmp_path / "derham.ss"
+            path.write_text(DERHAM_SMALL, encoding="utf-8")
+            argv = ["ss", "--file", str(path)]
+        else:
+            argv = ["ss", "--preset", "tp", "--prime", "3"]
+        calls = collections.Counter()
+        maps = []
+        real_check = spectral.check_square_zero
+
+        def counted(spec, r, m):
+            calls[r, m] += 1
+            return leibniz_extend(spec, r, m)
+
+        def captured(page, spec, r):
+            dmap = real_check(page, spec, r)
+            maps.append((page, spec, r, dmap))
+            return dmap
+
+        monkeypatch.setattr(spectral, "leibniz_extend", counted)
+        monkeypatch.setattr(spectral, "check_square_zero", captured)
+        code, _out, err = run_cli(argv)
+        assert code == 0, err
+        assert calls and max(calls.values()) == 1
+        assert maps
+        for page, spec, r, dmap in maps:
+            for d in page.data.values():
+                for m in d.monos:
+                    assert dmap[m] == leibniz_extend(spec, r, m)
+
+
+def _snapshot(page):
+    """Deep copy of every alive vector and boundary row of a page."""
+    return {b: ([dict(v) for v in d.alive],
+                None if d.boundaries is None
+                else {k: dict(v) for k, v in d.boundaries.rows.items()})
+            for b, d in page.data.items()}
+
+
+def _turn_keeping_input(page, spec):
+    before = _snapshot(page)
+    nxt = turn_page(page, spec)
+    assert _snapshot(page) == before, "turn_page changed its input page"
+    return nxt
+
+
+class TestTurnPageKeepsInput:
+    """A turned page shares alive vectors and boundary rows with its input
+    (vectors are values, see linalg), so turn_page must change none of the
+    input's."""
+
+    def test_xy_complex(self):
+        pres, window, spec = xy_complex()
+        page2 = _turn_keeping_input(build_page(pres, window), spec)
+        # a real page 2 over the boundaries page 1 left behind
+        _turn_keeping_input(page2, DifferentialSpec(pres, [
+            DiffEntry(2, "x", 1, ())]))
+
+    def test_two_term_boundary(self):
+        # d(x) = y + z: the boundary row y + z has a term at the pivot of the
+        # survivor y, so inserting y into a copy of the boundaries rewrites
+        # that row, which the copy shares with the page it was copied from
+        pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=1),
+                                SSGen("y", -1, 1, "odd"),
+                                SSGen("z", -1, 1, "odd")])
+        cat = pres.catalog
+        spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
+            (cat.mono({"y": 1}), 1), (cat.mono({"z": 1}), 1)))])
+        page2 = _turn_keeping_input(build_page(pres, Window(-2, 0, 0, 2)), spec)
+        assert sorted(page2.rep_names()) == ["1", "x*y*z", "x*z", "y"]
+        # (-1, 1) holds z < y < xz < xy in catalog order
+        assert page2.data[(-1, 1)].boundaries.rows == {0: {0: 1, 1: 1}}
+        _turn_keeping_input(page2, DifferentialSpec(pres, [
+            DiffEntry(2, "x", 1, ())]))
+
+    @pytest.mark.parametrize("seed", [943, 1318, 2572, 4396012, *range(40)])
+    def test_random_oracle_seeds(self, seed):
+        pres, window, spec, r = random_square_zero_case(random.Random(seed))
+        page = build_page(pres, window)
+        while page.r < r:
+            page = turn_page(page, spec)
+        nxt = _turn_keeping_input(page, spec)
+        # d_r once more, on the homology page and its boundaries
+        again = _turn_keeping_input(
+            SSPage(pres, window, r, nxt.data, nxt.flags), spec)
+        assert again.dims() == nxt.dims()
+
+    def test_tp_p3_preset(self, monkeypatch):
+        monkeypatch.setattr(spectral, "turn_page", _turn_keeping_input)
+        code, _out, err = run_cli(["ss", "--preset", "tp", "--prime", "3"])
+        assert code == 0, err
 
 
 class TestTurnPage:
