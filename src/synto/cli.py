@@ -23,9 +23,9 @@ from .graded import VerificationError
 from .fgl import p_series, right_unit_t
 from .spectral import (DiffEntry, DifferentialSpec, Presentation, SSGen,
                        Window, build_page, run_to_stable)
-from .summand import (GeneratorTable, default_table_window,
-                      derive_differentials, hodge_tate_check, run_window,
-                      syntomic_table)
+from .summand import (FROBENIUS_CONVENTIONS, PRESENTATIONS, GeneratorTable,
+                      default_table_window, derive_differentials,
+                      hodge_tate_check, run_window, syntomic_table)
 from .chart import ascii_chart, svg_chart
 
 
@@ -474,7 +474,7 @@ def build_parser() -> _Parser:
                     default="table")
     ps.add_argument("--window", type=int, nargs=4,
                     metavar=("DEGMIN", "DEGMAX", "WMIN", "WMAX"))
-    ps.add_argument("--frobenius-unit", choices=("one", "alt"),
+    ps.add_argument("--frobenius-unit", choices=FROBENIUS_CONVENTIONS,
                     default="one")
     ps.add_argument("--no-verify", action="store_true",
                     help="skip the internal consistency checks")
@@ -496,7 +496,7 @@ def build_parser() -> _Parser:
     pss = sub.add_parser("ss", help="run a spectral sequence")
     src = pss.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="presentation file")
-    src.add_argument("--preset", choices=("tp", "tcminus"))
+    src.add_argument("--preset", choices=tuple(PRESENTATIONS))
     pss.add_argument("--prime", type=int, default=2,
                      help="prime for --preset runs")
     pss.add_argument("--verbose", "-v", action="count", default=0)

@@ -17,11 +17,9 @@ Intermediate coefficients are rational with p-power denominators; exported
 series must be p-integral and this is asserted, never rounded.  Reducing mod
 (p, v1) then lands in honest F_p arithmetic.
 
->>> from synto.fgl import p_series
->>> from synto.graded import format_poly
->>> s = p_series(2, 3)
->>> format_poly(s, order_index=0)   # [2](t) = 2t - v1*t^2 + O(t^3)
-'2*t - t^2*v1'
+>>> from synto.cli import format_series
+>>> print(format_series(p_series(2, 3), 3))
+2t - v1·t^2 + O(t^3)
 """
 
 from __future__ import annotations
@@ -151,11 +149,11 @@ def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
     """[p](t) = t +_G ... +_G t (p summands), reduced mod ideal, exact
     through t^{trunc-1}."""
     ideal = tuple(ideal)
-    if "v1" in ideal and trunc < p ** 2 + 1:
+    if "p" in ideal and "v1" in ideal and trunc < p ** 2 + 1:
         raise ValueError(
             f"window too small: need trunc >= {p ** 2 + 1} to exhibit the "
             f"v2*t^{p ** 2} leading term mod (p, v1)")
-    if ideal and trunc < p + 1:
+    if "p" in ideal and trunc < p + 1:
         raise ValueError(
             f"window too small: need trunc >= {p + 1} to exhibit the "
             f"v1*t^{p} leading term mod (p)")

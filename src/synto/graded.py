@@ -21,8 +21,8 @@ reduction is a per-monomial filter.
 >>> lam1, lam2 = cat.unit_mono("lambda1"), cat.unit_mono("lambda2")
 >>> P = Poly.from_terms(cat, FP3 := CoeffRing(3), [(lam2, 1)])
 >>> Q = Poly.from_terms(cat, FP3, [(lam1, 1)])
->>> print(format_poly(P * Q))
-2*lambda1*lambda2
+>>> (P * Q).terms
+{(0, 1, 1): 2}
 >>> (P * P).is_zero()
 True
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Mono = tuple[int, ...]
 
@@ -133,37 +133,12 @@ class Catalog:
                     sign = -sign
         return sign, tuple(x + y for x, y in zip(a, b))
 
-    def mono_str(self, m: Mono, unicode: bool = False) -> str:
+    def mono_str(self, m: Mono) -> str:
         if not any(m):
             return "1"
-        parts = []
-        for e, s in zip(m, self.symbols):
-            if not e:
-                continue
-            name = UNICODE_NAMES.get(s.name, s.name) if unicode else s.name
-            if e == 1:
-                parts.append(name)
-            elif unicode:
-                parts.append(name if s.parity == "odd" else f"{name}{superscript(e)}")
-            else:
-                parts.append(f"{name}^{e}")
-        return "".join(parts) if unicode else "*".join(parts)
+        return "*".join(s.name if e == 1 else f"{s.name}^{e}"
+                        for e, s in zip(m, self.symbols) if e)
 
-
-UNICODE_NAMES = {
-    "lambda1": "λ₁",
-    "lambda2": "λ₂",
-    "mu": "μ",
-    "sigma2t1": "σ²t₁",
-    "sigma2v2": "σ²v₂",
-    "del": "∂",
-    "t1": "t₁",
-    "t2": "t₂",
-    "t3": "t₃",
-    "v1": "v₁",
-    "v2": "v₂",
-    "v3": "v₃",
-}
 
 _SUPS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -178,15 +153,11 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
     Orientation variables (t and any auxiliaries like x, y) sit in degree -2
     and weight 1.  v_i and t_i both sit in degree 2p^i - 2; v_i has weight 0,
     t_i weight 1.  sigma2t1 (degree 2p) and sigma2v2 (degree 2p^2) are the
-    weight-0 "suspension" names: multiplication by t recovers t1 and v2 via
-    the rewrite rules below.  Every generator is even: λ₁, λ₂ and μ are
-    declared by the engine's presentations (``summand.tp_presentation`` and
-    ``summand.tcminus_presentation``), not here.
-
-    Weight additivity is a *multiplication* invariant; the rewrite
-    t*sigma2v2 -> v2 moves weight 1 to weight 0 on purpose (the two sides
-    are identified only after quotienting, where the extra grading dies), so
-    rewriting is exempt from the additivity check.
+    weight-0 suspension classes; t*sigma2t1 has the bidegree of t1, which
+    is how ``summand`` reads the right unit's t1-terms.  Every generator is
+    even: λ₁, λ₂ and μ are declared by the engine's presentations
+    (``summand.tp_presentation`` and ``summand.tcminus_presentation``), not
+    here.
     """
     syms = [GeneratorSymbol(o, -2, 1, "even") for o in orientations]
     for i in range(1, depth + 1):
@@ -264,15 +235,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __iter__(self) -> Iterator[tuple[Mono, object]]:
-        return iter(self.terms.items())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.terms == other.terms
                 and self.ring == other.ring)
-
-    def __hash__(self):
-        raise TypeError("Poly is mutable-ish; not hashable")
 
     def _wrap(self, terms: dict[Mono, object]) -> "Poly":
         return Poly(self.catalog, self.ring, terms, self.trunc)
@@ -351,11 +316,6 @@ class Poly:
     def coefficient(self, m: Mono):
         return self.terms.get(m, self.ring.normalize(0))
 
-    def map_coefficients(self, ring: CoeffRing, fn) -> "Poly":
-        return Poly.from_terms(self.catalog, ring,
-                               ((m, fn(c)) for m, c in self.terms.items()),
-                               self.trunc)
-
     def reduce_mod_p(self, p: int) -> "Poly":
         """Change coefficients to F_p.  Every denominator must be prime to p."""
         def red(c):
@@ -365,7 +325,9 @@ class Poly:
                         f"coefficient {c} is not p-integral at p={p}")
                 return c.numerator * pow(c.denominator, -1, p)
             return c
-        return self.map_coefficients(CoeffRing(p), red)
+        return Poly.from_terms(self.catalog, CoeffRing(p),
+                               ((m, red(c)) for m, c in self.terms.items()),
+                               self.trunc)
 
     def kill_generators(self, names: Iterable[str]) -> "Poly":
         """Quotient by the monomial ideal (names): drop any monomial with a
@@ -381,65 +343,3 @@ class Poly:
                     f"non p-integral coefficient {c} on "
                     f"{self.catalog.mono_str(m)} at p={p}")
 
-
-def rewrite(poly: Poly, rules: list[tuple[Mono, Mono]]) -> Poly:
-    """Repeatedly replace pattern monomial factors by replacement factors.
-
-    Only even generators may appear in patterns or replacements (no Koszul
-    bookkeeping), and each rule must strictly reduce the pattern's own
-    exponent support so iteration terminates.  Weight need not be preserved:
-    t*sigma2v2 -> v2 is the prototypical rule and drops weight by design.
-    """
-    cat = poly.catalog
-    for pat, rep in rules:
-        for i, e in enumerate(pat):
-            if e and cat.symbols[i].parity != "even":
-                raise ValueError("rewrite patterns must be even")
-        for i, e in enumerate(rep):
-            if e and cat.symbols[i].parity != "even":
-                raise ValueError("rewrite replacements must be even")
-
-    def apply_rules(m: Mono) -> Mono:
-        changed = True
-        while changed:
-            changed = False
-            for pat, rep in rules:
-                while all(x >= e for x, e in zip(m, pat)):
-                    m = tuple(x - e + r for x, e, r in zip(m, pat, rep))
-                    changed = True
-        return m
-
-    return Poly.from_terms(poly.catalog, poly.ring,
-                           ((apply_rules(m), c) for m, c in poly.terms.items()),
-                           poly.trunc)
-
-
-def format_poly(poly: Poly, unicode: bool = False, order_index: Optional[int] = None) -> str:
-    """Render a polynomial deterministically.
-
-    Terms sort by the exponent of `order_index` if given (series order),
-    then by exponent tuple.
-    """
-    if poly.is_zero():
-        return "0"
-    cat = poly.catalog
-
-    def key(m: Mono):
-        return (m[order_index], m) if order_index is not None else m
-
-    parts = []
-    for m in sorted(poly.terms, key=key):
-        c = poly.terms[m]
-        ms = cat.mono_str(m, unicode=unicode)
-        if ms == "1":
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(ms)
-        elif c == -1:
-            parts.append(f"-{ms}")
-        else:
-            parts.append(f"{c}*{ms}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out

@@ -355,9 +355,9 @@ class SSPage:
                 out.append((b, d.monos[min(v)], v))
         return out
 
-    def rep_names(self, include_flagged: bool = True, unicode: bool = False) -> list[str]:
+    def rep_names(self, include_flagged: bool = True) -> list[str]:
         cat = self.pres.catalog
-        return [cat.mono_str(m, unicode) for _, m, _ in self.class_reps(include_flagged)]
+        return [cat.mono_str(m) for _, m, _ in self.class_reps(include_flagged)]
 
 
 def build_page(pres: Presentation, window: Window) -> SSPage:

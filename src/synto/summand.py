@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .graded import Poly, VerificationError, canonical_catalog, rewrite
+from .graded import Poly, VerificationError, canonical_catalog
 from .fgl import (coefficientwise_frobenius, orientation_truncation, p_series,
                   right_unit_t)
 from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
@@ -42,7 +42,8 @@ __all__ = [
     "TableEntry", "GeneratorTable", "SyntomicWindowError", "syntomic_table",
     "default_table_window", "run_window", "HodgeTateReport",
     "hodge_tate_check",
-    "motivic_collapse_check", "v2_bockstein_check", "FROBENIUS_CONVENTIONS",
+    "motivic_collapse_check", "v2_bockstein_check", "PRESENTATIONS",
+    "FROBENIUS_CONVENTIONS",
 ]
 
 
@@ -70,10 +71,21 @@ def tcminus_presentation(p: int) -> Presentation:
 
 
 def _rewrite_through_suspension(poly):
-    """Replace t₁ by t·σ²t₁ so cobar terms read off differentials."""
+    """Replace t₁ by t·σ²t₁ so cobar terms read off differentials: each
+    monomial's t₁-exponent moves onto t and onto σ²t₁."""
     cat = poly.catalog
-    return rewrite(poly, [(cat.mono({"t1": 1}),
-                           cat.mono({"t": 1, "sigma2t1": 1}))])
+    t, t1, s2t1 = (cat.index[n] for n in ("t", "t1", "sigma2t1"))
+
+    def move(m):
+        out = list(m)
+        e, out[t1] = out[t1], 0
+        out[t] += e
+        out[s2t1] += e
+        return tuple(out)
+
+    return Poly.from_terms(cat, poly.ring,
+                           ((move(m), c) for m, c in poly.terms.items()),
+                           poly.trunc)
 
 
 @functools.cache
@@ -143,13 +155,7 @@ def _formal_group_certificate(p: int) -> dict:
     }
 
 
-def verify_t_power_permanent(p: int) -> dict:
-    """Report that t^{p²} supports no differential: η_R(t^{p²}) ≡ t^{p²}
-    mod (p, v₁, t^{p³+p²}), read off ``_formal_group_certificate``."""
-    return dict(_formal_group_certificate(p))
-
-
-_PRESENTATIONS = {"tp": tp_presentation, "tcminus": tcminus_presentation}
+PRESENTATIONS = {"tp": tp_presentation, "tcminus": tcminus_presentation}
 
 
 def derive_differentials(p: int, structure: str = "tp") -> DifferentialSpec:
@@ -162,10 +168,10 @@ def derive_differentials(p: int, structure: str = "tp") -> DifferentialSpec:
     and cached by ``_formal_group_certificate``; a mismatch there is a hard
     error, meaning the sign conventions upstream are misconfigured.
     """
-    if structure not in _PRESENTATIONS:
+    if structure not in PRESENTATIONS:
         raise ValueError(f"unknown structure {structure!r}")
     _formal_group_certificate(p)
-    pres = _PRESENTATIONS[structure](p)
+    pres = PRESENTATIONS[structure](p)
     pcat = pres.catalog
     entries = (
         DiffEntry(p, "t", 1, ((pcat.mono({"t": p + 1, "lambda1": 1}), 1),)),
@@ -239,40 +245,33 @@ def _certify(page: SSPage, p: int, structure: str) -> None:
                 f"computed {gs}, closed form {ws}")
 
 
-_EINFTY_CACHE: dict[tuple, SSPage] = {}
-
-
-def _einfty(p: int, structure: str, deg_window=None) -> SSPage:
-    if deg_window is None:
-        deg_window = default_table_window(p)[:2]
-    key = (p, structure, tuple(deg_window))
-    if key not in _EINFTY_CACHE:
-        spec = derive_differentials(p, structure)
-        win = run_window(p, structure, deg_window[0], deg_window[1])
-        page = build_page(spec.pres, win)
-        final, _log = run_to_stable(page, spec)
-        _certify(final, p, structure)
-        # the requested degree range must be fully boundary-safe, so that
-        # the bases read off this page over it are certified
-        for b in final.flags:
-            if deg_window[0] <= b[0] <= deg_window[1] and final.data[b].monos:
-                raise VerificationError(
-                    f"{structure} run window leaves bidegree {b} "
-                    f"boundary-uncertain inside the requested degree range")
-        _EINFTY_CACHE[key] = final
-    return _EINFTY_CACHE[key]
+@functools.cache
+def _einfty(p: int, structure: str, deg_lo: int, deg_hi: int) -> SSPage:
+    spec = derive_differentials(p, structure)
+    win = run_window(p, structure, deg_lo, deg_hi)
+    page = build_page(spec.pres, win)
+    final, _log = run_to_stable(page, spec)
+    _certify(final, p, structure)
+    # the requested degree range must be fully boundary-safe, so that the
+    # bases read off this page over it are certified
+    for b in final.flags:
+        if deg_lo <= b[0] <= deg_hi and final.data[b].monos:
+            raise VerificationError(
+                f"{structure} run window leaves bidegree {b} "
+                f"boundary-uncertain inside the requested degree range")
+    return final
 
 
 def tp_einfty(p: int, deg_window=None) -> SSPage:
     """Run the periodic-structure t-Bockstein sequence to its stable page and
     certify E∞ = F_p[t^{±p²}] ⊗ Λ(λ₁, λ₂) on the safe part of the window."""
-    return _einfty(p, "tp", deg_window)
+    return _einfty(p, "tp", *(deg_window or default_table_window(p)[:2]))
 
 
 def tcminus_einfty(p: int, deg_window=None) -> SSPage:
     """Like ``tp_einfty`` for the negative cyclic structure, including the
     truncated leftover families t^d·λ^ε with 0 < d < p."""
-    return _einfty(p, "tcminus", deg_window)
+    return _einfty(p, "tcminus", *(deg_window or default_table_window(p)[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def _einfty_basis(p: int, structure: str, win) -> list[BasisClass]:
     >>> [c.name for c in _einfty_basis(2, "tp", (-2, 8, 0, 2))]
     ['t^4*lambda2', '1', 't^4*lambda1*lambda2', 'lambda1', 'lambda2', 't^-4']
     """
-    page = _einfty(p, structure, win[:2])
+    page = _einfty(p, structure, *win[:2])
     cat = page.pres.catalog
     ix = cat.index
     dlo, dhi, wlo, whi = win

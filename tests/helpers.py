@@ -74,6 +74,37 @@ def dense_rank(p: int, cols: list[dict[int, int]], nrows: int) -> int:
     return rank
 
 
+def dense_kernel(p: int, cols: list[dict[int, int]],
+                 nrows: int) -> list[dict[int, int]]:
+    """A basis of the kernel of the matrix with the given sparse columns, by
+    plain dense Gauss-Jordan elimination over F_p."""
+    mat = [[col.get(i, 0) % p for col in cols] for i in range(nrows)]
+    pivots = []  # pivots[k]: the pivot column of row k
+    for j in range(len(cols)):
+        row = len(pivots)
+        pivot = next((i for i in range(row, nrows) if mat[i][j]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = pow(mat[row][j], -1, p)
+        mat[row] = [(x * inv) % p for x in mat[row]]
+        for i in range(nrows):
+            if i != row and mat[i][j]:
+                c = mat[i][j]
+                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[row])]
+        pivots.append(j)
+    kernel = []
+    for j in range(len(cols)):
+        if j in pivots:
+            continue
+        v = {j: 1}
+        for k, pj in enumerate(pivots):
+            if mat[k][j]:
+                v[pj] = -mat[k][j] % p
+        kernel.append(v)
+    return kernel
+
+
 def dense_matrix(spec, r, src_monos, tgt_index):
     """Columns of d_r from a source monomial list into a target index map."""
     cols = []
@@ -107,6 +138,67 @@ def dense_page_dims(pres, window, spec, r):
         kdim[b] = len(monos) - rk
         bdim[tb] = bdim.get(tb, 0) + rk
     return {b: kdim[b] - bdim.get(b, 0) for b in by_b}
+
+
+def dense_two_page_dims(pres, window, spec, r, r2):
+    """Per-bidegree dimensions of E_{r2+1} for a spec with differentials on
+    pages r < r2 only, computed densely with the window convention of
+    `dense_page_dims`.
+
+    With Z and B the cycles and boundaries of d_r, d_{r2} acts on
+    E_{r+1} = ... = E_{r2} = Z/B.  At a bidegree b, with t = b + shift(r2)
+    and s = b - shift(r2), kernel minus image is
+
+        dim E_{r2+1}(b) = dim Z(b) - rank(d_{r2} Z(b) + B(t)) + rank B(t)
+                          - rank(d_{r2} Z(s) + B(b)).
+    """
+    p, cat = pres.p, pres.catalog
+    by_b: dict[tuple[int, int], list] = {}
+    for m in pres.enumerate_basis(window):
+        by_b.setdefault(cat.bidegree(m), []).append(m)
+    index = {b: {m: i for i, m in enumerate(ms)} for b, ms in by_b.items()}
+
+    def ahead(b, k, sign=1):
+        shift = spec.rule.shift(k)
+        return (b[0] + sign * shift[0], b[1] + sign * shift[1])
+
+    cycles: dict[tuple[int, int], list[dict[int, int]]] = {}
+    bounds: dict[tuple[int, int], list[dict[int, int]]] = {}
+    for b, monos in by_b.items():
+        t = ahead(b, r)
+        if t not in by_b:
+            cycles[b] = [{i: 1} for i in range(len(monos))]
+            continue
+        cols = dense_matrix(spec, r, monos, index[t])
+        cycles[b] = dense_kernel(p, cols, len(by_b[t]))
+        bounds[t] = cols
+
+    def image(b):
+        """d_{r2} Z(b), as vectors over the monomials of b + shift(r2)."""
+        t = ahead(b, r2)
+        if b not in by_b or t not in by_b:
+            return []
+        cols = dense_matrix(spec, r2, by_b[b], index[t])
+        out = []
+        for z in cycles[b]:
+            v: dict[int, int] = {}
+            for i, c in z.items():
+                for j, a in cols[i].items():
+                    v[j] = (v.get(j, 0) + c * a) % p
+            out.append(v)
+        return out
+
+    def rank(b, vecs):
+        """rank(vecs + B(b)) at a bidegree b of the window."""
+        return dense_rank(p, vecs + bounds.get(b, []), len(by_b[b]))
+
+    dims = {}
+    for b in by_b:
+        t = ahead(b, r2)
+        dims[b] = len(cycles[b]) - rank(b, image(ahead(b, r2, -1)))
+        if t in by_b:
+            dims[b] += rank(t, []) - rank(t, image(b))
+    return dims
 
 
 def _box(points):
@@ -225,3 +317,54 @@ def random_square_zero_case(rng: random.Random):
         image = tuple((mono, rng.randint(1, p - 1)) for mono in picks)
         entries.append(DiffEntry(r, gens[i].name, 1, image))
     return pres, Window(*edges), DifferentialSpec(pres, entries), r
+
+
+def random_two_page_case(rng: random.Random):
+    """(presentation, window, spec, r, r2): a `random_square_zero_case`
+    plus one or two new generators h_k, each with a d_{r2}, r < r2 <= r + 2.
+
+    The page-r sources and the generators in a relation with one are
+    banned from the d_{r2} images, which otherwise lie in the window's
+    monomials.  So d_{r2} vanishes on every d_r image and d_r on every
+    d_{r2} image: on generators, hence everywhere, d_r d_{r2} = -d_{r2} d_r,
+    and d_{r2} descends to E_{r+1}.  Each h_k is odd or capped at exponent
+    1, and takes the bidegree of its image minus shift(r2), inside the
+    window where some allowed image permits it.
+    """
+    pres, window, spec, r = random_square_zero_case(rng)
+    r2 = r + rng.randint(1, 2)
+    shift = ADAMS_RULE.shift(r2)
+    cat, p = pres.catalog, pres.p
+    sources = set(spec.by_page(r))
+    banned = set(sources)
+    for rel in pres.relations:
+        support = {i for i, e in enumerate(rel) if e}
+        if support & sources:
+            banned |= support
+    allowed = [m for m in pres.enumerate_basis(window)
+               if not any(m[i] for i in banned)]  # never empty: 1 is there
+
+    def source_bidegree(m):
+        deg, weight = cat.bidegree(m)
+        return deg - shift[0], weight - shift[1]
+
+    inside = [m for m in allowed if window.contains(*source_bidegree(m))]
+    new = rng.randint(1, 2)
+    gens = list(pres.gens)
+    entries = [DiffEntry(e.page, e.gen, e.base_exp,
+                         tuple((m + (0,) * new, c) for m, c in e.image))
+               for e in spec.entries]
+    for k in range(new):
+        target = cat.bidegree(rng.choice(inside or allowed))
+        same = [m for m in allowed if cat.bidegree(m) == target]
+        picks = rng.sample(same, min(len(same), rng.randint(1, 2)))
+        deg, weight = source_bidegree(picks[0])
+        name = f"h{k}"
+        gens.append(SSGen(name, deg, weight, "odd") if deg % 2
+                    else SSGen(name, deg, weight, "even", max_exp=1))
+        entries.append(DiffEntry(r2, name, 1, tuple(
+            (m + (0,) * new, rng.randint(1, p - 1)) for m in picks)))
+    rels = [{cat.symbols[i].name: e for i, e in enumerate(rel) if e}
+            for rel in pres.relations]
+    pres2 = Presentation(p, gens, relations=rels)
+    return pres2, window, DifferentialSpec(pres2, entries), r, r2

