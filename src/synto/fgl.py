@@ -17,6 +17,16 @@ Intermediate coefficients are rational with p-power denominators; exported
 series must be p-integral and this is asserted, never rounded.  Reducing mod
 (p, v1) then lands in honest F_p arithmetic.
 
+Every series is truncated in the orientation variables, and the arithmetic
+does only the work the truncation keeps.  A product never forms a pair of
+terms whose degrees sum to the bound or more (``Poly.__mul__``).  In
+``compose`` the inner series has no constant term, so each of the k
+multiplications still ahead of Horner's accumulator at e_k raises its
+degree by at least inner's least degree `low`: a term at or above
+bound - k*low can only feed terms the final truncation drops, and the
+accumulator is cut there.  Both skip only terms the truncation would
+discard, so every series is exact.
+
 >>> from synto.cli import format_series
 >>> print(format_series(p_series(2, 3), 3))
 2t - v1·t^2 + O(t^3)
@@ -106,11 +116,25 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog) -> list[Poly]:
 
 
 def compose(coeffs: Sequence[Poly], inner: Poly) -> Poly:
-    """sum_k coeffs[k] * inner^k by Horner, under inner's truncation."""
+    """sum_k coeffs[k] * inner^k by Horner, under inner's truncation.
+
+    Horner's accumulator after coeffs[k] is multiplied by inner k more
+    times, and each factor raises the truncation degree by at least `low`,
+    the least degree of inner's terms (clamped at 0).  So only its terms
+    below bound - k*low can reach the result, and the step for coeffs[k]
+    keeps just those.  The window grows back to the full bound at k = 0;
+    an inner with a constant or Laurent term has low = 0 and tightens
+    nothing.
+    """
     cat, trunc = inner.catalog, inner.trunc
+    low = 0 if trunc is None else max(
+        0, min(map(trunc.degree, inner.terms), default=0))
     acc = Poly.zero(cat, QQ, trunc)
-    for ek in reversed(coeffs):
-        acc = acc * inner + ek.with_trunc(trunc)
+    for k in reversed(range(len(coeffs))):
+        step = None if trunc is None else Truncation(trunc.vars,
+                                                     trunc.bound - k * low)
+        acc = (Poly(cat, QQ, acc.terms, step) * inner
+               + coeffs[k].with_trunc(step))
     return acc
 
 

@@ -29,6 +29,7 @@ True
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -131,7 +132,7 @@ class Catalog:
                 swaps = sum(1 for j in self._odd if j > i and a[j])
                 if swaps & 1:
                     sign = -sign
-        return sign, tuple(x + y for x, y in zip(a, b))
+        return sign, tuple(map(operator.add, a, b))
 
     def mono_str(self, m: Mono) -> str:
         if not any(m):
@@ -184,8 +185,26 @@ class Truncation:
     vars: frozenset[int]
     bound: int
 
+    def degree(self, m: Mono) -> int:
+        """Total exponent of m over `vars`; additive under products."""
+        return sum(m[i] for i in self.vars)
+
     def keeps(self, m: Mono) -> bool:
-        return sum(m[i] for i in self.vars) < self.bound
+        return self.degree(m) < self.bound
+
+
+def _tighter(a: Optional[Truncation],
+             b: Optional[Truncation]) -> Optional[Truncation]:
+    """The truncation of a sum: the one that keeps less.  Truncations over
+    different variables keep incomparable sets, so they cannot be met."""
+    if a is None or a == b:
+        return b
+    if b is None:
+        return a
+    if a.vars != b.vars:
+        raise ValueError("cannot add polynomials truncated over different "
+                         "variables")
+    return a if a.bound <= b.bound else b
 
 
 class Poly:
@@ -242,16 +261,24 @@ class Poly:
     def _wrap(self, terms: dict[Mono, object]) -> "Poly":
         return Poly(self.catalog, self.ring, terms, self.trunc)
 
+    def _kept(self, trunc: Optional[Truncation]):
+        """The (monomial, coefficient) pairs of self that trunc keeps."""
+        if trunc == self.trunc:
+            return self.terms.items()
+        return [(m, c) for m, c in self.terms.items() if trunc.keeps(m)]
+
     def __add__(self, other: "Poly") -> "Poly":
-        ring = self.ring
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
+        """Sum under the tighter of the two truncations (see `_tighter`),
+        keeping only the terms it keeps, so that a + b == b + a."""
+        ring, trunc = self.ring, _tighter(self.trunc, other.trunc)
+        acc = dict(self._kept(trunc))
+        for m, c in other._kept(trunc):
             s = ring.add(acc.get(m, ring.normalize(0)), c) if m in acc else c
             if s:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        return self._wrap(acc)
+        return Poly(self.catalog, ring, acc, trunc)
 
     def __neg__(self) -> "Poly":
         ring = self.ring
@@ -273,16 +300,32 @@ class Poly:
         return self._wrap(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Koszul-signed product under self's truncation.
+
+        The truncation degree of a product is the sum of its factors', so
+        other's terms are sorted by it once, and for each term of self the
+        inner loop stops at the first term of other whose product would
+        reach the bound: a pair the truncation drops is never formed.
+        Without a truncation every degree counts as 0 against a room of 1,
+        so the loop never breaks.
+        """
         cat, ring, trunc = self.catalog, self.ring, self.trunc
+        if trunc is None:
+            right = [(0, m, c) for m, c in other.terms.items()]
+        else:
+            right = sorted(((trunc.degree(m), m, c)
+                            for m, c in other.terms.items()),
+                           key=operator.itemgetter(0))
         acc: dict[Mono, object] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            room = 1 if trunc is None else trunc.bound - trunc.degree(ma)
+            for db, mb, cb in right:
+                if db >= room:
+                    break
                 sm = cat.mono_mul(ma, mb)
                 if sm is None:
                     continue
                 sign, m = sm
-                if trunc is not None and not trunc.keeps(m):
-                    continue
                 c = ring.mul(ca, cb)
                 if sign < 0:
                     c = ring.neg(c)

@@ -5,16 +5,18 @@ low-truncation expansion and are asserted exactly; any drift means a sign or
 normalization convention moved upstream.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from synto.cli import format_series
-from synto.fgl import (coefficientwise_frobenius, exp_coefficients,
+from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
                        formal_sum, formal_sum_of, log_coefficients, log_of,
                        orientation_truncation, p_series, pipeline_catalog,
                        required_depth, right_unit_t)
-from synto.graded import QQ, Poly, VerificationError, canonical_catalog
+from synto.graded import (QQ, Catalog, GeneratorSymbol, Poly, Truncation,
+                          VerificationError, canonical_catalog)
 from synto.summand import _rewrite_through_suspension
 
 
@@ -49,11 +51,60 @@ class TestExpLog:
         t = Poly.gen(cat, QQ, "t", trc)
         L = log_of(t, p, ls, trc)
         # exp(log t) = t
-        from synto.fgl import compose
         assert compose(es, L) == t
         # log(exp t) = t
         E = compose(es, t)
         assert log_of(E, p, ls, trc) == t
+
+
+# orientation variables x, y, coefficients v1, v2, and two odd generators,
+# so that compositions meet Koszul signs and odd squares
+CAT_XY = Catalog(canonical_catalog(3, orientations=("x", "y")).symbols + (
+    GeneratorSymbol("lambda1", 5, 0, "odd"),
+    GeneratorSymbol("lambda2", 17, 0, "odd")))
+
+
+def random_series(rng, lowest, size):
+    """A QQ polynomial in CAT_XY whose terms have (x, y)-degree >= lowest,
+    the first term exactly lowest."""
+    x, y = CAT_XY.index["x"], CAT_XY.index["y"]
+    terms = []
+    for i in range(size):
+        m = [rng.choice((0, 0, 1)) for _ in CAT_XY.symbols]
+        m[x], m[y] = (lowest, 0) if i == 0 else (rng.randint(0, 3),
+                                                 rng.randint(0, 2))
+        if m[x] + m[y] < lowest:
+            m[x] += lowest - m[x] - m[y]
+        terms.append((tuple(m), Fraction(rng.choice((-3, -1, 1, 2, 4)),
+                                         rng.randint(1, 3))))
+    return Poly.from_terms(CAT_XY, QQ, terms)
+
+
+class TestComposeOracle:
+    """compose shrinks Horner's window by the least degree of inner; it must
+    equal the naive sum_k e_k * inner^k computed without truncation and
+    truncated once at the end."""
+
+    @pytest.mark.parametrize("lowest", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_naive_sum(self, seed, lowest):
+        rng = random.Random(1000 * lowest + seed)
+        names = rng.choice((("x",), ("x", "y")))
+        trunc = (None if seed % 4 == 0 else
+                 Truncation(frozenset(CAT_XY.index[n] for n in names),
+                            rng.randint(1, 7)))
+        inner = random_series(rng, lowest, rng.randint(1, 4))
+        if lowest == 0:  # a degree-0 term, so nothing is tightened
+            inner = inner + Poly.from_terms(CAT_XY, QQ, [(CAT_XY.one, 2)])
+        coeffs = [random_series(rng, 0, rng.randint(0, 3))
+                  for _ in range(rng.randint(1, 7 if trunc else 4))]
+        naive, power = Poly.zero(CAT_XY, QQ), Poly.unit(CAT_XY, QQ)
+        for ek in coeffs:
+            naive = naive + ek * power
+            power = power * inner
+        got = compose(coeffs, inner.with_trunc(trunc))
+        assert got.terms == naive.with_trunc(trunc).terms
+        assert got.trunc == trunc
 
 
 class TestFormalSum:

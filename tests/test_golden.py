@@ -32,6 +32,12 @@ CASES = {
                             "p,v1", "--trunc", "12"],
     "fgl-right-unit-p2.json": ["fgl", "right-unit", "--prime", "2",
                                "--trunc", "8", "--format", "json"],
+    # the truncations of the benchmark's fgl_series queries, where the
+    # shrinking Horner window of fgl.compose prunes the most
+    "fgl-right-unit-p3-t28.json": ["fgl", "right-unit", "--prime", "3",
+                                   "--trunc", "28", "--format", "json"],
+    "fgl-p-series-p2-t22.txt": ["fgl", "p-series", "--prime", "2",
+                                "--trunc", "22"],
 }
 
 

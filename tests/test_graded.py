@@ -1,5 +1,6 @@
 """Unit and property tests for the exact bigraded algebra core."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from synto.graded import (QQ, Catalog, CoeffRing, GeneratorSymbol, Poly,
                           Truncation, VerificationError, canonical_catalog,
                           superscript)
+from synto.fgl import compose, orientation_truncation
 from synto.summand import _rewrite_through_suspension
 
 # the canonical catalog at p = 3, which is all even, followed by odd
@@ -131,6 +133,122 @@ class TestPoly:
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(Poly.gen(CAT3, QQ, "t"))
+
+
+class TestAddTruncation:
+    """A sum is truncated by the tighter of its operands' truncations."""
+
+    def test_truncated_left_drops_the_right_operands_terms(self):
+        cat = canonical_catalog(2)
+        tr = orientation_truncation(cat, 3)
+        t = Poly.gen(cat, QQ, "t", tr)
+        t5 = Poly.gen(cat, QQ, "t") ** 5
+        for total in (t + t5, t5 + t):
+            assert dict(total.terms) == {cat.unit_mono("t"): 1}
+            assert total.trunc == tr
+
+    def test_tighter_bound_wins(self):
+        ti = frozenset([CAT3.index["t"]])
+        f = Poly.from_terms(CAT3, QQ, [(mono(t=k), k + 1) for k in range(6)],
+                            Truncation(ti, 6))
+        g = Poly.from_terms(CAT3, QQ, [(mono(t=1), 1)], Truncation(ti, 3))
+        for total in (f + g, g + f):
+            assert total.trunc == Truncation(ti, 3)
+            assert dict(total.terms) == {mono(): 1, mono(t=1): 3,
+                                         mono(t=2): 3}
+
+    def test_different_variable_sets_are_refused(self):
+        f = Poly.gen(CAT3, QQ, "t",
+                     Truncation(frozenset([CAT3.index["t"]]), 3))
+        g = Poly.gen(CAT3, QQ, "v1",
+                     Truncation(frozenset([CAT3.index["v1"]]), 3))
+        with pytest.raises(ValueError):
+            f + g
+        with pytest.raises(ValueError):
+            g - f
+
+    def test_products_never_add_across_variable_sets(self):
+        # a product, a power and a composition take the left operand's (or
+        # inner's) truncation, and every sum they form is between operands
+        # under that one truncation, so mixing variable sets never raises
+        tt = Truncation(frozenset([CAT3.index["t"]]), 4)
+        tv = Truncation(frozenset([CAT3.index["v1"]]), 2)
+        f = Poly.from_terms(CAT3, QQ, [(mono(t=1), 1), (mono(v1=1), 2)], tt)
+        g = Poly.from_terms(CAT3, QQ, [(mono(t=1), 3), (mono(v1=1), 1)], tv)
+        assert (f * g).trunc == tt and (g * f).trunc == tv
+        assert (f ** 3).trunc == tt
+        assert compose([f, g, f * g], g).trunc == tv
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_add_commutes_with_equal_truncation(self, seed):
+        rng = random.Random(seed)
+        ti = frozenset([CAT3.index["t"]])
+        truncs = [None] + [Truncation(ti, b) for b in (-1, 0, 2, 4)]
+        f = random_poly(rng, QQ, trunc=rng.choice(truncs))
+        g = random_poly(rng, QQ, trunc=rng.choice(truncs))
+        fg, gf = f + g, g + f
+        assert fg == gf and fg.trunc == gf.trunc
+        if fg.trunc is not None:
+            assert all(fg.trunc.keeps(m) for m in fg.terms)
+
+
+def random_mono(rng):
+    """A CAT3 monomial: odd generators 0 or 1, t and mu Laurent."""
+    exps = []
+    for s in CAT3.symbols:
+        if s.parity == "odd":
+            exps.append(rng.randint(0, 1))
+        elif s.name in ("t", "mu"):
+            exps.append(rng.randint(-2, 3))
+        else:
+            exps.append(rng.choice((0, 0, 1, 2)))
+    return tuple(exps)
+
+
+def random_poly(rng, ring, trunc=None, size=6):
+    return Poly.from_terms(CAT3, ring,
+                           [(random_mono(rng), rng.randint(-5, 5))
+                            for _ in range(rng.randint(0, size))], trunc)
+
+
+def brute_product(f, g):
+    """f * g over every pair of terms, filtered through mono_mul and the
+    left operand's truncation after the product is formed."""
+    ring, trunc, acc = f.ring, f.trunc, {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            sm = CAT3.mono_mul(ma, mb)
+            if sm is None or (trunc is not None and not trunc.keeps(sm[1])):
+                continue
+            c = ring.mul(ca, cb)
+            acc[sm[1]] = ring.add(acc.get(sm[1], ring.normalize(0)),
+                                  c if sm[0] > 0 else ring.neg(c))
+    return {m: c for m, c in acc.items() if c}
+
+
+class TestMulOracle:
+    """Poly.__mul__ stops each row at the truncation bound; a brute-force
+    product over all pairs must agree, with Koszul signs, odd squares,
+    Laurent exponents inside the truncated variables, and no truncation."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_all_pairs_product(self, seed):
+        rng = random.Random(seed)
+        ring = rng.choice((QQ, FP3))
+        if rng.random() < 0.2:
+            trunc = None
+        else:
+            names = rng.sample(("t", "mu", "v1", "lambda1", "sigma2t1"),
+                               rng.randint(1, 2))
+            trunc = Truncation(frozenset(CAT3.index[n] for n in names),
+                               rng.randint(-2, 5))
+        # the left operand's own terms may lie past its truncation
+        f = random_poly(rng, ring, size=10)
+        f = Poly(CAT3, ring, dict(f.terms), trunc)
+        g = random_poly(rng, ring, size=10)
+        prod = f * g
+        assert prod.terms == brute_product(f, g)
+        assert prod.trunc == trunc
 
 
 class TestRewrite:
