@@ -353,10 +353,8 @@ def cmd_syntomic(args) -> int:
     window = tuple(args.window) if args.window else None
     if window is not None and (window[0] > window[1] or window[2] > window[3]):
         raise CLIUsageError("window bounds must satisfy min <= max")
-    verify = not args.no_verify
-    table = syntomic_table(p, window, args.frobenius_unit, verify=verify)
-    if verify:
-        hodge_tate_check(p)
+    table = syntomic_table(p, window, args.frobenius_unit)
+    hodge_tate_check(p)
     if args.verbose:
         print(f"# {len(table.entries)} generators, window "
               f"{window or default_table_window(p)}", file=sys.stderr)
@@ -475,9 +473,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--window", type=int, nargs=4,
                     metavar=("DEGMIN", "DEGMAX", "WMIN", "WMAX"))
     ps.add_argument("--frobenius-unit", choices=FROBENIUS_CONVENTIONS,
-                    default="one")
-    ps.add_argument("--no-verify", action="store_true",
-                    help="skip the internal consistency checks")
+                    default=FROBENIUS_CONVENTIONS[0])
     ps.add_argument("--out", help="write output to a file")
     ps.add_argument("--verbose", "-v", action="count", default=0)
     ps.set_defaults(func=cmd_syntomic)

@@ -84,7 +84,7 @@ def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: Truncation) -> Poly
         power = (summand ** (p ** n)) if n else summand
         if power.is_zero():
             break
-        out = out + ln.with_trunc(trunc) * power
+        out = out + ln * power
     return out
 
 
@@ -111,7 +111,7 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog) -> list[Poly]:
         ek = Poly.from_terms(cat, QQ, ((m, -c) for m, c in defect))
         es.append(ek)
         if ek.terms:
-            comp = comp + ek.with_trunc(trc) * lpow
+            comp = comp + ek * lpow
     return es
 
 

@@ -170,7 +170,7 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
     cat = Catalog(syms)
     for s in cat.symbols:
         if (s.degree % 2 == 0) != (s.parity == "even"):
-            raise AssertionError(f"parity/degree mismatch for {s.name}")
+            raise VerificationError(f"parity/degree mismatch for {s.name}")
     return cat
 
 
@@ -195,15 +195,16 @@ class Truncation:
 
 def _tighter(a: Optional[Truncation],
              b: Optional[Truncation]) -> Optional[Truncation]:
-    """The truncation of a sum: the one that keeps less.  Truncations over
-    different variables keep incomparable sets, so they cannot be met."""
+    """The truncation of a sum or product: the one that keeps less.
+    Truncations over different variables keep incomparable sets, so they
+    cannot be met."""
     if a is None or a == b:
         return b
     if b is None:
         return a
     if a.vars != b.vars:
-        raise ValueError("cannot add polynomials truncated over different "
-                         "variables")
+        raise ValueError("cannot combine polynomials truncated over "
+                         "different variables")
     return a if a.bound <= b.bound else b
 
 
@@ -300,7 +301,9 @@ class Poly:
         return self._wrap(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Koszul-signed product under self's truncation.
+        """Koszul-signed product under the tighter of the two truncations
+        (see `_tighter`), so that the order of the factors cannot change
+        which terms are kept.
 
         The truncation degree of a product is the sum of its factors', so
         other's terms are sorted by it once, and for each term of self the
@@ -309,7 +312,8 @@ class Poly:
         Without a truncation every degree counts as 0 against a room of 1,
         so the loop never breaks.
         """
-        cat, ring, trunc = self.catalog, self.ring, self.trunc
+        cat, ring = self.catalog, self.ring
+        trunc = _tighter(self.trunc, other.trunc)
         if trunc is None:
             right = [(0, m, c) for m, c in other.terms.items()]
         else:
@@ -335,7 +339,7 @@ class Poly:
                     acc[m] = c
                 else:
                     acc.pop(m, None)
-        return self._wrap(acc)
+        return Poly(cat, ring, acc, trunc)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:

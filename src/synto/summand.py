@@ -33,7 +33,7 @@ from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
                        DiffEntry, DifferentialSpec, Presentation, SSGen,
                        SSPage, Window, build_page, collapse_check,
                        run_to_stable)
-from .linalg import Span, kernel_basis
+from .linalg import Span, vec_addmul
 
 __all__ = [
     "derive_differentials",
@@ -50,24 +50,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # presentations and derived differentials
 
+def _lambdas(p: int) -> list[SSGen]:
+    """λ₁ and λ₂, the exterior generators of both presentations."""
+    return [SSGen("lambda1", 2 * p - 1, 0, "odd"),
+            SSGen("lambda2", 2 * p * p - 1, 0, "odd")]
+
+
 def tp_presentation(p: int) -> Presentation:
     """E₁ of the t-Bockstein sequence for the periodic structure:
     F_p[t^{±1}] ⊗ Λ(λ₁, λ₂)."""
-    return Presentation(p, [
-        SSGen("t", -2, 1, "even", invertible=True),
-        SSGen("lambda1", 2 * p - 1, 0, "odd"),
-        SSGen("lambda2", 2 * p * p - 1, 0, "odd"),
-    ])
+    return Presentation(p, [SSGen("t", -2, 1, "even", invertible=True),
+                            *_lambdas(p)])
 
 
 def tcminus_presentation(p: int) -> Presentation:
     """E₁ for the negative cyclic structure: F_p[t, μ]/(tμ) ⊗ Λ(λ₁, λ₂)."""
-    return Presentation(p, [
-        SSGen("t", -2, 1, "even"),
-        SSGen("mu", 2 * p * p, 0, "even"),
-        SSGen("lambda1", 2 * p - 1, 0, "odd"),
-        SSGen("lambda2", 2 * p * p - 1, 0, "odd"),
-    ], relations=[{"t": 1, "mu": 1}])
+    return Presentation(p, [SSGen("t", -2, 1, "even"),
+                            SSGen("mu", 2 * p * p, 0, "even"),
+                            *_lambdas(p)], relations=[{"t": 1, "mu": 1}])
 
 
 def _rewrite_through_suspension(poly):
@@ -214,7 +214,8 @@ def run_window(p: int, structure: str, deg_lo: int, deg_hi: int) -> Window:
     """A window around [deg_lo, deg_hi] wide enough that every bidegree with
     a degree in that range sits more than two differentials away from any
     binding edge, so its classes come out unflagged."""
-    top = 2 * p * p + 2 * p - 2  # largest generator degree above a t-power
+    # largest generator degree above a t-power: |λ₁λ₂|
+    top = sum(g.degree for g in _lambdas(p))
     slack = 2 * (p * p + p) + 2
     a_lo = -(deg_hi // 2) - 1
     a_hi = (top - deg_lo) // 2 + 1
@@ -318,20 +319,25 @@ def _einfty_basis(p: int, structure: str, win) -> list[BasisClass]:
 # ---------------------------------------------------------------------------
 # the comparison maps
 
-def _unit_one(k: int, eps1: int, eps2: int) -> int:
-    return 1
+# The unit u(p, k, ε₁, ε₂) ∈ F_p^× of φ on λ₁^{ε₁}λ₂^{ε₂}·μ^k, k ≥ 1, per
+# convention; the first is the default.  "alt" is a deliberately different
+# choice, used to show that the table does not depend on it; at p = 2, where
+# F_2^× is trivial, it is 1.
+_FROBENIUS_UNITS = {
+    "one": lambda p, k, eps1, eps2: 1,
+    "alt": lambda p, k, eps1, eps2: (k + eps1 + eps2) % (p - 1) + 1,
+}
+FROBENIUS_CONVENTIONS = tuple(_FROBENIUS_UNITS)
 
 
-def _unit_alt(p: int):
-    """A deliberately different F_p^× unit for k ≥ 1, used to demonstrate
-    that the table is insensitive to the choice (coincides with ``one`` at
-    p = 2, where F_2^× is trivial)."""
-    def u(k: int, eps1: int, eps2: int) -> int:
-        return (k + eps1 + eps2) % (p - 1) + 1 if p > 2 else 1
-    return u
+def _on_can_lattice(p: int, c: BasisClass) -> bool:
+    """μ⁰·t^{kp²} with k ≥ 0 (times any λ): where can is nonzero."""
+    return c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0
 
 
-FROBENIUS_CONVENTIONS = ("one", "alt")
+def _on_mu_tower(c: BasisClass) -> bool:
+    """t⁰ (μ^k times any λ): where φ is nonzero."""
+    return c.t_exp == 0
 
 
 @dataclass
@@ -386,7 +392,7 @@ def build_can(p: int, window=None) -> GradedLinearMap:
     tgt_names = {c.name for c in target}
     columns = {}
     for c in source:
-        if c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0:
+        if _on_can_lattice(p, c):
             if c.name not in tgt_names:
                 raise VerificationError(
                     f"can: target basis has no class named {c.name}")
@@ -395,17 +401,15 @@ def build_can(p: int, window=None) -> GradedLinearMap:
 
 
 def build_frobenius(p: int, window=None,
-                    convention: str = "one") -> GradedLinearMap:
+                    convention: str = FROBENIUS_CONVENTIONS[0],
+                    ) -> GradedLinearMap:
     """The Frobenius comparison map.  It sends λ₁^{ε₁}λ₂^{ε₂}·μ^k to
     u(k,ε₁,ε₂)·λ₁^{ε₁}λ₂^{ε₂}·t^{−kp²} and is zero elsewhere.  u(0,·) = 1
     always (the map is unital on the λ-subalgebra); the convention only
     picks the units for k ≥ 1, which are not pinned down by the structure.
     """
-    if convention == "one":
-        unit = _unit_one
-    elif convention == "alt":
-        unit = _unit_alt(p)
-    else:
+    unit = _FROBENIUS_UNITS.get(convention)
+    if unit is None:
         raise ValueError(f"unknown Frobenius unit convention {convention!r}")
     win = window or default_table_window(p)
     target = _einfty_basis(p, "tp", win)
@@ -413,9 +417,9 @@ def build_frobenius(p: int, window=None,
     by_exps = {(c.t_exp, c.eps1, c.eps2): c for c in target}
     columns = {}
     for c in source:
-        if c.t_exp == 0:
+        if _on_mu_tower(c):
             k = c.mu_exp
-            u = 1 if k == 0 else unit(k, c.eps1, c.eps2) % p
+            u = 1 if k == 0 else unit(p, k, c.eps1, c.eps2) % p
             if u == 0:
                 raise VerificationError("Frobenius unit must lie in F_p^x")
             t = by_exps.get((-k * p * p, c.eps1, c.eps2))
@@ -516,11 +520,13 @@ class GeneratorTable:
 
 
 def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
-    """Degreewise kernel and cokernel of (φ − can).
+    """Degreewise kernel and cokernel of (φ − can), by one elimination.
 
-    Kernel classes are named by the free column of each special solution;
-    cokernel classes are the target classes outside the image span (both
-    canonical for the fixed basis enumeration).
+    Column j enters one span as col ⊕ e_{off+j}, with ``off`` past every
+    target coordinate.  A column that reduces to labels alone, so that its
+    pivot is a label, is dependent on the columns before it: its source
+    class names a kernel class.  The target classes at no pivot are the
+    cokernel.  Both are canonical for the fixed basis enumeration.
     """
     kernel: list[BasisClass] = []
     cokernel: list[BasisClass] = []
@@ -528,28 +534,19 @@ def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
     for degree in sorted({c.degree for c in phi.source}
                          | {c.degree for c in phi.target}):
         src, tgt, pcols = phi.block(degree)
-        _src2, tgt2, ccols = can.block(degree)
-        assert [c.name for c in _src2] == [c.name for c in src]
-        assert [c.name for c in tgt2] == [c.name for c in tgt]
-        cols = []
-        for pv, cv in zip(pcols, ccols):
-            v = dict(pv)
-            for i, coeff in cv.items():
-                v[i] = (v.get(i, 0) - coeff) % p
-                if not v[i]:
-                    del v[i]
-            cols.append(v)
-        kers = kernel_basis(p, cols)
-        for ker in kers:
-            kernel.append(src[max(ker)])
-        span = Span(p)
-        for v in cols:
-            span.insert(v)
-        pivots = set(span.rows)
-        for i, c in enumerate(tgt):
-            if i not in pivots:
-                cokernel.append(c)
-        dims[degree] = (len(kers), len(tgt) - span.dim)
+        csrc, ctgt, ccols = can.block(degree)
+        if (csrc, ctgt) != (src, tgt):
+            raise VerificationError(
+                f"phi and can have different bases in degree {degree}")
+        off = len(tgt)
+        span, ker = Span(p), []
+        for j, (c, pv, cv) in enumerate(zip(src, pcols, ccols)):
+            if span.insert(vec_addmul(p, {**pv, off + j: 1}, cv, -1)) >= off:
+                ker.append(c)
+        coker = [c for i, c in enumerate(tgt) if i not in span.rows]
+        kernel += ker
+        cokernel += coker
+        dims[degree] = (len(ker), len(coker))
     return kernel, cokernel, dims
 
 
@@ -567,8 +564,9 @@ def _table_notes(p: int) -> list[str]:
     ]
 
 
-def syntomic_table(p: int, window=None, convention: str = "one",
-                   verify: bool = True) -> GeneratorTable:
+def syntomic_table(p: int, window=None,
+                   convention: str = FROBENIUS_CONVENTIONS[0],
+                   ) -> GeneratorTable:
     """The mod (p, v1, v2) syntomic generator table for the Adams summand.
 
     Kernel classes of (φ − can) in degree n contribute generators (n, ε₁+ε₂);
@@ -590,14 +588,12 @@ def syntomic_table(p: int, window=None, convention: str = "one",
         entries.append(TableEntry(name, c.degree - 1, c.weight + 1,
                                   "cokernel"))
     table = GeneratorTable(p, convention, entries, _table_notes(p))
-
-    if verify:
-        expected = 4 * p + 4
-        if len(entries) != expected:
-            raise SyntomicWindowError(
-                f"window {win} yields {len(entries)} generators, expected "
-                f"{expected}; enlarge the window to cover the full table")
-        _verify_table(p, table, phi, can, dims)
+    expected = 4 * p + 4
+    if len(entries) != expected:
+        raise SyntomicWindowError(
+            f"window {win} yields {len(entries)} generators, expected "
+            f"{expected}; enlarge the window to cover the full table")
+    _verify_table(p, table, phi, can, dims)
     return table
 
 
@@ -620,7 +616,7 @@ def _verify_table(p, table, phi, can, dims) -> None:
     seen = set()
     for c in can.source:
         col = can.apply(c.name)
-        if c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0:
+        if _on_can_lattice(p, c):
             if not col:
                 raise VerificationError(f"can vanishes on {c.name}")
             tgt = frozenset(col.items())
@@ -630,7 +626,7 @@ def _verify_table(p, table, phi, can, dims) -> None:
     # phi is injective on mu-power classes
     seen = set()
     for c in phi.source:
-        if c.t_exp == 0:
+        if _on_mu_tower(c):
             col = frozenset(phi.apply(c.name).items())
             if not col:
                 raise VerificationError(f"phi vanishes on {c.name}")
@@ -659,13 +655,28 @@ class HodgeTateReport:
     ok: bool
 
 
-def hodge_tate_check(p: int, degree_window=None) -> HodgeTateReport:
+def _exterior_laurent_dims(pres: Presentation, x: str, power: int, lo: int,
+                           hi: int) -> dict[int, int]:
+    """Graded dimensions over [lo, hi] of Λ(λ₁, λ₂) ⊗ F_p[y^{±1}] with
+    y = x^power, every degree read off ``pres``."""
+    deg = {g.name: g.degree for g in pres.gens}
+    l1, l2, step = deg["lambda1"], deg["lambda2"], abs(power * deg[x])
+    dims: dict[int, int] = {}
+    for c0 in (0, l1, l2, l1 + l2):
+        for d in range(lo + (c0 - lo) % step, hi + 1, step):
+            dims[d] = dims.get(d, 0) + 1
+    return dict(sorted(dims.items()))
+
+
+def hodge_tate_check(p: int) -> HodgeTateReport:
     """Two facts feeding the periodic-structure identification.
 
     (i) mod (p, v₁) the p-series reads (unit)·v₂·t^{p²} + O(t^{p²+1}), so v₂
     is a unit multiple of t^{−p²}·[p](t); (ii) F_p[t^{±p²}]⊗Λ(λ₁,λ₂) and
-    Λ(λ₁,λ₂)⊗F_p[μ^{±1}] have equal graded dimensions (|μ| = 2p² = −p²·|t|).
-    Either failure is a hard error.
+    Λ(λ₁,λ₂)⊗F_p[μ^{±1}] have equal graded dimensions over [−2p², 2p²],
+    with every degree read off ``tp_presentation`` and
+    ``tcminus_presentation``: this holds when |μ| = −p²·|t|.  Either failure
+    is a hard error.
     """
     ps = p_series(p, p * p + 2, ideal=("p", "v1"))
     cat = ps.catalog
@@ -681,32 +692,16 @@ def hodge_tate_check(p: int, degree_window=None) -> HodgeTateReport:
     if unit == 0:
         raise VerificationError("p-series leading coefficient is not a unit")
 
-    if degree_window is None:
-        degree_window = (-2 * p * p, 2 * p * p)
-    lo, hi = degree_window
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    P = 2 * p * p
-    for eps1, eps2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        c0 = eps1 * (2 * p - 1) + eps2 * (2 * p * p - 1)
-        # t^{kp^2}-powers contribute degree -kP + c0
-        for k in range(-((hi - c0) // P), (c0 - lo) // P + 1):
-            d = -P * k + c0
-            if lo <= d <= hi:
-                left[d] = left.get(d, 0) + 1
-        # mu^k-powers contribute degree kP + c0
-        for k in range(-((c0 - lo) // P), (hi - c0) // P + 1):
-            d = P * k + c0
-            if lo <= d <= hi:
-                right[d] = right.get(d, 0) + 1
+    lo, hi = -2 * p * p, 2 * p * p
+    left = _exterior_laurent_dims(tp_presentation(p), "t", p * p, lo, hi)
+    right = _exterior_laurent_dims(tcminus_presentation(p), "mu", 1, lo, hi)
     if left != right:
-        diff = {d for d in set(left) | set(right)
-                if left.get(d, 0) != right.get(d, 0)}
+        diff = sorted(d for d in left.keys() | right.keys()
+                      if left.get(d) != right.get(d))
         raise VerificationError(
-            f"graded dimensions disagree at degrees {sorted(diff)}")
+            f"graded dimensions disagree at degrees {diff}")
     leading = f"v2*t^{p * p}" if unit == 1 else f"{unit}*v2*t^{p * p}"
-    return HodgeTateReport(p, unit, leading, (lo, hi),
-                           dict(sorted(left.items())), True)
+    return HodgeTateReport(p, unit, leading, (lo, hi), left, True)
 
 
 def _chart_entries(table: GeneratorTable, period=None) -> list[ChartEntry]:

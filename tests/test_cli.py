@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output formats, golden strings,
 presentation-file parsing, and round trips."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -78,6 +79,13 @@ class TestSyntomicCommand:
                                 "--window", "-2", "8", "0", "8"])
         assert code == 2
         assert "assertion failed" in err and "generators" in err
+
+    def test_no_verify_is_gone(self):
+        # every run checks its table, so a cutting window cannot print one
+        code, out, err = run_cli(["syntomic", "--prime", "2", "--window",
+                                  "-2", "8", "0", "8", "--no-verify"])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --no-verify" in err
 
     def test_window_min_above_max_is_usage_error(self):
         code, out, err = run_cli(["syntomic", "--prime", "3",
@@ -458,6 +466,24 @@ def run_script(name, args):
             f"sys.argv[0] = {name!r}; sys.exit({attr}())")
     return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, env=source_env())
+
+
+class TestInternalChecks:
+    def test_no_assert_in_the_package(self):
+        # an internal check raises VerificationError (exit 2); an assert
+        # vanishes under python -O and an AssertionError exits 1 with a
+        # traceback
+        found = []
+        for path in sorted((SRC / "synto").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                raised = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(raised, ast.Call):
+                    raised = raised.func
+                if (isinstance(node, ast.Assert)
+                        or (isinstance(raised, ast.Name)
+                            and raised.id == "AssertionError")):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestEntryPoints:

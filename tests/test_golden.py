@@ -24,6 +24,7 @@ CASES = {
     **{f"syntomic-p3-{unit}.json": ["syntomic", "--prime", "3", "--format",
                                     "json", "--frobenius-unit", unit]
        for unit in ("one", "alt")},
+    "syntomic-p13.json": ["syntomic", "--prime", "13", "--format", "json"],
     "syntomic-p5.txt": ["syntomic", "--prime", "5", "--format", "table"],
     **{f"ss-{preset}-p{p}.txt": ["ss", "--preset", preset, "--prime", str(p),
                                  "-v"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from synto.graded import (QQ, Catalog, CoeffRing, GeneratorSymbol, Poly,
                           Truncation, VerificationError, canonical_catalog,
                           superscript)
-from synto.fgl import compose, orientation_truncation
+from synto.fgl import orientation_truncation
 from synto.summand import _rewrite_through_suspension
 
 # the canonical catalog at p = 3, which is all even, followed by odd
@@ -168,16 +168,25 @@ class TestAddTruncation:
             g - f
 
     def test_products_never_add_across_variable_sets(self):
-        # a product, a power and a composition take the left operand's (or
-        # inner's) truncation, and every sum they form is between operands
-        # under that one truncation, so mixing variable sets never raises
+        # a product takes the tighter truncation, like a sum, so truncations
+        # over different variables are refused in either order
         tt = Truncation(frozenset([CAT3.index["t"]]), 4)
         tv = Truncation(frozenset([CAT3.index["v1"]]), 2)
         f = Poly.from_terms(CAT3, QQ, [(mono(t=1), 1), (mono(v1=1), 2)], tt)
         g = Poly.from_terms(CAT3, QQ, [(mono(t=1), 3), (mono(v1=1), 1)], tv)
-        assert (f * g).trunc == tt and (g * f).trunc == tv
+        with pytest.raises(ValueError):
+            f * g
+        with pytest.raises(ValueError):
+            g * f
         assert (f ** 3).trunc == tt
-        assert compose([f, g, f * g], g).trunc == tv
+
+    def test_truncated_factor_cuts_the_product_in_either_order(self):
+        cat = canonical_catalog(2)
+        tr = orientation_truncation(cat, 3)
+        t = Poly.gen(cat, QQ, "t", tr)
+        t5 = Poly.gen(cat, QQ, "t") ** 5
+        for product in (t5 * t, t * t5):
+            assert product.is_zero() and product.trunc == tr
 
     @pytest.mark.parametrize("seed", range(20))
     def test_add_commutes_with_equal_truncation(self, seed):
@@ -229,7 +238,8 @@ def brute_product(f, g):
 class TestMulOracle:
     """Poly.__mul__ stops each row at the truncation bound; a brute-force
     product over all pairs must agree, with Koszul signs, odd squares,
-    Laurent exponents inside the truncated variables, and no truncation."""
+    Laurent exponents inside the truncated variables, and a truncation on
+    either factor, on both (the tighter wins) or on neither."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_all_pairs_product(self, seed):
@@ -242,13 +252,20 @@ class TestMulOracle:
                                rng.randint(1, 2))
             trunc = Truncation(frozenset(CAT3.index[n] for n in names),
                                rng.randint(-2, 5))
-        # the left operand's own terms may lie past its truncation
+        # either operand's own terms may lie past its truncation
         f = random_poly(rng, ring, size=10)
         f = Poly(CAT3, ring, dict(f.terms), trunc)
         g = random_poly(rng, ring, size=10)
+        if rng.random() < 0.5:
+            gvars = trunc.vars if trunc else frozenset([CAT3.index["t"]])
+            g = Poly(CAT3, ring, dict(g.terms),
+                     Truncation(gvars, rng.randint(-2, 5)))
+        want = min((t for t in (trunc, g.trunc) if t is not None),
+                   key=lambda t: t.bound, default=None)
         prod = f * g
-        assert prod.terms == brute_product(f, g)
-        assert prod.trunc == trunc
+        assert prod.terms == brute_product(
+            Poly(CAT3, ring, dict(f.terms), want), g)
+        assert prod.trunc == want
 
 
 class TestRewrite:

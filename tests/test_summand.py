@@ -2,6 +2,7 @@
 comparison maps, the generator table, and the consistency checkers."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from synto import summand
 from synto.fgl import orientation_truncation
 from synto.graded import Poly, VerificationError
+from synto.linalg import Span, kernel_basis
 from synto.spectral import ChartEntry, Presentation
 from synto.summand import (BasisClass, GeneratorTable,
                            GradedLinearMap, SyntomicWindowError, TableEntry,
@@ -232,6 +234,64 @@ class TestGradedLinearMap:
         assert sum(1 for v in cols if v) >= 1
 
 
+def reference_fiber_parts(p, phi, can):
+    """Kernel and cokernel of φ − can with two eliminations per degree: a
+    kernel basis of the columns, then a separate span for the image."""
+    kernel, cokernel, dims = [], [], {}
+    for degree in sorted({c.degree for c in phi.source}
+                         | {c.degree for c in phi.target}):
+        src, tgt, pcols = phi.block(degree)
+        _src, _tgt, ccols = can.block(degree)
+        cols = []
+        for pv, cv in zip(pcols, ccols):
+            v = dict(pv)
+            for i, coeff in cv.items():
+                v[i] = (v.get(i, 0) - coeff) % p
+                if not v[i]:
+                    del v[i]
+            cols.append(v)
+        kers = kernel_basis(p, cols)
+        kernel += [src[max(ker)] for ker in kers]
+        span = Span(p, cols)
+        cokernel += [c for i, c in enumerate(tgt) if i not in span.rows]
+        dims[degree] = (len(kers), len(tgt) - span.dim)
+    return kernel, cokernel, dims
+
+
+def random_map(rng, p, name, source, target):
+    """A random degree- and weight-preserving map, about half its entries
+    zero."""
+    columns = {}
+    for s in source:
+        col = {t.name: rng.randrange(1, p) for t in target
+               if (t.degree, t.weight) == (s.degree, s.weight)
+               and rng.random() < 0.5}
+        if col:
+            columns[s.name] = col
+    return GradedLinearMap(name, p, source, target, columns)
+
+
+class TestFiberOracle:
+    """The one elimination of ``_fiber_parts`` against a kernel basis and a
+    separate image span."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_two_eliminations(self, p):
+        rng = random.Random(p)
+
+        def classes(prefix):
+            return sorted(BasisClass(rng.randrange(-1, 2), rng.randrange(2),
+                                     f"{prefix}{i}", 0, 0, 0, 0)
+                          for i in range(rng.randrange(11)))
+
+        for _ in range(60):
+            source, target = classes("s"), classes("t")
+            phi = random_map(rng, p, "phi", source, target)
+            can = random_map(rng, p, "can", source, target)
+            assert (summand._fiber_parts(p, phi, can)
+                    == reference_fiber_parts(p, phi, can))
+
+
 class TestComparisonMaps:
     @pytest.mark.parametrize("p", [2, 3])
     def test_can_hits_nonnegative_lattice_only(self, p):
@@ -329,10 +389,6 @@ class TestSyntomicTable:
         with pytest.raises(SyntomicWindowError, match="enlarge"):
             syntomic_table(2, (-2, 8, 0, 8))
 
-    def test_unverified_run_skips_the_count_check(self):
-        table = syntomic_table(2, (-2, 8, 0, 8), verify=False)
-        assert len(table.entries) < 12
-
     def test_bad_window_bounds(self):
         with pytest.raises(ValueError):
             syntomic_table(2, (3, -3, 0, 8))
@@ -402,6 +458,28 @@ class TestHodgeTate:
         assert report.dimensions[0] >= 1
         assert min(report.dimensions) >= -8
         assert max(report.dimensions) <= 8
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_dimensions_match_a_count(self, p):
+        # Λ(λ₁, λ₂) sits in degrees 0, 2p-1, 2p²-1 and 2p²+2p-2; each side
+        # adds every multiple of 2p², counted over [-2p², 2p²]
+        P = 2 * p * p
+        want = {}
+        for c in (0, 2 * p - 1, P - 1, P + 2 * p - 2):
+            for d in range(c - 2 * P, c + 2 * P + 1, P):
+                if -P <= d <= P:
+                    want[d] = want.get(d, 0) + 1
+        report = hodge_tate_check(p)
+        assert report.ok and report.degree_window == (-P, P)
+        assert report.dimensions == want
+
+    def test_mu_off_the_t_lattice_is_caught(self, monkeypatch):
+        # |μ| = 2p² + 2 is not -p²·|t|, so the two sides disagree
+        monkeypatch.setattr(
+            summand, "tcminus_presentation",
+            with_degree(tcminus_presentation, "mu", 2 * 9 + 2))
+        with pytest.raises(VerificationError, match="graded dimensions"):
+            hodge_tate_check(3)
 
 
 class TestCollapseCheckers:
