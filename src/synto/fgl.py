@@ -14,8 +14,13 @@ triangular because log is monic).  Everything else is composition:
                                            the right unit on the orientation.
 
 Intermediate coefficients are rational with p-power denominators; exported
-series must be p-integral and this is asserted, never rounded.  Reducing mod
-(p, v1) then lands in honest F_p arithmetic.
+series must be p-integral and this is asserted, never rounded.  A quotient
+is taken in two steps.  The generators it names are killed before the
+arithmetic: setting v_n = 0 is a ring map, so it commutes with log, exp and
+composition, and the Hazewinkel recursion simply leaves v_n out.  The
+series is then built over Z_(p)[the other v_n], p-integrality is asserted
+on that rational series, and the reduction mod p, the one step that needs
+it, comes last.  So mod (p, v1) the arithmetic never carries a v1 term.
 
 Every series is truncated in the orientation variables, and the arithmetic
 does only the work the truncation keeps.  A product never forms a pair of
@@ -66,13 +71,17 @@ def orientation_truncation(cat: Catalog, trunc: int) -> Truncation:
                                 if s.degree == -2), trunc)
 
 
-def log_coefficients(p: int, depth: int, cat: Catalog) -> list[Poly]:
-    """l_0 .. l_depth as exact rational polynomials in v1..v_depth."""
+def log_coefficients(p: int, depth: int, cat: Catalog,
+                     ideal: Iterable[str] = ()) -> list[Poly]:
+    """l_0 .. l_depth as exact rational polynomials in v1..v_depth, with
+    every v_n that the ideal names set to zero."""
+    ideal = frozenset(ideal)
     ls = [Poly.unit(cat, QQ)]
     for n in range(1, depth + 1):
         s = Poly.zero(cat, QQ)
         for i in range(n):
-            s = s + ls[i] * (Poly.gen(cat, QQ, f"v{n - i}") ** (p ** i))
+            if f"v{n - i}" not in ideal:
+                s = s + ls[i] * (Poly.gen(cat, QQ, f"v{n - i}") ** (p ** i))
         ls.append(s.scale(Fraction(1, p)))
     return ls
 
@@ -81,6 +90,8 @@ def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: Truncation) -> Poly
     """log(s) = sum_n l_n * s^{p^n}, for s with zero constant term."""
     out = Poly.zero(summand.catalog, QQ, trunc)
     for n, ln in enumerate(ls):
+        if ln.is_zero():
+            continue
         power = (summand ** (p ** n)) if n else summand
         if power.is_zero():
             break
@@ -88,8 +99,10 @@ def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: Truncation) -> Poly
     return out
 
 
-def exp_coefficients(p: int, trunc: int, cat: Catalog) -> list[Poly]:
-    """Coefficients e_k of exp(u) = sum e_k u^k, inverse to log.
+def exp_coefficients(p: int, trunc: int, cat: Catalog,
+                     ideal: Iterable[str] = ()) -> list[Poly]:
+    """Coefficients e_k of exp(u) = sum e_k u^k, inverse to the log whose
+    coefficients are ``log_coefficients(..., ideal)``.
 
     Solved by forcing exp(log t) = t one t-degree at a time; e_k is minus
     the degree-k defect of the partial composition.  Exactness of the
@@ -97,7 +110,7 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog) -> list[Poly]:
     round-trip identities are separate tests, not part of the solve.
     """
     trc = orientation_truncation(cat, trunc)
-    ls = log_coefficients(p, required_depth(p, trunc), cat)
+    ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
     t = Poly.gen(cat, QQ, "t", trc)
     L = log_of(t, p, ls, trc)
     t_idx = cat.index["t"]
@@ -138,25 +151,42 @@ def compose(coeffs: Sequence[Poly], inner: Poly) -> Poly:
     return acc
 
 
+def _generators(ideal: Sequence[str]) -> list[str]:
+    """The generator names of an ideal, that is, all but the prime "p"."""
+    return [g for g in ideal if g != "p"]
+
+
+def _mod_p_last(series: Poly, p: int, ideal: Iterable[str]) -> Poly:
+    """The last step of every exported series, whose named generators are
+    already killed: assert it p-integral, then reduce mod p if the ideal
+    names p."""
+    series.assert_p_integral(p)
+    return series.reduce_mod_p(p) if "p" in ideal else series
+
+
 def reduce_ideal(poly: Poly, p: int, ideal: Iterable[str]) -> Poly:
-    """Quotient by the monomial ideal: generator names and/or the prime "p"."""
+    """Quotient of a finished series by the monomial ideal: generator names
+    and/or the prime "p".  This is the late quotient, the reference that
+    the early one of ``formal_sum_of`` is checked against."""
     ideal = tuple(ideal)
-    names = [g for g in ideal if g != "p"]
-    out = poly.kill_generators(names) if names else poly
-    if "p" in ideal:
-        out = out.reduce_mod_p(p)
-    return out
+    out = poly.kill_generators(_generators(ideal))
+    return out.reduce_mod_p(p) if "p" in ideal else out
 
 
 def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
-                  cat: Catalog) -> Poly:
-    """exp(sum log(s_i)): the iterated formal sum s_1 +_G s_2 +_G ..."""
+                  cat: Catalog, ideal: Iterable[str] = ()) -> Poly:
+    """exp(sum log(s_i)): the iterated formal sum s_1 +_G s_2 +_G ..., with
+    every generator that the ideal names killed before the arithmetic.  The
+    prime is not reduced here (see ``_mod_p_last``)."""
+    ideal = tuple(ideal)
     trc = orientation_truncation(cat, trunc)
-    ls = log_coefficients(p, required_depth(p, trunc), cat)
+    ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
+    names = _generators(ideal)
     total = Poly.zero(cat, QQ, trc)
     for s in summands:
-        total = total + log_of(s.with_trunc(trc), p, ls, trc)
-    return compose(exp_coefficients(p, trunc, cat), total)
+        total = total + log_of(s.kill_generators(names).with_trunc(trc),
+                               p, ls, trc)
+    return compose(exp_coefficients(p, trunc, cat, ideal), total)
 
 
 def formal_sum(p: int, trunc: int, vars: tuple[str, str] = ("x", "y"),
@@ -182,9 +212,9 @@ def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
             f"window too small: need trunc >= {p + 1} to exhibit the "
             f"v1*t^{p} leading term mod (p)")
     cat = pipeline_catalog(p, trunc)
-    series = formal_sum_of(p, trunc, [Poly.gen(cat, QQ, "t")] * p, cat)
-    series.assert_p_integral(p)
-    return reduce_ideal(series, p, ideal)
+    return _mod_p_last(
+        formal_sum_of(p, trunc, [Poly.gen(cat, QQ, "t")] * p, cat, ideal),
+        p, ideal)
 
 
 def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
@@ -203,11 +233,11 @@ def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
         s = Poly.from_terms(cat, QQ, [(cat.mono({f"t{i}": 1, "t": p ** i}), 1)], trc)
         summands.append(s)
         i += 1
-    eta = formal_sum_of(p, trunc, summands, cat)
-    eta.assert_p_integral(p)
+    ideal = tuple(ideal)
+    eta = formal_sum_of(p, trunc, summands, cat, ideal)
     if trunc > 1 and eta.coefficient(cat.unit_mono("t")) != 1:
         raise VerificationError("right unit lost its linear normalization")
-    return reduce_ideal(eta, p, ideal)
+    return _mod_p_last(eta, p, ideal)
 
 
 def coefficientwise_frobenius(poly: Poly, p: int, e: int = 1) -> Poly:

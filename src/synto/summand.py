@@ -26,9 +26,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from . import fgl
 from .graded import Poly, VerificationError, canonical_catalog
 from .fgl import (coefficientwise_frobenius, orientation_truncation, p_series,
-                  right_unit_t)
+                  reduce_ideal, right_unit_t)
 from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
                        DiffEntry, DifferentialSpec, Presentation, SSGen,
                        SSPage, Window, build_page, collapse_check,
@@ -106,6 +107,15 @@ def _formal_group_certificate(p: int) -> dict:
     truncation, over F_p, η^p − t^p is the Frobenius image of the cut η − t,
     so the p-th-power check passes exactly when the d_p check does.  Both
     are kept, since every internal check stays a hard error (ROADMAP.md).
+
+    η is computed with v₁ killed before the series arithmetic (see
+    ``fgl``), so the last check recomputes the right unit without the
+    quotient, over Z₍ₚ₎[v₁, v₂, …], on the window d_p is read from,
+    t^{p+2}.  ``right_unit_t`` asserts that full series p-integral, and its
+    quotient mod (p, v₁) must equal the cut η.  A fault that only the full
+    series sees is caught as far as that window reaches: l₁ scaled by 1/p
+    shows at p = 2 as −v₁/2·t₁t³, while at p ≥ 3 the window holds no term
+    that it makes non-p-integral.
     """
     fcat = canonical_catalog(p)
     s2t1, s2v2 = (fcat.symbols[fcat.index[n]].degree
@@ -146,6 +156,12 @@ def _formal_group_certificate(p: int) -> dict:
         raise VerificationError(
             "p-th power of the right unit is not t^p + t^(p^2+p)*sigma2t1^p; "
             "formal-group sign convention mismatch")
+    # the check series, beside the one right unit η that the report reads
+    full = fgl.right_unit_t(p, p + 2)
+    if reduce_ideal(full, p, ("p", "v1")) != cut:
+        raise VerificationError(
+            "right unit mod (p, v1) differs when v1 is killed before the "
+            "series arithmetic and after it")
     return {
         "p": p,
         "min_rewritten_degree": degrees[0] if degrees else None,

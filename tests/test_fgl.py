@@ -5,6 +5,7 @@ low-truncation expansion and are asserted exactly; any drift means a sign or
 normalization convention moved upstream.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from synto.cli import format_series
 from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
                        formal_sum, formal_sum_of, log_coefficients, log_of,
                        orientation_truncation, p_series, pipeline_catalog,
-                       required_depth, right_unit_t)
+                       reduce_ideal, required_depth, right_unit_t)
 from synto.graded import (QQ, Catalog, GeneratorSymbol, Poly, Truncation,
                           VerificationError, canonical_catalog)
 from synto.summand import _rewrite_through_suspension
@@ -243,6 +244,46 @@ class TestRightUnit:
         assert cat.mono({"t": 3, "sigma2t1": 1}) in d.terms
         ti = cat.index["t1"]
         assert all(m[ti] == 0 for m in d.terms)
+
+
+class TestEarlyQuotientOracle:
+    """Killing generators before the series arithmetic is a ring map, so it
+    commutes with log, exp and composition: each series mod an ideal must
+    equal the quotient of the full rational series taken afterwards, by
+    ``reduce_ideal``."""
+
+    IDEALS = [c for r in (1, 2, 3)
+              for c in itertools.combinations(("p", "v1", "v2"), r)]
+
+    @pytest.mark.parametrize("series", [p_series, right_unit_t],
+                             ids=["p-series", "right-unit"])
+    @pytest.mark.parametrize("window", ["p+2", "p^2+2", "p^2+2p"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_early_equals_late(self, p, window, series):
+        trunc = {"p+2": p + 2, "p^2+2": p * p + 2, "p^2+2p": p * p + 2 * p}[
+            window]
+        full = series(p, trunc)
+        for ideal in self.IDEALS:
+            if series is p_series and {"p", "v1"} <= set(ideal) \
+                    and trunc <= p * p:
+                with pytest.raises(ValueError, match="window too small"):
+                    series(p, trunc, ideal)
+                continue
+            early = series(p, trunc, ideal)
+            late = reduce_ideal(full, p, ideal)
+            assert early == late, ideal
+            assert early.trunc == late.trunc, ideal
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_summands_are_reduced_too(self, p):
+        # x +_G v1*y: the ideal reaches the summands, not only the log
+        cat = canonical_catalog(p, orientations=("t", "x", "y"))
+        x = Poly.gen(cat, QQ, "x")
+        v1y = Poly.from_terms(cat, QQ, [(cat.mono({"v1": 1, "y": 1}), 1)])
+        full = formal_sum_of(p, 6, [x, v1y], cat)
+        early = formal_sum_of(p, 6, [x, v1y], cat, ("v1",))
+        assert early == reduce_ideal(full, p, ("v1",))
+        assert early == x.with_trunc(full.trunc)
 
 
 def cobar_deviation(p, trunc):

@@ -25,6 +25,7 @@ CASES = {
                                     "json", "--frobenius-unit", unit]
        for unit in ("one", "alt")},
     "syntomic-p13.json": ["syntomic", "--prime", "13", "--format", "json"],
+    "syntomic-p31.json": ["syntomic", "--prime", "31", "--format", "json"],
     "syntomic-p5.txt": ["syntomic", "--prime", "5", "--format", "table"],
     **{f"ss-{preset}-p{p}.txt": ["ss", "--preset", preset, "--prime", str(p),
                                  "-v"]
@@ -39,6 +40,16 @@ CASES = {
                                    "--trunc", "28", "--format", "json"],
     "fgl-p-series-p2-t22.txt": ["fgl", "p-series", "--prime", "2",
                                 "--trunc", "22"],
+    # quotients taken before the series arithmetic: the certificate's own
+    # window t^{p^2+2p}, a rational quotient with no reduction mod p, and
+    # a quotient by two generators
+    "fgl-right-unit-p5-mod-p-v1.json": ["fgl", "right-unit", "--prime", "5",
+                                        "--mod", "p,v1", "--trunc", "35",
+                                        "--format", "json"],
+    "fgl-p-series-p3-mod-v1.txt": ["fgl", "p-series", "--prime", "3",
+                                   "--mod", "v1", "--trunc", "20"],
+    "fgl-right-unit-p2-mod-v1-v2.txt": ["fgl", "right-unit", "--prime", "2",
+                                        "--mod", "v1,v2", "--trunc", "16"],
 }
 
 

@@ -4,10 +4,11 @@ comparison maps, the generator table, and the consistency checkers."""
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from synto import summand
+from synto import fgl, summand
 from synto.fgl import orientation_truncation
 from synto.graded import Poly, VerificationError
 from synto.linalg import Span, kernel_basis
@@ -129,6 +130,26 @@ class TestFormalGroupCertificate:
         monkeypatch.setattr(summand, "right_unit_t", corrupted)
         with pytest.raises(VerificationError, match=message):
             derive_differentials(3, "tp")
+
+    def test_unreduced_right_unit_is_checked(self, monkeypatch):
+        """A fault that only the unreduced series sees: l₁ = v₁/p² in place
+        of v₁/p.  Once v₁ is killed the early path never reads l₁, so η
+        is unchanged, but the full right unit at t^{p+2} that the
+        certificate recomputes carries −v₁/2·t₁t³ at p = 2.  At p ≥ 3 the
+        window t^{p+2} does not reach a term that this fault makes
+        non-p-integral, so the fault passes there."""
+        real = fgl.log_coefficients
+
+        def corrupted(p, depth, cat, ideal=()):
+            ls = real(p, depth, cat, ideal)
+            ls[1] = ls[1].scale(Fraction(1, p))
+            return ls
+
+        monkeypatch.setattr(fgl, "log_coefficients", corrupted)
+        with pytest.raises(VerificationError,
+                           match=r"non p-integral coefficient -1/2 on "
+                                 r"t\^3\*v1\*t1"):
+            _certificate(2)
 
     def test_frobenius_bound(self, monkeypatch):
         # the rewritten-degree bound implies this one for any series, so it
