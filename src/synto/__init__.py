@@ -1,6 +1,6 @@
 """synto: exact-arithmetic syntomic cohomology tables for the Adams summand.
 
-The pipeline runs entirely over exact coefficients (Fractions, then F_p):
+The pipeline runs entirely over exact coefficients (Z[1/p], then F_p):
 
 1.  `fgl` builds the p-typical formal group law on Hazewinkel generators,
     its p-series, and the right unit on the dual Steenrod-style generators.

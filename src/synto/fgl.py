@@ -13,14 +13,21 @@ triangular because log is monic).  Everything else is composition:
     eta_R(t) = exp(log t + log(t1 t^p) + log(t2 t^{p^2}) + ...)
                                            the right unit on the orientation.
 
-Intermediate coefficients are rational with p-power denominators; exported
-series must be p-integral and this is asserted, never rounded.  A quotient
-is taken in two steps.  The generators it names are killed before the
-arithmetic: setting v_n = 0 is a ring map, so it commutes with log, exp and
-composition, and the Hazewinkel recursion simply leaves v_n out.  The
-series is then built over Z_(p)[the other v_n], p-integrality is asserted
-on that rational series, and the reduction mod p, the one step that needs
-it, comes last.  So mod (p, v1) the arithmetic never carries a v1 term.
+Intermediate coefficients lie in Z[1/p] (``CoeffRing(0, p)``): a series
+holds int numerators over one power p^den, a product adds dens, and the
+division by p in the recursion only shifts den.  Left alone, den grows with
+every product while the true denominators stay bounded by the truncation,
+so the powers of log in ``exp_coefficients`` and each Horner step of
+``compose`` are normalized (the common power of p is stripped).  A
+finished series therefore comes back normalized; it must be p-integral,
+that is den 0, and this is asserted, never rounded.
+
+A quotient is taken in two steps.  The generators it names are killed
+before the arithmetic: setting v_n = 0 is a ring map, so it commutes with
+log, exp and composition, and the Hazewinkel recursion simply leaves v_n
+out.  The series is then built over Z[1/p][the other v_n], p-integrality is
+asserted on it, and the reduction mod p, the one step that needs it, comes
+last.  So mod (p, v1) the arithmetic never carries a v1 term.
 
 Every series is truncated in the orientation variables, and the arithmetic
 does only the work the truncation keeps.  A product never forms a pair of
@@ -39,12 +46,11 @@ discard, so every series is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from synto.graded import (
-    QQ,
     Catalog,
+    CoeffRing,
     Poly,
     Truncation,
     VerificationError,
@@ -73,22 +79,22 @@ def orientation_truncation(cat: Catalog, trunc: int) -> Truncation:
 
 def log_coefficients(p: int, depth: int, cat: Catalog,
                      ideal: Iterable[str] = ()) -> list[Poly]:
-    """l_0 .. l_depth as exact rational polynomials in v1..v_depth, with
-    every v_n that the ideal names set to zero."""
-    ideal = frozenset(ideal)
-    ls = [Poly.unit(cat, QQ)]
+    """l_0 .. l_depth as exact polynomials in v1..v_depth over Z[1/p], with
+    every v_n that the ideal names set to zero.  Dividing by p shifts den."""
+    ideal, ring = frozenset(ideal), CoeffRing(0, p)
+    ls = [Poly.unit(cat, ring)]
     for n in range(1, depth + 1):
-        s = Poly.zero(cat, QQ)
+        s = Poly.zero(cat, ring)
         for i in range(n):
             if f"v{n - i}" not in ideal:
-                s = s + ls[i] * (Poly.gen(cat, QQ, f"v{n - i}") ** (p ** i))
-        ls.append(s.scale(Fraction(1, p)))
+                s = s + ls[i] * (Poly.gen(cat, ring, f"v{n - i}") ** (p ** i))
+        ls.append(s.over_p())
     return ls
 
 
 def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: Truncation) -> Poly:
     """log(s) = sum_n l_n * s^{p^n}, for s with zero constant term."""
-    out = Poly.zero(summand.catalog, QQ, trunc)
+    out = Poly.zero(summand.catalog, summand.ring, trunc)
     for n, ln in enumerate(ls):
         if ln.is_zero():
             continue
@@ -106,25 +112,30 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog,
 
     Solved by forcing exp(log t) = t one t-degree at a time; e_k is minus
     the degree-k defect of the partial composition.  Exactness of the
-    rational arithmetic makes this the whole verification story: the
-    round-trip identities are separate tests, not part of the solve.
+    arithmetic makes this the whole verification story: the round-trip
+    identities are separate tests, not part of the solve.
+
+    L^k and the partial composition are normalized at every step: each
+    product adds dens, so den(L^k) would grow as k times den(L), while the
+    true denominators stay bounded by the truncation.
     """
+    ring = CoeffRing(0, p)
     trc = orientation_truncation(cat, trunc)
     ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
-    t = Poly.gen(cat, QQ, "t", trc)
+    t = Poly.gen(cat, ring, "t", trc)
     L = log_of(t, p, ls, trc)
     t_idx = cat.index["t"]
-    es = [Poly.zero(cat, QQ), Poly.unit(cat, QQ)]
+    es = [Poly.zero(cat, ring), Poly.unit(cat, ring)]
     comp = L
     lpow = L
     for k in range(2, trunc):
-        lpow = lpow * L
-        defect = [(m[:t_idx] + (0,) + m[t_idx + 1:], c)
-                  for m, c in comp.terms.items() if m[t_idx] == k]
-        ek = Poly.from_terms(cat, QQ, ((m, -c) for m, c in defect))
+        lpow = (lpow * L).normalized()
+        defect = {m[:t_idx] + (0,) + m[t_idx + 1:]: -c
+                  for m, c in comp.terms.items() if m[t_idx] == k}
+        ek = Poly(cat, ring, defect, None, comp.den).normalized()
         es.append(ek)
         if ek.terms:
-            comp = comp + ek * lpow
+            comp = (comp + ek * lpow).normalized()
     return es
 
 
@@ -138,16 +149,19 @@ def compose(coeffs: Sequence[Poly], inner: Poly) -> Poly:
     keeps just those.  The window grows back to the full bound at k = 0;
     an inner with a constant or Laurent term has low = 0 and tightens
     nothing.
+
+    Each step is normalized, since every multiplication by inner adds its
+    den; so the result comes back normalized.
     """
-    cat, trunc = inner.catalog, inner.trunc
+    cat, ring, trunc = inner.catalog, inner.ring, inner.trunc
     low = 0 if trunc is None else max(
         0, min(map(trunc.degree, inner.terms), default=0))
-    acc = Poly.zero(cat, QQ, trunc)
+    acc = Poly.zero(cat, ring, trunc)
     for k in reversed(range(len(coeffs))):
         step = None if trunc is None else Truncation(trunc.vars,
                                                      trunc.bound - k * low)
-        acc = (Poly(cat, QQ, acc.terms, step) * inner
-               + coeffs[k].with_trunc(step))
+        acc = (Poly(cat, ring, acc.terms, step, acc.den) * inner
+               + coeffs[k].with_trunc(step)).normalized()
     return acc
 
 
@@ -182,7 +196,7 @@ def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
     trc = orientation_truncation(cat, trunc)
     ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
     names = _generators(ideal)
-    total = Poly.zero(cat, QQ, trc)
+    total = Poly.zero(cat, CoeffRing(0, p), trc)
     for s in summands:
         total = total + log_of(s.kill_generators(names).with_trunc(trc),
                                p, ls, trc)
@@ -194,7 +208,8 @@ def formal_sum(p: int, trunc: int, vars: tuple[str, str] = ("x", "y"),
     """F(x, y) = exp(log x + log y), truncated at total (x,y)-exponent trunc."""
     cat = cat or canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
                                    orientations=("t",) + vars)
-    F = formal_sum_of(p, trunc, [Poly.gen(cat, QQ, v) for v in vars], cat)
+    ring = CoeffRing(0, p)
+    F = formal_sum_of(p, trunc, [Poly.gen(cat, ring, v) for v in vars], cat)
     F.assert_p_integral(p)
     return F
 
@@ -213,7 +228,8 @@ def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
             f"v1*t^{p} leading term mod (p)")
     cat = pipeline_catalog(p, trunc)
     return _mod_p_last(
-        formal_sum_of(p, trunc, [Poly.gen(cat, QQ, "t")] * p, cat, ideal),
+        formal_sum_of(p, trunc, [Poly.gen(cat, CoeffRing(0, p), "t")] * p,
+                      cat, ideal),
         p, ideal)
 
 
@@ -226,11 +242,12 @@ def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
     hard-errors if it ever fails to hold).
     """
     cat = pipeline_catalog(p, trunc)
-    trc = orientation_truncation(cat, trunc)
-    summands = [Poly.gen(cat, QQ, "t", trc)]
+    ring, trc = CoeffRing(0, p), orientation_truncation(cat, trunc)
+    summands = [Poly.gen(cat, ring, "t", trc)]
     i = 1
     while p ** i < trunc:
-        s = Poly.from_terms(cat, QQ, [(cat.mono({f"t{i}": 1, "t": p ** i}), 1)], trc)
+        s = Poly.from_terms(
+            cat, ring, [(cat.mono({f"t{i}": 1, "t": p ** i}), 1)], trc)
         summands.append(s)
         i += 1
     ideal = tuple(ideal)

@@ -5,8 +5,11 @@ pages, the syntomic generator table) runs over one data structure: sparse
 polynomials in a fixed ordered tuple of generators, each generator carrying
 an integer (degree, weight) bidegree and a parity.  Products follow the
 Koszul convention: transposing two odd factors costs a sign, and odd
-generators square to zero.  Coefficients are exact -- `fractions.Fraction`
-in characteristic zero, canonical residues in F_p otherwise.
+generators square to zero.  Coefficients are exact, in one ring per prime
+p: Z[1/p], where each polynomial holds int numerators over a single power
+p^den, or F_p, held as canonical residues.  No operation takes a gcd, and
+`fractions.Fraction` appears only at the edges: as an input coefficient, a
+non-integral `Poly.coefficient`, or in an error message.
 
 Monomials are exponent tuples aligned with the catalog, so the zero tuple is
 1 and negative exponents are legal (used for Laurent generators like t^{-1}
@@ -29,6 +32,7 @@ True
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,26 +59,47 @@ class GeneratorSymbol:
 
 @dataclass(frozen=True)
 class CoeffRing:
-    """Coefficient ring tag: char 0 means Fraction arithmetic, else F_p."""
+    """Coefficient ring tag, one per prime p.
 
-    char: int = 0
+    ``CoeffRing(p)`` is F_p, held as canonical residues.  ``CoeffRing(0, p)``
+    is Z[1/p], the integers with p inverted, where the Hazewinkel series
+    live: a `Poly` over it holds plain int numerators over one power p^den,
+    so no operation takes a gcd.
+    """
 
-    def normalize(self, c):
+    char: int
+    p: int = 0  # the prime: char itself for F_p, the inverted one for Z[1/p]
+
+    def __post_init__(self) -> None:
         if self.char:
-            return c % self.char
-        return c if isinstance(c, Fraction) else Fraction(c)
+            if self.p not in (0, self.char):
+                raise ValueError(f"F_{self.char} has no second prime {self.p}")
+            object.__setattr__(self, "p", self.char)
+        elif self.p < 2:
+            raise ValueError("characteristic 0 needs the prime p that "
+                             "Z[1/p] inverts: CoeffRing(0, p)")
 
-    def add(self, a, b):
-        return (a + b) % self.char if self.char else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
-
-    def neg(self, a):
-        return (-a) % self.char if self.char else -a
-
-
-QQ = CoeffRing(0)
+    def split(self, c) -> tuple[int, int]:
+        """(n, k) with c = n / p^k, n a residue in F_p.  c is an int or a
+        Fraction in the ring: its denominator is a power of p in Z[1/p] and
+        prime to p in F_p.  Anything else raises ValueError."""
+        p = self.p
+        if isinstance(c, int):
+            return (c % p if self.char else c), 0
+        if not isinstance(c, Fraction):
+            raise TypeError(f"coefficient {c!r} is neither int nor Fraction")
+        n, d = c.numerator, c.denominator
+        if self.char:
+            if d % p == 0:
+                raise ValueError(f"coefficient {c} is not in F_{p}")
+            return n * pow(d, -1, p) % p, 0
+        k = 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        if d != 1:
+            raise ValueError(f"coefficient {c} is not in Z[1/{p}]")
+        return n, k
 
 
 class Catalog:
@@ -208,34 +233,58 @@ def _tighter(a: Optional[Truncation],
     return a if a.bound <= b.bound else b
 
 
-class Poly:
-    """Sparse bigraded polynomial: dict from exponent tuple to coefficient."""
+def _common_ring(a: "Poly", b: "Poly") -> CoeffRing:
+    """The ring of a sum or product, which both operands must share."""
+    if a.ring != b.ring:
+        raise ValueError(f"cannot combine polynomials over {a.ring} and "
+                         f"{b.ring}")
+    return a.ring
 
-    __slots__ = ("catalog", "ring", "terms", "trunc")
+
+class Poly:
+    """Sparse bigraded polynomial: the coefficient on monomial m is
+    terms[m] / p^den.
+
+    Over F_p den is 0 and terms hold residues.  Over Z[1/p] terms hold int
+    numerators over the one power p^den: a product adds the two dens and a
+    sum aligns them with a power of p, so the arithmetic is plain int
+    arithmetic.  `normalized` strips the common power of p; a normalized
+    poly has den 0 exactly when every coefficient is an integer, and then
+    terms holds the coefficients themselves.
+    """
+
+    __slots__ = ("catalog", "ring", "terms", "trunc", "den")
 
     def __init__(self, catalog: Catalog, ring: CoeffRing,
-                 terms: dict[Mono, object], trunc: Optional[Truncation] = None):
+                 terms: dict[Mono, int], trunc: Optional[Truncation] = None,
+                 den: int = 0):
         self.catalog = catalog
         self.ring = ring
         self.trunc = trunc
-        self.terms = terms  # assumed normalized; use from_terms otherwise
+        self.terms = terms  # nonzero numerators; use from_terms otherwise
+        self.den = den
 
     @classmethod
     def from_terms(cls, catalog: Catalog, ring: CoeffRing,
                    pairs: Iterable[tuple[Mono, object]],
                    trunc: Optional[Truncation] = None) -> "Poly":
-        acc: dict[Mono, object] = {}
-        for m, c in pairs:
-            if trunc is not None and not trunc.keeps(m):
-                continue
-            c = ring.normalize(c)
-            if m in acc:
-                c = ring.add(acc[m], c)
+        """The normalized sum of the (monomial, coefficient) pairs that trunc
+        keeps; a coefficient is an int or a Fraction (see
+        `CoeffRing.split`)."""
+        split = [(m, *ring.split(c)) for m, c in pairs
+                 if trunc is None or trunc.keeps(m)]
+        den = max((k for _, _, k in split), default=0)
+        p, mod = ring.p, ring.char
+        acc: dict[Mono, int] = {}
+        for m, n, k in split:
+            c = acc.get(m, 0) + n * p ** (den - k)
+            if mod:
+                c %= mod
             if c:
                 acc[m] = c
             else:
                 acc.pop(m, None)
-        return cls(catalog, ring, acc, trunc)
+        return cls(catalog, ring, acc, trunc, den).normalized()
 
     @classmethod
     def zero(cls, catalog: Catalog, ring: CoeffRing,
@@ -256,54 +305,96 @@ class Poly:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.terms == other.terms
-                and self.ring == other.ring)
+        """Equal values over the same ring, whatever the two dens."""
+        if not isinstance(other, Poly) or self.ring != other.ring:
+            return False
+        den = max(self.den, other.den)
+        return (dict(self._kept(self.trunc, den))
+                == dict(other._kept(other.trunc, den)))
 
-    def _wrap(self, terms: dict[Mono, object]) -> "Poly":
-        return Poly(self.catalog, self.ring, terms, self.trunc)
+    def _wrap(self, terms: dict[Mono, int]) -> "Poly":
+        return Poly(self.catalog, self.ring, terms, self.trunc, self.den)
 
-    def _kept(self, trunc: Optional[Truncation]):
-        """The (monomial, coefficient) pairs of self that trunc keeps."""
-        if trunc == self.trunc:
-            return self.terms.items()
-        return [(m, c) for m, c in self.terms.items() if trunc.keeps(m)]
+    def _kept(self, trunc: Optional[Truncation], den: int):
+        """The (monomial, numerator over p^den) pairs of self that trunc
+        keeps; den is at least self.den."""
+        items = self.terms.items()
+        if trunc != self.trunc:
+            items = [(m, c) for m, c in items if trunc.keeps(m)]
+        if den != self.den:
+            f = self.ring.p ** (den - self.den)
+            items = [(m, c * f) for m, c in items]
+        return items
+
+    def normalized(self) -> "Poly":
+        """The same value over the least den: the largest power of p that
+        divides every numerator, up to p^den, is stripped."""
+        if not self.den:
+            return self
+        p = self.ring.p
+        g = math.gcd(p ** self.den, *self.terms.values())
+        if g == 1:
+            return self
+        k = 0
+        while g > 1:
+            g //= p
+            k += 1
+        q = p ** k
+        return Poly(self.catalog, self.ring,
+                    {m: c // q for m, c in self.terms.items()}, self.trunc,
+                    self.den - k)
 
     def __add__(self, other: "Poly") -> "Poly":
         """Sum under the tighter of the two truncations (see `_tighter`),
         keeping only the terms it keeps, so that a + b == b + a."""
-        ring, trunc = self.ring, _tighter(self.trunc, other.trunc)
-        acc = dict(self._kept(trunc))
-        for m, c in other._kept(trunc):
-            s = ring.add(acc.get(m, ring.normalize(0)), c) if m in acc else c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Poly(self.catalog, ring, acc, trunc)
+        ring = _common_ring(self, other)
+        trunc, den = _tighter(self.trunc, other.trunc), max(self.den, other.den)
+        mod = ring.char
+        acc = dict(self._kept(trunc, den))
+        for m, c in other._kept(trunc, den):
+            if m in acc:
+                c += acc[m]
+                if mod:
+                    c %= mod
+                if not c:
+                    del acc[m]
+                    continue
+            acc[m] = c
+        return Poly(self.catalog, ring, acc, trunc, den)
 
     def __neg__(self) -> "Poly":
-        ring = self.ring
-        return self._wrap({m: ring.neg(c) for m, c in self.terms.items()})
+        mod = self.ring.char
+        return self._wrap({m: -c % mod if mod else -c
+                           for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def scale(self, c) -> "Poly":
-        ring = self.ring
-        c = ring.normalize(c)
-        if not c:
-            return self._wrap({})
+        """c * self, for c an int or a Fraction in the ring."""
+        n, k = self.ring.split(c)
+        if not n:
+            return Poly.zero(self.catalog, self.ring, self.trunc)
+        mod = self.ring.char
         out = {}
         for m, a in self.terms.items():
-            v = ring.mul(a, c)
+            v = a * n % mod if mod else a * n
             if v:
                 out[m] = v
-        return self._wrap(out)
+        return Poly(self.catalog, self.ring, out, self.trunc, self.den + k)
+
+    def over_p(self, k: int = 1) -> "Poly":
+        """self / p^k over Z[1/p]: den grows by k, and no numerator moves."""
+        if self.ring.char:
+            raise ValueError(f"p = {self.ring.p} is not invertible in "
+                             f"F_{self.ring.p}")
+        return Poly(self.catalog, self.ring, self.terms, self.trunc,
+                    self.den + k)
 
     def __mul__(self, other: "Poly") -> "Poly":
         """Koszul-signed product under the tighter of the two truncations
         (see `_tighter`), so that the order of the factors cannot change
-        which terms are kept.
+        which terms are kept.  The numerators multiply and the dens add.
 
         The truncation degree of a product is the sum of its factors', so
         other's terms are sorted by it once, and for each term of self the
@@ -312,15 +403,15 @@ class Poly:
         Without a truncation every degree counts as 0 against a room of 1,
         so the loop never breaks.
         """
-        cat, ring = self.catalog, self.ring
-        trunc = _tighter(self.trunc, other.trunc)
+        cat, ring = self.catalog, _common_ring(self, other)
+        mod, trunc = ring.char, _tighter(self.trunc, other.trunc)
         if trunc is None:
             right = [(0, m, c) for m, c in other.terms.items()]
         else:
             right = sorted(((trunc.degree(m), m, c)
                             for m, c in other.terms.items()),
                            key=operator.itemgetter(0))
-        acc: dict[Mono, object] = {}
+        acc: dict[Mono, int] = {}
         for ma, ca in self.terms.items():
             room = 1 if trunc is None else trunc.bound - trunc.degree(ma)
             for db, mb, cb in right:
@@ -330,16 +421,14 @@ class Poly:
                 if sm is None:
                     continue
                 sign, m = sm
-                c = ring.mul(ca, cb)
-                if sign < 0:
-                    c = ring.neg(c)
-                if m in acc:
-                    c = ring.add(acc[m], c)
+                c = acc.get(m, 0) + (ca * cb if sign > 0 else -ca * cb)
+                if mod:
+                    c %= mod
                 if c:
                     acc[m] = c
                 else:
                     acc.pop(m, None)
-        return Poly(cat, ring, acc, trunc)
+        return Poly(cat, ring, acc, trunc, self.den + other.den)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -356,24 +445,36 @@ class Poly:
         return result
 
     def with_trunc(self, trunc: Optional[Truncation]) -> "Poly":
-        if trunc is None:
-            return Poly(self.catalog, self.ring, dict(self.terms), None)
-        return Poly.from_terms(self.catalog, self.ring, self.terms.items(), trunc)
+        terms = (dict(self.terms) if trunc is None else
+                 {m: c for m, c in self.terms.items() if trunc.keeps(m)})
+        return Poly(self.catalog, self.ring, terms, trunc, self.den)
 
     def coefficient(self, m: Mono):
-        return self.terms.get(m, self.ring.normalize(0))
+        """The coefficient on m: an int, or a Fraction if it is not one."""
+        c, q = self.terms.get(m, 0), self.ring.p ** self.den
+        return c // q if c % q == 0 else Fraction(c, q)
+
+    def _non_integral(self) -> Optional[tuple[Mono, Fraction]]:
+        """The first term whose coefficient has p in its denominator, if
+        any; over F_p there is none."""
+        poly = self.normalized()
+        if not poly.den:
+            return None
+        q = poly.ring.p ** poly.den
+        for m, c in poly.terms.items():
+            if c % q:
+                return m, Fraction(c, q)
 
     def reduce_mod_p(self, p: int) -> "Poly":
-        """Change coefficients to F_p.  Every denominator must be prime to p."""
-        def red(c):
-            if isinstance(c, Fraction):
-                if c.denominator % p == 0:
-                    raise VerificationError(
-                        f"coefficient {c} is not p-integral at p={p}")
-                return c.numerator * pow(c.denominator, -1, p)
-            return c
+        """Change coefficients to F_p.  Every denominator must be prime to
+        p, so over Z[1/p] the normalized den must be 0."""
+        poly = self.normalized()
+        if p == poly.ring.p and (bad := poly._non_integral()):
+            raise VerificationError(
+                f"coefficient {bad[1]} is not p-integral at p={p}")
+        inv = pow(poly.ring.p, -poly.den, p)
         return Poly.from_terms(self.catalog, CoeffRing(p),
-                               ((m, red(c)) for m, c in self.terms.items()),
+                               ((m, c * inv) for m, c in poly.terms.items()),
                                self.trunc)
 
     def kill_generators(self, names: Iterable[str]) -> "Poly":
@@ -384,9 +485,8 @@ class Poly:
                            if not any(m[i] > 0 for i in idxs)})
 
     def assert_p_integral(self, p: int) -> None:
-        for m, c in self.terms.items():
-            if isinstance(c, Fraction) and c.denominator % p == 0:
-                raise VerificationError(
-                    f"non p-integral coefficient {c} on "
-                    f"{self.catalog.mono_str(m)} at p={p}")
-
+        """Over Z[1/p], this holds exactly when the normalized den is 0."""
+        if p == self.ring.p and (bad := self._non_integral()):
+            raise VerificationError(
+                f"non p-integral coefficient {bad[1]} on "
+                f"{self.catalog.mono_str(bad[0])} at p={p}")

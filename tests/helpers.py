@@ -30,6 +30,12 @@ def source_env() -> dict[str, str]:
     return env
 
 
+def values(poly) -> dict:
+    """{monomial: coefficient} of a Poly, each coefficient an int or a
+    Fraction, whatever den the poly is held over."""
+    return {m: poly.coefficient(m) for m in poly.terms}
+
+
 def run_cli(argv, env=None):
     """main() in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

@@ -20,7 +20,7 @@ from synto.fgl import (compose, exp_coefficients, formal_sum, formal_sum_of,
                        log_coefficients, log_of, orientation_truncation,
                        p_series, pipeline_catalog, required_depth,
                        right_unit_t)
-from synto.graded import QQ, Poly, canonical_catalog
+from synto.graded import CoeffRing, Poly, canonical_catalog
 from synto.linalg import vec_addmul
 from synto.spectral import (build_page, check_square_zero, leibniz_extend,
                             turn_page)
@@ -261,11 +261,12 @@ class TestAcceptance:
 
     def test_criterion_8_fgl_property_suite(self):
         for p in (2, 3):
+            ring = CoeffRing(0, p)
             # unit law
             F = formal_sum(p, 8)
             cat = F.catalog
-            x = Poly.gen(cat, QQ, "x", F.trunc)
-            y = Poly.gen(cat, QQ, "y", F.trunc)
+            x = Poly.gen(cat, ring, "x", F.trunc)
+            y = Poly.gen(cat, ring, "y", F.trunc)
             assert F.kill_generators(["y"]) == x
             assert F.kill_generators(["x"]) == y
 
@@ -284,9 +285,9 @@ class TestAcceptance:
             acat = canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
                                      orientations=("t", "x", "y", "z"))
             atrc = orientation_truncation(acat, trunc)
-            ax = Poly.gen(acat, QQ, "x", atrc)
-            ay = Poly.gen(acat, QQ, "y", atrc)
-            az = Poly.gen(acat, QQ, "z", atrc)
+            ax = Poly.gen(acat, ring, "x", atrc)
+            ay = Poly.gen(acat, ring, "y", atrc)
+            az = Poly.gen(acat, ring, "z", atrc)
             Fxy = formal_sum_of(p, trunc, [ax, ay], acat)
             Fyz = formal_sum_of(p, trunc, [ay, az], acat)
             assert formal_sum_of(p, trunc, [Fxy, az], acat) == \
@@ -297,7 +298,7 @@ class TestAcceptance:
             ltrc = orientation_truncation(lcat, 10)
             ls = log_coefficients(p, required_depth(p, 10), lcat)
             es = exp_coefficients(p, 10, lcat)
-            t = Poly.gen(lcat, QQ, "t", ltrc)
+            t = Poly.gen(lcat, ring, "t", ltrc)
             assert compose(es, log_of(t, p, ls, ltrc)) == t
             assert log_of(compose(es, t), p, ls, ltrc) == t
 

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,8 @@ from unittest import mock
 import pytest
 
 from helpers import SRC, run_cli, source_env
-from synto.cli import CLIUsageError, format_series, parse_presentation, main
+from synto.cli import (CLIUsageError, _is_prime, format_series, main,
+                       parse_presentation)
 from synto.fgl import p_series, right_unit_t
 
 
@@ -199,6 +201,50 @@ gen y deg -1 weight 2 parity odd
 diff page 1 x -> y
 window deg -1 0 weight 0 5
 """
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimality:
+    """`--prime` and the `prime` line of `ss --file` are decided by a
+    deterministic Miller-Rabin in bounded time."""
+
+    SEMIPRIME = 10000000019 * 10000000033
+
+    @pytest.mark.parametrize("path", ["fgl", "syntomic", "ss-file"])
+    def test_semiprime_is_refused_within_a_second(self, path, tmp_path):
+        n = str(self.SEMIPRIME)
+        pres = tmp_path / "semiprime.ss"
+        pres.write_text(f"prime {n}\n")
+        argv = {"fgl": ["fgl", "p-series", "--prime", n, "--trunc", "3"],
+                "syntomic": ["syntomic", "--prime", n],
+                "ss-file": ["ss", "--file", str(pres)]}[path]
+        start = time.monotonic()
+        code, out, err = run_cli(argv)
+        assert time.monotonic() - start < 1
+        assert code == 1 and out == ""
+        assert f"{n} is not prime" in err
+
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(20001) if _is_prime(n)] == [
+            n for n in range(20001) if trial_division(n)]
+
+    def test_large_primes_and_pseudoprimes(self):
+        assert _is_prime(99999999999999999989)
+        # strong pseudoprimes to every prime base up to 23 and up to 37
+        assert not _is_prime(3825123056546413051)
+        assert not _is_prime(318665857834031151167461)
+
+    def test_past_the_exact_bound_is_refused(self):
+        # 2^89 - 1 is prime, but too large for the bases to decide
+        code, out, err = run_cli(["fgl", "p-series", "--prime",
+                                  str(2 ** 89 - 1), "--trunc", "3"])
+        assert code == 1 and out == ""
+        assert "too large to test for primality" in err
+        # a small factor decides at any size
+        assert not _is_prime(3 * 2 ** 200)
 
 
 class TestSsCommand:

@@ -11,13 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import values
 from synto.cli import format_series
 from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
                        formal_sum, formal_sum_of, log_coefficients, log_of,
                        orientation_truncation, p_series, pipeline_catalog,
                        reduce_ideal, required_depth, right_unit_t)
-from synto.graded import (QQ, Catalog, GeneratorSymbol, Poly, Truncation,
-                          VerificationError, canonical_catalog)
+from synto.graded import (Catalog, CoeffRing, GeneratorSymbol, Poly,
+                          Truncation, VerificationError, canonical_catalog)
 from synto.summand import _rewrite_through_suspension
 
 
@@ -26,14 +27,17 @@ class TestLogCoefficients:
         for p in (2, 3, 5):
             cat = pipeline_catalog(p, 8)
             ls = log_coefficients(p, 2, cat)
-            assert dict(ls[1].terms) == {cat.mono({"v1": 1}): Fraction(1, p)}
+            assert ls[1].ring == CoeffRing(0, p)
+            assert values(ls[1]) == {cat.mono({"v1": 1}): Fraction(1, p)}
+            # held as the numerator 1 over p^1: dividing by p shifts den
+            assert ls[1].terms == {cat.mono({"v1": 1}): 1} and ls[1].den == 1
 
     def test_l2_hazewinkel_p3(self):
         # p*l_2 = l_0*v2 + l_1*v1^p  =>  l_2 = v2/3 + v1^4/9 at p = 3
         cat = pipeline_catalog(3, 12)
         ls = log_coefficients(3, 2, cat)
-        assert dict(ls[2].terms) == {cat.mono({"v2": 1}): Fraction(1, 3),
-                                     cat.mono({"v1": 4}): Fraction(1, 9)}
+        assert values(ls[2]) == {cat.mono({"v2": 1}): Fraction(1, 3),
+                                 cat.mono({"v1": 4}): Fraction(1, 9)}
 
     def test_required_depth(self):
         assert required_depth(2, 3) == 1
@@ -49,7 +53,7 @@ class TestExpLog:
         trc = orientation_truncation(cat, trunc)
         ls = log_coefficients(p, required_depth(p, trunc), cat)
         es = exp_coefficients(p, trunc, cat)
-        t = Poly.gen(cat, QQ, "t", trc)
+        t = Poly.gen(cat, CoeffRing(0, p), "t", trc)
         L = log_of(t, p, ls, trc)
         # exp(log t) = t
         assert compose(es, L) == t
@@ -63,11 +67,12 @@ class TestExpLog:
 CAT_XY = Catalog(canonical_catalog(3, orientations=("x", "y")).symbols + (
     GeneratorSymbol("lambda1", 5, 0, "odd"),
     GeneratorSymbol("lambda2", 17, 0, "odd")))
+ZP3 = CoeffRing(0, 3)  # Z[1/3], the ring of CAT_XY's prime
 
 
 def random_series(rng, lowest, size):
-    """A QQ polynomial in CAT_XY whose terms have (x, y)-degree >= lowest,
-    the first term exactly lowest."""
+    """A Z[1/3] polynomial in CAT_XY whose terms have (x, y)-degree >=
+    lowest, the first term exactly lowest."""
     x, y = CAT_XY.index["x"], CAT_XY.index["y"]
     terms = []
     for i in range(size):
@@ -77,8 +82,8 @@ def random_series(rng, lowest, size):
         if m[x] + m[y] < lowest:
             m[x] += lowest - m[x] - m[y]
         terms.append((tuple(m), Fraction(rng.choice((-3, -1, 1, 2, 4)),
-                                         rng.randint(1, 3))))
-    return Poly.from_terms(CAT_XY, QQ, terms)
+                                         rng.choice((1, 3, 9)))))
+    return Poly.from_terms(CAT_XY, ZP3, terms)
 
 
 class TestComposeOracle:
@@ -96,25 +101,26 @@ class TestComposeOracle:
                             rng.randint(1, 7)))
         inner = random_series(rng, lowest, rng.randint(1, 4))
         if lowest == 0:  # a degree-0 term, so nothing is tightened
-            inner = inner + Poly.from_terms(CAT_XY, QQ, [(CAT_XY.one, 2)])
+            inner = inner + Poly.from_terms(CAT_XY, ZP3, [(CAT_XY.one, 2)])
         coeffs = [random_series(rng, 0, rng.randint(0, 3))
                   for _ in range(rng.randint(1, 7 if trunc else 4))]
-        naive, power = Poly.zero(CAT_XY, QQ), Poly.unit(CAT_XY, QQ)
+        naive, power = Poly.zero(CAT_XY, ZP3), Poly.unit(CAT_XY, ZP3)
         for ek in coeffs:
             naive = naive + ek * power
             power = power * inner
         got = compose(coeffs, inner.with_trunc(trunc))
-        assert got.terms == naive.with_trunc(trunc).terms
+        assert values(got) == values(naive.with_trunc(trunc))
         assert got.trunc == trunc
+        assert got.den == got.normalized().den  # compose normalizes
 
 
 class TestFormalSum:
     @pytest.mark.parametrize("p", [2, 3])
     def test_unit(self, p):
         F = formal_sum(p, 8)
-        x = Poly.gen(F.catalog, QQ, "x", F.trunc)
+        x = Poly.gen(F.catalog, CoeffRing(0, p), "x", F.trunc)
         assert F.kill_generators(["y"]) == x
-        y = Poly.gen(F.catalog, QQ, "y", F.trunc)
+        y = Poly.gen(F.catalog, CoeffRing(0, p), "y", F.trunc)
         assert F.kill_generators(["x"]) == y
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -143,10 +149,10 @@ class TestFormalSum:
     def test_associative(self, p, trunc):
         cat = canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
                                 orientations=("t", "x", "y", "z"))
-        trc = orientation_truncation(cat, trunc)
-        x = Poly.gen(cat, QQ, "x", trc)
-        y = Poly.gen(cat, QQ, "y", trc)
-        z = Poly.gen(cat, QQ, "z", trc)
+        trc, ring = orientation_truncation(cat, trunc), CoeffRing(0, p)
+        x = Poly.gen(cat, ring, "x", trc)
+        y = Poly.gen(cat, ring, "y", trc)
+        z = Poly.gen(cat, ring, "z", trc)
         Fxy = formal_sum_of(p, trunc, [x, y], cat)
         Fyz = formal_sum_of(p, trunc, [y, z], cat)
         lhs = formal_sum_of(p, trunc, [Fxy, z], cat)
@@ -278,8 +284,9 @@ class TestEarlyQuotientOracle:
     def test_summands_are_reduced_too(self, p):
         # x +_G v1*y: the ideal reaches the summands, not only the log
         cat = canonical_catalog(p, orientations=("t", "x", "y"))
-        x = Poly.gen(cat, QQ, "x")
-        v1y = Poly.from_terms(cat, QQ, [(cat.mono({"v1": 1, "y": 1}), 1)])
+        x = Poly.gen(cat, CoeffRing(0, p), "x")
+        v1y = Poly.from_terms(cat, CoeffRing(0, p),
+                              [(cat.mono({"v1": 1, "y": 1}), 1)])
         full = formal_sum_of(p, 6, [x, v1y], cat)
         early = formal_sum_of(p, 6, [x, v1y], cat, ("v1",))
         assert early == reduce_ideal(full, p, ("v1",))

@@ -10,6 +10,7 @@ stdout redirected to the file, e.g.
         --format csv > tests/golden/syntomic-p2.csv
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -50,11 +51,49 @@ CASES = {
                                    "--mod", "v1", "--trunc", "20"],
     "fgl-right-unit-p2-mod-v1-v2.txt": ["fgl", "right-unit", "--prime", "2",
                                         "--mod", "v1,v2", "--trunc", "16"],
+    # the fgl_series benchmark queries not pinned above, and a right unit
+    # deeper than any of them, where Z[1/p] normalization matters most
+    "fgl-p-series-p3-t50.txt": ["fgl", "p-series", "--prime", "3",
+                                "--trunc", "50"],
+    "fgl-p-series-p5-t60.txt": ["fgl", "p-series", "--prime", "5",
+                                "--trunc", "60"],
+    "fgl-right-unit-p2-t16.json": ["fgl", "right-unit", "--prime", "2",
+                                   "--trunc", "16", "--format", "json"],
+    "fgl-right-unit-p2-t24.txt": ["fgl", "right-unit", "--prime", "2",
+                                  "--trunc", "24"],
 }
+
+# sha256 lines of the 288-command fgl grid, written and checked by
+# scripts/fgl_grid.py (a CI step runs the whole check)
+GRID = "fgl-grid.sha256"
+
+
+def _fgl_grid():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fgl_grid.py"
+    spec = importlib.util.spec_from_file_location("fgl_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(f.name for f in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted(f.name for f in GOLDEN.iterdir()) == sorted([*CASES, GRID])
+
+
+def test_grid_file_lists_the_grid_commands():
+    lines = (GOLDEN / GRID).read_text(encoding="utf-8").splitlines()
+    argvs = [" ".join(argv) for argv in _fgl_grid().commands()]
+    assert len(argvs) == 288
+    assert [ln.split("\t")[0] for ln in lines] == argvs
+
+
+def test_grid_sample_is_byte_identical(monkeypatch):
+    # every 24th command here; the CI step checks all 288
+    grid = _fgl_grid()
+    monkeypatch.setenv("SYNTO_COLOR", "never")
+    lines = (GOLDEN / GRID).read_text(encoding="utf-8").splitlines()
+    for argv, line in list(zip(grid.commands(), lines))[::24]:
+        assert grid.run(argv) == line
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
