@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Byte-identity check of `synto ss -v` over a fixed grid of 58 commands.
+
+Runs ``synto.cli.main`` in this process for ``--preset tp`` and
+``--preset tcminus`` at every prime up to 41, and for the de Rham complexes
+Omega(F_p[x_1..x_k]) at p = 2, 3, 5, 7, k = 1..4, cut off above degree
+D = 8 and D = 18.  A de Rham complex is written to a presentation file in a
+temporary directory; its line names the file by its base name only.  Each
+command gives one line: its argv, its exit code, and the sha256 of its
+stdout and its stderr.
+
+    PYTHONPATH=src python scripts/ss_grid.py > grid.sha256
+    PYTHONPATH=src python scripts/ss_grid.py --check tests/golden/ss-grid.sha256
+
+With ``--check FILE`` the lines are compared with FILE instead of printed;
+the first command whose line differs is named and the exit code is 1.
+"""
+
+import argparse
+import hashlib
+import io
+import itertools
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from synto.cli import main
+
+PRESET_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+DERHAM_PRIMES = (2, 3, 5, 7)
+DERHAM_RANKS = (1, 2, 3, 4)
+DERHAM_TOPS = (8, 18)
+
+
+def derham_text(p: int, k: int, top: int) -> str:
+    """Omega(F_p[x_1..x_k]) with d_1 x_i = dx_i, in the window deg [0, top]
+    x weight [0, k]."""
+    lines = [f"prime {p}"]
+    lines += [f"gen x{i} deg 2 weight 0 parity even" for i in range(1, k + 1)]
+    lines += [f"gen dx{i} deg 1 weight 1 parity odd" for i in range(1, k + 1)]
+    lines += [f"diff page 1 x{i} -> dx{i}" for i in range(1, k + 1)]
+    lines.append(f"window deg 0 {top} weight 0 {k}")
+    return "\n".join(lines) + "\n"
+
+
+def commands():
+    """(argv as the grid line shows it, presentation text or None)."""
+    for structure in ("tp", "tcminus"):
+        for p in PRESET_PRIMES:
+            yield ["ss", "--preset", structure, "--prime", str(p), "-v"], None
+    for p in DERHAM_PRIMES:
+        for k in DERHAM_RANKS:
+            for top in DERHAM_TOPS:
+                yield (["ss", "--file", f"derham-p{p}-k{k}-D{top}.ss", "-v"],
+                       derham_text(p, k, top))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(argv, text, tmp: Path) -> str:
+    """The grid line of one command: argv, exit code, sha256 of stdout and
+    of stderr, tab-separated."""
+    real = list(argv)
+    if text is not None:
+        path = tmp / argv[2]
+        path.write_text(text, encoding="utf-8")
+        real[2] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(real)
+    return "\t".join((" ".join(argv), str(code), _sha(out.getvalue()),
+                      _sha(err.getvalue())))
+
+
+def main_grid(args=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--check", metavar="FILE",
+                    help="compare with FILE instead of printing")
+    opts = ap.parse_args(args)
+    os.environ["SYNTO_COLOR"] = "never"
+    with tempfile.TemporaryDirectory() as tmp:
+        if opts.check is None:
+            for argv, text in commands():
+                print(run(argv, text, Path(tmp)))
+            return 0
+        with open(opts.check, encoding="utf-8") as f:
+            expected = f.read().splitlines()
+        got = 0
+        for cmd, want in itertools.zip_longest(commands(), expected):
+            line = None if cmd is None else run(*cmd, Path(tmp))
+            if line != want:
+                name = (" ".join(cmd[0]) if cmd
+                        else f"line {got + 1} of {opts.check}")
+                print(f"ss grid differs at: {name}\n"
+                      f"  expected: {want or '(no line)'}\n"
+                      f"  got:      {line or '(no command)'}", file=sys.stderr)
+                return 1
+            got += 1
+    print(f"ss grid: {got} commands identical", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_grid())

@@ -2,20 +2,17 @@
 
 Vectors are dicts from integer coordinate to nonzero canonical residue.
 They are values: nothing here changes a vector it was given or has stored
-(`vec_addmul`, `vec_scale` and `Span.insert` always build new dicts), and
-callers keep to the same rule.  So copies of a `Span` or of a list of
-vectors may share the vectors themselves.
+(`vec_addmul`, `vec_scale` and `Span.insert` always build new dicts, and
+`Span.reduce` writes only the private copy it returns), and callers keep to
+the same rule.  So copies of a `Span` or of a list of vectors may share the
+vectors themselves.
 
 The workhorse is `Span`, a row space kept in fully reduced RREF with the
 pivot of each row at its smallest nonzero coordinate.  RREF is canonical
 for a subspace, so spans built from the same vectors in any order agree,
 which is what makes page-turning representatives deterministic.
 
-The same class writes a vector over the vectors inserted into it, by
-augmented labels: vector i enters as v ⊕ e_{off+i}, where ``off`` lies past
-every row coordinate.  A vector w whose reduction has no coordinate below
-``off`` lies in the span, and the label part of that reduction is minus
-the coefficients that write w over the inserted vectors.
+`kernel_basis` is the package's one labelled elimination (col ⊕ e_{off+j}).
 
 Desk-scale sizes only (hundreds of coordinates); everything is dicts and
 single passes, no Markowitz scoring needed beyond the min-pivot rule.
@@ -63,11 +60,16 @@ class Span:
         return len(self.rows)
 
     def reduce(self, v: Vec) -> Vec:
-        out = dict(v)
-        for piv in sorted(set(out) & set(self.rows)):
+        p, rows, out = self.p, self.rows, dict(v)
+        for piv in sorted(out.keys() & rows.keys()):
             c = out.get(piv)
             if c:
-                out = vec_addmul(self.p, out, self.rows[piv], -c)
+                for i, a in rows[piv].items():
+                    b = (out.get(i, 0) - c * a) % p
+                    if b:
+                        out[i] = b
+                    else:
+                        del out[i]
         return out
 
     def insert(self, v: Vec) -> Optional[int]:
@@ -90,17 +92,21 @@ class Span:
         return out
 
 
-def kernel_basis(p: int, cols: list[Vec]) -> list[Vec]:
-    """Kernel of the matrix with the given columns, over column coordinates.
+def kernel_basis(p: int, cols: list[Vec], span: Optional[Span] = None) -> list[Vec]:
+    """Kernel of the matrix with the given columns modulo ``span``, over
+    column coordinates.
 
-    One basis vector per dependent column j, with coefficient 1 at j and
-    support only on earlier columns: the standard special solutions, in a
-    deterministic order.  Column j enters the span as col ⊕ e_{off+j}; when
-    its reduction has no coordinate below ``off``, the column is dependent
-    and the label part of the reduction is the special solution.
+    One basis vector per column j that lies in ``span`` plus the columns
+    before it, with coefficient 1 at j and support only on earlier columns:
+    the standard special solutions, in a deterministic order.  Column j
+    enters as col ⊕ e_{off+j}; when its reduction has no coordinate below
+    ``off``, the label part of the reduction is the special solution.  The
+    other columns extend ``span`` (empty by default) in place, and its rows
+    are stripped of their labels at the end.
     """
-    off = 1 + max((max(c) for c in cols if c), default=-1)
-    span = Span(p)
+    span = Span(p) if span is None else span
+    off = 1 + max((max(v) for v in (*cols, *span.rows.values()) if v), default=-1)
+    before = dict(span.rows)
     out = []
     for j, col in enumerate(cols):
         r = span.reduce({**col, off + j: 1})
@@ -108,4 +114,7 @@ def kernel_basis(p: int, cols: list[Vec]) -> list[Vec]:
             out.append({i - off: c for i, c in r.items()})
         else:
             span.insert(r)
+    for q, row in span.rows.items():
+        if row is not before.get(q):
+            span.rows[q] = {i: c for i, c in row.items() if i < off}
     return out

@@ -230,6 +230,7 @@ class DifferentialSpec:
         self.pres = pres
         self.rule = ADAMS_RULE
         self.entries = tuple(entries)
+        self._odd = tuple(j for j, g in enumerate(pres.gens) if g.degree % 2)
         self._by_page: dict[int, dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]] = {}
         cat = pres.catalog
         for e in self.entries:
@@ -274,7 +275,7 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     if not ents:
         return {}
     pres, cat, p = spec.pres, spec.pres.catalog, spec.pres.p
-    n = len(cat)
+    zeros = (0,) * len(m)
     total: dict[Mono, int] = {}
     for i, (e0, image) in ents.items():
         a = m[i]
@@ -285,10 +286,9 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
         q = (a // e0) % p
         if not q:
             continue
-        front = tuple(m[j] if j < i else (a - e0 if j == i else 0) for j in range(n))
-        back = tuple(m[j] if j > i else 0 for j in range(n))
-        pre_deg = sum(m[j] * cat.symbols[j].degree for j in range(i))
-        sign = -1 if pre_deg % 2 else 1
+        front = m[:i] + (a - e0,) + zeros[i + 1:]
+        back = zeros[:i + 1] + m[i + 1:]
+        sign = -1 if sum(m[j] for j in spec._odd if j < i) % 2 else 1
         for mono_img, c in image:
             s1 = cat.mono_mul(front, mono_img)
             if s1 is None:
@@ -309,21 +309,19 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
 
 
 class BidegreeData:
+    """The monomials of one bidegree, the alive classes over them and the
+    boundary span (None while empty).  Pages share these and never write a
+    stored one."""
+
     __slots__ = ("monos", "index", "alive", "boundaries")
 
-    def __init__(self, monos: list[Mono]):
+    def __init__(self, monos: list[Mono], alive: Optional[list[Vec]] = None,
+                 boundaries: Optional[Span] = None,
+                 index: Optional[dict[Mono, int]] = None):
         self.monos = monos
-        self.index = {m: i for i, m in enumerate(monos)}
-        self.alive: list[Vec] = [{i: 1} for i in range(len(monos))]
-        self.boundaries: Optional[Span] = None  # lazily created
-
-    def clone(self) -> "BidegreeData":
-        c = BidegreeData.__new__(BidegreeData)
-        c.monos = self.monos
-        c.index = self.index
-        c.alive = list(self.alive)  # vectors are values (see linalg)
-        c.boundaries = None if self.boundaries is None else self.boundaries.copy()
-        return c
+        self.index = {m: i for i, m in enumerate(monos)} if index is None else index
+        self.alive = [{i: 1} for i in range(len(monos))] if alive is None else alive
+        self.boundaries = boundaries
 
 
 class SSPage:
@@ -414,41 +412,47 @@ def check_square_zero(page: SSPage, spec: DifferentialSpec,
 def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     """Homology with respect to d_{page.r}; returns page r+1.
 
-    Representatives on the new page are rows of the canonical RREF of
-    (boundaries + cycles) that are not in the boundary span, so the result
-    is independent of processing order; the representative monomial is the
-    row's pivot, i.e. the smallest basis monomial in catalog order.
+    Every page keeps one invariant: each alive vector is a row of the fully
+    reduced RREF of (boundaries + cycles), with 1 at its pivot min(v) and 0
+    at every boundary pivot and every other class's pivot.  So the classes
+    are canonical, whatever the processing order, and class coordinates are
+    read off at their pivots.  The representative monomial is the pivot,
+    the smallest basis monomial in catalog order.
+
+    Each source b with alive classes in its target tb costs one labelled
+    elimination of its images over tb's boundaries (`kernel_basis`): the
+    special solutions are the kernel, and the span it leaves is tb's new
+    boundaries.  A bidegree that loses no class to the kernel and gains no
+    boundary keeps the previous page's `BidegreeData`.
     """
     r = page.r
-    ents = spec.by_page(r)
-    if not ents:
+    if not spec.by_page(r):
         return SSPage(page.pres, page.window, r + 1, page.data, page.flags)
     dmap = check_square_zero(page, spec, r)
-    p = page.pres.p
-    cat = page.pres.catalog
+    p, cat = page.pres.p, page.pres.catalog
     shift = spec.rule.shift(r)
-    data = {b: d.clone() for b, d in page.data.items()}
-
-    # One pass per source bidegree b: d_r of its alive classes, their class
-    # coordinates in the target tb, the kernel, then the images join tb's
-    # boundaries.  tb = b + shift is injective, so no other source has
-    # touched tb's boundaries before b is reduced against them.
+    # every read is of the input page, and tb = b + shift is injective
     kernels: dict[tuple[int, int], list[Vec]] = {}
-    ranks_in: dict[tuple[int, int], int] = {}
-    for b in sorted(data):
-        d = data[b]
-        if not d.alive:
-            continue
+    grown: dict[tuple[int, int], tuple[Span, int]] = {}
+    for b in sorted(page.data):
+        d = page.data[b]
         tb = (b[0] + shift[0], b[1] + shift[1])
-        td = data.get(tb)
-        if td is None or not td.alive:
+        td = page.data.get(tb)
+        if not d.alive or td is None or not td.alive:
             # the differential leaves the window (flagged separately), or
             # the target group is zero, so the induced map is zero
-            kernels[b] = [{j: 1} for j in range(len(d.alive))]
             continue
+        bounds = td.boundaries or Span(p)
+        classes = Span(p)
+        classes.rows = {min(v): v for v in td.alive if v}
+        pivots = classes.rows.keys() | bounds.rows.keys()
+        if (len(pivots) != len(td.alive) + bounds.dim
+                or any(v[q] != 1 or len(v.keys() & pivots) > 1
+                       for q, v in classes.rows.items())):
+            raise VerificationError(f"stale representative in bidegree {tb}")
         images = []
         for v in d.alive:
-            dv: dict[int, int] = {}
+            dv: Vec = {}
             for i, c in v.items():
                 h = dmap[d.monos[i]]
                 if h is None:
@@ -467,56 +471,43 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                         raise VerificationError(
                             f"d_{r} image term {cat.mono_str(m1)} missing from "
                             f"target bidegree {tb}")
-                    dv = vec_addmul(p, dv, {j: 1}, c * c1)
-            images.append(dv)
-        # boundaries plus labelled classes: alive class i enters as
-        # v ⊕ e_{off+i}, so an image reduces to minus its class coordinates
-        span = Span(p) if td.boundaries is None else td.boundaries.copy()
-        off = len(td.monos)
-        for i, v in enumerate(td.alive):
-            if span.insert({**v, off + i: 1}) >= off:
-                raise VerificationError(
-                    f"stale representative in bidegree {tb}")
-        cols = []
-        for dv in images:
-            red = span.reduce(dv)
-            if min(red, default=off) < off:
+                    dv[j] = (dv.get(j, 0) + c * c1) % p
+            # reducing mod tb's boundaries changes neither the kernel nor the
+            # new span; what is left must be a combination of classes
+            dv = bounds.reduce({j: x for j, x in dv.items() if x})
+            if classes.reduce(dv):
                 raise VerificationError(
                     f"d_{r} image not a cycle mod boundaries at {tb}")
-            cols.append({i - off: -c % p for i, c in red.items()})
-        kernels[b] = kernel_basis(p, cols)
-        if td.boundaries is None:
-            td.boundaries = Span(p)
-        before = td.boundaries.dim
-        for dv in images:
-            if dv:
-                td.boundaries.insert(dv)
-        ranks_in[tb] = td.boundaries.dim - before
+            images.append(dv)
+        span = bounds.copy()
+        kernels[b] = kernel_basis(p, images, span)
+        if span.dim > bounds.dim:
+            grown[tb] = span, span.dim - bounds.dim
 
     # new representatives: RREF(boundaries + cycles) rows outside boundaries
-    for b in sorted(data):
-        d = data[b]
-        if not d.alive:
-            continue
+    data = dict(page.data)
+    for b, d in page.data.items():
         old_dim = len(d.alive)
-        cycles = []
-        for k in kernels[b]:
+        ker = kernels[b] if b in kernels else [{j: 1} for j in range(old_dim)]
+        span, rank_in = grown.get(b, (d.boundaries, 0))
+        rank_out = old_dim - len(ker)
+        if not (rank_out or rank_in):
+            continue
+        base = span.copy() if span else Span(p)
+        pivots = []
+        for k in ker:
             vec: Vec = {}
             for j, c in k.items():
                 vec = vec_addmul(p, vec, d.alive[j], c)
-            cycles.append(vec)
-        base = Span(p) if d.boundaries is None else d.boundaries.copy()
-        pivots = []
-        for v in cycles:
-            piv = base.insert(v)
+            piv = base.insert(vec)
             if piv is not None:
                 pivots.append(piv)
-        d.alive = [base.rows[piv] for piv in sorted(pivots)]
-        rank_out, rank_in = old_dim - len(kernels[b]), ranks_in.get(b, 0)
-        if len(d.alive) != old_dim - rank_out - rank_in:
+        alive = [base.rows[piv] for piv in sorted(pivots)]
+        if len(alive) != old_dim - rank_out - rank_in:
             raise VerificationError(
                 f"rank bookkeeping failed at bidegree {b} page {r}: "
-                f"{old_dim} - {rank_out} - {rank_in} != {len(d.alive)}")
+                f"{old_dim} - {rank_out} - {rank_in} != {len(alive)}")
+        data[b] = BidegreeData(d.monos, alive, span, d.index)
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 

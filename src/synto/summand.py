@@ -34,7 +34,7 @@ from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
                        DiffEntry, DifferentialSpec, Presentation, SSGen,
                        SSPage, Window, build_page, collapse_check,
                        run_to_stable)
-from .linalg import Span, vec_addmul
+from .linalg import Span, kernel_basis, vec_addmul
 
 __all__ = [
     "derive_differentials",
@@ -538,11 +538,11 @@ class GeneratorTable:
 def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
     """Degreewise kernel and cokernel of (φ − can), by one elimination.
 
-    Column j enters one span as col ⊕ e_{off+j}, with ``off`` past every
-    target coordinate.  A column that reduces to labels alone, so that its
-    pivot is a label, is dependent on the columns before it: its source
-    class names a kernel class.  The target classes at no pivot are the
-    cokernel.  Both are canonical for the fixed basis enumeration.
+    `kernel_basis` gives one special solution per column that depends on
+    the columns before it, with its leading 1 at that column: its source
+    class names a kernel class.  The target classes at no pivot of the span
+    it leaves are the cokernel.  Both are canonical for the fixed basis
+    enumeration.
     """
     kernel: list[BasisClass] = []
     cokernel: list[BasisClass] = []
@@ -554,11 +554,9 @@ def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
         if (csrc, ctgt) != (src, tgt):
             raise VerificationError(
                 f"phi and can have different bases in degree {degree}")
-        off = len(tgt)
-        span, ker = Span(p), []
-        for j, (c, pv, cv) in enumerate(zip(src, pcols, ccols)):
-            if span.insert(vec_addmul(p, {**pv, off + j: 1}, cv, -1)) >= off:
-                ker.append(c)
+        span = Span(p)
+        ker = [src[max(k)] for k in kernel_basis(
+            p, [vec_addmul(p, pv, cv, -1) for pv, cv in zip(pcols, ccols)], span)]
         coker = [c for i, c in enumerate(tgt) if i not in span.rows]
         kernel += ker
         cokernel += coker

@@ -14,8 +14,11 @@ from pathlib import Path
 from unittest import mock
 
 from synto.cli import main
-from synto.spectral import (ADAMS_RULE, DiffEntry, DifferentialSpec,
-                            Presentation, SSGen, Window, leibniz_extend)
+from synto.graded import VerificationError
+from synto.linalg import Span, vec_addmul
+from synto.spectral import (ADAMS_RULE, BidegreeData, DiffEntry,
+                            DifferentialSpec, Presentation, SSGen, SSPage,
+                            Window, check_square_zero, leibniz_extend)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -374,3 +377,119 @@ def random_two_page_case(rng: random.Random):
             for rel in pres.relations]
     pres2 = Presentation(p, gens, relations=rels)
     return pres2, window, DifferentialSpec(pres2, entries), r, r2
+
+
+def reference_kernel_basis(p, cols):
+    """Special solutions of the matrix with the given columns, by the
+    labelled elimination over an empty span."""
+    off = 1 + max((max(c) for c in cols if c), default=-1)
+    span = Span(p)
+    out = []
+    for j, col in enumerate(cols):
+        r = span.reduce({**col, off + j: 1})
+        if min(r) >= off:
+            out.append({i - off: c for i, c in r.items()})
+        else:
+            span.insert(r)
+    return out
+
+
+def _reference_clone(d):
+    c = BidegreeData.__new__(BidegreeData)
+    c.monos = d.monos
+    c.index = d.index
+    c.alive = list(d.alive)
+    c.boundaries = None if d.boundaries is None else d.boundaries.copy()
+    return c
+
+
+def reference_turn_page(page, spec):
+    """Page r+1 the long way: every bidegree cloned, the target's classes
+    re-inserted into a labelled span to read class coordinates, the kernel
+    found on those coordinates, the images inserted again as boundaries,
+    and the cycles of every bidegree re-inserted."""
+    r = page.r
+    if not spec.by_page(r):
+        return SSPage(page.pres, page.window, r + 1, page.data, page.flags)
+    dmap = check_square_zero(page, spec, r)
+    p = page.pres.p
+    cat = page.pres.catalog
+    shift = spec.rule.shift(r)
+    data = {b: _reference_clone(d) for b, d in page.data.items()}
+    kernels = {}
+    ranks_in = {}
+    for b in sorted(data):
+        d = data[b]
+        if not d.alive:
+            continue
+        tb = (b[0] + shift[0], b[1] + shift[1])
+        td = data.get(tb)
+        if td is None or not td.alive:
+            kernels[b] = [{j: 1} for j in range(len(d.alive))]
+            continue
+        images = []
+        for v in d.alive:
+            dv = {}
+            for i, c in v.items():
+                h = dmap[d.monos[i]]
+                if h is None:
+                    if b in page.flags:
+                        dv = {}
+                        break
+                    raise VerificationError(
+                        f"alive class {cat.mono_str(d.monos[i])} is outside "
+                        f"the domain of d_{r}")
+                for m1, c1 in h.items():
+                    j = td.index.get(m1)
+                    if j is None:
+                        raise VerificationError(
+                            f"d_{r} image term {cat.mono_str(m1)} missing from "
+                            f"target bidegree {tb}")
+                    dv = vec_addmul(p, dv, {j: 1}, c * c1)
+            images.append(dv)
+        span = Span(p) if td.boundaries is None else td.boundaries.copy()
+        off = len(td.monos)
+        for i, v in enumerate(td.alive):
+            if span.insert({**v, off + i: 1}) >= off:
+                raise VerificationError(
+                    f"stale representative in bidegree {tb}")
+        cols = []
+        for dv in images:
+            red = span.reduce(dv)
+            if min(red, default=off) < off:
+                raise VerificationError(
+                    f"d_{r} image not a cycle mod boundaries at {tb}")
+            cols.append({i - off: -c % p for i, c in red.items()})
+        kernels[b] = reference_kernel_basis(p, cols)
+        if td.boundaries is None:
+            td.boundaries = Span(p)
+        before = td.boundaries.dim
+        for dv in images:
+            if dv:
+                td.boundaries.insert(dv)
+        ranks_in[tb] = td.boundaries.dim - before
+
+    for b in sorted(data):
+        d = data[b]
+        if not d.alive:
+            continue
+        old_dim = len(d.alive)
+        cycles = []
+        for k in kernels[b]:
+            vec = {}
+            for j, c in k.items():
+                vec = vec_addmul(p, vec, d.alive[j], c)
+            cycles.append(vec)
+        base = Span(p) if d.boundaries is None else d.boundaries.copy()
+        pivots = []
+        for v in cycles:
+            piv = base.insert(v)
+            if piv is not None:
+                pivots.append(piv)
+        d.alive = [base.rows[piv] for piv in sorted(pivots)]
+        rank_out, rank_in = old_dim - len(kernels[b]), ranks_in.get(b, 0)
+        if len(d.alive) != old_dim - rank_out - rank_in:
+            raise VerificationError(
+                f"rank bookkeeping failed at bidegree {b} page {r}: "
+                f"{old_dim} - {rank_out} - {rank_in} != {len(d.alive)}")
+    return SSPage(page.pres, page.window, r + 1, data, page.flags)

@@ -63,37 +63,54 @@ CASES = {
                                   "--trunc", "24"],
 }
 
-# sha256 lines of the 288-command fgl grid, written and checked by
-# scripts/fgl_grid.py (a CI step runs the whole check)
-GRID = "fgl-grid.sha256"
+# sha256 lines of the 288-command fgl grid and the 58-command ss grid,
+# written and checked by scripts/fgl_grid.py and scripts/ss_grid.py (CI steps
+# run the whole checks)
+GRIDS = ("fgl-grid.sha256", "ss-grid.sha256")
 
 
-def _fgl_grid():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "fgl_grid.py"
-    spec = importlib.util.spec_from_file_location("fgl_grid", path)
+def _grid(script):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(script, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(f.name for f in GOLDEN.iterdir()) == sorted([*CASES, GRID])
+    assert sorted(f.name for f in GOLDEN.iterdir()) == sorted([*CASES, *GRIDS])
 
 
 def test_grid_file_lists_the_grid_commands():
-    lines = (GOLDEN / GRID).read_text(encoding="utf-8").splitlines()
-    argvs = [" ".join(argv) for argv in _fgl_grid().commands()]
+    lines = (GOLDEN / "fgl-grid.sha256").read_text(encoding="utf-8").splitlines()
+    argvs = [" ".join(argv) for argv in _grid("fgl_grid").commands()]
     assert len(argvs) == 288
+    assert [ln.split("\t")[0] for ln in lines] == argvs
+
+
+def test_ss_grid_file_lists_the_grid_commands():
+    lines = (GOLDEN / "ss-grid.sha256").read_text(encoding="utf-8").splitlines()
+    argvs = [" ".join(argv) for argv, _text in _grid("ss_grid").commands()]
+    assert len(argvs) == 58
     assert [ln.split("\t")[0] for ln in lines] == argvs
 
 
 def test_grid_sample_is_byte_identical(monkeypatch):
     # every 24th command here; the CI step checks all 288
-    grid = _fgl_grid()
+    grid = _grid("fgl_grid")
     monkeypatch.setenv("SYNTO_COLOR", "never")
-    lines = (GOLDEN / GRID).read_text(encoding="utf-8").splitlines()
+    lines = (GOLDEN / "fgl-grid.sha256").read_text(encoding="utf-8").splitlines()
     for argv, line in list(zip(grid.commands(), lines))[::24]:
         assert grid.run(argv) == line
+
+
+def test_ss_grid_sample_is_byte_identical(monkeypatch, tmp_path):
+    # every 8th command here; the CI step checks all 58
+    grid = _grid("ss_grid")
+    monkeypatch.setenv("SYNTO_COLOR", "never")
+    lines = (GOLDEN / "ss-grid.sha256").read_text(encoding="utf-8").splitlines()
+    for (argv, text), line in list(zip(grid.commands(), lines))[::8]:
+        assert grid.run(argv, text, tmp_path) == line
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (dense_matrix, dense_page_dims, dense_rank,
                      dense_two_page_dims, random_square_zero_case,
-                     random_two_page_case, run_cli)
+                     random_two_page_case, reference_turn_page, run_cli)
 from synto import spectral
 from synto.graded import VerificationError
 from synto.linalg import vec_addmul
@@ -220,6 +220,46 @@ class TestLeibniz:
         got = leibniz_extend(spec, 1, cat.mono({"a": 1, "b": 1}))
         assert got == {cat.mono({"a": 1, "e": 1}): 2}
 
+    def test_prefix_sign_follows_degree_not_parity(self):
+        # a has odd degree but is declared even, as a presentation file may
+        # declare it: d(a·b) = -a·d(b) all the same
+        pres = Presentation(5, [SSGen("a", 1, 0, "even", max_exp=1),
+                                SSGen("b", 0, 0, "even", max_exp=1),
+                                SSGen("c", -1, 1, "even", max_exp=1)])
+        cat = pres.catalog
+        spec = DifferentialSpec(pres, [
+            DiffEntry(1, "b", 1, ((cat.mono({"c": 1}), 1),))])
+        got = leibniz_extend(spec, 1, cat.mono({"a": 1, "b": 1}))
+        assert got == {cat.mono({"a": 1, "c": 1}): 4}
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_factor_by_factor_rule(self, seed):
+        pres, window, spec, r = random_square_zero_case(random.Random(seed))
+        cat, p = pres.catalog, pres.p
+        for m in pres.enumerate_basis(window):
+            want = {}
+            for i, (e0, image) in spec.by_page(r).items():
+                if not m[i]:
+                    continue
+                if m[i] % e0:
+                    want = None
+                    break
+                front = tuple(m[j] if j < i else m[i] - e0 if j == i else 0
+                              for j in range(len(m)))
+                back = tuple(m[j] if j > i else 0 for j in range(len(m)))
+                sign = (-1) ** sum(m[j] * cat.symbols[j].degree
+                                   for j in range(i))
+                for mono, c in image:
+                    s1 = cat.mono_mul(front, mono)
+                    s2 = s1 and cat.mono_mul(s1[1], back)
+                    if s2 and not pres.killed(s2[1]):
+                        k = (want.get(s2[1], 0)
+                             + m[i] // e0 * c * sign * s1[0] * s2[0]) % p
+                        want[s2[1]] = k
+            if want is not None:
+                want = {mono: c for mono, c in want.items() if c}
+            assert leibniz_extend(spec, r, m) == want
+
     @settings(max_examples=80)
     @given(st.integers(0, 4), st.integers(0, 1), st.integers(0, 1),
            st.integers(0, 4), st.integers(0, 1), st.integers(0, 1))
@@ -418,15 +458,64 @@ class TestTurnPage:
             assert mono == nxt.data[b].monos[min(vec)]
 
     def test_rank_bookkeeping_raises_on_stale_state(self):
-        pres, window, spec = xy_complex()
-        page = build_page(pres, window)
-        nxt = turn_page(page, spec)
-        # corrupt a representative so it is no longer independent of the
-        # boundaries; the next turn must notice
-        (b, _m, _v) = nxt.class_reps()[0]
-        bad = turn_page(nxt, DifferentialSpec(pres, [
-            DiffEntry(2, "x", 1, ())]))
-        assert bad.total_dim() == nxt.total_dim()
+        # x is its own representative twice in (0, 0), which no d_1 hits:
+        # the kernel counts two classes but their one cycle is zero
+        page, spec, i = _xy_page()
+        page.data[(0, 0)].alive = [{i["x"]: 1}, {i["x"]: 1}]
+        with pytest.raises(VerificationError,
+                           match=r"rank bookkeeping failed at bidegree \(0, 0\)"):
+            turn_page(page, spec)
+
+    def test_stale_representative_raises(self):
+        # after d_1(x) = y, the class of y is a boundary, yet it is alive
+        page, spec, i = _xy_page()
+        page2 = turn_page(page, spec)
+        page2.data[(-1, 1)].alive = [{i["y"]: 1}]
+        with pytest.raises(VerificationError,
+                           match=r"stale representative in bidegree \(-1, 1\)"):
+            turn_page(SSPage(page2.pres, page2.window, 1, page2.data), spec)
+
+    def test_image_outside_the_classes_raises(self):
+        # y is neither alive nor a boundary, so d_1(x) = y has no class
+        page, spec, i = _xy_page()
+        page.data[(-1, 1)].alive = [{i["x*y"]: 1}]
+        with pytest.raises(VerificationError,
+                           match=r"d_1 image not a cycle mod boundaries at \(-1, 1\)"):
+            turn_page(page, spec)
+
+    def test_image_term_missing_from_target_raises(self):
+        page, spec, i = _xy_page()
+        xy = page.data[(-1, 1)].monos[i["x*y"]]
+        page.data[(-1, 1)] = spectral.BidegreeData([xy])
+        with pytest.raises(VerificationError,
+                           match=r"d_1 image term y missing from target bidegree"):
+            turn_page(page, spec)
+
+    def test_alive_class_outside_the_domain_raises(self):
+        # d_1 is given on x^2 only, so the alive class x has no d_1
+        pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=2),
+                                SSGen("y", -1, 1, "odd")])
+        spec = DifferentialSpec(pres, [DiffEntry(1, "x", 2, (
+            (pres.catalog.mono({"y": 1}), 1),))])
+        page = build_page(pres, Window(-1, 0, 0, 1))
+        with pytest.raises(VerificationError,
+                           match="alive class x is outside the domain of d_1"):
+            turn_page(page, spec)
+
+
+def _xy_page():
+    """Page 1 of x in (0, 0), x^2 = 0, and odd y in (-1, 1), with
+    d_1(x) = y; and the index of each window monomial, by name, in its
+    bidegree."""
+    pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=1),
+                            SSGen("y", -1, 1, "odd")])
+    cat = pres.catalog
+    spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
+        (cat.mono({"y": 1}), 1),))])
+    page = build_page(pres, Window(-1, 0, 0, 1))
+    index = {cat.mono_str(m): j for d in page.data.values()
+             for m, j in d.index.items()}
+    return page, spec, index
 
 
 class TestRandomOracle:
@@ -507,6 +596,55 @@ class TestRandomOracle:
             joint = dense_rank(p, bcols + list(d.alive), len(monos))
             assert joint == base + len(d.alive), \
                 "alive classes are dependent modulo boundaries"
+
+
+def _turn_against_reference(page, spec):
+    """turn_page, checked against the reference: the same representatives
+    and boundary rows, and the input's BidegreeData kept exactly where d_r
+    changes nothing."""
+    nxt = turn_page(page, spec)
+    ref = reference_turn_page(page, spec)
+    assert nxt.class_reps() == ref.class_reps()
+    for b, d in nxt.data.items():
+        rows = {} if d.boundaries is None else d.boundaries.rows
+        want = ref.data[b].boundaries
+        assert rows == ({} if want is None else want.rows)
+        untouched = len(ref.data[b].alive) == len(page.data[b].alive)
+        assert (d is page.data[b]) == untouched
+    return nxt
+
+
+class TestReferenceOracle:
+    """Representatives, not only their counts, against the page turn that
+    re-inserts every class into a labelled span (helpers.py)."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_one_page(self, seed):
+        pres, window, spec, r = random_square_zero_case(random.Random(seed))
+        page = build_page(pres, window)
+        while page.r <= r:
+            page = _turn_against_reference(page, spec)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_two_pages(self, seed):
+        pres, window, spec, r, r2 = random_two_page_case(random.Random(seed))
+        page = build_page(pres, window)
+        while page.r <= r2:
+            page = _turn_against_reference(page, spec)
+
+    def test_some_bidegrees_are_shared_and_some_new(self):
+        shared = new = 0
+        for seed in range(100):
+            pres, window, spec, r = random_square_zero_case(random.Random(seed))
+            page = build_page(pres, window)
+            while page.r < r:
+                page = turn_page(page, spec)
+            nxt = turn_page(page, spec)
+            for b, d in nxt.data.items():
+                if d.alive:
+                    shared += d is page.data[b]
+                    new += d is not page.data[b]
+        assert shared >= 50 and new >= 50
 
 
 class TestRunToStable:
