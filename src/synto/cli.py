@@ -19,10 +19,10 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .graded import VerificationError
+from .graded import GeneratorSymbol, VerificationError
 from .fgl import p_series, right_unit_t
-from .spectral import (DiffEntry, DifferentialSpec, Presentation, SSGen,
-                       Window, build_page, run_to_stable)
+from .spectral import (DiffEntry, DifferentialSpec, Presentation, Window,
+                       build_page, run_to_stable)
 from .summand import (FROBENIUS_CONVENTIONS, PRESENTATIONS, GeneratorTable,
                       default_table_window, derive_differentials,
                       hodge_tate_check, run_window, syntomic_table)
@@ -230,10 +230,12 @@ def parse_presentation(text: str):
     Lines: ``prime <p>``, ``gen <name> deg <d> weight <w> parity <even|odd>
     [invertible] [maxexp <n>]``, ``rel <monomial>``, ``diff page <r>
     <gen|gen^e> -> <combination>`` (terms separated by `` + ``/`` - ``),
-    ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.
+    ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  The
+    degree decides a generator's parity, so the parity token must agree
+    with it.
     """
     prime = None
-    gens: list[SSGen] = []
+    gens: list[GeneratorSymbol] = []
     rels: list[tuple[int, dict]] = []
     diffs: list[tuple[int, int, str, int, str]] = []
     window = None
@@ -264,11 +266,12 @@ def parse_presentation(text: str):
             except ValueError:
                 raise PresentationParseError(
                     f"line {ln}: deg and weight must be integers") from None
-            if len(toks) < 8 or toks[6] != "parity" \
-                    or toks[7] not in ("even", "odd"):
+            if toks[6] != "parity" or toks[7] not in ("even", "odd"):
                 raise PresentationParseError(
                     f"line {ln}: parity must be 'even' or 'odd'")
-            parity = toks[7]
+            if toks[7] != ("odd" if deg % 2 else "even"):
+                raise PresentationParseError(
+                    f"line {ln}: parity {toks[7]} disagrees with deg {deg}")
             invertible = False
             max_exp = None
             rest = toks[8:]
@@ -286,7 +289,7 @@ def parse_presentation(text: str):
                 else:
                     raise PresentationParseError(
                         f"line {ln}: unknown gen option {rest[0]!r}")
-            gens.append(SSGen(name, deg, weight, parity, invertible, max_exp))
+            gens.append(GeneratorSymbol(name, deg, weight, invertible, max_exp))
         elif kw == "rel":
             if len(toks) != 2:
                 raise PresentationParseError(

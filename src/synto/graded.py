@@ -3,13 +3,14 @@
 Everything downstream (formal group arithmetic, Bockstein spectral sequence
 pages, the syntomic generator table) runs over one data structure: sparse
 polynomials in a fixed ordered tuple of generators, each generator carrying
-an integer (degree, weight) bidegree and a parity.  Products follow the
-Koszul convention: transposing two odd factors costs a sign, and odd
-generators square to zero.  Coefficients are exact, in one ring per prime
-p: Z[1/p], where each polynomial holds int numerators over a single power
-p^den, or F_p, held as canonical residues.  No operation takes a gcd, and
-`fractions.Fraction` appears only at the edges: as an input coefficient, a
-non-integral `Poly.coefficient`, or in an error message.
+an integer (degree, weight) bidegree.  The degree decides the parity: a
+generator of odd degree is odd.  Products follow the Koszul convention:
+transposing two odd factors costs a sign, and odd generators square to
+zero.  Coefficients are exact, in one ring per prime p: Z[1/p], where each
+polynomial holds int numerators over a single power p^den, or F_p, held as
+canonical residues.  No operation takes a gcd, and `fractions.Fraction`
+appears only at the edges: as an input coefficient, a non-integral
+`Poly.coefficient`, or in an error message.
 
 Monomials are exponent tuples aligned with the catalog, so the zero tuple is
 1 and negative exponents are legal (used for Laurent generators like t^{-1}
@@ -18,9 +19,9 @@ ideals the pipeline quotients by are generated by (p, v1, v2), and the only
 multiplicative relations are "this monomial is zero" (e.g. t*mu), so
 reduction is a per-monomial filter.
 
->>> cat = Catalog([GeneratorSymbol("t", -2, 1, "even"),
-...                GeneratorSymbol("lambda1", 5, 0, "odd"),
-...                GeneratorSymbol("lambda2", 17, 0, "odd")])
+>>> cat = Catalog([GeneratorSymbol("t", -2, 1),
+...                GeneratorSymbol("lambda1", 5, 0),
+...                GeneratorSymbol("lambda2", 17, 0)])
 >>> lam1, lam2 = cat.unit_mono("lambda1"), cat.unit_mono("lambda2")
 >>> P = Poly.from_terms(cat, FP3 := CoeffRing(3), [(lam2, 1)])
 >>> Q = Poly.from_terms(cat, FP3, [(lam1, 1)])
@@ -47,14 +48,15 @@ class VerificationError(Exception):
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
+    """A generator of bidegree (degree, weight).  `invertible` and `max_exp`
+    bound its exponents on a spectral-sequence page (see
+    `spectral.Presentation`); the series layer reads neither."""
+
     name: str
     degree: int
     weight: int
-    parity: str  # "even" | "odd"
-
-    def __post_init__(self) -> None:
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"bad parity {self.parity!r} for generator {self.name}")
+    invertible: bool = False
+    max_exp: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class Catalog:
         if len(self.index) != len(self.symbols):
             raise ValueError("duplicate generator name in catalog")
         self.n = len(self.symbols)
-        self._odd = tuple(i for i, s in enumerate(self.symbols) if s.parity == "odd")
+        self._odd = tuple(i for i, s in enumerate(self.symbols) if s.degree % 2)
         self.one: Mono = (0,) * self.n
 
     def __len__(self) -> int:
@@ -180,23 +182,19 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
     and weight 1.  v_i and t_i both sit in degree 2p^i - 2; v_i has weight 0,
     t_i weight 1.  sigma2t1 (degree 2p) and sigma2v2 (degree 2p^2) are the
     weight-0 suspension classes; t*sigma2t1 has the bidegree of t1, which
-    is how ``summand`` reads the right unit's t1-terms.  Every generator is
-    even: λ₁, λ₂ and μ are declared by the engine's presentations
+    is how ``summand`` reads the right unit's t1-terms.  Every generator has
+    even degree: λ₁, λ₂ and μ are declared by the engine's presentations
     (``summand.tp_presentation`` and ``summand.tcminus_presentation``), not
     here.
     """
-    syms = [GeneratorSymbol(o, -2, 1, "even") for o in orientations]
+    syms = [GeneratorSymbol(o, -2, 1) for o in orientations]
     for i in range(1, depth + 1):
-        syms.append(GeneratorSymbol(f"v{i}", 2 * p**i - 2, 0, "even"))
+        syms.append(GeneratorSymbol(f"v{i}", 2 * p**i - 2, 0))
     for i in range(1, depth + 1):
-        syms.append(GeneratorSymbol(f"t{i}", 2 * p**i - 2, 1, "even"))
-    syms.append(GeneratorSymbol("sigma2t1", 2 * p, 0, "even"))
-    syms.append(GeneratorSymbol("sigma2v2", 2 * p**2, 0, "even"))
-    cat = Catalog(syms)
-    for s in cat.symbols:
-        if (s.degree % 2 == 0) != (s.parity == "even"):
-            raise VerificationError(f"parity/degree mismatch for {s.name}")
-    return cat
+        syms.append(GeneratorSymbol(f"t{i}", 2 * p**i - 2, 1))
+    syms.append(GeneratorSymbol("sigma2t1", 2 * p, 0))
+    syms.append(GeneratorSymbol("sigma2v2", 2 * p**2, 0))
+    return Catalog(syms)
 
 
 @dataclass(frozen=True)

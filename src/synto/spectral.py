@@ -66,16 +66,6 @@ class BidegreeRule:
 ADAMS_RULE = BidegreeRule()
 
 
-@dataclass(frozen=True)
-class SSGen:
-    name: str
-    degree: int
-    weight: int
-    parity: str = "even"
-    invertible: bool = False
-    max_exp: Optional[int] = None
-
-
 def _extent(ranges: Sequence[tuple[Optional[int], Optional[int]]],
             coeffs: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
     """Min and max of sum(e_i * c_i) over e_i in ranges[i] = (lo, hi), where
@@ -95,20 +85,27 @@ def _extent(ranges: Sequence[tuple[Optional[int], Optional[int]]],
 class Presentation:
     """Generators with exponent bounds plus monomial-kill relations."""
 
-    def __init__(self, p: int, gens: Sequence[SSGen],
+    def __init__(self, p: int, gens: Sequence[GeneratorSymbol],
                  relations: Iterable[dict[str, int]] = ()):
         self.p = p
-        self.gens = tuple(gens)
-        self.catalog = Catalog(
-            GeneratorSymbol(g.name, g.degree, g.weight, g.parity) for g in gens)
-        for g in gens:
-            if g.parity == "odd" and (g.invertible or (g.max_exp or 1) > 1):
+        self.catalog = Catalog(gens)
+        self.gens = self.catalog.symbols
+        for g in self.gens:
+            if g.max_exp is not None and g.max_exp < 0:
+                raise ValueError(f"generator {g.name} has negative max_exp")
+            if g.max_exp is not None and g.invertible:
+                raise ValueError(f"invertible generator {g.name} has a max_exp")
+            if g.degree % 2 and (g.invertible or (g.max_exp or 1) > 1):
                 raise ValueError(f"odd generator {g.name} must have exponent <= 1")
         self.relations: tuple[Mono, ...] = tuple(
             self.catalog.mono(r) for r in relations)
         for rel in self.relations:
             if any(e < 0 for e in rel):
                 raise ValueError("relations must have non-negative exponents")
+            for e, g in zip(rel, self.gens):
+                if e and g.invertible:
+                    raise ValueError(f"relation {self.catalog.mono_str(rel)} "
+                                     f"kills the unit {g.name}, so every class")
 
     def killed(self, m: Mono) -> bool:
         """Zero in the quotient: divisible by a relation, or over an exponent cap."""
@@ -121,7 +118,7 @@ class Presentation:
 
     def _structural_ranges(self) -> list[tuple[Optional[int], Optional[int]]]:
         """Per-generator exponent interval of the algebra (None = unbounded)."""
-        return [(0, 1) if g.parity == "odd"
+        return [(0, 1) if g.degree % 2
                 else (None if g.invertible else 0, g.max_exp)
                 for g in self.gens]
 
@@ -230,14 +227,13 @@ class DifferentialSpec:
         self.pres = pres
         self.rule = ADAMS_RULE
         self.entries = tuple(entries)
-        self._odd = tuple(j for j, g in enumerate(pres.gens) if g.degree % 2)
         self._by_page: dict[int, dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]] = {}
         cat = pres.catalog
         for e in self.entries:
             if e.page < 1 or e.base_exp < 1:
                 raise ValueError("pages and base exponents are positive")
             gi = cat.index[e.gen]
-            if e.base_exp > 1 and cat.symbols[gi].parity == "odd":
+            if e.base_exp > 1 and cat.symbols[gi].degree % 2:
                 raise ValueError(f"odd generator {e.gen} has no power {e.base_exp}")
             base = cat.mono({e.gen: e.base_exp})
             want = (cat.degree(base) + self.rule.shift(e.page)[0],
@@ -288,7 +284,7 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
             continue
         front = m[:i] + (a - e0,) + zeros[i + 1:]
         back = zeros[:i + 1] + m[i + 1:]
-        sign = -1 if sum(m[j] for j in spec._odd if j < i) % 2 else 1
+        sign = -1 if sum(m[j] for j in cat._odd if j < i) % 2 else 1
         for mono_img, c in image:
             s1 = cat.mono_mul(front, mono_img)
             if s1 is None:

@@ -27,13 +27,13 @@ import functools
 from dataclasses import dataclass, field
 
 from . import fgl
-from .graded import Poly, VerificationError, canonical_catalog
+from .graded import (GeneratorSymbol, Poly, VerificationError,
+                     canonical_catalog)
 from .fgl import (coefficientwise_frobenius, orientation_truncation, p_series,
                   reduce_ideal, right_unit_t)
 from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
-                       DiffEntry, DifferentialSpec, Presentation, SSGen,
-                       SSPage, Window, build_page, collapse_check,
-                       run_to_stable)
+                       DiffEntry, DifferentialSpec, Presentation, SSPage,
+                       Window, build_page, collapse_check, run_to_stable)
 from .linalg import Span, kernel_basis, vec_addmul
 
 __all__ = [
@@ -51,23 +51,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # presentations and derived differentials
 
-def _lambdas(p: int) -> list[SSGen]:
+def _lambdas(p: int) -> list[GeneratorSymbol]:
     """λ₁ and λ₂, the exterior generators of both presentations."""
-    return [SSGen("lambda1", 2 * p - 1, 0, "odd"),
-            SSGen("lambda2", 2 * p * p - 1, 0, "odd")]
+    return [GeneratorSymbol("lambda1", 2 * p - 1, 0),
+            GeneratorSymbol("lambda2", 2 * p * p - 1, 0)]
 
 
 def tp_presentation(p: int) -> Presentation:
     """E₁ of the t-Bockstein sequence for the periodic structure:
     F_p[t^{±1}] ⊗ Λ(λ₁, λ₂)."""
-    return Presentation(p, [SSGen("t", -2, 1, "even", invertible=True),
+    return Presentation(p, [GeneratorSymbol("t", -2, 1, invertible=True),
                             *_lambdas(p)])
 
 
 def tcminus_presentation(p: int) -> Presentation:
     """E₁ for the negative cyclic structure: F_p[t, μ]/(tμ) ⊗ Λ(λ₁, λ₂)."""
-    return Presentation(p, [SSGen("t", -2, 1, "even"),
-                            SSGen("mu", 2 * p * p, 0, "even"),
+    return Presentation(p, [GeneratorSymbol("t", -2, 1),
+                            GeneratorSymbol("mu", 2 * p * p, 0),
                             *_lambdas(p)], relations=[{"t": 1, "mu": 1}])
 
 

@@ -14,11 +14,11 @@ from pathlib import Path
 from unittest import mock
 
 from synto.cli import main
-from synto.graded import VerificationError
+from synto.graded import GeneratorSymbol, VerificationError
 from synto.linalg import Span, vec_addmul
 from synto.spectral import (ADAMS_RULE, BidegreeData, DiffEntry,
-                            DifferentialSpec, Presentation, SSGen, SSPage,
-                            Window, check_square_zero, leibniz_extend)
+                            DifferentialSpec, Presentation, SSPage, Window,
+                            check_square_zero, leibniz_extend)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -221,9 +221,10 @@ def random_square_zero_case(rng: random.Random):
     """(presentation, window, spec, r) with <= 50 window monomials and a
     page-r differential that squares to zero by construction.
 
-    Parity must match degree parity (as in any honestly graded-commutative
-    algebra), otherwise the triangular construction does not square to zero:
-    the Koszul cancellation in d² runs on degree parity.
+    A generator's degree decides its parity, as in any graded-commutative
+    algebra, so a generator of odd degree is exterior.  The triangular
+    construction relies on it: the Koszul cancellation in d² runs on
+    degree parity.
 
     Total by construction, with no rejection loop:
 
@@ -274,13 +275,13 @@ def random_square_zero_case(rng: random.Random):
     gens = []
     for i, (deg, weight) in enumerate(bideg):
         if deg % 2:
-            gens.append(SSGen(f"g{i}", deg, weight, "odd"))
+            gens.append(GeneratorSymbol(f"g{i}", deg, weight))
         elif i == inv:
-            gens.append(SSGen(f"g{i}", deg, weight, "even", invertible=True))
+            gens.append(GeneratorSymbol(f"g{i}", deg, weight, invertible=True))
         else:
             cap = min(rng.randint(1, 3), budget // (size // 2) - 1)
             size = size // 2 * (cap + 1)
-            gens.append(SSGen(f"g{i}", deg, weight, "even", max_exp=cap))
+            gens.append(GeneratorSymbol(f"g{i}", deg, weight, max_exp=cap))
 
     banned = set(sources)  # generators no image term may contain
     rels = []
@@ -369,8 +370,8 @@ def random_two_page_case(rng: random.Random):
         picks = rng.sample(same, min(len(same), rng.randint(1, 2)))
         deg, weight = source_bidegree(picks[0])
         name = f"h{k}"
-        gens.append(SSGen(name, deg, weight, "odd") if deg % 2
-                    else SSGen(name, deg, weight, "even", max_exp=1))
+        gens.append(GeneratorSymbol(name, deg, weight) if deg % 2
+                    else GeneratorSymbol(name, deg, weight, max_exp=1))
         entries.append(DiffEntry(r2, name, 1, tuple(
             (m + (0,) * new, rng.randint(1, p - 1)) for m in picks)))
     rels = [{cat.symbols[i].name: e for i, e in enumerate(rel) if e}

@@ -320,10 +320,41 @@ class TestSsCommand:
         code, _, err = run_cli(["ss", "--file", str(f)])
         assert code == 1 and "not prime" in err
 
+    def test_parity_that_disagrees_with_degree(self, tmp_path):
+        # a and b have odd degree: declared even, products would commute
+        # while d signs by degree, and E∞ would be wrong
+        f = tmp_path / "bad.ss"
+        f.write_text("prime 3\n"
+                     "gen a deg 1 weight 0 parity even maxexp 1\n"
+                     "gen b deg 1 weight 0 parity even maxexp 1\n"
+                     "gen c deg 0 weight 1 parity even maxexp 1\n"
+                     "diff page 1 a -> c\n"
+                     "window deg -2 3 weight 0 2\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == ""
+        assert "line 2: parity even disagrees with deg 1" in err
 
+    @pytest.mark.parametrize("lines, why", [
+        (["gen x deg 2 weight 1 parity even maxexp -1"],
+         "generator x has negative max_exp"),
+        (["gen x deg 2 weight 1 parity even invertible maxexp 1"],
+         "invertible generator x has a max_exp"),
+        (["gen x deg 2 weight 1 parity even invertible", "rel x"],
+         "relation x kills the unit x"),
+    ])
+    def test_bounds_that_describe_no_algebra(self, tmp_path, lines, why):
+        f = tmp_path / "bad.ss"
+        f.write_text("\n".join(["prime 3", *lines,
+                                "window deg -8 8 weight -4 4"]) + "\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == "" and why in err
+
+
+# t is not invertible: a relation on a unit kills the whole algebra, which
+# Presentation refuses
 FUZZ_BASE = """\
 prime 2
-gen t deg -2 weight 1 parity even invertible
+gen t deg -2 weight 1 parity even
 gen mu deg 8 weight 0 parity even maxexp 2
 gen l1 deg 3 weight 0 parity odd
 gen l2 deg 7 weight 0 parity odd

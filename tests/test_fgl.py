@@ -65,8 +65,8 @@ class TestExpLog:
 # orientation variables x, y, coefficients v1, v2, and two odd generators,
 # so that compositions meet Koszul signs and odd squares
 CAT_XY = Catalog(canonical_catalog(3, orientations=("x", "y")).symbols + (
-    GeneratorSymbol("lambda1", 5, 0, "odd"),
-    GeneratorSymbol("lambda2", 17, 0, "odd")))
+    GeneratorSymbol("lambda1", 5, 0),
+    GeneratorSymbol("lambda2", 17, 0)))
 ZP3 = CoeffRing(0, 3)  # Z[1/3], the ring of CAT_XY's prime
 
 

@@ -17,9 +17,9 @@ from synto.summand import _rewrite_through_suspension
 # generators of the tests' own, so that Koszul signs and odd squares are
 # exercised
 CAT3 = Catalog(canonical_catalog(3).symbols + (
-    GeneratorSymbol("lambda1", 5, 1, "odd"),
-    GeneratorSymbol("lambda2", 17, 1, "odd"),
-    GeneratorSymbol("mu", 18, 0, "even")))
+    GeneratorSymbol("lambda1", 5, 1),
+    GeneratorSymbol("lambda2", 17, 1),
+    GeneratorSymbol("mu", 18, 0)))
 FP3 = CoeffRing(3)
 ZP3 = CoeffRing(0, 3)  # Z[1/3]
 
@@ -36,7 +36,8 @@ class TestCatalog:
         assert CAT3.symbols[CAT3.index["t"]].degree == -2
         assert CAT3.symbols[CAT3.index["v1"]].degree == 4
         assert CAT3.symbols[CAT3.index["t2"]].degree == 16
-        assert CAT3.symbols[CAT3.index["lambda2"]].parity == "odd"
+        # the odd generators are exactly those of odd degree
+        assert CAT3._odd == (CAT3.index["lambda1"], CAT3.index["lambda2"])
 
     def test_bidegree(self):
         m = mono(t=2, v1=1, lambda1=1)
@@ -64,12 +65,8 @@ class TestCatalog:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            Catalog([GeneratorSymbol("a", 0, 0, "even"),
-                     GeneratorSymbol("a", 2, 0, "even")])
-
-    def test_bad_parity_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorSymbol("a", 0, 0, "oddish")
+            Catalog([GeneratorSymbol("a", 0, 0),
+                     GeneratorSymbol("a", 2, 0)])
 
     def test_superscript(self):
         assert superscript(-12) == "⁻¹²"
@@ -345,7 +342,7 @@ def random_mono(rng):
     """A CAT3 monomial: odd generators 0 or 1, t and mu Laurent."""
     exps = []
     for s in CAT3.symbols:
-        if s.parity == "odd":
+        if s.degree % 2:
             exps.append(rng.randint(0, 1))
         elif s.name in ("t", "mu"):
             exps.append(rng.randint(-2, 3))
@@ -436,7 +433,7 @@ class TestRewrite:
 def monomials(draw):
     exps = []
     for s in CAT3.symbols:
-        if s.parity == "odd":
+        if s.degree % 2:
             exps.append(draw(st.integers(0, 1)))
         elif s.name == "t":
             exps.append(draw(st.integers(-2, 2)))

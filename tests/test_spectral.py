@@ -12,11 +12,11 @@ from helpers import (dense_matrix, dense_page_dims, dense_rank,
                      dense_two_page_dims, random_square_zero_case,
                      random_two_page_case, reference_turn_page, run_cli)
 from synto import spectral
-from synto.graded import VerificationError
+from synto.graded import GeneratorSymbol, VerificationError
 from synto.linalg import vec_addmul
 from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
-                            DifferentialSpec, Presentation, SSGen, SSPage,
-                            Window, WindowInconclusiveError, build_page,
+                            DifferentialSpec, Presentation, SSPage, Window,
+                            WindowInconclusiveError, build_page,
                             check_square_zero, collapse_check, flag_boundary,
                             leibniz_extend, possible_pages, run_to_stable,
                             turn_page)
@@ -69,18 +69,27 @@ class TestPresentation:
         assert not pres.killed(cat.mono({"mu": 2}))
 
     def test_max_exp_kills(self):
-        pres = Presentation(3, [SSGen("x", 2, 1, "even", max_exp=2)])
+        pres = Presentation(3, [GeneratorSymbol("x", 2, 1, max_exp=2)])
         assert pres.killed((3,))
         assert not pres.killed((2,))
 
     def test_odd_generator_exponent_guard(self):
         with pytest.raises(ValueError):
-            Presentation(3, [SSGen("a", 1, 0, "odd", max_exp=2)])
+            Presentation(3, [GeneratorSymbol("a", 1, 0, max_exp=2)])
         with pytest.raises(ValueError):
-            Presentation(3, [SSGen("a", 1, 0, "odd", invertible=True)])
+            Presentation(3, [GeneratorSymbol("a", 1, 0, invertible=True)])
+
+    @pytest.mark.parametrize("gen, rel", [
+        (GeneratorSymbol("x", 2, 1, max_exp=-1), {}),
+        (GeneratorSymbol("x", 2, 1, invertible=True, max_exp=1), {}),
+        (GeneratorSymbol("x", 2, 1, invertible=True), {"x": 1}),
+    ])
+    def test_bounds_that_describe_no_algebra(self, gen, rel):
+        with pytest.raises(ValueError):
+            Presentation(3, [gen], [rel] if rel else [])
 
     def test_unbounded_generator_is_inconclusive(self):
-        pres = Presentation(3, [SSGen("u", 0, 0, "even", invertible=True)])
+        pres = Presentation(3, [GeneratorSymbol("u", 0, 0, invertible=True)])
         with pytest.raises(WindowInconclusiveError):
             pres.enumerate_basis(Window(-2, 2, -2, 2))
 
@@ -93,8 +102,8 @@ class TestPresentation:
         assert "weight_min" in edges and "weight_max" in edges
 
     def test_no_binding_edges_when_window_covers_algebra(self):
-        pres = Presentation(3, [SSGen("x", 0, 1, "even", max_exp=3),
-                                SSGen("y", -1, 2, "odd")])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=3),
+                                GeneratorSymbol("y", -1, 2)])
         assert pres.binding_edges(Window(-1, 0, 0, 5)) == set()
         ext = pres.grading_extremes()
         assert ext == {"deg_min": -1, "deg_max": 0,
@@ -103,24 +112,27 @@ class TestPresentation:
 
 def _random_presentation(rng):
     """1–4 generators, each odd, invertible, capped or plain, with degrees
-    and weights in −4..4, at most one monomial relation, and a window
+    and weights in −4..4 (odd degree for the odd kind only), at most one
+    monomial relation (none on an invertible generator), and a window
     inside ±8."""
     gens = []
     for name in "abcd"[:rng.randint(1, 4)]:
-        deg, wt = rng.randint(-4, 4), rng.randint(-4, 4)
         kind = rng.choice(("odd", "invertible", "max_exp", "plain"))
-        if kind == "odd":
-            gens.append(SSGen(name, deg, wt, "odd"))
-        elif kind == "invertible":
-            gens.append(SSGen(name, deg, wt, invertible=True))
+        # the degree decides the parity: odd for the odd kind, else even
+        deg = rng.choice((-3, -1, 1, 3) if kind == "odd" else (-4, -2, 0, 2, 4))
+        wt = rng.randint(-4, 4)
+        if kind == "invertible":
+            gens.append(GeneratorSymbol(name, deg, wt, invertible=True))
         elif kind == "max_exp":
-            gens.append(SSGen(name, deg, wt, max_exp=rng.randint(0, 4)))
+            gens.append(GeneratorSymbol(name, deg, wt, max_exp=rng.randint(0, 4)))
         else:
-            gens.append(SSGen(name, deg, wt))
+            gens.append(GeneratorSymbol(name, deg, wt))
     rels = []
-    if rng.random() < 0.5:
-        rel = {g.name: rng.randint(0, 2) for g in gens}
-        rel[rng.choice(gens).name] = rng.randint(1, 2)
+    # a relation on an invertible generator would kill the unit
+    bounded = [g for g in gens if not g.invertible]
+    if bounded and rng.random() < 0.5:
+        rel = {g.name: rng.randint(0, 2) for g in bounded}
+        rel[rng.choice(bounded).name] = rng.randint(1, 2)
         rels.append(rel)
     d0, d1 = sorted(rng.randint(-8, 8) for _ in range(2))
     w0, w1 = sorted(rng.randint(-8, 8) for _ in range(2))
@@ -129,7 +141,7 @@ def _random_presentation(rng):
 
 def _structural(g, lo, hi):
     """The exponents of g in [lo, hi] that the algebra allows."""
-    if g.parity == "odd":
+    if g.degree % 2:
         lo, hi = max(lo, 0), min(hi, 1)
     elif not g.invertible:
         lo = max(lo, 0)
@@ -163,7 +175,7 @@ class TestEnumerationOracle:
                               if win.contains(*cat.bidegree(m))
                               and not pres.killed(m))
                 assert basis == want, (pres.gens, pres.relations, win)
-            if all(g.parity == "odd" or (not g.invertible and g.max_exp is not None)
+            if all(g.degree % 2 or (not g.invertible and g.max_exp is not None)
                    for g in pres.gens):
                 monos = list(itertools.product(
                     *(_structural(g, 0, 4) for g in pres.gens)))
@@ -177,8 +189,8 @@ class TestEnumerationOracle:
 
 def xy_complex():
     """d(x) = y on F_3[x]/(x^4) ⊗ Λ(y): homology is {1, x^3, x^2y, x^3y}."""
-    pres = Presentation(3, [SSGen("x", 0, 1, "even", max_exp=3),
-                            SSGen("y", -1, 2, "odd")])
+    pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=3),
+                            GeneratorSymbol("y", -1, 2)])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [
         DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),))])
@@ -211,26 +223,14 @@ class TestLeibniz:
 
     def test_koszul_sign_past_odd_factor(self):
         # d(a·b) = -a·d(b) when a is odd of degree 1
-        pres = Presentation(3, [SSGen("a", 1, 0, "odd"),
-                                SSGen("b", 1, 1, "odd"),
-                                SSGen("e", 0, 2, "even", max_exp=2)])
+        pres = Presentation(3, [GeneratorSymbol("a", 1, 0),
+                                GeneratorSymbol("b", 1, 1),
+                                GeneratorSymbol("e", 0, 2, max_exp=2)])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [
             DiffEntry(1, "b", 1, ((cat.mono({"e": 1}), 1),))])
         got = leibniz_extend(spec, 1, cat.mono({"a": 1, "b": 1}))
         assert got == {cat.mono({"a": 1, "e": 1}): 2}
-
-    def test_prefix_sign_follows_degree_not_parity(self):
-        # a has odd degree but is declared even, as a presentation file may
-        # declare it: d(a·b) = -a·d(b) all the same
-        pres = Presentation(5, [SSGen("a", 1, 0, "even", max_exp=1),
-                                SSGen("b", 0, 0, "even", max_exp=1),
-                                SSGen("c", -1, 1, "even", max_exp=1)])
-        cat = pres.catalog
-        spec = DifferentialSpec(pres, [
-            DiffEntry(1, "b", 1, ((cat.mono({"c": 1}), 1),))])
-        got = leibniz_extend(spec, 1, cat.mono({"a": 1, "b": 1}))
-        assert got == {cat.mono({"a": 1, "c": 1}): 4}
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_the_factor_by_factor_rule(self, seed):
@@ -266,41 +266,62 @@ class TestLeibniz:
     def test_product_rule(self, a1, e1, f1, a2, e2, f2):
         p = 3
         spec = derive_differentials(p, "tp")
-        pres = spec.pres
-        cat = pres.catalog
+        cat = spec.pres.catalog
         m1 = cat.mono({"t": a1, "lambda1": e1, "lambda2": f1})
         m2 = cat.mono({"t": a2, "lambda1": e2, "lambda2": f2})
-        prod = cat.mono_mul(m1, m2)
-        if prod is None:
-            return
-        sign12, m12 = prod
-        lhs = leibniz_extend(spec, p, m12)
-        lhs = {m: (c * sign12) % p for m, c in lhs.items()}
-
-        def times(dm, mono, side):
-            out = {}
-            for m, c in dm.items():
-                r = cat.mono_mul(m, mono) if side == "right" \
-                    else cat.mono_mul(mono, m)
-                if r is None:
-                    continue
-                s, mm = r
-                v = (out.get(mm, 0) + c * s) % p
-                if v:
-                    out[mm] = v
-                else:
-                    out.pop(mm, None)
-            return out
-
-        rhs = times(leibniz_extend(spec, p, m1), m2, "right")
-        sgn = -1 if cat.degree(m1) % 2 else 1
-        for m, c in times(leibniz_extend(spec, p, m2), m1, "left").items():
-            v = (rhs.get(m, 0) + sgn * c) % p
-            if v:
-                rhs[m] = v
-            else:
-                rhs.pop(m, None)
+        lhs, rhs = _product_rule_sides(spec, p, m1, m2)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_product_rule_on_random_presentations(self, seed):
+        # several odd generators, caps and relations: d_r is a derivation
+        # only if mono_mul and leibniz_extend read one odd set
+        pres, window, spec, r = random_square_zero_case(random.Random(seed))
+        basis = pres.enumerate_basis(window)
+        for m1 in basis:
+            for m2 in basis:
+                lhs, rhs = _product_rule_sides(spec, r, m1, m2)
+                assert lhs == rhs, (pres.catalog.mono_str(m1),
+                                    pres.catalog.mono_str(m2))
+
+
+def _product_rule_sides(spec, r, m1, m2):
+    """d_r(m1·m2) and d_r(m1)·m2 + (-1)^|m1| m1·d_r(m2), each with the
+    terms the presentation kills dropped; both are {} when m1·m2 is an odd
+    square.  A killed monomial stays killed under a product, so dropping
+    terms before or after multiplying gives the same sum."""
+    pres, cat, p = spec.pres, spec.pres.catalog, spec.pres.p
+    prod = cat.mono_mul(m1, m2)
+    if prod is None:
+        return {}, {}
+    sign12, m12 = prod
+    lhs = {m: (c * sign12) % p
+           for m, c in leibniz_extend(spec, r, m12).items()}
+
+    def times(dm, mono, side):
+        out = {}
+        for m, c in dm.items():
+            rr = cat.mono_mul(m, mono) if side == "right" \
+                else cat.mono_mul(mono, m)
+            if rr is None or pres.killed(rr[1]):
+                continue
+            s, mm = rr
+            v = (out.get(mm, 0) + c * s) % p
+            if v:
+                out[mm] = v
+            else:
+                out.pop(mm, None)
+        return out
+
+    rhs = times(leibniz_extend(spec, r, m1), m2, "right")
+    sgn = -1 if cat.degree(m1) % 2 else 1
+    for m, c in times(leibniz_extend(spec, r, m2), m1, "left").items():
+        v = (rhs.get(m, 0) + sgn * c) % p
+        if v:
+            rhs[m] = v
+        else:
+            rhs.pop(m, None)
+    return lhs, rhs
 
 
 class TestSquareZero:
@@ -310,9 +331,9 @@ class TestSquareZero:
 
     def test_bad_spec_raises(self):
         # d(x) = y, d(y) = z with matching bidegrees: d² (x) = z ≠ 0
-        pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=1),
-                                SSGen("y", -1, 1, "even", max_exp=1),
-                                SSGen("z", -2, 2, "even", max_exp=1)])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
+                                GeneratorSymbol("y", -1, 1, max_exp=1),
+                                GeneratorSymbol("z", -2, 2, max_exp=1)])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [
             DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
@@ -403,9 +424,9 @@ class TestTurnPageKeepsInput:
         # d(x) = y + z: the boundary row y + z has a term at the pivot of the
         # survivor y, so inserting y into a copy of the boundaries rewrites
         # that row, which the copy shares with the page it was copied from
-        pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=1),
-                                SSGen("y", -1, 1, "odd"),
-                                SSGen("z", -1, 1, "odd")])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
+                                GeneratorSymbol("y", -1, 1),
+                                GeneratorSymbol("z", -1, 1)])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
             (cat.mono({"y": 1}), 1), (cat.mono({"z": 1}), 1)))])
@@ -493,8 +514,8 @@ class TestTurnPage:
 
     def test_alive_class_outside_the_domain_raises(self):
         # d_1 is given on x^2 only, so the alive class x has no d_1
-        pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=2),
-                                SSGen("y", -1, 1, "odd")])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=2),
+                                GeneratorSymbol("y", -1, 1)])
         spec = DifferentialSpec(pres, [DiffEntry(1, "x", 2, (
             (pres.catalog.mono({"y": 1}), 1),))])
         page = build_page(pres, Window(-1, 0, 0, 1))
@@ -507,8 +528,8 @@ def _xy_page():
     """Page 1 of x in (0, 0), x^2 = 0, and odd y in (-1, 1), with
     d_1(x) = y; and the index of each window monomial, by name, in its
     bidegree."""
-    pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=1),
-                            SSGen("y", -1, 1, "odd")])
+    pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
+                            GeneratorSymbol("y", -1, 1)])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
         (cat.mono({"y": 1}), 1),))])
@@ -690,8 +711,8 @@ class TestRunToStable:
 
     def test_unstable_window_is_inconclusive(self):
         # no differentials specified, but two bidegrees sit in d_1 position
-        pres = Presentation(3, [SSGen("x", 0, 0, "even", max_exp=1),
-                                SSGen("y", -1, 1, "even", max_exp=1)])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
+                                GeneratorSymbol("y", -1, 1, max_exp=1)])
         spec = DifferentialSpec(pres, [])
         page = build_page(pres, Window(-1, 0, 0, 1))
         with pytest.raises(WindowInconclusiveError):
