@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Byte-identity check of `synto ss -v` over a fixed grid of 58 commands.
+"""Byte-identity check of `synto ss -v` over a fixed grid of commands.
 
 Runs ``synto.cli.main`` in this process for ``--preset tp`` and
 ``--preset tcminus`` at every prime up to 41, and for the de Rham complexes
 Omega(F_p[x_1..x_k]) at p = 2, 3, 5, 7, k = 1..4, cut off above degree
-D = 8 and D = 18.  A de Rham complex is written to a presentation file in a
-temporary directory; its line names the file by its base name only.  Each
-command gives one line: its argv, its exit code, and the sha256 of its
-stdout and its stderr.
+D = 8 and D = 18.  Then come quotients of them: Omega(F_p[x_1..x_k]/(x_i^p))
+for k = 1, 2, written once with ``rel x_i^p`` and once with ``maxexp p-1``,
+and Omega(F_p[x_1, x_2])/(dx_1 dx_2), at the same p and D.  A presentation
+is written to a file in a temporary directory; its line names the file by
+its base name only.  Each command gives one line: its argv, its exit code,
+and the sha256 of its stdout and its stderr.
 
     PYTHONPATH=src python scripts/ss_grid.py > grid.sha256
     PYTHONPATH=src python scripts/ss_grid.py --check tests/golden/ss-grid.sha256
@@ -45,6 +47,30 @@ def derham_text(p: int, k: int, top: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def quotient_text(p: int, k: int, top: int, kind: str) -> str:
+    """derham_text with x_i^p = 0 as a relation or a cap (kind "rel",
+    "maxexp"), or with dx_1 dx_2 = 0 (kind "wedge")."""
+    lines = derham_text(p, k, top).splitlines()
+    if kind == "maxexp":
+        return "\n".join(ln + f" maxexp {p - 1}" if ln.startswith("gen x")
+                         else ln for ln in lines) + "\n"
+    rels = (["rel dx1*dx2"] if kind == "wedge"
+            else [f"rel x{i}^{p}" for i in range(1, k + 1)])
+    return "\n".join(lines[:-1] + rels + lines[-1:]) + "\n"
+
+
+# (p, k, top, kind) of the quotients above.  Each line was hashed before
+# relations bounded the binding edges, and still matches.  Left out:
+# (5, 2, 18, "rel"), whose top class x1^4*x2^4*dx1*dx2 is certified since
+# then, as no monomial of the quotient lies past deg 18.
+QUOTIENTS = [
+    *((p, k, top, kind) for kind in ("rel", "maxexp") for p in DERHAM_PRIMES
+      for k in (1, 2) for top in DERHAM_TOPS
+      if (p, k, top, kind) != (5, 2, 18, "rel")),
+    *((p, 2, top, "wedge") for p in DERHAM_PRIMES for top in DERHAM_TOPS),
+]
+
+
 def commands():
     """(argv as the grid line shows it, presentation text or None)."""
     for structure in ("tp", "tcminus"):
@@ -55,6 +81,9 @@ def commands():
             for top in DERHAM_TOPS:
                 yield (["ss", "--file", f"derham-p{p}-k{k}-D{top}.ss", "-v"],
                        derham_text(p, k, top))
+    for p, k, top, kind in QUOTIENTS:
+        yield (["ss", "--file", f"derham-{kind}-p{p}-k{k}-D{top}.ss", "-v"],
+               quotient_text(p, k, top, kind))
 
 
 def _sha(text: str) -> str:

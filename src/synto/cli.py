@@ -235,7 +235,7 @@ def parse_presentation(text: str):
     with it.
     """
     prime = None
-    gens: list[GeneratorSymbol] = []
+    gens: list[tuple[int, GeneratorSymbol]] = []
     rels: list[tuple[int, dict]] = []
     diffs: list[tuple[int, int, str, int, str]] = []
     window = None
@@ -289,7 +289,7 @@ def parse_presentation(text: str):
                 else:
                     raise PresentationParseError(
                         f"line {ln}: unknown gen option {rest[0]!r}")
-            gens.append(GeneratorSymbol(name, deg, weight, invertible, max_exp))
+            gens.append((ln, GeneratorSymbol(name, deg, weight, invertible, max_exp)))
         elif kw == "rel":
             if len(toks) != 2:
                 raise PresentationParseError(
@@ -329,16 +329,25 @@ def parse_presentation(text: str):
         return None
     if prime is None:
         raise PresentationParseError("missing 'prime <p>' line")
-    names = {g.name for g in gens}
+    syms = [g for _ln, g in gens]
+    names = {g.name for g in syms}
     for ln, exps in rels:
         for nm in exps:
             if nm not in names:
                 raise PresentationParseError(
                     f"line {ln}: unknown generator {nm!r} in relation")
-    try:
-        pres = Presentation(prime, gens, relations=[r for _ln, r in rels])
-    except (VerificationError, ValueError) as e:
-        raise PresentationParseError(f"bad presentation: {e}") from None
+    # Presentation refuses what describes no algebra.  Each generator and
+    # each relation is tried on its own, so that a refusal names its line;
+    # a duplicate generator name belongs to no one line.
+    for ln, some_gens, some_rels in ([(ln, [g], []) for ln, g in gens]
+                                     + [(None, syms, [])]
+                                     + [(ln, syms, [r]) for ln, r in rels]):
+        try:
+            Presentation(prime, some_gens, some_rels)
+        except (VerificationError, ValueError) as e:
+            raise PresentationParseError(
+                f"line {ln}: {e}" if ln else f"bad presentation: {e}") from None
+    pres = Presentation(prime, syms, relations=[r for _ln, r in rels])
     cat = pres.catalog
 
     entries = []

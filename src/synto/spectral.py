@@ -10,7 +10,7 @@ per-bidegree homology with canonical RREF representatives, so output is
 deterministic down to the choice of basis vectors.
 
 Windowing is honest: classes whose (potential) differentials cross a window
-edge that actually cuts the algebra are flagged boundary-uncertain, and
+edge that actually cuts the quotient are flagged boundary-uncertain, and
 stability beyond the last specified page is certified by checking that no
 pair of populated bidegrees sits in d_r position for any larger r.
 
@@ -22,8 +22,9 @@ other Bockstein-style conventions (e.g. a v2-Bockstein with v2 in bidegree
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from synto.graded import Catalog, GeneratorSymbol, Mono, VerificationError
 from synto.linalg import Span, Vec, kernel_basis, vec_addmul
@@ -83,7 +84,9 @@ def _extent(ranges: Sequence[tuple[Optional[int], Optional[int]]],
 
 
 class Presentation:
-    """Generators with exponent bounds plus monomial-kill relations."""
+    """Generators with exponent bounds, and monomial relations: a quotient
+    of the graded-commutative algebra.  `_structural_ranges` bounds each
+    exponent, and `_walk` gives E₁ and the binding window edges."""
 
     def __init__(self, p: int, gens: Sequence[GeneratorSymbol],
                  relations: Iterable[dict[str, int]] = ()):
@@ -117,22 +120,27 @@ class Presentation:
                    for rel in self.relations)
 
     def _structural_ranges(self) -> list[tuple[Optional[int], Optional[int]]]:
-        """Per-generator exponent interval of the algebra (None = unbounded)."""
-        return [(0, 1) if g.degree % 2
-                else (None if g.invertible else 0, g.max_exp)
-                for g in self.gens]
+        """Per-generator exponent interval of the quotient (None = unbounded).
+        An odd degree, a max_exp and a pure-power relation x^k each cap it."""
+        ranges = []
+        for i, g in enumerate(self.gens):
+            # x^k caps x below k; the relation 1 caps every exponent below 0
+            caps = [rel[i] - 1 for rel in self.relations
+                    if not any(rel[:i] + rel[i + 1:])]
+            caps += [g.max_exp] if g.max_exp is not None else [1] if g.degree % 2 else []
+            hi = min(caps, default=None)
+            # a unit can only be capped by the relation 1, which empties it
+            ranges.append((None if g.invertible and hi is None else 0, hi))
+        return ranges
 
     def _gradings(self, window: Window) -> list[tuple[list[int], int, int]]:
         return [([g.degree for g in self.gens], window.deg_min, window.deg_max),
                 ([g.weight for g in self.gens], window.weight_min, window.weight_max)]
 
     def exponent_ranges(self, window: Window) -> list[tuple[int, int]]:
-        """Finite per-generator exponent bounds implied by the window.
-
-        Interval-arithmetic fixpoint over the two grading constraints; a
-        generator no constraint can bound (e.g. an invertible generator of
-        bidegree (0,0)) is an enumeration error.
-        """
+        """Finite per-generator exponent bounds: the structural ranges, cut by
+        the window's two gradings to an interval-arithmetic fixpoint.  One left
+        unbounded (e.g. a unit of bidegree (0,0)) is an enumeration error."""
         ranges = self._structural_ranges()
         gradings = self._gradings(window)
         for _ in range(4 * len(ranges) + 8):
@@ -162,50 +170,66 @@ class Presentation:
                 f"window does not bound exponents of {', '.join(bad)}")
         return ranges
 
-    def enumerate_basis(self, window: Window) -> list[Mono]:
-        """All relation-free monomials in the window, in catalog order."""
-        n = len(self.gens)
-        ranges = self.exponent_ranges(window)
-        gradings = self._gradings(window)
+    def _walk(self, ranges: Sequence[tuple[int, int]],
+              gradings: Sequence[tuple[list[int], int, int]]) -> Iterator[Mono]:
+        """The quotient's monomials with exponents in the finite ranges and
+        both gradings (coeffs, min, max) in range, in catalog order.  Once the
+        exponents before a relation's last generator meet the relation's, the
+        walk caps that generator below the relation's exponent, so it never
+        reaches a monomial that a relation kills."""
+        n = len(ranges)
         # extremes of each grading over the exponents not yet chosen
         suffix = [[_extent(ranges[i:], coeffs[i:]) for coeffs, _, _ in gradings]
                   for i in range(n + 1)]
         (degs, dmin, dmax), (wts, wmin, wmax) = gradings
-        out: list[Mono] = []
+        # the relations whose last generator is generator i
+        ends = [[rel for rel in self.relations if rel[i] and not any(rel[i + 1:])]
+                for i in range(n)]
         exps = [0] * n
 
-        def walk(i: int, d: int, w: int) -> None:
+        def walk(i: int, d: int, w: int) -> Iterator[Mono]:
             (dlo, dhi), (wlo, whi) = suffix[i]
             if d + dlo > dmax or d + dhi < dmin or w + wlo > wmax or w + whi < wmin:
                 return
             if i == n:
-                m = tuple(exps)
-                if not self.killed(m):
-                    out.append(m)
+                yield tuple(exps)
                 return
             lo, hi = ranges[i]
+            for rel in ends[i]:
+                # zero entries are skipped, as a unit's exponent can be negative
+                if all(x >= e for x, e in zip(exps, rel[:i]) if e):
+                    hi = min(hi, rel[i] - 1)
             for e in range(lo, hi + 1):
                 exps[i] = e
-                walk(i + 1, d + e * degs[i], w + e * wts[i])
+                yield from walk(i + 1, d + e * degs[i], w + e * wts[i])
             exps[i] = 0
 
-        walk(0, 0, 0)  # depth-first in increasing exponents: catalog order
-        return out
+        return walk(0, 0, 0)
 
-    def grading_extremes(self) -> dict[str, Optional[int]]:
-        """Structural sup/inf of degree and weight over all monomials (None = unbounded)."""
-        ranges = self._structural_ranges()
-        dmin, dmax = _extent(ranges, [g.degree for g in self.gens])
-        wmin, wmax = _extent(ranges, [g.weight for g in self.gens])
-        return {"deg_min": dmin, "deg_max": dmax,
-                "weight_min": wmin, "weight_max": wmax}
+    def enumerate_basis(self, window: Window) -> list[Mono]:
+        """Every monomial of the quotient in the window, in catalog order;
+        the walk never reaches one that `killed` would reject."""
+        return list(self._walk(self.exponent_ranges(window), self._gradings(window)))
 
     def binding_edges(self, window: Window) -> set[str]:
-        """Window edges that actually cut the algebra."""
+        """Window edges beyond which the quotient has a monomial.  Lowering an
+        exponent toward 0 keeps a monomial alive, so for each edge a generator
+        keeps only the exponents that push past it, else 0 (a unit with a
+        negative coefficient pushes a max edge through its negative ones).  The
+        edge binds when those are unbounded or the walk finds a monomial past it."""
+        ranges = self._structural_ranges()
+        zero = ([0] * len(ranges), 0, 0)
         edges = set()
-        for edge, v in self.grading_extremes().items():
-            bound = getattr(window, edge)
-            if v is None or (v < bound if edge.endswith("min") else v > bound):
+        (degs, dmin, dmax), (wts, wmin, wmax) = self._gradings(window)
+        # each edge as a max: sum(e_i * c_i) > bound
+        for edge, cs, bound in (("deg_min", [-c for c in degs], -dmin), ("deg_max", degs, dmax),
+                                ("weight_min", [-c for c in wts], -wmin),
+                                ("weight_max", wts, wmax)):
+            push = [(lo if c < 0 else 0, hi if c > 0 else min(hi or 0, 0))
+                    for (lo, hi), c in zip(ranges, cs)]
+            top = _extent(push, cs)[1]
+            # a monomial past the edge settles it, even () with no generators
+            if top is None or any(True for _ in self._walk(push, [(cs, bound + 1, top), zero])):
                 edges.add(edge)
         return edges
 
@@ -507,26 +531,6 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 
-def possible_pages(page: SSPage, rule: BidegreeRule) -> dict[int, int]:
-    """r -> number of populated bidegree pairs in d_r position.
-
-    Only rules with weight_per_r > 0 terminate (the weight span bounds r).
-    """
-    if rule.weight_per_r <= 0:
-        raise ValueError("need weight_per_r > 0 to enumerate candidate pages")
-    pop = {b for b, d in page.data.items() if d.alive}
-    weights = sorted({w for _, w in pop})
-    by_r: dict[int, int] = {}
-    for d1, w1 in pop:
-        for w2 in weights:
-            r, rem = divmod(w2 - w1 - rule.weight_const, rule.weight_per_r)
-            if rem or r < 1:
-                continue
-            if (d1 + rule.deg_per_r * r + rule.deg_const, w2) in pop:
-                by_r[r] = by_r.get(r, 0) + 1
-    return dict(sorted(by_r.items()))
-
-
 def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, int]]:
     """Bidegrees whose fate could depend on classes outside the window.
 
@@ -543,8 +547,6 @@ def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, 
     shifts = [spec.rule.shift(r) for r in spec.pages]
 
     def crosses_binding(deg: int, weight: int) -> bool:
-        if w.contains(deg, weight):
-            return False
         return ((deg < w.deg_min and "deg_min" in binding)
                 or (deg > w.deg_max and "deg_max" in binding)
                 or (weight < w.weight_min and "weight_min" in binding)
@@ -588,11 +590,12 @@ def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[di
         current = turn_page(current, spec)
         log.append({"page": r, "classes_before": before,
                     "classes_after": current.total_dim()})
-    beyond = {r: c for r, c in possible_pages(current, spec.rule).items() if r > last}
-    if beyond:
+    beyond = collapse_check([ChartEntry(str(b), *b) for b, d in current.data.items()
+                             if d.alive], spec.rule, r_min=last + 1)
+    if not beyond.collapses:
         raise WindowInconclusiveError(
             f"window inconclusive: populated bidegree pairs beyond page {last} "
-            f"at pages {sorted(beyond)}")
+            f"at pages {sorted({r for r, _, _ in beyond.witnesses})}")
     log.append({"page": "stable", "classes": current.total_dim()})
     return current, log
 
@@ -625,7 +628,6 @@ def _degrees_can_match(src: ChartEntry, tgt: ChartEntry, dshift: int) -> bool:
         return c <= 0 and c % src.period == 0
     if src.period is None and tgt.period is not None:
         return c >= 0 and c % tgt.period == 0
-    import math
     return c % math.gcd(src.period, tgt.period) == 0
 
 
@@ -633,28 +635,26 @@ def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,
                    r_min: int = 1, r_max: Optional[int] = None) -> CollapseReport:
     """Bidegree-arithmetic collapse detector.
 
-    For every page r in [r_min, r_max] and every pair of chart entries,
-    checks whether a d_r could connect them under the rule; collapse means
-    no pair exists.  r_max defaults to the largest r whose weight shift
-    still fits inside the chart's weight span (requires weight_per_r > 0).
-    """
+    For every pair of chart entries, solves r from their weights (so the
+    rule needs weight_per_r > 0) and checks whether a d_r with r in [r_min,
+    r_max] could connect them; collapse means no pair can.  Witnesses are
+    sorted by r.  r_max defaults to the largest r whose weight shift still
+    fits inside the chart's weight span."""
+    if rule.weight_per_r <= 0:
+        raise ValueError("need weight_per_r > 0: the weights decide r")
     notes = []
     if not entries:
-        return CollapseReport(True, rule, (r_min, r_min - 1),
-                              notes=["empty chart"])
+        return CollapseReport(True, rule, (r_min, r_min - 1), notes=["empty chart"])
     if r_max is None:
-        if rule.weight_per_r <= 0:
-            raise ValueError("r_max required when the weight shift does not grow")
         span = (max(e.weight for e in entries) - min(e.weight for e in entries))
         r_max = (span - rule.weight_const) // rule.weight_per_r
         notes.append(f"r_max = {r_max} from weight span {span}")
     witnesses = []
-    for r in range(r_min, r_max + 1):
-        dshift, wshift = rule.shift(r)
-        for src in entries:
-            for tgt in entries:
-                if tgt.weight - src.weight != wshift:
-                    continue
-                if _degrees_can_match(src, tgt, dshift):
-                    witnesses.append((r, src.name, tgt.name))
+    for src in entries:
+        for tgt in entries:
+            r, rem = divmod(tgt.weight - src.weight - rule.weight_const, rule.weight_per_r)
+            if (not rem and r_min <= r <= r_max
+                    and _degrees_can_match(src, tgt, rule.shift(r)[0])):
+                witnesses.append((r, src.name, tgt.name))
+    witnesses.sort(key=lambda wit: wit[0])
     return CollapseReport(not witnesses, rule, (r_min, r_max), witnesses, notes)

@@ -337,9 +337,10 @@ class TestSsCommand:
     @pytest.mark.parametrize("lines, why", [
         (["gen x deg 2 weight 1 parity even maxexp -1"],
          "generator x has negative max_exp"),
-        (["gen x deg 2 weight 1 parity even invertible maxexp 1"],
+        (["gen y deg 2 weight 0 parity even",
+          "gen x deg 2 weight 1 parity even invertible maxexp 1"],
          "invertible generator x has a max_exp"),
-        (["gen x deg 2 weight 1 parity even invertible", "rel x"],
+        (["gen x deg 2 weight 1 parity even invertible", "", "rel x"],
          "relation x kills the unit x"),
     ])
     def test_bounds_that_describe_no_algebra(self, tmp_path, lines, why):
@@ -347,7 +348,42 @@ class TestSsCommand:
         f.write_text("\n".join(["prime 3", *lines,
                                 "window deg -8 8 weight -4 4"]) + "\n")
         code, out, err = run_cli(["ss", "--file", str(f)])
-        assert code == 1 and out == "" and why in err
+        # the refused gen or rel is the last of the lines, after `prime`
+        assert code == 1 and out == "" and f"line {1 + len(lines)}: {why}" in err
+
+    def test_duplicate_generator_name_names_no_line(self, tmp_path):
+        f = tmp_path / "bad.ss"
+        f.write_text("prime 3\ngen x deg 2 weight 0 parity even\n"
+                     "gen x deg 4 weight 0 parity even\n"
+                     "window deg 0 8 weight 0 0\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == ""
+        assert "bad presentation: duplicate generator name" in err
+
+    # F_3[x]/(x^3) ⊗ Λ(y) with d_1 x = y: E∞ is 1 and x^2*y.  The window
+    # holds the whole quotient, so neither class is flagged, whether x^3 = 0
+    # is a relation or a cap.
+    TRUNCATED = ("prime 3\ngen x deg {xdeg} weight 0 parity even{cap}\n"
+                 "gen y deg 1 weight 1 parity odd\n{rel}{diff}"
+                 "window deg 0 5 weight 0 1\n")
+
+    @pytest.mark.parametrize("cap, rel", [("", "rel x^3\n"), (" maxexp 2", "")])
+    def test_truncation_by_relation_or_cap(self, tmp_path, cap, rel):
+        f = tmp_path / "trunc.ss"
+        f.write_text(self.TRUNCATED.format(xdeg=2, cap=cap, rel=rel,
+                                           diff="diff page 1 x -> y\n"))
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 0, err
+        assert out.endswith("survivors (boundary-safe): 2\n  1\n  x^2*y\n")
+
+    def test_relation_bounds_a_generator_of_bidegree_zero(self, tmp_path):
+        # with x in (0, 0) only x^3 = 0 bounds its exponent
+        f = tmp_path / "trunc.ss"
+        f.write_text(self.TRUNCATED.format(xdeg=0, cap="", rel="rel x^3\n",
+                                           diff=""))
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 0, err
+        assert "E1: 6 classes" in out and "survivors (boundary-safe): 6" in out
 
 
 # t is not invertible: a relation on a unit kills the whole algebra, which

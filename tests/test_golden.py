@@ -63,7 +63,7 @@ CASES = {
                                   "--trunc", "24"],
 }
 
-# sha256 lines of the 288-command fgl grid and the 58-command ss grid,
+# sha256 lines of the 288-command fgl grid and the 97-command ss grid,
 # written and checked by scripts/fgl_grid.py and scripts/ss_grid.py (CI steps
 # run the whole checks)
 GRIDS = ("fgl-grid.sha256", "ss-grid.sha256")
@@ -91,7 +91,7 @@ def test_grid_file_lists_the_grid_commands():
 def test_ss_grid_file_lists_the_grid_commands():
     lines = (GOLDEN / "ss-grid.sha256").read_text(encoding="utf-8").splitlines()
     argvs = [" ".join(argv) for argv, _text in _grid("ss_grid").commands()]
-    assert len(argvs) == 58
+    assert len(argvs) == 97
     assert [ln.split("\t")[0] for ln in lines] == argvs
 
 
@@ -105,7 +105,7 @@ def test_grid_sample_is_byte_identical(monkeypatch):
 
 
 def test_ss_grid_sample_is_byte_identical(monkeypatch, tmp_path):
-    # every 8th command here; the CI step checks all 58
+    # every 8th command here; the CI step checks all 97
     grid = _grid("ss_grid")
     monkeypatch.setenv("SYNTO_COLOR", "never")
     lines = (GOLDEN / "ss-grid.sha256").read_text(encoding="utf-8").splitlines()

@@ -18,8 +18,7 @@ from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
                             DifferentialSpec, Presentation, SSPage, Window,
                             WindowInconclusiveError, build_page,
                             check_square_zero, collapse_check, flag_boundary,
-                            leibniz_extend, possible_pages, run_to_stable,
-                            turn_page)
+                            leibniz_extend, run_to_stable, turn_page)
 from synto.summand import derive_differentials, tcminus_presentation, tp_presentation
 
 
@@ -105,16 +104,73 @@ class TestPresentation:
         pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=3),
                                 GeneratorSymbol("y", -1, 2)])
         assert pres.binding_edges(Window(-1, 0, 0, 5)) == set()
-        ext = pres.grading_extremes()
-        assert ext == {"deg_min": -1, "deg_max": 0,
-                       "weight_min": 0, "weight_max": 5}
+        # the algebra reaches each edge of that window: one step in binds it
+        assert pres.binding_edges(Window(0, 0, 0, 5)) == {"deg_min"}
+        assert pres.binding_edges(Window(-1, -1, 0, 5)) == {"deg_max"}
+        assert pres.binding_edges(Window(-1, 0, 1, 5)) == {"weight_min"}
+        assert pres.binding_edges(Window(-1, 0, 0, 4)) == {"weight_max"}
+
+    def test_relations_bound_the_edges(self):
+        # F_3[x, y]/(x^3, y^3, xy) in degree 2 ends in degree 4 (x^2, y^2)
+        pres = Presentation(3, [GeneratorSymbol("x", 2, 0), GeneratorSymbol("y", 2, 0)],
+                            [{"x": 3}, {"y": 3}, {"x": 1, "y": 1}])
+        assert pres.binding_edges(Window(0, 4, 0, 0)) == set()
+        assert pres.binding_edges(Window(0, 3, 0, 0)) == {"deg_max"}
+        # Λ(x, y)/(xy) in degree 1 ends in degree 1
+        pres = Presentation(3, [GeneratorSymbol("x", 1, 0), GeneratorSymbol("y", 1, 0)],
+                            [{"x": 1, "y": 1}])
+        assert pres.binding_edges(Window(0, 1, 0, 0)) == set()
+
+    def test_a_capped_odd_generator_bounds_the_edges(self):
+        # y has max_exp 0, so every monomial x^a has degree 0
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=2),
+                                GeneratorSymbol("y", 1, 0, max_exp=0)])
+        assert pres.binding_edges(Window(0, 0, 0, 2)) == set()
+        assert pres.enumerate_basis(Window(-4, 4, -4, 4)) == [(0, 0), (1, 0), (2, 0)]
+
+    def test_units_push_through_negative_exponents(self):
+        # t^k for k < 0 reaches degrees above any bound and weights below
+        pres = tp_presentation(2)
+        assert pres.binding_edges(Window(-40, 40, -20, 20)) == {
+            "deg_min", "deg_max", "weight_min", "weight_max"}
+
+    def test_pure_power_relation_bounds_the_window(self):
+        # x in bidegree (0, 0): only the relation x^3 bounds its exponent
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0), GeneratorSymbol("y", 1, 1)],
+                            [{"x": 3}])
+        assert len(pres.enumerate_basis(Window(0, 5, 0, 1))) == 6
+
+    def test_relation_one_kills_every_monomial(self):
+        for gens in ([GeneratorSymbol("x", 2, 0)],
+                     [GeneratorSymbol("u", 0, 0, invertible=True),
+                      GeneratorSymbol("y", 1, 1)]):
+            pres = Presentation(3, gens, [{}])
+            assert pres.enumerate_basis(Window(-4, 4, -4, 4)) == []
+            assert pres.binding_edges(Window(1, 1, 1, 1)) == set()
+
+    def test_no_generators_leave_f_p_in_bidegree_zero(self):
+        pres = Presentation(3, [])
+        assert pres.enumerate_basis(Window(0, 0, 0, 0)) == [()]
+        assert pres.binding_edges(Window(1, 1, 0, 0)) == {"deg_min"}
+
+    def test_enumeration_never_calls_killed(self, monkeypatch):
+        def refuse(self, m):
+            raise AssertionError("enumerate_basis called killed")
+
+        monkeypatch.setattr(Presentation, "killed", refuse)
+        pres = tcminus_presentation(5)
+        window = Window(-2, 2 * 25 + 2 * 5 + 2, 0, 50)
+        basis = pres.enumerate_basis(window)
+        cat = pres.catalog
+        t, mu = cat.index["t"], cat.index["mu"]
+        assert basis and not any(m[t] and m[mu] for m in basis)
 
 
 def _random_presentation(rng):
-    """1–4 generators, each odd, invertible, capped or plain, with degrees
-    and weights in −4..4 (odd degree for the odd kind only), at most one
-    monomial relation (none on an invertible generator), and a window
-    inside ±8."""
+    """1–4 generators, each odd (capped at exponent 0 or 1 or not capped),
+    invertible, capped or plain, with degrees and weights in −4..4 (odd
+    degree for the odd kind only), up to two monomial relations (none on an
+    invertible generator), and a window inside ±8."""
     gens = []
     for name in "abcd"[:rng.randint(1, 4)]:
         kind = rng.choice(("odd", "invertible", "max_exp", "plain"))
@@ -125,12 +181,14 @@ def _random_presentation(rng):
             gens.append(GeneratorSymbol(name, deg, wt, invertible=True))
         elif kind == "max_exp":
             gens.append(GeneratorSymbol(name, deg, wt, max_exp=rng.randint(0, 4)))
+        elif kind == "odd":
+            gens.append(GeneratorSymbol(name, deg, wt, max_exp=rng.choice((None, 0, 1))))
         else:
             gens.append(GeneratorSymbol(name, deg, wt))
     rels = []
     # a relation on an invertible generator would kill the unit
     bounded = [g for g in gens if not g.invertible]
-    if bounded and rng.random() < 0.5:
+    for _ in range(rng.choice((0, 0, 1, 2)) if bounded else 0):
         rel = {g.name: rng.randint(0, 2) for g in bounded}
         rel[rng.choice(bounded).name] = rng.randint(1, 2)
         rels.append(rel)
@@ -150,13 +208,27 @@ def _structural(g, lo, hi):
     return range(lo, hi + 1)
 
 
+def _edges_reached(pres, win, monos):
+    """The edges of win beyond which one of monos lies."""
+    cat = pres.catalog
+    edges = set()
+    for m in monos:
+        d, w = cat.bidegree(m)
+        edges |= {e for e, beyond in (("deg_min", d < win.deg_min),
+                                      ("deg_max", d > win.deg_max),
+                                      ("weight_min", w < win.weight_min),
+                                      ("weight_max", w > win.weight_max)) if beyond}
+    return edges
+
+
 class TestEnumerationOracle:
-    """enumerate_basis and grading_extremes against brute force over random
-    presentations."""
+    """enumerate_basis and binding_edges against brute force that honours
+    `killed`, over random presentations with relations and capped odd
+    generators."""
 
     def test_random_presentations(self):
         rng = random.Random(7)
-        runs, enumerated = 300, 0
+        runs, enumerated, exact = 300, 0, 0
         for _ in range(runs):
             pres, win = _random_presentation(rng)
             cat = pres.catalog
@@ -175,16 +247,18 @@ class TestEnumerationOracle:
                               if win.contains(*cat.bidegree(m))
                               and not pres.killed(m))
                 assert basis == want, (pres.gens, pres.relations, win)
-            if all(g.degree % 2 or (not g.invertible and g.max_exp is not None)
-                   for g in pres.gens):
-                monos = list(itertools.product(
-                    *(_structural(g, 0, 4) for g in pres.gens)))
-                degs = [cat.degree(m) for m in monos]
-                wts = [cat.weight(m) for m in monos]
-                assert pres.grading_extremes() == {
-                    "deg_min": min(degs), "deg_max": max(degs),
-                    "weight_min": min(wts), "weight_max": max(wts)}
+            # the quotient's monomials with exponents in -5..5; an exponent
+            # at ±5 means the quotient may go on beyond the box
+            alive = [m for m in itertools.product(
+                *(_structural(g, -5, 5) for g in pres.gens)) if not pres.killed(m)]
+            edges = pres.binding_edges(win)
+            reached = _edges_reached(pres, win, alive)
+            assert reached <= edges, (pres.gens, pres.relations, win)
+            if not any(abs(e) == 5 for m in alive for e in m):
+                exact += 1
+                assert edges == reached, (pres.gens, pres.relations, win)
         assert enumerated >= runs // 2
+        assert exact >= runs // 5
 
 
 def xy_complex():
@@ -719,23 +793,42 @@ class TestRunToStable:
             run_to_stable(page, spec)
 
 
-class TestPossiblePages:
+class TestPopulatedPairs:
+    """collapse_check on a page's populated bidegrees, as run_to_stable
+    certifies stability."""
+
+    @staticmethod
+    def pairs(page, rule=ADAMS_RULE):
+        entries = [ChartEntry(str(b), *b) for b, d in page.data.items() if d.alive]
+        report = collapse_check(entries, rule, r_min=1)
+        return collections.Counter(r for r, _src, _tgt in report.witnesses)
+
     def test_xy_complex_candidates(self):
         pres, window, spec = xy_complex()
         page = build_page(pres, window)
-        pp = possible_pages(page, ADAMS_RULE)
         # x^a and x^{a-1}y sit one degree and one weight apart
-        assert pp.get(1, 0) > 0
+        assert self.pairs(page)[1] > 0
         final = turn_page(page, spec)
         # the four survivors still pair up arithmetically (1 -> x^2y needs
         # d_4 etc.); this tiny window cannot certify stability, by design
-        assert possible_pages(final, ADAMS_RULE) == {1: 1, 2: 1, 4: 1, 5: 1}
+        assert self.pairs(final) == {1: 1, 2: 1, 4: 1, 5: 1}
 
     def test_needs_growing_weight(self):
         pres, window, spec = xy_complex()
         page = build_page(pres, window)
+        for rule in (BidegreeRule(weight_per_r=0, weight_const=1),
+                     BidegreeRule(weight_per_r=-1)):
+            with pytest.raises(ValueError, match="weight_per_r > 0"):
+                self.pairs(page, rule)
         with pytest.raises(ValueError):
-            possible_pages(page, BidegreeRule(weight_per_r=0, weight_const=1))
+            collapse_check([], BidegreeRule(weight_per_r=0), r_max=3)
+
+    def test_unstable_window_names_the_pages(self):
+        pres, window, spec = xy_complex()
+        page = build_page(pres, window)
+        with pytest.raises(WindowInconclusiveError,
+                           match=r"beyond page 1 at pages \[2, 4, 5\]"):
+            run_to_stable(page, spec)
 
 
 class TestFlagBoundary:
@@ -777,6 +870,13 @@ class TestCollapseCheck:
                    ChartEntry("cls", 2, 1)]
         report = collapse_check(entries, ADAMS_RULE, r_min=1, r_max=1)
         assert report.collapses
+
+    def test_witnesses_sorted_by_r(self):
+        # r is solved per pair, in entry order; the report lists it by r
+        entries = [ChartEntry("c", -2, 3), ChartEntry("b", -1, 2),
+                   ChartEntry("a", 0, 0)]
+        report = collapse_check(entries, ADAMS_RULE, r_min=1)
+        assert report.witnesses == [(1, "b", "c"), (2, "a", "b")]
 
     def test_r_max_from_weight_span(self):
         entries = [ChartEntry("a", 0, 0), ChartEntry("b", 5, 3)]
