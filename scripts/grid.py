@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Byte-identity check of `synto ss -v` over a fixed grid of commands.
+"""Byte-identity check of `synto` outputs over three fixed grids of commands.
 
-Runs ``synto.cli.main`` in this process for ``--preset tp`` and
-``--preset tcminus`` at every prime up to 41, and for the de Rham complexes
-Omega(F_p[x_1..x_k]) at p = 2, 3, 5, 7, k = 1..4, cut off above degree
-D = 8 and D = 18.  Then come quotients of them: Omega(F_p[x_1..x_k]/(x_i^p))
-for k = 1, 2, written once with ``rel x_i^p`` and once with ``maxexp p-1``,
-and Omega(F_p[x_1, x_2])/(dx_1 dx_2), at the same p and D.  A presentation
-is written to a file in a temporary directory; its line names the file by
-its base name only.  Each command gives one line: its argv, its exit code,
-and the sha256 of its stdout and its stderr.
+``fgl``: 288 commands.  ``p-series`` and ``right-unit`` at p = 2, 3, 5,
+``--trunc`` 8, 16 and 22, with no ``--mod`` and with every nonempty subset
+of {p, v1, v2}, as text and as JSON.
 
-    PYTHONPATH=src python scripts/ss_grid.py > grid.sha256
-    PYTHONPATH=src python scripts/ss_grid.py --check tests/golden/ss-grid.sha256
+``ss``: 97 commands of ``ss -v``.  ``--preset tp`` and ``--preset tcminus``
+at every prime up to 41, and the de Rham complexes Omega(F_p[x_1..x_k]) at
+p = 2, 3, 5, 7, k = 1..4, cut off above degree D = 8 and D = 18.  Then come
+quotients of them: Omega(F_p[x_1..x_k]/(x_i^p)) for k = 1, 2, written once
+with ``rel x_i^p`` and once with ``maxexp p-1``, and
+Omega(F_p[x_1, x_2])/(dx_1 dx_2), at the same p and D.  A presentation is
+written to a file in a temporary directory; its line names the file by its
+base name only.
+
+``syntomic``: 104 commands.  Every prime up to 41, with
+``--frobenius-unit one`` and ``alt``, as table, JSON, CSV and SVG.
+
+Each command runs ``synto.cli.main`` in this process and gives one line: its
+argv, its exit code, and the sha256 of its stdout and its stderr.
+
+    PYTHONPATH=src python scripts/grid.py fgl > grid.sha256
+    PYTHONPATH=src python scripts/grid.py ss --check tests/golden/ss-grid.sha256
 
 With ``--check FILE`` the lines are compared with FILE instead of printed;
 the first command whose line differs is named and the exit code is 1.
@@ -30,7 +39,25 @@ from pathlib import Path
 
 from synto.cli import main
 
-PRESET_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMES_TO_41 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+IDEALS = [None] + [",".join(c) for r in (1, 2, 3)
+                   for c in itertools.combinations(("p", "v1", "v2"), r)]
+
+
+def fgl_commands():
+    for series in ("p-series", "right-unit"):
+        for p in (2, 3, 5):
+            for trunc in (8, 16, 22):
+                for ideal in IDEALS:
+                    for fmt in ("text", "json"):
+                        argv = ["fgl", series, "--prime", str(p),
+                                "--trunc", str(trunc), "--format", fmt]
+                        if ideal:
+                            argv += ["--mod", ideal]
+                        yield argv, None
+
+
 DERHAM_PRIMES = (2, 3, 5, 7)
 DERHAM_RANKS = (1, 2, 3, 4)
 DERHAM_TOPS = (8, 18)
@@ -71,10 +98,9 @@ QUOTIENTS = [
 ]
 
 
-def commands():
-    """(argv as the grid line shows it, presentation text or None)."""
+def ss_commands():
     for structure in ("tp", "tcminus"):
-        for p in PRESET_PRIMES:
+        for p in PRIMES_TO_41:
             yield ["ss", "--preset", structure, "--prime", str(p), "-v"], None
     for p in DERHAM_PRIMES:
         for k in DERHAM_RANKS:
@@ -86,13 +112,27 @@ def commands():
                quotient_text(p, k, top, kind))
 
 
+def syntomic_commands():
+    for p in PRIMES_TO_41:
+        for unit in ("one", "alt"):
+            for fmt in ("table", "json", "csv", "svg"):
+                yield (["syntomic", "--prime", str(p), "--frobenius-unit",
+                        unit, "--format", fmt], None)
+
+
+# each grid yields (argv as its line shows it, presentation text or None)
+GRIDS = {"fgl": fgl_commands, "ss": ss_commands,
+         "syntomic": syntomic_commands}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run(argv, text, tmp: Path) -> str:
     """The grid line of one command: argv, exit code, sha256 of stdout and
-    of stderr, tab-separated."""
+    of stderr, tab-separated.  A presentation text is written to ``tmp``
+    under the file name in argv[2]."""
     real = list(argv)
     if text is not None:
         path = tmp / argv[2]
@@ -107,10 +147,12 @@ def run(argv, text, tmp: Path) -> str:
 
 def main_grid(args=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("grid", choices=tuple(GRIDS))
     ap.add_argument("--check", metavar="FILE",
                     help="compare with FILE instead of printing")
     opts = ap.parse_args(args)
     os.environ["SYNTO_COLOR"] = "never"
+    commands = GRIDS[opts.grid]
     with tempfile.TemporaryDirectory() as tmp:
         if opts.check is None:
             for argv, text in commands():
@@ -124,12 +166,12 @@ def main_grid(args=None) -> int:
             if line != want:
                 name = (" ".join(cmd[0]) if cmd
                         else f"line {got + 1} of {opts.check}")
-                print(f"ss grid differs at: {name}\n"
+                print(f"{opts.grid} grid differs at: {name}\n"
                       f"  expected: {want or '(no line)'}\n"
                       f"  got:      {line or '(no command)'}", file=sys.stderr)
                 return 1
             got += 1
-    print(f"ss grid: {got} commands identical", file=sys.stderr)
+    print(f"{opts.grid} grid: {got} commands identical", file=sys.stderr)
     return 0
 
 

@@ -36,7 +36,13 @@ def label_for(name: str) -> str:
         base, _, exp = part.partition("^")
         if base not in _GLYPH_NAMES:
             raise VerificationError(f"unknown chart symbol {base!r}")
-        out.append(_GLYPH_NAMES[base] + (superscript(int(exp)) if exp else ""))
+        try:
+            sup = superscript(int(exp)) if exp else ""
+        except ValueError:
+            raise VerificationError(
+                f"chart symbol {base!r} has a non-integer exponent {exp!r}"
+            ) from None
+        out.append(_GLYPH_NAMES[base] + sup)
     return "".join(out)
 
 

@@ -22,7 +22,7 @@ from . import __version__
 from .graded import GeneratorSymbol, VerificationError
 from .fgl import p_series, right_unit_t
 from .spectral import (DiffEntry, DifferentialSpec, Presentation, Window,
-                       build_page, run_to_stable)
+                       build_page, check_relation, run_to_stable)
 from .summand import (FROBENIUS_CONVENTIONS, PRESENTATIONS, GeneratorTable,
                       default_table_window, derive_differentials,
                       hodge_tate_check, run_window, syntomic_table)
@@ -371,6 +371,11 @@ def parse_presentation(text: str):
         spec = DifferentialSpec(pres, tuple(entries))
     except (VerificationError, ValueError) as e:
         raise PresentationParseError(f"bad differential: {e}") from None
+    for (ln, _exps), rel in zip(rels, pres.relations):
+        try:
+            check_relation(spec, rel)
+        except ValueError as e:
+            raise PresentationParseError(f"line {ln}: {e}") from None
     if window is None:
         raise PresentationParseError("missing 'window' line")
     return prime, pres, spec, window
@@ -489,11 +494,12 @@ def cmd_chart(args) -> int:
         with open(args.infile, encoding="utf-8") as fh:
             data = json.load(fh)
         table = GeneratorTable.from_json_dict(data)
+        # a name the chart cannot label is a fault of the file, too
+        text = svg_chart(table) if args.format == "svg" else ascii_chart(table)
     except OSError as e:
         raise CLIUsageError(str(e)) from None
     except (json.JSONDecodeError, KeyError, TypeError, VerificationError) as e:
         raise CLIUsageError(f"bad table JSON: {e}") from None
-    text = svg_chart(table) if args.format == "svg" else ascii_chart(table)
     _emit(text, args.out)
     return 0
 

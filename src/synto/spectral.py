@@ -328,6 +328,29 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     return total
 
 
+def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
+    """Raise ValueError unless every d_r maps the relation ``rel`` into the
+    quotient's ideal, so that d_r is defined on the quotient.
+
+    On page r, ρ′ raises each generator that d_r acts on to the next
+    multiple of its base exponent: the least multiple of ρ in d_r's domain.
+    Any multiple of ρ in that domain is m·ρ′ with m in it too, and
+    d_r(m·ρ′) = d_r(m)·ρ′ ± m·d_r(ρ′), so d_r(ρ′) = 0 in the quotient
+    settles the relation on that page.
+    """
+    cat = spec.pres.catalog
+    for r in spec.pages:
+        lifted = list(rel)
+        for i, (e0, _image) in spec.by_page(r).items():
+            lifted[i] = -(-rel[i] // e0) * e0
+        image = leibniz_extend(spec, r, tuple(lifted))
+        if image:
+            raise ValueError(
+                f"d_{r} does not preserve the relation {cat.mono_str(rel)}: "
+                f"d_{r}({cat.mono_str(tuple(lifted))}) has the term "
+                f"{cat.mono_str(min(image))}")
+
+
 class BidegreeData:
     """The monomials of one bidegree, the alive classes over them and the
     boundary span (None while empty).  Pages share these and never write a

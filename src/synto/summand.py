@@ -10,8 +10,8 @@ The pipeline, per prime p:
 2. ``tp_einfty`` / ``tcminus_einfty`` run the spectral sequence engine on
    E₁ = F_p[t^{±1}]⊗Λ(λ₁,λ₂) resp. F_p[t,μ]/(tμ)⊗Λ(λ₁,λ₂) and certify the
    closed-form answers on the boundary-safe part of the window.
-3. ``build_can`` / ``build_frobenius`` assemble the two comparison maps on
-   bases read off the certified E∞ pages, so the closed forms serve only as
+3. ``comparison_maps`` reads each certified E∞ basis once and names can and
+   φ on that one pair of bases, so the closed forms serve only as
    certificates and never as a second list of classes.
 4. ``syntomic_table`` takes the degreewise fiber of (φ − can): kernel classes
    keep their names, cokernel classes acquire a ∂ prefix, and the result is
@@ -39,7 +39,7 @@ from .linalg import Span, kernel_basis, vec_addmul
 __all__ = [
     "derive_differentials",
     "tp_presentation", "tcminus_presentation", "tp_einfty", "tcminus_einfty",
-    "BasisClass", "GradedLinearMap", "build_can", "build_frobenius",
+    "BasisClass", "comparison_maps",
     "TableEntry", "GeneratorTable", "SyntomicWindowError", "syntomic_table",
     "default_table_window", "run_window", "HodgeTateReport",
     "hodge_tate_check",
@@ -335,10 +335,7 @@ def _einfty_basis(p: int, structure: str, win) -> list[BasisClass]:
 # ---------------------------------------------------------------------------
 # the comparison maps
 
-# The unit u(p, k, ε₁, ε₂) ∈ F_p^× of φ on λ₁^{ε₁}λ₂^{ε₂}·μ^k, k ≥ 1, per
-# convention; the first is the default.  "alt" is a deliberately different
-# choice, used to show that the table does not depend on it; at p = 2, where
-# F_2^× is trivial, it is 1.
+# the unit u(p, k, ε₁, ε₂) of φ per convention, for k ≥ 1 (``comparison_maps``)
 _FROBENIUS_UNITS = {
     "one": lambda p, k, eps1, eps2: 1,
     "alt": lambda p, k, eps1, eps2: (k + eps1 + eps2) % (p - 1) + 1,
@@ -346,104 +343,39 @@ _FROBENIUS_UNITS = {
 FROBENIUS_CONVENTIONS = tuple(_FROBENIUS_UNITS)
 
 
-def _on_can_lattice(p: int, c: BasisClass) -> bool:
-    """μ⁰·t^{kp²} with k ≥ 0 (times any λ): where can is nonzero."""
-    return c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0
+def comparison_maps(p: int, window=None,
+                    convention: str = FROBENIUS_CONVENTIONS[0]):
+    """(source, target, can, phi): the certified TC⁻ and TP bases over
+    ``window``, each read once, and the comparison maps between them, each
+    {source name: {target name: unit}} with no column where it is zero.
 
-
-def _on_mu_tower(c: BasisClass) -> bool:
-    """t⁰ (μ^k times any λ): where φ is nonzero."""
-    return c.t_exp == 0
-
-
-@dataclass
-class GradedLinearMap:
-    """A degree- and weight-preserving F_p-linear map between monomial-named
-    bigraded bases, stored as a sparse matrix bundled per degree."""
-
-    name: str
-    p: int
-    source: list[BasisClass]
-    target: list[BasisClass]
-    columns: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._tgt = {c.name: c for c in self.target}
-        self._src = {c.name: c for c in self.source}
-        for sname, col in self.columns.items():
-            s = self._src[sname]
-            for tname, coeff in col.items():
-                t = self._tgt[tname]
-                if (s.degree, s.weight) != (t.degree, t.weight):
-                    raise VerificationError(
-                        f"{self.name} does not preserve bidegree on "
-                        f"{sname} -> {tname}")
-                if coeff % self.p == 0:
-                    raise VerificationError(
-                        f"{self.name} stores a zero entry at {sname}")
-
-    def apply(self, name: str) -> dict[str, int]:
-        return dict(self.columns.get(name, {}))
-
-    def block(self, degree: int):
-        """(source classes, target classes, dense column list) in degree."""
-        src = [c for c in self.source if c.degree == degree]
-        tgt = [c for c in self.target if c.degree == degree]
-        tix = {c.name: i for i, c in enumerate(tgt)}
-        cols = []
-        for c in src:
-            v = {}
-            for tname, coeff in self.columns.get(c.name, {}).items():
-                v[tix[tname]] = coeff % self.p
-            cols.append(v)
-        return src, tgt, cols
-
-
-def build_can(p: int, window=None) -> GradedLinearMap:
-    """The canonical comparison map.  It sends λ₁^{ε₁}λ₂^{ε₂}·t^{kp²} with
-    k ≥ 0 to the class of the same name and is zero on every other class."""
-    win = window or default_table_window(p)
-    target = _einfty_basis(p, "tp", win)
-    source = _einfty_basis(p, "tcminus", win)
-    tgt_names = {c.name for c in target}
-    columns = {}
-    for c in source:
-        if _on_can_lattice(p, c):
-            if c.name not in tgt_names:
-                raise VerificationError(
-                    f"can: target basis has no class named {c.name}")
-            columns[c.name] = {c.name: 1}
-    return GradedLinearMap("can", p, source, target, columns)
-
-
-def build_frobenius(p: int, window=None,
-                    convention: str = FROBENIUS_CONVENTIONS[0],
-                    ) -> GradedLinearMap:
-    """The Frobenius comparison map.  It sends λ₁^{ε₁}λ₂^{ε₂}·μ^k to
-    u(k,ε₁,ε₂)·λ₁^{ε₁}λ₂^{ε₂}·t^{−kp²} and is zero elsewhere.  u(0,·) = 1
-    always (the map is unital on the λ-subalgebra); the convention only
-    picks the units for k ≥ 1, which are not pinned down by the structure.
+    can sends λ₁^{ε₁}λ₂^{ε₂}·t^{kp²} with k ≥ 0 to the class of the same
+    name.  φ sends λ₁^{ε₁}λ₂^{ε₂}·μ^k to u·λ₁^{ε₁}λ₂^{ε₂}·t^{−kp²}, where
+    u = u(p, k, ε₁, ε₂) is 1 at k = 0 (φ is unital on the λ-subalgebra).
+    The units for k ≥ 1 are not pinned down by the structure, so
+    ``convention`` picks them: "one" is the default, and "alt" is a
+    deliberately different choice, used to show that the table does not
+    depend on it; at p = 2, where F_2^× is trivial, it is 1.  The images
+    are checked where φ − can is assembled, in ``_fiber_parts``.
     """
     unit = _FROBENIUS_UNITS.get(convention)
     if unit is None:
         raise ValueError(f"unknown Frobenius unit convention {convention!r}")
     win = window or default_table_window(p)
-    target = _einfty_basis(p, "tp", win)
     source = _einfty_basis(p, "tcminus", win)
-    by_exps = {(c.t_exp, c.eps1, c.eps2): c for c in target}
-    columns = {}
+    target = _einfty_basis(p, "tp", win)
+    tp = tp_presentation(p).catalog
+    can, phi = {}, {}
     for c in source:
-        if _on_mu_tower(c):
+        if c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0:
+            can[c.name] = {c.name: 1}
+        if c.t_exp == 0:
             k = c.mu_exp
-            u = 1 if k == 0 else unit(p, k, c.eps1, c.eps2) % p
-            if u == 0:
-                raise VerificationError("Frobenius unit must lie in F_p^x")
-            t = by_exps.get((-k * p * p, c.eps1, c.eps2))
-            if t is None:
-                raise VerificationError(
-                    f"phi: target basis has no image class for {c.name}")
-            columns[c.name] = {t.name: u}
-    return GradedLinearMap("phi", p, source, target, columns)
+            image = tp.mono({"t": -k * p * p, "lambda1": c.eps1,
+                             "lambda2": c.eps2})
+            phi[c.name] = {tp.mono_str(image):
+                           1 if k == 0 else unit(p, k, c.eps1, c.eps2)}
+    return source, target, can, phi
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +467,14 @@ class GeneratorTable:
         return "\n".join(lines) + "\n"
 
 
-def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
-    """Degreewise kernel and cokernel of (φ − can), by one elimination.
+def _fiber_parts(p: int, source: list[BasisClass], target: list[BasisClass],
+                 phi: dict, can: dict):
+    """Degreewise kernel and cokernel of (φ − can) from ``source`` to
+    ``target``, by one elimination.
+
+    Every hard error on the maps is raised here, as the matrix is assembled:
+    an image class that is missing or of another bidegree, a unit that is 0
+    mod p, and a target class hit twice by one map.
 
     `kernel_basis` gives one special solution per column that depends on
     the columns before it, with its leading 1 at that column: its source
@@ -544,19 +482,39 @@ def _fiber_parts(p: int, phi: GradedLinearMap, can: GradedLinearMap):
     it leaves are the cokernel.  Both are canonical for the fixed basis
     enumeration.
     """
+    blocks: dict[int, tuple[list, list]] = {}
+    for c in source:
+        blocks.setdefault(c.degree, ([], []))[0].append(c)
+    named, row = {}, {}  # target class and its index in its degree's block
+    for c in target:
+        tgt = blocks.setdefault(c.degree, ([], []))[1]
+        named[c.name], row[c.name] = c, len(tgt)
+        tgt.append(c)
+    cols = {c.name: {} for c in source}  # φ − can, over those indices
+    for name, columns, sign in (("phi", phi, 1), ("can", can, -1)):
+        hit = set()
+        for s in source:
+            for tname, unit in columns.get(s.name, {}).items():
+                t = named.get(tname)
+                fault = ("has no image class" if t is None
+                         else "does not preserve bidegree"
+                         if (t.degree, t.weight) != (s.degree, s.weight)
+                         else "stores a zero entry" if unit % p == 0
+                         else "is not injective" if tname in hit else None)
+                if fault:
+                    raise VerificationError(
+                        f"{name} {fault} on {s.name} -> {tname}")
+                hit.add(tname)
+                cols[s.name] = vec_addmul(p, cols[s.name],
+                                          {row[tname]: unit}, sign)
     kernel: list[BasisClass] = []
     cokernel: list[BasisClass] = []
     dims: dict[int, tuple[int, int]] = {}
-    for degree in sorted({c.degree for c in phi.source}
-                         | {c.degree for c in phi.target}):
-        src, tgt, pcols = phi.block(degree)
-        csrc, ctgt, ccols = can.block(degree)
-        if (csrc, ctgt) != (src, tgt):
-            raise VerificationError(
-                f"phi and can have different bases in degree {degree}")
+    for degree in sorted(blocks):
+        src, tgt = blocks[degree]
         span = Span(p)
         ker = [src[max(k)] for k in kernel_basis(
-            p, [vec_addmul(p, pv, cv, -1) for pv, cv in zip(pcols, ccols)], span)]
+            p, [cols[c.name] for c in src], span)]
         coker = [c for i, c in enumerate(tgt) if i not in span.rows]
         kernel += ker
         cokernel += coker
@@ -591,9 +549,8 @@ def syntomic_table(p: int, window=None,
     win = window or default_table_window(p)
     if win[0] > win[1] or win[2] > win[3]:
         raise ValueError("window bounds must satisfy min <= max")
-    can = build_can(p, win)
-    phi = build_frobenius(p, win, convention)
-    kernel, cokernel, dims = _fiber_parts(p, phi, can)
+    kernel, cokernel, dims = _fiber_parts(
+        p, *comparison_maps(p, win, convention))
 
     entries = [TableEntry(c.name, c.degree, c.weight, "kernel")
                for c in kernel]
@@ -607,12 +564,12 @@ def syntomic_table(p: int, window=None,
         raise SyntomicWindowError(
             f"window {win} yields {len(entries)} generators, expected "
             f"{expected}; enlarge the window to cover the full table")
-    _verify_table(p, table, phi, can, dims)
+    _verify_table(p, table, dims)
     return table
 
 
-def _verify_table(p, table, phi, can, dims) -> None:
-    """Bookkeeping invariants tying the table back to the matrices."""
+def _verify_table(p, table, dims) -> None:
+    """Bookkeeping invariants tying the table back to the fiber."""
     # degreewise: #generators of degree n = dim ker_n + dim coker_{n+1}
     per_degree: dict[int, int] = {}
     for e in table.entries:
@@ -626,32 +583,10 @@ def _verify_table(p, table, phi, can, dims) -> None:
             raise VerificationError(
                 f"fiber bookkeeping fails in degree {n}: "
                 f"{count} != {k} + {c}")
-    # can is injective on the non-negative t^{p^2}-power part
-    seen = set()
-    for c in can.source:
-        col = can.apply(c.name)
-        if _on_can_lattice(p, c):
-            if not col:
-                raise VerificationError(f"can vanishes on {c.name}")
-            tgt = frozenset(col.items())
-            if tgt in seen:
-                raise VerificationError("can is not injective on t-powers")
-            seen.add(tgt)
-    # phi is injective on mu-power classes
-    seen = set()
-    for c in phi.source:
-        if _on_mu_tower(c):
-            col = frozenset(phi.apply(c.name).items())
-            if not col:
-                raise VerificationError(f"phi vanishes on {c.name}")
-            if col in seen:
-                raise VerificationError("phi is not injective on mu-powers")
-            seen.add(col)
     # the four del-classes and their degrees
-    dels = [e for e in table.entries if e.origin == "cokernel"]
-    got = sorted(e.degree for e in dels)
+    got = sorted(e.degree for e in table.entries if e.origin == "cokernel")
     want = sorted((-1, 2 * p - 2, 2 * p * p - 2, 2 * p * p + 2 * p - 3))
-    if len(dels) != 4 or got != want:
+    if got != want:
         raise VerificationError(
             f"del-classes sit at degrees {got}, expected {want}")
 

@@ -385,6 +385,50 @@ class TestSsCommand:
         assert code == 0, err
         assert "E1: 6 classes" in out and "survivors (boundary-safe): 6" in out
 
+    # Omega(F_3[x1, x2]) with x1*x2 = 0: d(x1*x2) = x2*dx1 + x1*dx2 is not
+    # zero in the quotient, so d is not defined on it
+    DERHAM_XY = ("prime 3\ngen x1 deg 2 weight 0 parity even\n"
+                 "gen x2 deg 2 weight 0 parity even\n"
+                 "gen dx1 deg 1 weight 1 parity odd\n"
+                 "gen dx2 deg 1 weight 1 parity odd\n"
+                 "rel x1*x2\ndiff page 1 x1 -> dx1\ndiff page 1 x2 -> dx2\n"
+                 "window deg 0 8 weight 0 2\n")
+
+    def test_relation_that_d_does_not_preserve(self, tmp_path):
+        f = tmp_path / "rel.ss"
+        f.write_text(self.DERHAM_XY)
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == ""
+        assert err == ("error: line 6: d_1 does not preserve the relation "
+                       "x1*x2: d_1(x1*x2) has the term x2*dx1\n")
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_p_th_power_relation_is_accepted(self, tmp_path, p):
+        # d(x^p) = p*x^(p-1)*dx = 0
+        f = tmp_path / "rel.ss"
+        f.write_text(f"prime {p}\ngen x deg 2 weight 0 parity even\n"
+                     "gen dx deg 1 weight 1 parity odd\n"
+                     f"rel x^{p}\ndiff page 1 x -> dx\n"
+                     "window deg 0 12 weight 0 1\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 0, err
+        top = "x" if p == 2 else f"x^{p - 1}"
+        assert out.endswith(f"survivors (boundary-safe): 2\n  1\n  {top}*dx\n")
+
+    def test_t_mu_relation_is_accepted(self, tmp_path):
+        # TC^- at p = 3: d_3(t*mu) and d_9(t^3*mu) are multiples of t*mu
+        f = tmp_path / "tcminus.ss"
+        f.write_text("prime 3\ngen t deg -2 weight 1 parity even\n"
+                     "gen mu deg 18 weight 0 parity even\n"
+                     "gen lambda1 deg 5 weight 0 parity odd\n"
+                     "gen lambda2 deg 17 weight 0 parity odd\n"
+                     "rel t*mu\ndiff page 3 t -> t^4*lambda1\n"
+                     "diff page 9 t^3 -> t^12*lambda2\n"
+                     "window deg -6 24 weight 0 14\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 0, err
+        assert "  mu\n" in out
+
 
 # t is not invertible: a relation on a unit kills the whole algebra, which
 # Presentation refuses
@@ -534,6 +578,22 @@ class TestChartCommand:
         bad.write_text("{not json")
         code, _, err = run_cli(["chart", "--in", str(bad)])
         assert code == 1 and "bad table JSON" in err
+
+    @pytest.mark.parametrize("name, why", [
+        ("t^x", "non-integer exponent 'x'"),
+        ("zz", "unknown chart symbol 'zz'"),
+    ])
+    def test_name_the_chart_cannot_label(self, tmp_path, name, why):
+        doc = json.loads(run_cli(["syntomic", "--prime", "2", "--format",
+                                  "json"])[1])
+        doc["generators"][0]["name"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for fmt in ("svg", "ascii"):
+            code, out, err = run_cli(["chart", "--in", str(bad),
+                                      "--format", fmt])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: bad table JSON: ") and why in err
 
     def test_wrong_schema_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -63,18 +63,37 @@ CASES = {
                                   "--trunc", "24"],
 }
 
-# sha256 lines of the 288-command fgl grid and the 97-command ss grid,
-# written and checked by scripts/fgl_grid.py and scripts/ss_grid.py (CI steps
+# sha256 lines of the 288-command fgl grid, the 97-command ss grid and the
+# 104-command syntomic grid, written and checked by scripts/grid.py (CI steps
 # run the whole checks)
-GRIDS = ("fgl-grid.sha256", "ss-grid.sha256")
+GRIDS = ("fgl-grid.sha256", "ss-grid.sha256", "syntomic-grid.sha256")
 
 
-def _grid(script):
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{script}.py"
-    spec = importlib.util.spec_from_file_location(script, path)
+def _grid():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "grid.py"
+    spec = importlib.util.spec_from_file_location("grid", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _lines(name):
+    return (GOLDEN / f"{name}-grid.sha256").read_text(
+        encoding="utf-8").splitlines()
+
+
+def _lists_the_grid_commands(name, count):
+    argvs = [" ".join(argv) for argv, _text in _grid().GRIDS[name]()]
+    assert len(argvs) == count
+    assert [ln.split("\t")[0] for ln in _lines(name)] == argvs
+
+
+def _sample_is_byte_identical(name, step, monkeypatch, tmp_path):
+    grid = _grid()
+    monkeypatch.setenv("SYNTO_COLOR", "never")
+    pairs = list(zip(grid.GRIDS[name](), _lines(name)))
+    for (argv, text), line in pairs[::step]:
+        assert grid.run(argv, text, tmp_path) == line
 
 
 def test_every_golden_file_has_a_case():
@@ -82,35 +101,31 @@ def test_every_golden_file_has_a_case():
 
 
 def test_grid_file_lists_the_grid_commands():
-    lines = (GOLDEN / "fgl-grid.sha256").read_text(encoding="utf-8").splitlines()
-    argvs = [" ".join(argv) for argv in _grid("fgl_grid").commands()]
-    assert len(argvs) == 288
-    assert [ln.split("\t")[0] for ln in lines] == argvs
+    _lists_the_grid_commands("fgl", 288)
 
 
 def test_ss_grid_file_lists_the_grid_commands():
-    lines = (GOLDEN / "ss-grid.sha256").read_text(encoding="utf-8").splitlines()
-    argvs = [" ".join(argv) for argv, _text in _grid("ss_grid").commands()]
-    assert len(argvs) == 97
-    assert [ln.split("\t")[0] for ln in lines] == argvs
+    _lists_the_grid_commands("ss", 97)
 
 
-def test_grid_sample_is_byte_identical(monkeypatch):
+def test_syntomic_grid_file_lists_the_grid_commands():
+    _lists_the_grid_commands("syntomic", 104)
+
+
+def test_grid_sample_is_byte_identical(monkeypatch, tmp_path):
     # every 24th command here; the CI step checks all 288
-    grid = _grid("fgl_grid")
-    monkeypatch.setenv("SYNTO_COLOR", "never")
-    lines = (GOLDEN / "fgl-grid.sha256").read_text(encoding="utf-8").splitlines()
-    for argv, line in list(zip(grid.commands(), lines))[::24]:
-        assert grid.run(argv) == line
+    _sample_is_byte_identical("fgl", 24, monkeypatch, tmp_path)
 
 
 def test_ss_grid_sample_is_byte_identical(monkeypatch, tmp_path):
     # every 8th command here; the CI step checks all 97
-    grid = _grid("ss_grid")
-    monkeypatch.setenv("SYNTO_COLOR", "never")
-    lines = (GOLDEN / "ss-grid.sha256").read_text(encoding="utf-8").splitlines()
-    for (argv, text), line in list(zip(grid.commands(), lines))[::8]:
-        assert grid.run(argv, text, tmp_path) == line
+    _sample_is_byte_identical("ss", 8, monkeypatch, tmp_path)
+
+
+def test_syntomic_grid_sample_is_byte_identical(monkeypatch, tmp_path):
+    # every 7th command, so each prime, unit and format is met; the CI step
+    # checks all 104
+    _sample_is_byte_identical("syntomic", 7, monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

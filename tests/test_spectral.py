@@ -17,7 +17,8 @@ from synto.linalg import vec_addmul
 from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
                             DifferentialSpec, Presentation, SSPage, Window,
                             WindowInconclusiveError, build_page,
-                            check_square_zero, collapse_check, flag_boundary,
+                            check_relation, check_square_zero, collapse_check,
+                            flag_boundary,
                             leibniz_extend, run_to_stable, turn_page)
 from synto.summand import derive_differentials, tcminus_presentation, tp_presentation
 
@@ -396,6 +397,37 @@ def _product_rule_sides(spec, r, m1, m2):
         else:
             rhs.pop(m, None)
     return lhs, rhs
+
+
+class TestCheckRelation:
+    """d_r must map each relation into the relation ideal."""
+
+    @staticmethod
+    def spec(relation):
+        # F_3[t, s] with s odd and d_2(t^3) = s; d_2 acts on powers of t^3
+        pres = Presentation(3, [GeneratorSymbol("t", 2, 0),
+                                GeneratorSymbol("s", 5, 2)], [relation])
+        cat = pres.catalog
+        return DifferentialSpec(
+            pres, [DiffEntry(2, "t", 3, ((cat.mono({"s": 1}), 1),))])
+
+    @pytest.mark.parametrize("relation", [{"t": 2}, {"t": 3}])
+    def test_relation_lifted_into_the_domain(self, relation):
+        # t^2 is outside d_2's domain; its least multiple inside is t^3,
+        # and d_2(t^3) = s is not a multiple of the relation
+        spec = self.spec(relation)
+        with pytest.raises(ValueError, match=r"d_2\(t\^3\) has the term s"):
+            check_relation(spec, spec.pres.relations[0])
+
+    def test_preserved_relation(self):
+        # d_2(t^3*s) = s^2 = 0
+        spec = self.spec({"t": 3, "s": 1})
+        check_relation(spec, spec.pres.relations[0])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_t_mu_is_preserved_on_every_page(self, p):
+        spec = derive_differentials(p, "tcminus")
+        check_relation(spec, spec.pres.relations[0])
 
 
 class TestSquareZero:

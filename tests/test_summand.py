@@ -13,9 +13,8 @@ from synto.fgl import orientation_truncation
 from synto.graded import Poly, VerificationError
 from synto.linalg import Span, kernel_basis
 from synto.spectral import ChartEntry, Presentation
-from synto.summand import (BasisClass, GeneratorTable,
-                           GradedLinearMap, SyntomicWindowError, TableEntry,
-                           build_can, build_frobenius,
+from synto.summand import (BasisClass, GeneratorTable, SyntomicWindowError,
+                           TableEntry, comparison_maps,
                            default_table_window, derive_differentials,
                            hodge_tate_check, motivic_collapse_check,
                            syntomic_table,
@@ -200,12 +199,12 @@ class TestEInfty:
 
 
 class TestBases:
-    """The comparison bases, read off the certified E∞ pages: can's source
-    is the TC⁻ page and its target the TP page."""
+    """The comparison bases, read off the certified E∞ pages: the source is
+    the TC⁻ page and the target the TP page."""
 
     def test_tp_basis_window(self):
         win = (-2, 14, 0, 8)
-        basis = build_can(2, win).target
+        _source, basis, _can, _phi = comparison_maps(2, win)
         names = [c.name for c in basis]
         # degree of t^{4k} is -8k: t^-4 sits at degree 8 (inside), t^4 at
         # degree -8 (outside)
@@ -217,59 +216,76 @@ class TestBases:
 
     def test_tcminus_basis_has_leftovers(self):
         win = default_table_window(3)
-        names = {c.name for c in build_can(3, win).source}
+        names = {c.name for c in comparison_maps(3, win)[0]}
         assert {"t*lambda1", "t^6*lambda2", "mu",
                 "lambda1*lambda2"} <= names
         assert "t^-9" not in names  # no negative t-powers on this side
 
     def test_basis_classes_are_sorted(self):
-        win = default_table_window(2)
-        basis = build_can(2, win).source
-        assert basis == sorted(basis)
+        source, target, _can, _phi = comparison_maps(2)
+        assert source == sorted(source) and target == sorted(target)
 
     def test_degree_formula(self):
         # |t^d·x| = |x| - 2d: t^2·lambda1 at p=3 has degree 5 - 4 = 1
-        (c,) = [c for c in build_can(3, default_table_window(3)).source
-                if c.name == "t^2*lambda1"]
+        (c,) = [c for c in comparison_maps(3)[0] if c.name == "t^2*lambda1"]
         assert (c.degree, c.weight) == (1, 1)
 
 
-class TestGradedLinearMap:
+def basis_class(degree, weight, name):
+    return BasisClass(degree, weight, name, 0, 0, 0, 0)
+
+
+class TestFiberParts:
+    """The maps' hard errors, raised where φ − can is assembled."""
+
+    SOURCE = [basis_class(0, 0, "a"), basis_class(0, 0, "b")]
+    TARGET = [basis_class(0, 0, "x"), basis_class(0, 0, "y"),
+              basis_class(2, 0, "z"), basis_class(0, 1, "w")]
+
+    def fiber(self, phi, can):
+        return summand._fiber_parts(3, self.SOURCE, self.TARGET, phi, can)
+
+    def test_missing_image_class(self):
+        with pytest.raises(VerificationError,
+                           match="phi has no image class on a -> v"):
+            self.fiber({"a": {"v": 1}}, {})
+
     def test_bidegree_preservation_enforced(self):
-        src = [BasisClass(0, 0, "a", 0, 0, 0, 0)]
-        tgt = [BasisClass(2, 0, "b", -1, 0, 0, 0)]
-        with pytest.raises(VerificationError, match="bidegree"):
-            GradedLinearMap("bad", 3, src, tgt, {"a": {"b": 1}})
+        with pytest.raises(VerificationError,
+                           match="can does not preserve bidegree on a -> z"):
+            self.fiber({}, {"a": {"z": 1}})
+        with pytest.raises(VerificationError,
+                           match="phi does not preserve bidegree on a -> w"):
+            self.fiber({"a": {"w": 1}}, {})
 
     def test_zero_entries_rejected(self):
-        src = [BasisClass(0, 0, "a", 0, 0, 0, 0)]
-        tgt = [BasisClass(0, 0, "b", 0, 0, 0, 0)]
-        with pytest.raises(VerificationError, match="zero"):
-            GradedLinearMap("bad", 3, src, tgt, {"a": {"b": 3}})
+        with pytest.raises(VerificationError,
+                           match="phi stores a zero entry on a -> y"):
+            self.fiber({"a": {"x": 1, "y": 3}}, {})
 
-    def test_block_extraction(self):
-        can = build_can(2)
-        src, tgt, cols = can.block(0)
-        assert [c.name for c in src if can.apply(c.name)] == ["1"]
-        assert any(c.name == "1" for c in tgt)
-        assert sum(1 for v in cols if v) >= 1
+    def test_repeated_target_rejected(self):
+        with pytest.raises(VerificationError,
+                           match="can is not injective on b -> x"):
+            self.fiber({}, {"a": {"x": 1}, "b": {"x": 2}})
 
 
-def reference_fiber_parts(p, phi, can):
+def reference_fiber_parts(p, source, target, phi, can):
     """Kernel and cokernel of φ − can with two eliminations per degree: a
     kernel basis of the columns, then a separate span for the image."""
     kernel, cokernel, dims = [], [], {}
-    for degree in sorted({c.degree for c in phi.source}
-                         | {c.degree for c in phi.target}):
-        src, tgt, pcols = phi.block(degree)
-        _src, _tgt, ccols = can.block(degree)
+    for degree in sorted({c.degree for c in source + target}):
+        src = [c for c in source if c.degree == degree]
+        tgt = [c for c in target if c.degree == degree]
+        tix = {c.name: i for i, c in enumerate(tgt)}
         cols = []
-        for pv, cv in zip(pcols, ccols):
-            v = dict(pv)
-            for i, coeff in cv.items():
-                v[i] = (v.get(i, 0) - coeff) % p
-                if not v[i]:
-                    del v[i]
+        for c in src:
+            v = {}
+            for columns, sign in ((phi, 1), (can, -1)):
+                for tname, coeff in columns.get(c.name, {}).items():
+                    i = tix[tname]
+                    v[i] = (v.get(i, 0) + sign * coeff) % p
+                    if not v[i]:
+                        del v[i]
             cols.append(v)
         kers = kernel_basis(p, cols)
         kernel += [src[max(ker)] for ker in kers]
@@ -279,17 +295,20 @@ def reference_fiber_parts(p, phi, can):
     return kernel, cokernel, dims
 
 
-def random_map(rng, p, name, source, target):
-    """A random degree- and weight-preserving map, about half its entries
-    zero."""
+def random_map(rng, p, source, target):
+    """A random degree- and weight-preserving injective map: the target
+    classes of each bidegree are dealt out among its source classes, so a
+    column has several entries, each in F_p^×, and no target is hit twice.
+    About a third of the target classes are left out."""
     columns = {}
     for s in source:
-        col = {t.name: rng.randrange(1, p) for t in target
-               if (t.degree, t.weight) == (s.degree, s.weight)
-               and rng.random() < 0.5}
+        pool = [t.name for t in target
+                if (t.degree, t.weight) == (s.degree, s.weight)
+                and not any(t.name in col for col in columns.values())]
+        col = {t: rng.randrange(1, p) for t in pool if rng.random() < 0.5}
         if col:
             columns[s.name] = col
-    return GradedLinearMap(name, p, source, target, columns)
+    return columns
 
 
 class TestFiberOracle:
@@ -303,22 +322,26 @@ class TestFiberOracle:
         def classes(prefix):
             return sorted(BasisClass(rng.randrange(-1, 2), rng.randrange(2),
                                      f"{prefix}{i}", 0, 0, 0, 0)
-                          for i in range(rng.randrange(11)))
+                          for i in range(rng.randrange(16)))
 
+        entries = 0
         for _ in range(60):
             source, target = classes("s"), classes("t")
-            phi = random_map(rng, p, "phi", source, target)
-            can = random_map(rng, p, "can", source, target)
-            assert (summand._fiber_parts(p, phi, can)
-                    == reference_fiber_parts(p, phi, can))
+            phi = random_map(rng, p, source, target)
+            can = random_map(rng, p, source, target)
+            entries = max(entries, *(len(col) for col in
+                                     (*phi.values(), *can.values(), {})))
+            assert (summand._fiber_parts(p, source, target, phi, can)
+                    == reference_fiber_parts(p, source, target, phi, can))
+        assert entries >= 3  # columns of several entries were drawn
 
 
 class TestComparisonMaps:
     @pytest.mark.parametrize("p", [2, 3])
     def test_can_hits_nonnegative_lattice_only(self, p):
-        can = build_can(p)
-        for c in can.source:
-            col = can.apply(c.name)
+        source, _target, can, _phi = comparison_maps(p)
+        for c in source:
+            col = can.get(c.name, {})
             if c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0:
                 assert col == {c.name: 1}
             else:
@@ -326,9 +349,9 @@ class TestComparisonMaps:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_frobenius_inverts_mu_powers(self, p):
-        phi = build_frobenius(p)
-        for c in phi.source:
-            col = phi.apply(c.name)
+        source, _target, _can, phi = comparison_maps(p)
+        for c in source:
+            col = phi.get(c.name, {})
             if c.t_exp == 0:
                 assert len(col) == 1
                 (tname, u) = next(iter(col.items()))
@@ -339,19 +362,20 @@ class TestComparisonMaps:
                 assert col == {}
 
     def test_alt_convention_differs_only_in_units(self):
-        one = build_frobenius(3, convention="one")
-        alt = build_frobenius(3, convention="alt")
-        assert {c.name for c in one.source} == {c.name for c in alt.source}
+        source, target, can, one = comparison_maps(3, convention="one")
+        *same, alt = comparison_maps(3, convention="alt")
+        assert same == [source, target, can]
+        assert set(one) == set(alt)
         diffs = 0
-        for c in one.source:
-            a, b = one.apply(c.name), alt.apply(c.name)
+        for c in source:
+            a, b = one.get(c.name, {}), alt.get(c.name, {})
             assert set(a) == set(b)
             diffs += sum(1 for k in a if a[k] != b[k])
         assert diffs > 0  # the conventions genuinely differ at p = 3
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
-            build_frobenius(3, convention="legendre")
+            comparison_maps(3, convention="legendre")
 
 
 P2_TABLE = [
