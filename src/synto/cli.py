@@ -232,7 +232,7 @@ def parse_presentation(text: str):
     <gen|gen^e> -> <combination>`` (terms separated by `` + ``/`` - ``),
     ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  The
     degree decides a generator's parity, so the parity token must agree
-    with it.
+    with it, and ``maxexp <n>`` is the relation ``<name>^(n+1)``.
     """
     prime = None
     gens: list[tuple[int, GeneratorSymbol]] = []
@@ -289,7 +289,14 @@ def parse_presentation(text: str):
                 else:
                     raise PresentationParseError(
                         f"line {ln}: unknown gen option {rest[0]!r}")
-            gens.append((ln, GeneratorSymbol(name, deg, weight, invertible, max_exp)))
+            if max_exp is not None:
+                if why := (f"generator {name} has negative max_exp" if max_exp < 0
+                           else f"invertible generator {name} has a max_exp" if invertible
+                           else f"odd generator {name} must have exponent <= 1"
+                           if deg % 2 and max_exp > 1 else None):
+                    raise PresentationParseError(f"line {ln}: {why}")
+                rels.append((ln, {name: max_exp + 1}))
+            gens.append((ln, GeneratorSymbol(name, deg, weight, invertible)))
         elif kw == "rel":
             if len(toks) != 2:
                 raise PresentationParseError(

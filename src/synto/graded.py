@@ -16,7 +16,7 @@ Monomials are exponent tuples aligned with the catalog, so the zero tuple is
 1 and negative exponents are legal (used for Laurent generators like t^{-1}
 on the periodic page).  There is deliberately no Groebner machinery: the only
 ideals the pipeline quotients by are generated by (p, v1, v2), and the only
-multiplicative relations are "this monomial is zero" (e.g. t*mu), so
+multiplicative relations are "this monomial is zero" (e.g. t*mu, x^p), so
 reduction is a per-monomial filter.
 
 >>> cat = Catalog([GeneratorSymbol("t", -2, 1),
@@ -48,15 +48,13 @@ class VerificationError(Exception):
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
-    """A generator of bidegree (degree, weight).  `invertible` and `max_exp`
-    bound its exponents on a spectral-sequence page (see
-    `spectral.Presentation`); the series layer reads neither."""
+    """A generator of bidegree (degree, weight).  `invertible` lets exponents
+    go negative on a page of `spectral.Presentation`; the series ignores it."""
 
     name: str
     degree: int
     weight: int
     invertible: bool = False
-    max_exp: Optional[int] = None
 
 
 @dataclass(frozen=True)

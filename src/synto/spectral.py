@@ -84,7 +84,7 @@ def _extent(ranges: Sequence[tuple[Optional[int], Optional[int]]],
 
 
 class Presentation:
-    """Generators with exponent bounds, and monomial relations: a quotient
+    """Generators and monomial relations, a cap x^k = 0 among them: a quotient
     of the graded-commutative algebra.  `_structural_ranges` bounds each
     exponent, and `_walk` gives E₁ and the binding window edges."""
 
@@ -94,11 +94,7 @@ class Presentation:
         self.catalog = Catalog(gens)
         self.gens = self.catalog.symbols
         for g in self.gens:
-            if g.max_exp is not None and g.max_exp < 0:
-                raise ValueError(f"generator {g.name} has negative max_exp")
-            if g.max_exp is not None and g.invertible:
-                raise ValueError(f"invertible generator {g.name} has a max_exp")
-            if g.degree % 2 and (g.invertible or (g.max_exp or 1) > 1):
+            if g.degree % 2 and g.invertible:
                 raise ValueError(f"odd generator {g.name} must have exponent <= 1")
         self.relations: tuple[Mono, ...] = tuple(
             self.catalog.mono(r) for r in relations)
@@ -111,23 +107,18 @@ class Presentation:
                                      f"kills the unit {g.name}, so every class")
 
     def killed(self, m: Mono) -> bool:
-        """Zero in the quotient: divisible by a relation, or over an exponent cap."""
-        for i, e in enumerate(m):
-            cap = self.gens[i].max_exp
-            if cap is not None and e > cap:
-                return True
+        """Zero in the quotient: divisible by a relation."""
         return any(all(x >= e for x, e in zip(m, rel) if e > 0)
                    for rel in self.relations)
 
     def _structural_ranges(self) -> list[tuple[Optional[int], Optional[int]]]:
         """Per-generator exponent interval of the quotient (None = unbounded).
-        An odd degree, a max_exp and a pure-power relation x^k each cap it."""
+        An odd degree and a pure-power relation x^k each cap it."""
         ranges = []
         for i, g in enumerate(self.gens):
-            # x^k caps x below k; the relation 1 caps every exponent below 0
+            # x^k caps x below k, an odd x at 1; the relation 1 caps all below 0
             caps = [rel[i] - 1 for rel in self.relations
-                    if not any(rel[:i] + rel[i + 1:])]
-            caps += [g.max_exp] if g.max_exp is not None else [1] if g.degree % 2 else []
+                    if not any(rel[:i] + rel[i + 1:])] + [1] * (g.degree % 2)
             hi = min(caps, default=None)
             # a unit can only be capped by the relation 1, which empties it
             ranges.append((None if g.invertible and hi is None else 0, hi))
@@ -330,7 +321,8 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
 
 def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
     """Raise ValueError unless every d_r maps the relation ``rel`` into the
-    quotient's ideal, so that d_r is defined on the quotient.
+    quotient's ideal, so that d_r is defined on the quotient; one with an
+    odd square, like y^2, holds in any graded-commutative algebra.
 
     On page r, ρ′ raises each generator that d_r acts on to the next
     multiple of its base exponent: the least multiple of ρ in d_r's domain.
@@ -339,6 +331,8 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
     settles the relation on that page.
     """
     cat = spec.pres.catalog
+    if any(rel[i] > 1 for i in cat._odd):
+        return
     for r in spec.pages:
         lifted = list(rel)
         for i, (e0, _image) in spec.by_page(r).items():

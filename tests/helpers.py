@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -232,16 +233,18 @@ def random_square_zero_case(rng: random.Random):
       cycle generators, drawn first, minus shift(r);
     - at most one generator is invertible, so the window bounds every
       exponent;
-    - the exponent caps keep the bounded part of the algebra to at most 50
+    - each even generator but the unit is capped by a relation g^(c+1); a
+      source's cap has p | c + 1, so that d(g^(c+1)) = (c+1)·g^c·d(g) = 0:
+      d preserves every relation and is defined on the quotient;
+    - the prime is drawn among those whose smallest source caps fit, and
+      the caps keep the bounded part of the algebra to at most 50
       monomials, or 12 beside an invertible generator, so the box around
       the first source s and its image m holds at most 50;
-    - a relation never ties a source to a cycle that an image uses: d would
-      lead out of the relation ideal and d² would not vanish on the quotient;
+    - a relation x*y ties two cycles, on which d vanishes;
     - the window holds the distinct nonzero monomials 1, s, m and s*m, so
       d_r(s) has a target in it.  Only beside an invertible generator can it
       hold over 50; it is then shrunk towards the box around s and m.
     """
-    p = rng.choice((2, 3, 5))
     r = rng.randint(1, 3)
     shift = ADAMS_RULE.shift(r)
     n = rng.randint(2, 4)
@@ -271,31 +274,31 @@ def random_square_zero_case(rng: random.Random):
         maybe_invertible(i)
 
     budget = 50 if inv is None else 12
-    size = 2 ** (n - (inv is not None))  # each bounded generator takes >= 2 exponents
-    gens = []
-    for i, (deg, weight) in enumerate(bideg):
-        if deg % 2:
-            gens.append(GeneratorSymbol(f"g{i}", deg, weight))
-        elif i == inv:
-            gens.append(GeneratorSymbol(f"g{i}", deg, weight, invertible=True))
-        else:
-            cap = min(rng.randint(1, 3), budget // (size // 2) - 1)
-            size = size // 2 * (cap + 1)
-            gens.append(GeneratorSymbol(f"g{i}", deg, weight, max_exp=cap))
+    gens = [GeneratorSymbol(f"g{i}", deg, weight, invertible=i == inv)
+            for i, (deg, weight) in enumerate(bideg)]
+    capped = [i for i, (deg, _w) in enumerate(bideg) if deg % 2 == 0 and i != inv]
 
-    banned = set(sources)  # generators no image term may contain
+    def least(q, i):  # the fewest exponents that generator i takes at prime q
+        return q if i in sources else 2
+
+    p = rng.choice([q for q in (2, 3, 5)
+                    if math.prod(least(q, i) for i in capped) <= budget])
+    size = math.prod(least(p, i) for i in capped)
     rels = []
+    for i in capped:
+        rest = size // least(p, i)
+        count = (p * min(rng.randint(1, 2), budget // rest // p) if i in sources
+                 else min(rng.randint(2, 4), budget // rest))
+        size = rest * count
+        rels.append({gens[i].name: count})
+
     if rng.random() < 0.3:
-        used = {j for img in images.values() for j, e in enumerate(img) if e}
-        pairs = [(a, b) for a, b in itertools.combinations(range(n), 2)
+        pairs = [(a, b) for a, b in itertools.combinations(cycles, 2)
                  if inv not in (a, b)
-                 and not any(img[a] and img[b] for img in images.values())
-                 and not ((a in sources) != (b in sources) and {a, b} & used)]
+                 and not any(img[a] and img[b] for img in images.values())]
         if pairs:
             a, b = rng.choice(pairs)
             rels.append({gens[a].name: 1, gens[b].name: 1})
-            if (a in sources) != (b in sources):
-                banned |= {a, b}
     pres = Presentation(p, gens, relations=rels)
 
     s = bideg[sources[0]]  # bidegrees of the first source s and its image m
@@ -319,7 +322,7 @@ def random_square_zero_case(rng: random.Random):
         target = (bideg[i][0] + shift[0], bideg[i][1] + shift[1])
         candidates = [mono for mono in basis
                       if cat.bidegree(mono) == target
-                      and all(mono[j] == 0 for j in banned)]
+                      and all(mono[j] == 0 for j in sources)]
         if not candidates:
             continue
         picks = rng.sample(candidates,
@@ -333,26 +336,21 @@ def random_two_page_case(rng: random.Random):
     """(presentation, window, spec, r, r2): a `random_square_zero_case`
     plus one or two new generators h_k, each with a d_{r2}, r < r2 <= r + 2.
 
-    The page-r sources and the generators in a relation with one are
-    banned from the d_{r2} images, which otherwise lie in the window's
-    monomials.  So d_{r2} vanishes on every d_r image and d_r on every
-    d_{r2} image: on generators, hence everywhere, d_r d_{r2} = -d_{r2} d_r,
-    and d_{r2} descends to E_{r+1}.  Each h_k is odd or capped at exponent
-    1, and takes the bidegree of its image minus shift(r2), inside the
-    window where some allowed image permits it.
+    The page-r sources are banned from the d_{r2} images, which otherwise
+    lie in the window's monomials.  So d_{r2} vanishes on every d_r image
+    and d_r on every d_{r2} image: on generators, hence everywhere,
+    d_r d_{r2} = -d_{r2} d_r, and d_{r2} descends to E_{r+1}.  Each h_k is
+    odd or capped by the relation h_k^p, which d_{r2} preserves, and takes
+    the bidegree of its image minus shift(r2), inside the window where some
+    allowed image permits it.
     """
     pres, window, spec, r = random_square_zero_case(rng)
     r2 = r + rng.randint(1, 2)
     shift = ADAMS_RULE.shift(r2)
     cat, p = pres.catalog, pres.p
     sources = set(spec.by_page(r))
-    banned = set(sources)
-    for rel in pres.relations:
-        support = {i for i, e in enumerate(rel) if e}
-        if support & sources:
-            banned |= support
     allowed = [m for m in pres.enumerate_basis(window)
-               if not any(m[i] for i in banned)]  # never empty: 1 is there
+               if not any(m[i] for i in sources)]  # never empty: 1 is there
 
     def source_bidegree(m):
         deg, weight = cat.bidegree(m)
@@ -364,18 +362,19 @@ def random_two_page_case(rng: random.Random):
     entries = [DiffEntry(e.page, e.gen, e.base_exp,
                          tuple((m + (0,) * new, c) for m, c in e.image))
                for e in spec.entries]
+    rels = [{cat.symbols[i].name: e for i, e in enumerate(rel) if e}
+            for rel in pres.relations]
     for k in range(new):
         target = cat.bidegree(rng.choice(inside or allowed))
         same = [m for m in allowed if cat.bidegree(m) == target]
         picks = rng.sample(same, min(len(same), rng.randint(1, 2)))
         deg, weight = source_bidegree(picks[0])
         name = f"h{k}"
-        gens.append(GeneratorSymbol(name, deg, weight) if deg % 2
-                    else GeneratorSymbol(name, deg, weight, max_exp=1))
+        gens.append(GeneratorSymbol(name, deg, weight))
+        if deg % 2 == 0:
+            rels.append({name: p})
         entries.append(DiffEntry(r2, name, 1, tuple(
             (m + (0,) * new, rng.randint(1, p - 1)) for m in picks)))
-    rels = [{cat.symbols[i].name: e for i, e in enumerate(rel) if e}
-            for rel in pres.relations]
     pres2 = Presentation(p, gens, relations=rels)
     return pres2, window, DifferentialSpec(pres2, entries), r, r2
 

@@ -194,9 +194,9 @@ class TestFglCommand:
 
 
 TOY_PRESENTATION = """\
-# truncated polynomial algebra with one differential
+# truncated polynomial algebra with one differential: d(x^3) = 3x^2*y = 0
 prime 3
-gen x deg 0 weight 1 parity even maxexp 3
+gen x deg 0 weight 1 parity even maxexp 2
 gen y deg -1 weight 2 parity odd
 diff page 1 x -> y
 window deg -1 0 weight 0 5
@@ -268,7 +268,8 @@ class TestSsCommand:
         # the toy window cannot certify stability beyond page 1
         assert code == 2
         assert "assertion failed" in err and "inconclusive" in err
-        assert "E1: 8 classes" in out  # the run log stops where it failed
+        # x^a*y^e, a <= 2 and e <= 1: degree -e and weight a + 2e, all inside
+        assert "E1: 6 classes" in out  # the run log stops where it failed
 
     def test_max_page_is_gone(self):
         code, out, err = run_cli(["ss", "--preset", "tp", "--prime", "3",
@@ -342,6 +343,10 @@ class TestSsCommand:
          "invertible generator x has a max_exp"),
         (["gen x deg 2 weight 1 parity even invertible", "", "rel x"],
          "relation x kills the unit x"),
+        (["gen y deg 1 weight 0 parity odd maxexp 2"],
+         "odd generator y must have exponent <= 1"),
+        (["gen y deg 1 weight 0 parity odd invertible"],
+         "odd generator y must have exponent <= 1"),
     ])
     def test_bounds_that_describe_no_algebra(self, tmp_path, lines, why):
         f = tmp_path / "bad.ss"
@@ -401,6 +406,34 @@ class TestSsCommand:
         assert code == 1 and out == ""
         assert err == ("error: line 6: d_1 does not preserve the relation "
                        "x1*x2: d_1(x1*x2) has the term x2*dx1\n")
+
+    def test_cap_that_d_does_not_preserve(self, tmp_path):
+        # maxexp 3 is the relation x^4, and d(x^4) = 4x^3*y = x^3*y mod 3
+        f = tmp_path / "toy.ss"
+        f.write_text(TOY_PRESENTATION.replace("maxexp 2", "maxexp 3"))
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == ""
+        assert err == ("error: line 3: d_1 does not preserve the relation "
+                       "x^4: d_1(x^4) has the term x^3*y\n")
+
+    def test_odd_square_relation_holds(self, tmp_path):
+        # y^2 = 0 in any graded-commutative algebra, so the relation y^2
+        # changes nothing: F_3[x] ⊗ Λ(y) with d(y) = x has homology 1, and
+        # x^3*y, whose d leaves the window, is flagged
+        text = ("prime 3\ngen x deg 0 weight 1 parity even\n"
+                "gen y deg 1 weight 0 parity odd\n{rel}"
+                "diff page 1 y -> x\nwindow deg 0 1 weight 0 3\n")
+        runs = []
+        for name, rel in (("rel.ss", "rel y^2\n"), ("free.ss", "")):
+            f = tmp_path / name
+            f.write_text(text.format(rel=rel))
+            runs.append(run_cli(["ss", "--file", str(f)]))
+        code, out, err = runs[0]
+        assert code == 0, err
+        assert runs[0] == runs[1]
+        assert "E1: 8 classes" in out
+        assert out.endswith("survivors (boundary-safe): 1\n  1\n"
+                            "(+ 1 classes too close to the window edge to certify)\n")
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_p_th_power_relation_is_accepted(self, tmp_path, p):
@@ -505,7 +538,7 @@ class TestParsePresentation:
         prime, pres, spec, window = parsed
         assert prime == 3
         assert [g.name for g in pres.gens] == ["x", "y"]
-        assert pres.gens[0].max_exp == 3
+        assert pres.relations == (pres.catalog.mono({"x": 3}),)
         assert spec.pages == [1]
         assert (window.deg_min, window.deg_max) == (-1, 0)
 

@@ -68,20 +68,20 @@ class TestPresentation:
         assert not pres.killed(cat.mono({"t": 2}))
         assert not pres.killed(cat.mono({"mu": 2}))
 
-    def test_max_exp_kills(self):
-        pres = Presentation(3, [GeneratorSymbol("x", 2, 1, max_exp=2)])
-        assert pres.killed((3,))
+    def test_pure_power_relation_kills(self):
+        # a cap x^3 = 0 is the relation x^3, and nothing else bounds x
+        pres = Presentation(3, [GeneratorSymbol("x", 2, 1)], [{"x": 3}])
+        assert pres.killed((3,)) and pres.killed((4,))
         assert not pres.killed((2,))
+        assert pres._structural_ranges() == [(0, 2)]
 
     def test_odd_generator_exponent_guard(self):
-        with pytest.raises(ValueError):
-            Presentation(3, [GeneratorSymbol("a", 1, 0, max_exp=2)])
         with pytest.raises(ValueError):
             Presentation(3, [GeneratorSymbol("a", 1, 0, invertible=True)])
 
     @pytest.mark.parametrize("gen, rel", [
-        (GeneratorSymbol("x", 2, 1, max_exp=-1), {}),
-        (GeneratorSymbol("x", 2, 1, invertible=True, max_exp=1), {}),
+        (GeneratorSymbol("x", 2, 1), {"x": -1}),
+        (GeneratorSymbol("x", 1, 1, invertible=True), {}),
         (GeneratorSymbol("x", 2, 1, invertible=True), {"x": 1}),
     ])
     def test_bounds_that_describe_no_algebra(self, gen, rel):
@@ -102,8 +102,8 @@ class TestPresentation:
         assert "weight_min" in edges and "weight_max" in edges
 
     def test_no_binding_edges_when_window_covers_algebra(self):
-        pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=3),
-                                GeneratorSymbol("y", -1, 2)])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 1),
+                                GeneratorSymbol("y", -1, 2)], [{"x": 4}])
         assert pres.binding_edges(Window(-1, 0, 0, 5)) == set()
         # the algebra reaches each edge of that window: one step in binds it
         assert pres.binding_edges(Window(0, 0, 0, 5)) == {"deg_min"}
@@ -123,9 +123,9 @@ class TestPresentation:
         assert pres.binding_edges(Window(0, 1, 0, 0)) == set()
 
     def test_a_capped_odd_generator_bounds_the_edges(self):
-        # y has max_exp 0, so every monomial x^a has degree 0
-        pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=2),
-                                GeneratorSymbol("y", 1, 0, max_exp=0)])
+        # the relation y caps y at 0, so every monomial x^a has degree 0
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 1),
+                                GeneratorSymbol("y", 1, 0)], [{"x": 3}, {"y": 1}])
         assert pres.binding_edges(Window(0, 0, 0, 2)) == set()
         assert pres.enumerate_basis(Window(-4, 4, -4, 4)) == [(0, 0), (1, 0), (2, 0)]
 
@@ -170,23 +170,21 @@ class TestPresentation:
 def _random_presentation(rng):
     """1–4 generators, each odd (capped at exponent 0 or 1 or not capped),
     invertible, capped or plain, with degrees and weights in −4..4 (odd
-    degree for the odd kind only), up to two monomial relations (none on an
-    invertible generator), and a window inside ±8."""
+    degree for the odd kind only), a cap c as the relation x^(c+1), up to
+    two more monomial relations (none on an invertible generator), and a
+    window inside ±8."""
     gens = []
+    rels = []
     for name in "abcd"[:rng.randint(1, 4)]:
-        kind = rng.choice(("odd", "invertible", "max_exp", "plain"))
+        kind = rng.choice(("odd", "invertible", "capped", "plain"))
         # the degree decides the parity: odd for the odd kind, else even
         deg = rng.choice((-3, -1, 1, 3) if kind == "odd" else (-4, -2, 0, 2, 4))
         wt = rng.randint(-4, 4)
-        if kind == "invertible":
-            gens.append(GeneratorSymbol(name, deg, wt, invertible=True))
-        elif kind == "max_exp":
-            gens.append(GeneratorSymbol(name, deg, wt, max_exp=rng.randint(0, 4)))
-        elif kind == "odd":
-            gens.append(GeneratorSymbol(name, deg, wt, max_exp=rng.choice((None, 0, 1))))
-        else:
-            gens.append(GeneratorSymbol(name, deg, wt))
-    rels = []
+        gens.append(GeneratorSymbol(name, deg, wt, invertible=kind == "invertible"))
+        cap = (rng.randint(0, 4) if kind == "capped"
+               else rng.choice((None, 0, 1)) if kind == "odd" else None)
+        if cap is not None:
+            rels.append({name: cap + 1})
     # a relation on an invertible generator would kill the unit
     bounded = [g for g in gens if not g.invertible]
     for _ in range(rng.choice((0, 0, 1, 2)) if bounded else 0):
@@ -199,13 +197,12 @@ def _random_presentation(rng):
 
 
 def _structural(g, lo, hi):
-    """The exponents of g in [lo, hi] that the algebra allows."""
+    """The exponents of g in [lo, hi] that the free graded-commutative
+    algebra allows; `killed` is left to apply the relations, caps among them."""
     if g.degree % 2:
         lo, hi = max(lo, 0), min(hi, 1)
     elif not g.invertible:
         lo = max(lo, 0)
-    if g.max_exp is not None:
-        hi = min(hi, g.max_exp)
     return range(lo, hi + 1)
 
 
@@ -264,8 +261,8 @@ class TestEnumerationOracle:
 
 def xy_complex():
     """d(x) = y on F_3[x]/(x^4) ⊗ Λ(y): homology is {1, x^3, x^2y, x^3y}."""
-    pres = Presentation(3, [GeneratorSymbol("x", 0, 1, max_exp=3),
-                            GeneratorSymbol("y", -1, 2)])
+    pres = Presentation(3, [GeneratorSymbol("x", 0, 1),
+                            GeneratorSymbol("y", -1, 2)], [{"x": 4}])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [
         DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),))])
@@ -300,7 +297,7 @@ class TestLeibniz:
         # d(a·b) = -a·d(b) when a is odd of degree 1
         pres = Presentation(3, [GeneratorSymbol("a", 1, 0),
                                 GeneratorSymbol("b", 1, 1),
-                                GeneratorSymbol("e", 0, 2, max_exp=2)])
+                                GeneratorSymbol("e", 0, 2)], [{"e": 3}])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [
             DiffEntry(1, "b", 1, ((cat.mono({"e": 1}), 1),))])
@@ -424,10 +421,28 @@ class TestCheckRelation:
         spec = self.spec({"t": 3, "s": 1})
         check_relation(spec, spec.pres.relations[0])
 
+    def test_odd_square_relation_holds(self):
+        # y^2 = 0 in the free algebra already, though the power rule
+        # d(y^2) = 2y*d(y) gives 2x*y
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 1),
+                                GeneratorSymbol("y", 1, 0)], [{"y": 2}])
+        spec = DifferentialSpec(pres, [
+            DiffEntry(1, "y", 1, ((pres.catalog.mono({"x": 1}), 1),))])
+        check_relation(spec, pres.relations[0])
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_t_mu_is_preserved_on_every_page(self, p):
         spec = derive_differentials(p, "tcminus")
         check_relation(spec, spec.pres.relations[0])
+
+    @pytest.mark.parametrize("draw", [random_square_zero_case,
+                                      random_two_page_case])
+    def test_random_oracles_draw_preserved_quotients(self, draw):
+        # caps and relations alike: d is defined on every drawn quotient
+        for seed in range(300):
+            pres, _window, spec, *_pages = draw(random.Random(seed))
+            for rel in pres.relations:
+                check_relation(spec, rel)
 
 
 class TestSquareZero:
@@ -437,9 +452,9 @@ class TestSquareZero:
 
     def test_bad_spec_raises(self):
         # d(x) = y, d(y) = z with matching bidegrees: d² (x) = z ≠ 0
-        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
-                                GeneratorSymbol("y", -1, 1, max_exp=1),
-                                GeneratorSymbol("z", -2, 2, max_exp=1)])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
+                                GeneratorSymbol("y", -1, 1),
+                                GeneratorSymbol("z", -2, 2)], [{"x": 2}, {"z": 2}])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [
             DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
@@ -530,9 +545,9 @@ class TestTurnPageKeepsInput:
         # d(x) = y + z: the boundary row y + z has a term at the pivot of the
         # survivor y, so inserting y into a copy of the boundaries rewrites
         # that row, which the copy shares with the page it was copied from
-        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
                                 GeneratorSymbol("y", -1, 1),
-                                GeneratorSymbol("z", -1, 1)])
+                                GeneratorSymbol("z", -1, 1)], [{"x": 2}])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
             (cat.mono({"y": 1}), 1), (cat.mono({"z": 1}), 1)))])
@@ -620,8 +635,8 @@ class TestTurnPage:
 
     def test_alive_class_outside_the_domain_raises(self):
         # d_1 is given on x^2 only, so the alive class x has no d_1
-        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=2),
-                                GeneratorSymbol("y", -1, 1)])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
+                                GeneratorSymbol("y", -1, 1)], [{"x": 3}])
         spec = DifferentialSpec(pres, [DiffEntry(1, "x", 2, (
             (pres.catalog.mono({"y": 1}), 1),))])
         page = build_page(pres, Window(-1, 0, 0, 1))
@@ -634,8 +649,8 @@ def _xy_page():
     """Page 1 of x in (0, 0), x^2 = 0, and odd y in (-1, 1), with
     d_1(x) = y; and the index of each window monomial, by name, in its
     bidegree."""
-    pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
-                            GeneratorSymbol("y", -1, 1)])
+    pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
+                            GeneratorSymbol("y", -1, 1)], [{"x": 2}])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
         (cat.mono({"y": 1}), 1),))])
@@ -817,8 +832,8 @@ class TestRunToStable:
 
     def test_unstable_window_is_inconclusive(self):
         # no differentials specified, but two bidegrees sit in d_1 position
-        pres = Presentation(3, [GeneratorSymbol("x", 0, 0, max_exp=1),
-                                GeneratorSymbol("y", -1, 1, max_exp=1)])
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
+                                GeneratorSymbol("y", -1, 1)], [{"x": 2}])
         spec = DifferentialSpec(pres, [])
         page = build_page(pres, Window(-1, 0, 0, 1))
         with pytest.raises(WindowInconclusiveError):
