@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from synto.graded import Catalog, GeneratorSymbol, Mono, VerificationError
@@ -162,12 +163,14 @@ class Presentation:
         return ranges
 
     def _walk(self, ranges: Sequence[tuple[int, int]],
-              gradings: Sequence[tuple[list[int], int, int]]) -> Iterator[Mono]:
+              gradings: Sequence[tuple[list[int], int, int]]
+              ) -> Iterator[tuple[Mono, tuple[int, int]]]:
         """The quotient's monomials with exponents in the finite ranges and
-        both gradings (coeffs, min, max) in range, in catalog order.  Once the
-        exponents before a relation's last generator meet the relation's, the
-        walk caps that generator below the relation's exponent, so it never
-        reaches a monomial that a relation kills."""
+        both gradings (coeffs, min, max) in range, in catalog order, each
+        with its two gradings.  Once the exponents before a relation's last
+        generator meet the relation's, the walk caps that generator below the
+        relation's exponent, so it never reaches a monomial that a relation
+        kills."""
         n = len(ranges)
         # extremes of each grading over the exponents not yet chosen
         suffix = [[_extent(ranges[i:], coeffs[i:]) for coeffs, _, _ in gradings]
@@ -178,12 +181,12 @@ class Presentation:
                 for i in range(n)]
         exps = [0] * n
 
-        def walk(i: int, d: int, w: int) -> Iterator[Mono]:
+        def walk(i: int, d: int, w: int) -> Iterator[tuple[Mono, tuple[int, int]]]:
             (dlo, dhi), (wlo, whi) = suffix[i]
             if d + dlo > dmax or d + dhi < dmin or w + wlo > wmax or w + whi < wmin:
                 return
             if i == n:
-                yield tuple(exps)
+                yield tuple(exps), (d, w)
                 return
             lo, hi = ranges[i]
             for rel in ends[i]:
@@ -200,7 +203,8 @@ class Presentation:
     def enumerate_basis(self, window: Window) -> list[Mono]:
         """Every monomial of the quotient in the window, in catalog order;
         the walk never reaches one that `killed` would reject."""
-        return list(self._walk(self.exponent_ranges(window), self._gradings(window)))
+        return [m for m, _ in self._walk(self.exponent_ranges(window),
+                                         self._gradings(window))]
 
     def binding_edges(self, window: Window) -> set[str]:
         """Window edges beyond which the quotient has a monomial.  Lowering an
@@ -225,6 +229,11 @@ class Presentation:
         return edges
 
 
+# one row of a compiled page, as DifferentialSpec._compile builds it
+_Row = tuple[int, int, tuple[tuple[Mono, int, tuple[int, ...], tuple[int, ...]], ...],
+             tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class DiffEntry:
     """d_{page}(gen^base_exp) = image (terms as (monomial, coefficient))."""
@@ -236,7 +245,8 @@ class DiffEntry:
 
 
 class DifferentialSpec:
-    """Generator-level differentials; anything unlisted at a page is a cycle."""
+    """Generator-level differentials; anything unlisted at a page is a cycle.
+    Each page is compiled once into the rows `leibniz_extend` reads."""
 
     def __init__(self, pres: Presentation, entries: Iterable[DiffEntry]):
         self.pres = pres
@@ -264,6 +274,32 @@ class DifferentialSpec:
             if gi in page:
                 raise ValueError(f"duplicate differential for {e.gen} at page {e.page}")
             page[gi] = (e.base_exp, image)
+        self._rows = {r: self._compile(r, ents) for r, ents in self._by_page.items()}
+
+    def _compile(self, r: int, ents: dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]
+                 ) -> tuple[_Row, ...]:
+        """Page r's rows for `leibniz_extend`, one per generator g_i that d_r
+        acts on: (i, e₀, terms, the odd positions before i).  Each term is
+        (image, coefficient, its odd factors k, and for each k the odd
+        positions j with k < j ≤ i or i < j < k).  An image term outside
+        d_r's own domain is refused, so d_r never leaves it."""
+        cat = self.pres.catalog
+        rows = []
+        for i, (e0, image) in ents.items():
+            terms = []
+            for m, c in image:
+                for j, (ej, _) in ents.items():
+                    if m[j] % ej:
+                        raise ValueError(
+                            f"image term {cat.mono_str(m)} of d_{r}({cat.symbols[i].name}^{e0}) "
+                            f"is outside the domain of d_{r}: its exponent of "
+                            f"{cat.symbols[j].name} is not a multiple of {ej}")
+                odd = tuple(k for k in cat._odd if m[k])
+                flips = tuple(j for k in odd for j in cat._odd
+                              if k < j <= i or i < j < k)
+                terms.append((m, c, odd, flips))
+            rows.append((i, e0, tuple(terms), tuple(j for j in cat._odd if j < i)))
+        return tuple(rows)
 
     @property
     def pages(self) -> list[int]:
@@ -278,17 +314,25 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     domain (a specified generator appears to an exponent not divisible by its
     base power, e.g. d_{p^2} is only defined on multiples of t^p).
 
-    Signs: writing m = f_1 ... f_k in catalog order, differentiating f_i
-    costs (-1)^{deg(f_1...f_{i-1})}; re-sorting the image factors costs the
-    usual Koszul signs, delegated to monomial multiplication.
+    Each generator g_i that d_r acts on, with base exponent e₀ and m[i] = a,
+    gives (a/e₀)·rest·image, where rest is m with g_i lowered by e₀, so the
+    exponents are rest + image.  Signs: writing m = f_1 ... f_k in catalog
+    order, differentiating the factor of g_i costs (-1)^{Σ m[j] over odd
+    j < i}.  A term is zero when an odd factor k of the image has
+    rest[k] ≠ 0.  Otherwise moving each odd factor k of the image to its
+    catalog place flips the sign once for each odd j with rest[j] ≠ 0 and
+    k < j ≤ i (a factor of rest it passes leftwards) or i < j < k
+    (rightwards): the pairs `Catalog.mono_mul` would count multiplying
+    rest's part up to g_i by the image, then by rest's part after g_i.
+    `Presentation.killed` runs only when there are relations.
     """
-    ents = spec.by_page(r)
-    if not ents:
+    rows = spec._rows.get(r)
+    if not rows:
         return {}
-    pres, cat, p = spec.pres, spec.pres.catalog, spec.pres.p
-    zeros = (0,) * len(m)
+    pres, p = spec.pres, spec.pres.p
+    killed = pres.killed if pres.relations else None
     total: dict[Mono, int] = {}
-    for i, (e0, image) in ents.items():
+    for i, e0, terms, before in rows:
         a = m[i]
         if not a:
             continue
@@ -297,25 +341,26 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
         q = (a // e0) % p
         if not q:
             continue
-        front = m[:i] + (a - e0,) + zeros[i + 1:]
-        back = zeros[:i + 1] + m[i + 1:]
-        sign = -1 if sum(m[j] for j in cat._odd if j < i) % 2 else 1
-        for mono_img, c in image:
-            s1 = cat.mono_mul(front, mono_img)
-            if s1 is None:
-                continue
-            sg1, fm = s1
-            s2 = cat.mono_mul(fm, back)
-            if s2 is None:
-                continue
-            sg2, full = s2
-            if pres.killed(full):
-                continue
-            coeff = (total.get(full, 0) + q * c * sign * sg1 * sg2) % p
-            if coeff:
-                total[full] = coeff
+        rest = m[:i] + (a - e0,) + m[i + 1:]
+        if before and sum(m[j] for j in before) % 2:
+            q = -q
+        for img, c, odd, flips in terms:
+            for k in odd:
+                if rest[k]:
+                    break
             else:
-                total.pop(full, None)
+                full = tuple(map(add, rest, img))
+                if killed is not None and killed(full):
+                    continue
+                s = q * c
+                for j in flips:
+                    if rest[j]:
+                        s = -s
+                coeff = (total.get(full, 0) + s) % p
+                if coeff:
+                    total[full] = coeff
+                else:
+                    total.pop(full, None)
     return total
 
 
@@ -396,12 +441,11 @@ class SSPage:
 
 
 def build_page(pres: Presentation, window: Window) -> SSPage:
-    """Page 1: every relation-free window monomial is a class of its own."""
-    basis = pres.enumerate_basis(window)
+    """Page 1: every relation-free window monomial is a class of its own,
+    grouped by the (degree, weight) the walk reaches it at."""
     data: dict[tuple[int, int], list[Mono]] = {}
-    cat = pres.catalog
-    for m in basis:
-        data.setdefault(cat.bidegree(m), []).append(m)
+    for m, b in pres._walk(pres.exponent_ranges(window), pres._gradings(window)):
+        data.setdefault(b, []).append(m)
     return SSPage(pres, window, 1,
                   {b: BidegreeData(ms) for b, ms in sorted(data.items())})
 
@@ -523,7 +567,8 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
 
     # new representatives: RREF(boundaries + cycles) rows outside boundaries
     data = dict(page.data)
-    for b, d in page.data.items():
+    for b in sorted(kernels.keys() | grown.keys()):
+        d = page.data[b]
         old_dim = len(d.alive)
         ker = kernels[b] if b in kernels else [{j: 1} for j in range(old_dim)]
         span, rank_in = grown.get(b, (d.boundaries, 0))

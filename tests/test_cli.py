@@ -462,6 +462,19 @@ class TestSsCommand:
         assert code == 0, err
         assert "  mu\n" in out
 
+    def test_image_outside_its_own_pages_domain(self, tmp_path):
+        # d_1 acts on powers of x^2, so x*y is outside its domain: a bad
+        # input, not a failed check
+        f = tmp_path / "domain.ss"
+        f.write_text("prime 3\ngen x deg 2 weight 0 parity even\n"
+                     "gen y deg 1 weight 1 parity odd\n"
+                     "diff page 1 x^2 -> x*y\nwindow deg 0 8 weight 0 2\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == ""
+        assert err == ("error: bad differential: image term x*y of d_1(x^2) "
+                       "is outside the domain of d_1: its exponent of x is "
+                       "not a multiple of 2\n")
+
 
 # t is not invertible: a relation on a unit kills the whole algebra, which
 # Presentation refuses

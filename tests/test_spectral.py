@@ -12,7 +12,8 @@ from helpers import (dense_matrix, dense_page_dims, dense_rank,
                      dense_two_page_dims, random_square_zero_case,
                      random_two_page_case, reference_turn_page, run_cli)
 from synto import spectral
-from synto.graded import GeneratorSymbol, VerificationError
+from synto.cli import parse_presentation
+from synto.graded import Catalog, GeneratorSymbol, VerificationError
 from synto.linalg import vec_addmul
 from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
                             DifferentialSpec, Presentation, SSPage, Window,
@@ -20,7 +21,8 @@ from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
                             check_relation, check_square_zero, collapse_check,
                             flag_boundary,
                             leibniz_extend, run_to_stable, turn_page)
-from synto.summand import derive_differentials, tcminus_presentation, tp_presentation
+from synto.summand import (default_table_window, derive_differentials, run_window,
+                           tcminus_presentation, tp_presentation)
 
 
 class TestWindow:
@@ -304,9 +306,12 @@ class TestLeibniz:
         got = leibniz_extend(spec, 1, cat.mono({"a": 1, "b": 1}))
         assert got == {cat.mono({"a": 1, "e": 1}): 2}
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_matches_the_factor_by_factor_rule(self, seed):
-        pres, window, spec, r = random_square_zero_case(random.Random(seed))
+    @pytest.mark.parametrize("case", [*range(60), "odd-source", "even-source"])
+    def test_matches_the_factor_by_factor_rule(self, case):
+        if isinstance(case, int):
+            pres, window, spec, r = random_square_zero_case(random.Random(case))
+        else:
+            pres, window, spec, r = _odd_factors_on_both_sides(case)
         cat, p = pres.catalog, pres.p
         for m in pres.enumerate_basis(window):
             want = {}
@@ -330,7 +335,40 @@ class TestLeibniz:
                         want[s2[1]] = k
             if want is not None:
                 want = {mono: c for mono, c in want.items() if c}
-            assert leibniz_extend(spec, r, m) == want
+            assert leibniz_extend(spec, r, m) == want, cat.mono_str(m)
+
+    def test_never_multiplies_monomials_or_tests_absent_relations(self, monkeypatch):
+        # leibniz_extend forms each term from its compiled page, so neither
+        # Catalog.mono_mul nor, without relations, Presentation.killed runs
+        tp = derive_differentials(5, "tp")
+        tp_window = run_window(5, "tp", *default_table_window(5)[:2])
+        _, derham_pres, derham, derham_window = parse_presentation(DERHAM_SMALL)
+        tcminus = derive_differentials(5, "tcminus")
+        cat = tcminus.pres.catalog
+        real_killed = Presentation.killed
+        killed_calls = []
+
+        def refuse(*args):
+            raise AssertionError("leibniz_extend left its compiled page")
+
+        def counted(pres, m):
+            if not pres.relations:
+                refuse()
+            killed_calls.append(m)
+            return real_killed(pres, m)
+
+        monkeypatch.setattr(Catalog, "mono_mul", refuse)
+        monkeypatch.setattr(Presentation, "killed", counted)
+        for pres, spec, window in ((tp.pres, tp, tp_window),
+                                   (derham_pres, derham, derham_window)):
+            page = build_page(pres, window)
+            for r in spec.pages:
+                dmap = check_square_zero(page, spec, r)
+                assert any(dmap.values())
+        assert not killed_calls
+        # TC^-'s relation t*mu still drops the term t^6*mu*lambda1 of d_5(t*mu)
+        assert leibniz_extend(tcminus, 5, cat.mono({"t": 1, "mu": 1})) == {}
+        assert killed_calls == [cat.mono({"t": 6, "mu": 1, "lambda1": 1})]
 
     @settings(max_examples=80)
     @given(st.integers(0, 4), st.integers(0, 1), st.integers(0, 1),
@@ -355,6 +393,22 @@ class TestLeibniz:
                 lhs, rhs = _product_rule_sides(spec, r, m1, m2)
                 assert lhs == rhs, (pres.catalog.mono_str(m1),
                                     pres.catalog.mono_str(m2))
+
+
+def _odd_factors_on_both_sides(source):
+    """d_1 of g on odd a, b, then g, then odd c, e, f, h: the image a·e (g
+    odd) or a·e·h (g even) has odd factors before and after g, and each odd
+    b, c or f between g and an image factor flips the sign when present."""
+    odd = source == "odd-source"
+    gens = [GeneratorSymbol("a", 1, 1), GeneratorSymbol("b", 1, 0),
+            GeneratorSymbol("g", 1 if odd else 2, 0), GeneratorSymbol("c", 1, 0),
+            GeneratorSymbol("e", -1, 0), GeneratorSymbol("f", 1, 0),
+            GeneratorSymbol("h", 1, 0)]
+    pres = Presentation(3, gens)
+    image = {"a": 1, "e": 1} if odd else {"a": 1, "e": 1, "h": 1}
+    spec = DifferentialSpec(pres, [
+        DiffEntry(1, "g", 1, ((pres.catalog.mono(image), 1),))])
+    return pres, Window(-2, 9, 0, 1), spec, 1
 
 
 def _product_rule_sides(spec, r, m1, m2):
@@ -668,6 +722,9 @@ class TestRandomOracle:
     @example(1318)
     @example(2572)
     @example(4396012)
+    # seeds whose box around s and m holds over 50 monomials
+    @example(825)
+    @example(228642946)
     def test_turn_page_matches_dense_homology(self, seed):
         pres, window, spec, r = random_square_zero_case(random.Random(seed))
         page = build_page(pres, window)
