@@ -486,7 +486,7 @@ def cmd_ss(args) -> int:
         for b in sorted(dims):
             print(f"  deg {b[0]:>4} weight {b[1]:>4}: {dims[b]}")
     names = sorted(final.rep_names(include_flagged=False))
-    flagged = final.total_dim() - len(names)
+    flagged = log[-1]["classes"] - len(names)
     print(f"survivors (boundary-safe): {len(names)}")
     for name in names:
         print(f"  {name}")

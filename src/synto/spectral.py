@@ -393,7 +393,8 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
 class BidegreeData:
     """The monomials of one bidegree, the alive classes over them and the
     boundary span (None while empty).  Pages share these and never write a
-    stored one."""
+    stored one, so `build_page` gives all its one-monomial bidegrees the same
+    alive list [{0: 1}] and builds their index as {m: 0}."""
 
     __slots__ = ("monos", "index", "alive", "boundaries")
 
@@ -446,8 +447,10 @@ def build_page(pres: Presentation, window: Window) -> SSPage:
     data: dict[tuple[int, int], list[Mono]] = {}
     for m, b in pres._walk(pres.exponent_ranges(window), pres._gradings(window)):
         data.setdefault(b, []).append(m)
-    return SSPage(pres, window, 1,
-                  {b: BidegreeData(ms) for b, ms in sorted(data.items())})
+    one = [{0: 1}]  # shared, see BidegreeData
+    return SSPage(pres, window, 1, {
+        b: BidegreeData(ms, one, None, {ms[0]: 0}) if len(ms) == 1 else BidegreeData(ms)
+        for b, ms in sorted(data.items())})
 
 
 def check_square_zero(page: SSPage, spec: DifferentialSpec,
@@ -505,6 +508,16 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     special solutions are the kernel, and the span it leaves is tb's new
     boundaries.  A bidegree that loses no class to the kernel and gains no
     boundary keeps the previous page's `BidegreeData`.
+
+    A pair of one-monomial bidegrees whose alive lists are both [{0: 1}],
+    with no boundaries at the target, is decided by d_r's one coefficient c
+    there: that elimination on a 1 x 1 matrix.  With c ≠ 0 the source class
+    is in no kernel and the target gains the boundary row {0: 1}; with c = 0
+    both stay as they are.  Such a target's single class covers its one
+    coordinate, so the stale-representative and cycle checks cannot fail;
+    the domain and missing-term checks stay.  Likewise a one-monomial
+    bidegree that loses or gains a class is left with none, where the
+    general insert would find every cycle dependent.
     """
     r = page.r
     if not spec.by_page(r):
@@ -515,6 +528,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     # every read is of the input page, and tb = b + shift is injective
     kernels: dict[tuple[int, int], list[Vec]] = {}
     grown: dict[tuple[int, int], tuple[Span, int]] = {}
+    one = [{0: 1}]
     for b in sorted(page.data):
         d = page.data[b]
         tb = (b[0] + shift[0], b[1] + shift[1])
@@ -522,6 +536,28 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         if not d.alive or td is None or not td.alive:
             # the differential leaves the window (flagged separately), or
             # the target group is zero, so the induced map is zero
+            continue
+        if (td.boundaries is None and len(td.monos) == 1
+                and d.alive == one == td.alive and len(d.monos) == 1):
+            # a 1 x 1 pair: d_r is the scalar c of the target's monomial
+            h = dmap[d.monos[0]]
+            if h is None:
+                if b in page.flags:
+                    continue
+                raise VerificationError(
+                    f"alive class {cat.mono_str(d.monos[0])} is outside "
+                    f"the domain of d_{r}")
+            for m1 in h:
+                if m1 != td.monos[0]:
+                    raise VerificationError(
+                        f"d_{r} image term {cat.mono_str(m1)} missing from "
+                        f"target bidegree {tb}")
+            if h:
+                # c != 0 mod p, as leibniz_extend keeps no zero coefficient
+                kernels[b] = []
+                span = Span(p)
+                span.rows = {0: {0: 1}}
+                grown[tb] = span, 1
             continue
         bounds = td.boundaries or Span(p)
         classes = Span(p)
@@ -575,16 +611,19 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         rank_out = old_dim - len(ker)
         if not (rank_out or rank_in):
             continue
-        base = span.copy() if span else Span(p)
-        pivots = []
-        for k in ker:
-            vec: Vec = {}
-            for j, c in k.items():
-                vec = vec_addmul(p, vec, d.alive[j], c)
-            piv = base.insert(vec)
-            if piv is not None:
-                pivots.append(piv)
-        alive = [base.rows[piv] for piv in sorted(pivots)]
+        alive: list[Vec] = []
+        # one monomial that lost or gained a class keeps none
+        if len(d.monos) > 1:
+            base = span.copy() if span else Span(p)
+            pivots = []
+            for k in ker:
+                vec: Vec = {}
+                for j, c in k.items():
+                    vec = vec_addmul(p, vec, d.alive[j], c)
+                piv = base.insert(vec)
+                if piv is not None:
+                    pivots.append(piv)
+            alive = [base.rows[piv] for piv in sorted(pivots)]
         if len(alive) != old_dim - rank_out - rank_in:
             raise VerificationError(
                 f"rank bookkeeping failed at bidegree {b} page {r}: "
@@ -644,21 +683,25 @@ def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[di
     current = SSPage(page.pres, page.window, page.r, page.data, flags)
     log: list[dict] = []
     last = max(spec.pages, default=0)
+    # a page with no d_r keeps the classes, so page r starts with the count
+    # the last turned page ended with
+    classes = current.total_dim()
     for r in spec.pages:
         if r < current.r:
             continue
         current = SSPage(current.pres, current.window, r, current.data, flags)
-        before = current.total_dim()
         current = turn_page(current, spec)
-        log.append({"page": r, "classes_before": before,
-                    "classes_after": current.total_dim()})
+        after = current.total_dim()
+        log.append({"page": r, "classes_before": classes,
+                    "classes_after": after})
+        classes = after
     beyond = collapse_check([ChartEntry(str(b), *b) for b, d in current.data.items()
                              if d.alive], spec.rule, r_min=last + 1)
     if not beyond.collapses:
         raise WindowInconclusiveError(
             f"window inconclusive: populated bidegree pairs beyond page {last} "
             f"at pages {sorted({r for r, _, _ in beyond.witnesses})}")
-    log.append({"page": "stable", "classes": current.total_dim()})
+    log.append({"page": "stable", "classes": classes})
     return current, log
 
 

@@ -846,6 +846,152 @@ class TestReferenceOracle:
         assert shared >= 50 and new >= 50
 
 
+def _line_page():
+    """Page 1 of x in (2, 0), x^2 = 0, and odd y in (1, 1), with
+    d_1(x) = y: four bidegrees of one monomial each, 1, x, y and x*y, and
+    one pair in d_1 position, x -> y."""
+    pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
+                            GeneratorSymbol("y", 1, 1)], [{"x": 2}])
+    cat = pres.catalog
+    spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
+        (cat.mono({"y": 1}), 1),))])
+    return build_page(pres, Window(0, 3, 0, 1)), spec
+
+
+def _outside_domain_page(flags):
+    """Page 1, flagged at ``flags``, of x in (2, 0) with x^3 = 0, odd y in
+    (3, 1) and odd z in (1, 1), with d_1 given on x^2 only: the
+    one-monomial pair x -> z has x outside the domain of d_1."""
+    pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
+                            GeneratorSymbol("y", 3, 1),
+                            GeneratorSymbol("z", 1, 1)], [{"x": 3}])
+    spec = DifferentialSpec(pres, [DiffEntry(1, "x", 2, (
+        (pres.catalog.mono({"y": 1}), 1),))])
+    page = build_page(pres, Window(0, 4, 0, 1))
+    assert [len(page.data[b].monos) for b in ((2, 0), (1, 1))] == [1, 1]
+    return SSPage(pres, page.window, 1, page.data, flags), spec
+
+
+class TestOneMonomialPairs:
+    """A pair of one-monomial bidegrees is decided by d_r's one coefficient;
+    each hard check of the general turn still fires on that shape."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("structure", ["tp", "tcminus"])
+    def test_presets_match_the_reference(self, structure, p):
+        spec = derive_differentials(p, structure)
+        page = build_page(spec.pres, run_window(p, structure,
+                                                *default_table_window(p)[:2]))
+        assert all(len(d.monos) == 1 for d in page.data.values())
+        page = SSPage(page.pres, page.window, 1, page.data,
+                      flag_boundary(page, spec))
+        classes = page.total_dim()
+        while page.r <= spec.pages[-1]:
+            page = _turn_against_reference(page, spec)
+        assert page.total_dim() < classes
+
+    @pytest.mark.parametrize("structure", ["tp", "tcminus"])
+    def test_presets_never_call_kernel_basis(self, structure, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel_basis on a one-monomial page")
+
+        monkeypatch.setattr(spectral, "kernel_basis", refuse)
+        code, out, err = run_cli(["ss", "--preset", structure, "--prime", "5"])
+        assert code == 0, err
+        assert "stable:" in out
+
+    def test_de_rham_still_eliminates(self, tmp_path, monkeypatch):
+        calls = []
+        real = spectral.kernel_basis
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "kernel_basis", counted)
+        path = tmp_path / "derham.ss"
+        path.write_text(DERHAM_SMALL, encoding="utf-8")
+        code, _out, err = run_cli(["ss", "--file", str(path)])
+        assert code == 0, err
+        assert calls
+
+    def test_hand_computed_pair(self):
+        # d_1(x) = y with coefficient 1: x is in no kernel, y is a boundary
+        page, spec = _line_page()
+        nxt = turn_page(page, spec)
+        assert sorted(nxt.rep_names()) == ["1", "x*y"]
+        assert nxt.data[(2, 0)].alive == []
+        assert nxt.data[(2, 0)].boundaries is None
+        assert nxt.data[(1, 1)].alive == []
+        assert nxt.data[(1, 1)].boundaries.rows == {0: {0: 1}}
+        for b in ((0, 0), (3, 1)):
+            assert nxt.data[b] is page.data[b]
+
+    def test_image_term_missing_from_target_raises(self):
+        # the target (1, 1) holds the one monomial x*y, not y
+        page, spec = _line_page()
+        xy = page.data[(3, 1)].monos[0]
+        page.data[(1, 1)] = spectral.BidegreeData([xy])
+        with pytest.raises(VerificationError, match=r"d_1 image term y missing "
+                                                    r"from target bidegree \(1, 1\)"):
+            turn_page(page, spec)
+
+    def test_alive_class_outside_the_domain_raises(self):
+        page, spec = _outside_domain_page(frozenset())
+        with pytest.raises(VerificationError,
+                           match="alive class x is outside the domain of d_1"):
+            turn_page(page, spec)
+
+    def test_flagged_class_outside_the_domain_has_zero_differential(self):
+        page, spec = _outside_domain_page(frozenset({(2, 0)}))
+        nxt = turn_page(page, spec)
+        for b in ((2, 0), (1, 1)):
+            assert nxt.data[b] is page.data[b]
+        # d_1(x^2) = y still kills the pair (4, 0) -> (3, 1)
+        assert nxt.data[(4, 0)].alive == []
+
+    def test_stale_representative_next_to_a_boundary_raises(self):
+        # y is alive and a boundary at once
+        page, spec = _line_page()
+        y = page.data[(1, 1)].monos[0]
+        page.data[(1, 1)] = spectral.BidegreeData([y], [{0: 1}],
+                                                  spectral.Span(3, [{0: 1}]))
+        with pytest.raises(VerificationError,
+                           match=r"stale representative in bidegree \(1, 1\)"):
+            turn_page(page, spec)
+
+    def test_unnormalised_alive_vector_raises(self):
+        # {0: 2} is a class of y, but not the RREF row {0: 1}
+        page, spec = _line_page()
+        y = page.data[(1, 1)].monos[0]
+        page.data[(1, 1)] = spectral.BidegreeData([y], [{0: 2}])
+        with pytest.raises(VerificationError,
+                           match=r"stale representative in bidegree \(1, 1\)"):
+            turn_page(page, spec)
+
+    def test_class_lost_and_gained_fails_rank_bookkeeping(self, monkeypatch):
+        # d_1(x) = y and d_1(y) = w, so d_1 squared is w on x; with the
+        # square-zero check skipped, y both loses and gains its one class
+        pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
+                                GeneratorSymbol("y", 1, 1),
+                                GeneratorSymbol("w", 0, 2)])
+        cat = pres.catalog
+        spec = DifferentialSpec(pres, [
+            DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
+            DiffEntry(1, "y", 1, ((cat.mono({"w": 1}), 1),))])
+        page = build_page(pres, Window(0, 2, 0, 2))
+        assert all(len(d.monos) == 1 for d in page.data.values())
+        with pytest.raises(VerificationError, match="d_1 squared is nonzero on x"):
+            turn_page(page, spec)
+        monkeypatch.setattr(spectral, "check_square_zero", lambda page, spec, r: {
+            m: leibniz_extend(spec, r, m)
+            for d in page.data.values() for m in d.monos})
+        with pytest.raises(VerificationError,
+                           match=r"rank bookkeeping failed at bidegree \(1, 1\) "
+                                 r"page 1: 1 - 1 - 1 != 0"):
+            turn_page(page, spec)
+
+
 class TestRunToStable:
     def test_tp_p2_full_run(self):
         spec = derive_differentials(2, "tp")
