@@ -10,12 +10,15 @@ vectors themselves.
 The workhorse is `Span`, a row space kept in fully reduced RREF with the
 pivot of each row at its smallest nonzero coordinate.  RREF is canonical
 for a subspace, so spans built from the same vectors in any order agree,
-which is what makes page-turning representatives deterministic.
+which is what makes page-turning representatives deterministic.  A new row
+is back-eliminated only from the rows that hold its pivot, which a private
+coordinate -> rows index names (see `Span`), so an insert costs the rows it
+changes, not the rows it keeps.
 
 `kernel_basis` is the package's one labelled elimination (col ⊕ e_{off+j}).
 
-Desk-scale sizes only (hundreds of coordinates); everything is dicts and
-single passes, no Markowitz scoring needed beyond the min-pivot rule.
+Desk-scale sizes only (hundreds of coordinates): no Markowitz scoring
+beyond the min-pivot rule.
 """
 
 from __future__ import annotations
@@ -47,11 +50,20 @@ class Span:
 
     rows maps pivot coordinate -> vector with 1 at the pivot and support
     only on non-pivot coordinates otherwise, so reduction is a single pass.
+
+    A private index maps each non-pivot coordinate to the set of pivots
+    whose rows have a nonzero entry there, so that adding a row rewrites
+    only the rows that hold its pivot.  It is derived from rows, so it is
+    kept lazily: it is None on a new `Span`, on a `copy()` and after
+    `kernel_basis`, and it is rebuilt from rows by the first insert that
+    adds a row.  Code outside this module may assign rows, or a row, only
+    while the index is None, that is, before any insert that added a row.
     """
 
     def __init__(self, p: int, vectors: Iterable[Vec] = ()):
         self.p = p
         self.rows: dict[int, Vec] = {}
+        self._holders: Optional[dict[int, set[int]]] = None
         for v in vectors:
             self.insert(v)
 
@@ -75,15 +87,33 @@ class Span:
     def insert(self, v: Vec) -> Optional[int]:
         """Add v to the span; returns the new pivot, or None if dependent."""
         r = self.reduce(v)
-        if not r:
-            return None
+        return self._add(r) if r else None
+
+    def _add(self, r: Vec) -> int:
+        """Add r, nonzero and already reduced by this span; returns its
+        pivot."""
+        p, rows, holders = self.p, self.rows, self._holders
+        if holders is None:
+            holders = self._holders = {}
+            for q, row in rows.items():
+                for i in row:
+                    if i != q:
+                        holders.setdefault(i, set()).add(q)
         piv = min(r)
-        r = vec_scale(self.p, r, pow(r[piv], -1, self.p))
-        for q, row in self.rows.items():
-            c = row.get(piv)
-            if c:
-                self.rows[q] = vec_addmul(self.p, row, r, -c)
-        self.rows[piv] = r
+        r = vec_scale(p, r, pow(r[piv], -1, p))
+        for q in holders.pop(piv, ()):
+            row = rows[q]
+            rows[q] = new = vec_addmul(p, row, r, -row[piv])
+            # an entry cancels only where r has one, so r's row keeps i held
+            for i in row.keys() - new.keys():
+                if i != piv:
+                    holders[i].remove(q)
+            for i in new.keys() - row.keys():
+                holders.setdefault(i, set()).add(q)
+        for i in r:
+            if i != piv:
+                holders.setdefault(i, set()).add(piv)
+        rows[piv] = r
         return piv
 
     def copy(self) -> "Span":
@@ -102,7 +132,7 @@ def kernel_basis(p: int, cols: list[Vec], span: Optional[Span] = None) -> list[V
     enters as col ⊕ e_{off+j}; when its reduction has no coordinate below
     ``off``, the label part of the reduction is the special solution.  The
     other columns extend ``span`` (empty by default) in place, and its rows
-    are stripped of their labels at the end.
+    are stripped of their labels at the end, which drops its index.
     """
     span = Span(p) if span is None else span
     off = 1 + max((max(v) for v in (*cols, *span.rows.values()) if v), default=-1)
@@ -113,8 +143,9 @@ def kernel_basis(p: int, cols: list[Vec], span: Optional[Span] = None) -> list[V
         if min(r) >= off:
             out.append({i - off: c for i, c in r.items()})
         else:
-            span.insert(r)
+            span._add(r)
     for q, row in span.rows.items():
         if row is not before.get(q):
             span.rows[q] = {i: c for i, c in row.items() if i < off}
+    span._holders = None
     return out

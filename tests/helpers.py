@@ -16,7 +16,7 @@ from unittest import mock
 
 from synto.cli import main
 from synto.graded import GeneratorSymbol, VerificationError
-from synto.linalg import Span, vec_addmul
+from synto.linalg import Span, vec_addmul, vec_scale
 from synto.spectral import (ADAMS_RULE, BidegreeData, DiffEntry,
                             DifferentialSpec, Presentation, SSPage, Window,
                             check_square_zero, leibniz_extend)
@@ -383,6 +383,32 @@ def random_two_page_case(rng: random.Random):
             (m + (0,) * new, rng.randint(1, p - 1)) for m in picks)))
     pres2 = Presentation(p, gens, relations=rels)
     return pres2, window, DifferentialSpec(pres2, entries), r, r2
+
+
+class ScanSpan(Span):
+    """A `Span` that back-eliminates a new pivot by scanning every row for
+    an entry there, with no index: the reference for `Span`'s index."""
+
+    def _add(self, r):
+        piv = min(r)
+        r = vec_scale(self.p, r, pow(r[piv], -1, self.p))
+        for q, row in self.rows.items():
+            c = row.get(piv)
+            if c:
+                self.rows[q] = vec_addmul(self.p, row, r, -c)
+        self.rows[piv] = r
+        return piv
+
+
+def support_index(span):
+    """{coordinate: pivots of the rows with a nonzero entry there}, over
+    the non-pivot coordinates of span's rows."""
+    out = {}
+    for q, row in span.rows.items():
+        for i in row:
+            if i != q:
+                out.setdefault(i, set()).add(q)
+    return out
 
 
 def reference_kernel_basis(p, cols):

@@ -256,6 +256,15 @@ class TestRingOracle:
             with pytest.raises(ValueError, match="cannot combine"):
                 a * b
 
+    def test_f_p_has_one_prime(self):
+        with pytest.raises(ValueError, match="^F_3 has no second prime 5$"):
+            CoeffRing(3, 5)
+
+    def test_split_refuses_a_float(self):
+        with pytest.raises(TypeError, match=r"^coefficient 0\.5 is neither "
+                                            r"int nor Fraction$"):
+            FP3.split(0.5)
+
     def test_rings_are_per_prime(self):
         assert CoeffRing(3) == CoeffRing(3, 3) and CoeffRing(3).p == 3
         assert CoeffRing(0, 3) != CoeffRing(0, 2) != CoeffRing(2)

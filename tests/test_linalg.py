@@ -1,11 +1,12 @@
 """Sparse exact F_p linear algebra against a dense brute-force oracle."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_rank
+from helpers import ScanSpan, dense_rank, support_index
 from synto.linalg import Span, kernel_basis, vec_addmul, vec_scale
 
 
@@ -75,6 +76,80 @@ class TestKernel:
         for j, c in k.items():
             acc = vec_addmul(5, acc, cols[j], c)
         assert acc == {}
+
+
+class TestIndex:
+    """Span's coordinate -> rows index against the row scan it replaces."""
+
+    @staticmethod
+    def draw(seed):
+        """A prime in {2, 3, 5} and a vector drawer over few coordinates, so
+        that back-elimination often cancels an entry."""
+        rng = random.Random(seed)
+        p, n = (2, 3, 5)[seed % 3], rng.randint(3, 9)
+
+        def vec():
+            return {i: rng.randint(1, p - 1) for i in range(n)
+                    if rng.random() < 0.45}
+        return rng, p, vec
+
+    @staticmethod
+    def check(span, ref):
+        assert span.rows == ref.rows
+        assert span._holders is None or span._holders == support_index(span)
+
+    @staticmethod
+    def insert_both(span, ref, v):
+        """Insert v into both; True if back-elimination removed an entry
+        other than the new pivot from some row."""
+        before = dict(ref.rows)
+        piv = span.insert(v)
+        assert piv == ref.insert(v)
+        TestIndex.check(span, ref)
+        if piv is not None:
+            assert span._holders == support_index(span)
+        return any(before[q].keys() - {piv} - ref.rows[q].keys()
+                   for q in before)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_rows_and_index_after_every_step(self, seed):
+        rng, p, vec = self.draw(seed)
+        span, ref = Span(p), ScanSpan(p)
+        for _ in range(rng.randint(1, 6)):
+            self.insert_both(span, ref, vec())
+        kept = dict(span.rows)
+        # a copy shares no index: inserts into it leave the original alone
+        span2, ref2 = span.copy(), ScanSpan(p)
+        ref2.rows = dict(ref.rows)
+        assert span2._holders is None
+        for _ in range(rng.randint(0, 4)):
+            self.insert_both(span2, ref2, vec())
+        assert span.rows == kept
+        self.check(span, ref)
+        cols = [vec() for _ in range(rng.randint(1, 6))]
+        assert kernel_basis(p, cols, span2) == kernel_basis(p, cols, ref2)
+        self.check(span2, ref2)
+        assert span2._holders is None
+        for _ in range(3):
+            self.insert_both(span2, ref2, vec())
+
+    def test_draws_remove_holders(self):
+        # the draws above cancel entries, so the index loses holders too
+        removed = 0
+        for seed in range(60):
+            rng, p, vec = self.draw(seed)
+            span, ref = Span(p), ScanSpan(p)
+            removed += any([self.insert_both(span, ref, vec())
+                            for _ in range(rng.randint(1, 6))])
+        assert removed >= 10
+
+    def test_kernel_basis_reduces_each_column_once(self):
+        span = Span(5, [{0: 1, 2: 3}])
+        cols = [{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}, {2: 4}]
+        with mock.patch.object(Span, "reduce", autospec=True,
+                               side_effect=Span.reduce) as reduce:
+            kernel_basis(5, cols, span)
+        assert reduce.call_count == len(cols)
 
 
 def random_cols(rng, p, ncols, nrows, density=0.5):

@@ -450,6 +450,25 @@ def _product_rule_sides(spec, r, m1, m2):
     return lhs, rhs
 
 
+class TestDiffEntryRefusals:
+    """DifferentialSpec refuses an entry that names no d_r of a power."""
+
+    @staticmethod
+    def pres():
+        return Presentation(3, [GeneratorSymbol("x", 2, 0),
+                                GeneratorSymbol("y", 1, 1)])
+
+    @pytest.mark.parametrize("page, base_exp", [(0, 1), (1, 0)])
+    def test_pages_and_base_exponents_are_positive(self, page, base_exp):
+        with pytest.raises(ValueError,
+                           match="^pages and base exponents are positive$"):
+            DifferentialSpec(self.pres(), [DiffEntry(page, "x", base_exp, ())])
+
+    def test_odd_generator_has_no_square(self):
+        with pytest.raises(ValueError, match="^odd generator y has no power 2$"):
+            DifferentialSpec(self.pres(), [DiffEntry(1, "y", 2, ())])
+
+
 class TestCheckRelation:
     """d_r must map each relation into the relation ideal."""
 
