@@ -21,8 +21,8 @@ from typing import Optional
 from . import __version__
 from .graded import GeneratorSymbol, VerificationError
 from .fgl import p_series, right_unit_t
-from .spectral import (DiffEntry, DifferentialSpec, Presentation, Window,
-                       build_page, check_relation, run_to_stable)
+from .spectral import (DiffEntry, DifferentialSpec, Presentation,
+                       RelationError, Window, build_page, run_to_stable)
 from .summand import (FROBENIUS_CONVENTIONS, PRESENTATIONS, GeneratorTable,
                       default_table_window, derive_differentials,
                       hodge_tate_check, run_window, syntomic_table)
@@ -363,40 +363,36 @@ def parse_presentation(text: str):
             raise PresentationParseError(
                 f"line {ln}: differential on unknown generator {base!r}")
         image = []
-        for term, sign in _split_combination(image_text, ln):
+        for term, sign in _split_combination(image_text):
             coeff, exps = _parse_mono_text(term, ln)
             for nm in exps:
                 if nm not in cat.index:
                     raise PresentationParseError(
                         f"line {ln}: unknown generator {nm!r} in image")
             image.append((cat.mono(exps), sign * coeff))
-        try:
-            entries.append(DiffEntry(page, base, e0, tuple(image)))
-        except (VerificationError, ValueError) as e:
-            raise PresentationParseError(f"line {ln}: {e}") from None
+        entries.append(DiffEntry(page, base, e0, tuple(image)))
     try:
         spec = DifferentialSpec(pres, tuple(entries))
+    except RelationError as e:
+        # relations are checked in order, so a repeated one fails at its first line
+        ln = rels[pres.relations.index(e.relation)][0]
+        raise PresentationParseError(f"line {ln}: {e}") from None
     except (VerificationError, ValueError) as e:
         raise PresentationParseError(f"bad differential: {e}") from None
-    for (ln, _exps), rel in zip(rels, pres.relations):
-        try:
-            check_relation(spec, rel)
-        except ValueError as e:
-            raise PresentationParseError(f"line {ln}: {e}") from None
     if window is None:
         raise PresentationParseError("missing 'window' line")
     return prime, pres, spec, window
 
 
-def _split_combination(text: str, ln: int) -> list[tuple[str, int]]:
+def _split_combination(text: str) -> list[tuple[str, int]]:
     """Split ``a + 2*b - c`` into [(a,1), (2*b,1), (c,-1)]; operators must
-    be surrounded by spaces so t^-2 style exponents survive."""
+    be surrounded by spaces so t^-2 style exponents survive.  No term is
+    blank: ``text`` is stripped, and each split eats all the whitespace
+    around its operator."""
     toks = re.split(r"\s+([+-])\s+", text.strip())
     out = [(toks[0], 1)]
     for op, term in zip(toks[1::2], toks[2::2]):
         out.append((term, 1 if op == "+" else -1))
-    if any(not t.strip() for t, _s in out):
-        raise PresentationParseError(f"line {ln}: empty term in combination")
     return out
 
 

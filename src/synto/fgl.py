@@ -46,7 +46,7 @@ discard, so every series is exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from synto.graded import (
     Catalog,
@@ -201,17 +201,6 @@ def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
         total = total + log_of(s.kill_generators(names).with_trunc(trc),
                                p, ls, trc)
     return compose(exp_coefficients(p, trunc, cat, ideal), total)
-
-
-def formal_sum(p: int, trunc: int, vars: tuple[str, str] = ("x", "y"),
-               cat: Optional[Catalog] = None) -> Poly:
-    """F(x, y) = exp(log x + log y), truncated at total (x,y)-exponent trunc."""
-    cat = cat or canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
-                                   orientations=("t",) + vars)
-    ring = CoeffRing(0, p)
-    F = formal_sum_of(p, trunc, [Poly.gen(cat, ring, v) for v in vars], cat)
-    F.assert_p_integral(p)
-    return F
 
 
 def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:

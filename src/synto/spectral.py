@@ -9,6 +9,13 @@ Leibniz rule.  Page turning is exact sparse linear algebra over F_p:
 per-bidegree homology with canonical RREF representatives, so output is
 deterministic down to the choice of basis vectors.
 
+A `DifferentialSpec` is checked once, on generators, when it is built: each
+d_r has degree -1, so it is an odd derivation, and d_r² is then an even
+derivation in any characteristic.  So d_r is a differential on the quotient
+once it preserves each relation (`check_relation`) and d_r² kills each
+generator g^e₀ of its domain.  No page turn checks d_r² again, and a d
+whose square is nonzero only outside the window is refused too.
+
 Windowing is honest: classes whose (potential) differentials cross a window
 edge that actually cuts the quotient are flagged boundary-uncertain, and
 stability beyond the last specified page is certified by checking that no
@@ -45,10 +52,6 @@ class Window:
     def __post_init__(self) -> None:
         if self.deg_min > self.deg_max or self.weight_min > self.weight_max:
             raise ValueError("empty window bounds")
-
-    def contains(self, deg: int, weight: int) -> bool:
-        return (self.deg_min <= deg <= self.deg_max
-                and self.weight_min <= weight <= self.weight_max)
 
 
 @dataclass(frozen=True)
@@ -200,12 +203,6 @@ class Presentation:
 
         return walk(0, 0, 0)
 
-    def enumerate_basis(self, window: Window) -> list[Mono]:
-        """Every monomial of the quotient in the window, in catalog order;
-        the walk never reaches one that `killed` would reject."""
-        return [m for m, _ in self._walk(self.exponent_ranges(window),
-                                         self._gradings(window))]
-
     def binding_edges(self, window: Window) -> set[str]:
         """Window edges beyond which the quotient has a monomial.  Lowering an
         exponent toward 0 keeps a monomial alive, so for each edge a generator
@@ -244,9 +241,27 @@ class DiffEntry:
     image: tuple[tuple[Mono, int], ...]
 
 
+class RelationError(ValueError):
+    """Some d_r does not preserve ``relation``, so it is not defined on the
+    quotient."""
+
+    def __init__(self, message: str, relation: Mono):
+        super().__init__(message)
+        self.relation = relation
+
+
 class DifferentialSpec:
     """Generator-level differentials; anything unlisted at a page is a cycle.
-    Each page is compiled once into the rows `leibniz_extend` reads."""
+    Each page is compiled once into the rows `leibniz_extend` reads.
+
+    The spec is refused (ValueError) unless each d_r is a differential on
+    the quotient.  Every relation must pass `check_relation` (else a
+    `RelationError`), so that d_r is defined on the quotient, and
+    d_r(d_r(g^e₀)) must vanish there for every entry.  That is enough: d_r
+    has degree -1, so it is an odd derivation, and d_r² is then a derivation
+    in any characteristic, as the cross terms ±d_r(a)·d_r(b) of d_r²(a·b)
+    cancel.  The g^e₀ and the unlisted generators generate d_r's domain, so
+    d_r² is zero on all of it."""
 
     def __init__(self, pres: Presentation, entries: Iterable[DiffEntry]):
         self.pres = pres
@@ -275,6 +290,18 @@ class DifferentialSpec:
                 raise ValueError(f"duplicate differential for {e.gen} at page {e.page}")
             page[gi] = (e.base_exp, image)
         self._rows = {r: self._compile(r, ents) for r, ents in self._by_page.items()}
+        for rel in pres.relations:
+            check_relation(self, rel)
+        for r, ents in self._by_page.items():
+            for i, (e0, image) in ents.items():
+                square: dict[Mono, int] = {}
+                for m, c in image:
+                    # _compile keeps each image term in d_r's domain
+                    square = vec_addmul(pres.p, square, leibniz_extend(self, r, m), c)
+                if square:
+                    base = cat.mono_str(cat.mono({cat.symbols[i].name: e0}))
+                    raise ValueError(f"d_{r} squared is nonzero on {base}: d_{r} of "
+                                     f"its image has the term {cat.mono_str(min(square))}")
 
     def _compile(self, r: int, ents: dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]
                  ) -> tuple[_Row, ...]:
@@ -365,9 +392,10 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
 
 
 def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
-    """Raise ValueError unless every d_r maps the relation ``rel`` into the
-    quotient's ideal, so that d_r is defined on the quotient; one with an
-    odd square, like y^2, holds in any graded-commutative algebra.
+    """Raise `RelationError` unless every d_r maps the relation ``rel`` into
+    the quotient's ideal, so that d_r is defined on the quotient; one with
+    an odd square, like y^2, holds in any graded-commutative algebra.
+    `DifferentialSpec` runs it on every relation of its presentation.
 
     On page r, ρ′ raises each generator that d_r acts on to the next
     multiple of its base exponent: the least multiple of ρ in d_r's domain.
@@ -384,10 +412,10 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
             lifted[i] = -(-rel[i] // e0) * e0
         image = leibniz_extend(spec, r, tuple(lifted))
         if image:
-            raise ValueError(
+            raise RelationError(
                 f"d_{r} does not preserve the relation {cat.mono_str(rel)}: "
                 f"d_{r}({cat.mono_str(tuple(lifted))}) has the term "
-                f"{cat.mono_str(min(image))}")
+                f"{cat.mono_str(min(image))}", rel)
 
 
 class BidegreeData:
@@ -453,46 +481,6 @@ def build_page(pres: Presentation, window: Window) -> SSPage:
         for b, ms in sorted(data.items())})
 
 
-def check_square_zero(page: SSPage, spec: DifferentialSpec,
-                      r: int) -> dict[Mono, Optional[dict[Mono, int]]]:
-    """d_r(d_r(m)) = 0 for every window monomial in the derivation's domain.
-
-    Returns the map it filled, monomial -> d_r(m) (None outside the domain).
-    Its keys are every window monomial and every term of their images, and
-    each d_r(m) is computed once.
-    """
-    cat = page.pres.catalog
-    dmap: dict[Mono, Optional[dict[Mono, int]]] = {}
-
-    def d(m: Mono) -> Optional[dict[Mono, int]]:
-        if m not in dmap:
-            dmap[m] = leibniz_extend(spec, r, m)
-        return dmap[m]
-
-    for b in sorted(page.data):
-        for m in page.data[b].monos:
-            first = d(m)
-            if first is None:
-                continue
-            acc: dict[Mono, int] = {}
-            for m1, c1 in first.items():
-                second = d(m1)
-                if second is None:
-                    raise VerificationError(
-                        f"d_{r} image of {cat.mono_str(m)} leaves the "
-                        f"derivation's domain at {cat.mono_str(m1)}")
-                for m2, c2 in second.items():
-                    v = (acc.get(m2, 0) + c1 * c2) % page.pres.p
-                    if v:
-                        acc[m2] = v
-                    else:
-                        acc.pop(m2, None)
-            if acc:
-                bad = cat.mono_str(m)
-                raise VerificationError(f"d_{r} squared is nonzero on {bad}")
-    return dmap
-
-
 def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     """Homology with respect to d_{page.r}; returns page r+1.
 
@@ -518,13 +506,44 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     the domain and missing-term checks stay.  Likewise a one-monomial
     bidegree that loses or gains a class is left with none, where the
     general insert would find every cycle dependent.
+
+    d_r(m) is computed only for the monomials of an alive source class whose
+    target has alive classes, and at most once per page.  d_r² = 0 needs no
+    check here: `DifferentialSpec` checked it once, on the generators.
     """
     r = page.r
     if not spec.by_page(r):
         return SSPage(page.pres, page.window, r + 1, page.data, page.flags)
-    dmap = check_square_zero(page, spec, r)
     p, cat = page.pres.p, page.pres.catalog
     shift = spec.rule.shift(r)
+    dmap: dict[Mono, Optional[dict[Mono, int]]] = {}
+
+    def image(b: tuple[int, int], d: BidegreeData, v: Vec,
+              tb: tuple[int, int], td: BidegreeData) -> Vec:
+        """d_r of the class v at b, over tb's monomials."""
+        dv: Vec = {}
+        for i, c in v.items():
+            m = d.monos[i]
+            if m not in dmap:
+                dmap[m] = leibniz_extend(spec, r, m)
+            h = dmap[m]
+            if h is None:
+                # Boundary-corrupted survivors (a killer fell outside the
+                # window) can sit outside the derivation's domain; they
+                # carry no certificate, so a zero differential is sound.
+                if b in page.flags:
+                    return {}
+                raise VerificationError(
+                    f"alive class {cat.mono_str(m)} is outside the domain of d_{r}")
+            for m1, c1 in h.items():
+                j = td.index.get(m1)
+                if j is None:
+                    raise VerificationError(
+                        f"d_{r} image term {cat.mono_str(m1)} missing from "
+                        f"target bidegree {tb}")
+                dv[j] = (dv.get(j, 0) + c * c1) % p
+        return {j: x for j, x in dv.items() if x}
+
     # every read is of the input page, and tb = b + shift is injective
     kernels: dict[tuple[int, int], list[Vec]] = {}
     grown: dict[tuple[int, int], tuple[Span, int]] = {}
@@ -540,20 +559,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         if (td.boundaries is None and len(td.monos) == 1
                 and d.alive == one == td.alive and len(d.monos) == 1):
             # a 1 x 1 pair: d_r is the scalar c of the target's monomial
-            h = dmap[d.monos[0]]
-            if h is None:
-                if b in page.flags:
-                    continue
-                raise VerificationError(
-                    f"alive class {cat.mono_str(d.monos[0])} is outside "
-                    f"the domain of d_{r}")
-            for m1 in h:
-                if m1 != td.monos[0]:
-                    raise VerificationError(
-                        f"d_{r} image term {cat.mono_str(m1)} missing from "
-                        f"target bidegree {tb}")
-            if h:
-                # c != 0 mod p, as leibniz_extend keeps no zero coefficient
+            if image(b, d, one[0], tb, td):
                 kernels[b] = []
                 span = Span(p)
                 span.rows = {0: {0: 1}}
@@ -569,29 +575,9 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             raise VerificationError(f"stale representative in bidegree {tb}")
         images = []
         for v in d.alive:
-            dv: Vec = {}
-            for i, c in v.items():
-                h = dmap[d.monos[i]]
-                if h is None:
-                    # Boundary-corrupted survivors (a killer fell outside the
-                    # window) can sit outside the derivation's domain; they
-                    # carry no certificate, so a zero differential is sound.
-                    if b in page.flags:
-                        dv = {}
-                        break
-                    raise VerificationError(
-                        f"alive class {cat.mono_str(d.monos[i])} is outside "
-                        f"the domain of d_{r}")
-                for m1, c1 in h.items():
-                    j = td.index.get(m1)
-                    if j is None:
-                        raise VerificationError(
-                            f"d_{r} image term {cat.mono_str(m1)} missing from "
-                            f"target bidegree {tb}")
-                    dv[j] = (dv.get(j, 0) + c * c1) % p
             # reducing mod tb's boundaries changes neither the kernel nor the
             # new span; what is left must be a combination of classes
-            dv = bounds.reduce({j: x for j, x in dv.items() if x})
+            dv = bounds.reduce(image(b, d, v, tb, td))
             if classes.reduce(dv):
                 raise VerificationError(
                     f"d_{r} image not a cycle mod boundaries at {tb}")

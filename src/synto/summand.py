@@ -182,7 +182,8 @@ def derive_differentials(p: int, structure: str = "tp") -> DifferentialSpec:
     and λ₂ ↔ (σ²t₁)^p.  t^{p²}, λ₁, λ₂ and μ are permanent cycles.  Both
     structures read these facts off one right unit per prime, certified once
     and cached by ``_formal_group_certificate``; a mismatch there is a hard
-    error, meaning the sign conventions upstream are misconfigured.
+    error, meaning the sign conventions upstream are misconfigured.  So is a
+    preset that `DifferentialSpec` refuses.
     """
     if structure not in PRESENTATIONS:
         raise ValueError(f"unknown structure {structure!r}")
@@ -194,7 +195,10 @@ def derive_differentials(p: int, structure: str = "tp") -> DifferentialSpec:
         DiffEntry(p * p, "t", p,
                   ((pcat.mono({"t": p * p + p, "lambda2": 1}), 1),)),
     )
-    return DifferentialSpec(pres, entries)
+    try:
+        return DifferentialSpec(pres, entries)
+    except ValueError as e:
+        raise VerificationError(f"the {structure} preset at p = {p} is refused: {e}") from None
 
 
 # ---------------------------------------------------------------------------

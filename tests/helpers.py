@@ -1,10 +1,12 @@
 """Shared test utilities: dense F_p linear algebra used as an independent
-oracle for the sparse spectral-sequence engine, and a generator of random
-square-zero differential specs (square-zero by triangularity: differentials
-only hit generators that themselves map to zero)."""
+oracle for the sparse spectral-sequence engine, a per-monomial d² = 0
+oracle, and a generator of random square-zero differential specs
+(square-zero by triangularity: differentials only hit generators that
+themselves map to zero)."""
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import itertools
 import math
@@ -15,11 +17,13 @@ from pathlib import Path
 from unittest import mock
 
 from synto.cli import main
-from synto.graded import GeneratorSymbol, VerificationError
+from synto.fgl import formal_sum_of, required_depth
+from synto.graded import (CoeffRing, GeneratorSymbol, Poly, VerificationError,
+                          canonical_catalog)
 from synto.linalg import Span, vec_addmul, vec_scale
 from synto.spectral import (ADAMS_RULE, BidegreeData, DiffEntry,
                             DifferentialSpec, Presentation, SSPage, Window,
-                            check_square_zero, leibniz_extend)
+                            leibniz_extend)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -32,6 +36,85 @@ def source_env() -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def enumerate_basis(pres, window):
+    """Every monomial of the quotient in the window, in catalog order; the
+    walk never reaches one that `killed` would reject."""
+    return [m for m, _ in pres._walk(pres.exponent_ranges(window),
+                                     pres._gradings(window))]
+
+
+def window_contains(window, deg, weight):
+    return (window.deg_min <= deg <= window.deg_max
+            and window.weight_min <= weight <= window.weight_max)
+
+
+def formal_sum(p, trunc, vars=("x", "y"), cat=None):
+    """F(x, y) = exp(log x + log y), truncated at total (x,y)-exponent trunc."""
+    cat = cat or canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
+                                   orientations=("t",) + vars)
+    ring = CoeffRing(0, p)
+    F = formal_sum_of(p, trunc, [Poly.gen(cat, ring, v) for v in vars], cat)
+    F.assert_p_integral(p)
+    return F
+
+
+def check_square_zero(page, spec, r):
+    """d_r(d_r(m)) = 0 for every window monomial in the derivation's domain:
+    the per-monomial reference for the generator-level check that
+    `DifferentialSpec` makes.
+
+    Returns the map it filled, monomial -> d_r(m) (None outside the domain).
+    Its keys are every window monomial and every term of their images, and
+    each d_r(m) is computed once.
+    """
+    cat = page.pres.catalog
+    dmap = {}
+
+    def d(m):
+        if m not in dmap:
+            dmap[m] = leibniz_extend(spec, r, m)
+        return dmap[m]
+
+    for b in sorted(page.data):
+        for m in page.data[b].monos:
+            first = d(m)
+            if first is None:
+                continue
+            acc = {}
+            for m1, c1 in first.items():
+                second = d(m1)
+                if second is None:
+                    raise VerificationError(
+                        f"d_{r} image of {cat.mono_str(m)} leaves the "
+                        f"derivation's domain at {cat.mono_str(m1)}")
+                acc = vec_addmul(page.pres.p, acc, second, c1)
+            if acc:
+                raise VerificationError(
+                    f"d_{r} squared is nonzero on {cat.mono_str(m)}")
+    return dmap
+
+
+def unchecked_spec(pres, entries):
+    """The spec of ``entries`` with no d² = 0 refusal, so that a test can
+    hand the engine or the oracle a d whose square is nonzero: each entry is
+    compiled in a spec of its own and the compiled pages are joined."""
+    spec = DifferentialSpec(pres, [])
+    for e in entries:
+        one = DifferentialSpec(pres, [e])
+        spec._by_page.setdefault(e.page, {}).update(one._by_page[e.page])
+        spec._rows[e.page] = spec._rows.get(e.page, ()) + one._rows[e.page]
+    return spec
+
+
+def load_grid():
+    """scripts/grid.py as a module: its command lists and its `run`."""
+    path = SRC.parent / "scripts" / "grid.py"
+    spec = importlib.util.spec_from_file_location("grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def values(poly) -> dict:
@@ -129,7 +212,7 @@ def dense_page_dims(pres, window, spec, r):
     """Per-bidegree homology dimensions of (page-1 monomials, d_r), computed
     densely, with the same window convention as the engine: differentials
     whose target bidegree holds no window monomials are zero."""
-    basis = pres.enumerate_basis(window)
+    basis = enumerate_basis(pres, window)
     cat = pres.catalog
     by_b: dict[tuple[int, int], list] = {}
     for m in basis:
@@ -164,7 +247,7 @@ def dense_two_page_dims(pres, window, spec, r, r2):
     """
     p, cat = pres.p, pres.catalog
     by_b: dict[tuple[int, int], list] = {}
-    for m in pres.enumerate_basis(window):
+    for m in enumerate_basis(pres, window):
         by_b.setdefault(cat.bidegree(m), []).append(m)
     index = {b: {m: i for i, m in enumerate(ms)} for b, ms in by_b.items()}
 
@@ -311,7 +394,7 @@ def random_square_zero_case(rng: random.Random):
     d0 = rng.randint(floor[1] - dw, floor[0])
     w0 = rng.randint(floor[3] - ww, floor[2])
     edges = [d0, d0 + dw, w0, w0 + ww]
-    basis = pres.enumerate_basis(Window(*edges))
+    basis = enumerate_basis(pres, Window(*edges))
     while len(basis) > 50:
         movable = [k for k in range(4) if edges[k] != core[k]]
         if not movable:
@@ -320,7 +403,7 @@ def random_square_zero_case(rng: random.Random):
             break
         k = rng.choice(movable)
         edges[k] += -1 if k % 2 else 1
-        basis = pres.enumerate_basis(Window(*edges))
+        basis = enumerate_basis(pres, Window(*edges))
 
     cat = pres.catalog
     entries = []
@@ -355,14 +438,14 @@ def random_two_page_case(rng: random.Random):
     shift = ADAMS_RULE.shift(r2)
     cat, p = pres.catalog, pres.p
     sources = set(spec.by_page(r))
-    allowed = [m for m in pres.enumerate_basis(window)
+    allowed = [m for m in enumerate_basis(pres, window)
                if not any(m[i] for i in sources)]  # never empty: 1 is there
 
     def source_bidegree(m):
         deg, weight = cat.bidegree(m)
         return deg - shift[0], weight - shift[1]
 
-    inside = [m for m in allowed if window.contains(*source_bidegree(m))]
+    inside = [m for m in allowed if window_contains(window, *source_bidegree(m))]
     new = rng.randint(1, 2)
     gens = list(pres.gens)
     entries = [DiffEntry(e.page, e.gen, e.base_exp,

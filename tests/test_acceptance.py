@@ -13,17 +13,17 @@ import sys
 import time
 from contextlib import redirect_stdout
 
-from helpers import (dense_matrix, dense_page_dims, dense_rank,
+from helpers import (check_square_zero, dense_matrix, dense_page_dims,
+                     dense_rank, enumerate_basis, formal_sum,
                      random_square_zero_case, source_env)
 from synto.cli import main
-from synto.fgl import (compose, exp_coefficients, formal_sum, formal_sum_of,
+from synto.fgl import (compose, exp_coefficients, formal_sum_of,
                        log_coefficients, log_of, orientation_truncation,
                        p_series, pipeline_catalog, required_depth,
                        right_unit_t)
 from synto.graded import CoeffRing, Poly, canonical_catalog
 from synto.linalg import vec_addmul
-from synto.spectral import (build_page, check_square_zero, leibniz_extend,
-                            turn_page)
+from synto.spectral import build_page, leibniz_extend, turn_page
 from synto.summand import (GeneratorTable, TableEntry, _einfty,
                            _formal_group_certificate, hodge_tate_check,
                            motivic_collapse_check, syntomic_table,
@@ -140,7 +140,7 @@ class TestAcceptance:
             actual = {cat.mono_str(m)
                       for _b, m, _v in page.class_reps(False)}
             predicted = {cat.mono_str(m)
-                         for m in page.pres.enumerate_basis(page.window)
+                         for m in enumerate_basis(page.pres, page.window)
                          if cat.bidegree(m) not in page.flags
                          and m[ti] % pp == 0}
             assert actual == predicted and actual
@@ -157,7 +157,7 @@ class TestAcceptance:
             actual = {cat.mono_str(m)
                       for _b, m, _v in page.class_reps(False)}
             predicted = set()
-            for m in page.pres.enumerate_basis(page.window):
+            for m in enumerate_basis(page.pres, page.window):
                 if cat.bidegree(m) in page.flags:
                     continue
                 a = m[ti]
@@ -183,7 +183,7 @@ class TestAcceptance:
             pres, window, spec, r = random_square_zero_case(random.Random(seed))
             p = pres.p
             cat = pres.catalog
-            basis = pres.enumerate_basis(window)
+            basis = enumerate_basis(pres, window)
             assert len(basis) <= 50
             biggest = max(biggest, len(basis))
 

@@ -462,6 +462,24 @@ class TestSsCommand:
         assert code == 0, err
         assert "  mu\n" in out
 
+    # x in (2, 0), odd y in (1, 1) and w in (0, 2) with d_1 x = y and
+    # d_1 y = w: d_1 squared is w on x, so d is no differential
+    SQUARE = ("prime 3\ngen x deg 2 weight 0 parity even\n"
+              "gen y deg 1 weight 1 parity odd\n"
+              "gen w deg 0 weight 2 parity even\n"
+              "diff page 1 x -> y\ndiff page 1 y -> w\n{window}\n")
+
+    @pytest.mark.parametrize("window", ["window deg 0 2 weight 0 2",
+                                        "window deg 0 1 weight 1 2"])
+    def test_nonzero_square_is_refused(self, tmp_path, window):
+        # the second window holds y and w but not x, so d² is zero on every
+        # monomial in it; the spec is refused all the same
+        f = tmp_path / "square.ss"
+        f.write_text(self.SQUARE.format(window=window))
+        assert run_cli(["ss", "--file", str(f)]) == (
+            1, "", "error: bad differential: d_1 squared is nonzero on x: "
+                   "d_1 of its image has the term w\n")
+
     def test_image_outside_its_own_pages_domain(self, tmp_path):
         # d_1 acts on powers of x^2, so x*y is outside its domain: a bad
         # input, not a failed check
@@ -542,6 +560,30 @@ class TestSsFileFuzz:
             assert code in (0, 1, 2), (case, text)
             codes.add(code)
         assert codes == {0, 1, 2}
+
+
+class TestParseRefusals:
+    """Each refusal of the `ss --file` parser, with its whole message."""
+
+    @pytest.mark.parametrize("line, why", [
+        ("rel x^a", "bad exponent 'a'"),
+        ("rel x**x", "empty factor"),
+        ("rel 2x", "bad generator name '2x'"),
+        ("rel 2*x", "relations are monomial (no coefficients)"),
+        ("window deg 4 0 weight 0 1", "window bounds must satisfy min <= max"),
+        ("window deg 0 4 weight 1 0", "window bounds must satisfy min <= max"),
+        ("diff page 1 x -> x^y", "bad exponent 'y'"),
+        ("gen y deg 2 weight 0 parity even maxexp two", "maxexp needs an integer"),
+    ])
+    def test_line_is_refused(self, tmp_path, line, why):
+        f = tmp_path / "bad.ss"
+        f.write_text(f"prime 3\ngen x deg 2 weight 0 parity even\n{line}\n")
+        assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: line 3: {why}\n")
+
+    def test_unreadable_chart_input(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert run_cli(["chart", "--in", str(missing)]) == (
+            1, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 class TestParsePresentation:

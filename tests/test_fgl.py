@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import values
+from helpers import formal_sum, values
 from synto.cli import format_series
 from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
-                       formal_sum, formal_sum_of, log_coefficients, log_of,
+                       formal_sum_of, log_coefficients, log_of,
                        orientation_truncation, p_series, pipeline_catalog,
                        reduce_ideal, required_depth, right_unit_t)
 from synto.graded import (Catalog, CoeffRing, GeneratorSymbol, Poly,

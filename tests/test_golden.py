@@ -10,12 +10,11 @@ stdout redirected to the file, e.g.
         --format csv > tests/golden/syntomic-p2.csv
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-from helpers import run_cli
+from helpers import load_grid, run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -69,27 +68,19 @@ CASES = {
 GRIDS = ("fgl-grid.sha256", "ss-grid.sha256", "syntomic-grid.sha256")
 
 
-def _grid():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "grid.py"
-    spec = importlib.util.spec_from_file_location("grid", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _lines(name):
     return (GOLDEN / f"{name}-grid.sha256").read_text(
         encoding="utf-8").splitlines()
 
 
 def _lists_the_grid_commands(name, count):
-    argvs = [" ".join(argv) for argv, _text in _grid().GRIDS[name]()]
+    argvs = [" ".join(argv) for argv, _text in load_grid().GRIDS[name]()]
     assert len(argvs) == count
     assert [ln.split("\t")[0] for ln in _lines(name)] == argvs
 
 
 def _sample_is_byte_identical(name, step, monkeypatch, tmp_path):
-    grid = _grid()
+    grid = load_grid()
     monkeypatch.setenv("SYNTO_COLOR", "never")
     pairs = list(zip(grid.GRIDS[name](), _lines(name)))
     for (argv, text), line in pairs[::step]:

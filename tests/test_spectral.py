@@ -8,17 +8,20 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (dense_matrix, dense_page_dims, dense_rank,
-                     dense_two_page_dims, random_square_zero_case,
-                     random_two_page_case, reference_turn_page, run_cli)
+from helpers import (check_square_zero, dense_matrix, dense_page_dims,
+                     dense_rank, dense_two_page_dims, enumerate_basis,
+                     random_square_zero_case, random_two_page_case,
+                     load_grid, reference_turn_page, run_cli,
+                     unchecked_spec, window_contains)
 from synto import spectral
 from synto.cli import parse_presentation
 from synto.graded import Catalog, GeneratorSymbol, VerificationError
 from synto.linalg import vec_addmul
 from synto.spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, DiffEntry,
-                            DifferentialSpec, Presentation, SSPage, Window,
+                            DifferentialSpec, Presentation, RelationError,
+                            SSPage, Window,
                             WindowInconclusiveError, build_page,
-                            check_relation, check_square_zero, collapse_check,
+                            check_relation, collapse_check,
                             flag_boundary,
                             leibniz_extend, run_to_stable, turn_page)
 from synto.summand import (default_table_window, derive_differentials, run_window,
@@ -28,8 +31,8 @@ from synto.summand import (default_table_window, derive_differentials, run_windo
 class TestWindow:
     def test_contains(self):
         w = Window(-4, 4, 0, 2)
-        assert w.contains(0, 0) and w.contains(-4, 2)
-        assert not w.contains(5, 0) and not w.contains(0, 3)
+        assert window_contains(w, 0, 0) and window_contains(w, -4, 2)
+        assert not window_contains(w, 5, 0) and not window_contains(w, 0, 3)
 
     def test_empty_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -52,7 +55,7 @@ class TestPresentation:
         # F_2[t^{±1}] ⊗ Λ(λ1, λ2), window deg [-4, 4] weight [-2, 2]:
         # t^k for k in -2..2, t^k·λ1 for k in 0..2, t^2·λ2 — nine monomials
         pres = tp_presentation(2)
-        basis = pres.enumerate_basis(Window(-4, 4, -2, 2))
+        basis = enumerate_basis(pres, Window(-4, 4, -2, 2))
         cat = pres.catalog
         names = sorted(cat.mono_str(m) for m in basis)
         assert names == sorted([
@@ -93,7 +96,7 @@ class TestPresentation:
     def test_unbounded_generator_is_inconclusive(self):
         pres = Presentation(3, [GeneratorSymbol("u", 0, 0, invertible=True)])
         with pytest.raises(WindowInconclusiveError):
-            pres.enumerate_basis(Window(-2, 2, -2, 2))
+            enumerate_basis(pres, Window(-2, 2, -2, 2))
 
     def test_binding_edges(self):
         pres = tp_presentation(2)
@@ -129,7 +132,7 @@ class TestPresentation:
         pres = Presentation(3, [GeneratorSymbol("x", 0, 1),
                                 GeneratorSymbol("y", 1, 0)], [{"x": 3}, {"y": 1}])
         assert pres.binding_edges(Window(0, 0, 0, 2)) == set()
-        assert pres.enumerate_basis(Window(-4, 4, -4, 4)) == [(0, 0), (1, 0), (2, 0)]
+        assert enumerate_basis(pres, Window(-4, 4, -4, 4)) == [(0, 0), (1, 0), (2, 0)]
 
     def test_units_push_through_negative_exponents(self):
         # t^k for k < 0 reaches degrees above any bound and weights below
@@ -141,19 +144,19 @@ class TestPresentation:
         # x in bidegree (0, 0): only the relation x^3 bounds its exponent
         pres = Presentation(3, [GeneratorSymbol("x", 0, 0), GeneratorSymbol("y", 1, 1)],
                             [{"x": 3}])
-        assert len(pres.enumerate_basis(Window(0, 5, 0, 1))) == 6
+        assert len(enumerate_basis(pres, Window(0, 5, 0, 1))) == 6
 
     def test_relation_one_kills_every_monomial(self):
         for gens in ([GeneratorSymbol("x", 2, 0)],
                      [GeneratorSymbol("u", 0, 0, invertible=True),
                       GeneratorSymbol("y", 1, 1)]):
             pres = Presentation(3, gens, [{}])
-            assert pres.enumerate_basis(Window(-4, 4, -4, 4)) == []
+            assert enumerate_basis(pres, Window(-4, 4, -4, 4)) == []
             assert pres.binding_edges(Window(1, 1, 1, 1)) == set()
 
     def test_no_generators_leave_f_p_in_bidegree_zero(self):
         pres = Presentation(3, [])
-        assert pres.enumerate_basis(Window(0, 0, 0, 0)) == [()]
+        assert enumerate_basis(pres, Window(0, 0, 0, 0)) == [()]
         assert pres.binding_edges(Window(1, 1, 0, 0)) == {"deg_min"}
 
     def test_enumeration_never_calls_killed(self, monkeypatch):
@@ -163,7 +166,7 @@ class TestPresentation:
         monkeypatch.setattr(Presentation, "killed", refuse)
         pres = tcminus_presentation(5)
         window = Window(-2, 2 * 25 + 2 * 5 + 2, 0, 50)
-        basis = pres.enumerate_basis(window)
+        basis = enumerate_basis(pres, window)
         cat = pres.catalog
         t, mu = cat.index["t"], cat.index["mu"]
         assert basis and not any(m[t] and m[mu] for m in basis)
@@ -233,7 +236,7 @@ class TestEnumerationOracle:
             pres, win = _random_presentation(rng)
             cat = pres.catalog
             try:
-                basis = pres.enumerate_basis(win)
+                basis = enumerate_basis(pres, win)
             except WindowInconclusiveError:
                 basis = None
             if basis is not None:
@@ -244,7 +247,7 @@ class TestEnumerationOracle:
                     pad = max(hi - lo, 0) // 2 + 2
                     axes.append(_structural(g, lo - pad, hi + pad))
                 want = sorted(m for m in itertools.product(*axes)
-                              if win.contains(*cat.bidegree(m))
+                              if window_contains(win, *cat.bidegree(m))
                               and not pres.killed(m))
                 assert basis == want, (pres.gens, pres.relations, win)
             # the quotient's monomials with exponents in -5..5; an exponent
@@ -262,9 +265,15 @@ class TestEnumerationOracle:
 
 
 def xy_complex():
-    """d(x) = y on F_3[x]/(x^4) ⊗ Λ(y): homology is {1, x^3, x^2y, x^3y}."""
+    """d(x) = y on F_3[x]/(x^3) ⊗ Λ(y), a quotient d preserves, as
+    d(x^3) = 3x^2·y = 0: homology is {1, x^2y}.
+
+    By hand: d(x^a) = a·x^(a-1)·y, so x and x^2 map onto y and 2xy, and
+    d(x^a·y) = a·x^(a-1)·y^2 = 0.  The cycles are 1, y, xy and x^2y, the
+    boundaries y and xy.  The window (-1, 0, 0, 5) holds all six monomials,
+    x^a at (0, a) and x^a·y at (-1, a + 2)."""
     pres = Presentation(3, [GeneratorSymbol("x", 0, 1),
-                            GeneratorSymbol("y", -1, 2)], [{"x": 4}])
+                            GeneratorSymbol("y", -1, 2)], [{"x": 3}])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [
         DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),))])
@@ -313,7 +322,7 @@ class TestLeibniz:
         else:
             pres, window, spec, r = _odd_factors_on_both_sides(case)
         cat, p = pres.catalog, pres.p
-        for m in pres.enumerate_basis(window):
+        for m in enumerate_basis(pres, window):
             want = {}
             for i, (e0, image) in spec.by_page(r).items():
                 if not m[i]:
@@ -387,7 +396,7 @@ class TestLeibniz:
         # several odd generators, caps and relations: d_r is a derivation
         # only if mono_mul and leibniz_extend read one odd set
         pres, window, spec, r = random_square_zero_case(random.Random(seed))
-        basis = pres.enumerate_basis(window)
+        basis = enumerate_basis(pres, window)
         for m1 in basis:
             for m2 in basis:
                 lhs, rhs = _product_rule_sides(spec, r, m1, m2)
@@ -484,10 +493,11 @@ class TestCheckRelation:
     @pytest.mark.parametrize("relation", [{"t": 2}, {"t": 3}])
     def test_relation_lifted_into_the_domain(self, relation):
         # t^2 is outside d_2's domain; its least multiple inside is t^3,
-        # and d_2(t^3) = s is not a multiple of the relation
-        spec = self.spec(relation)
-        with pytest.raises(ValueError, match=r"d_2\(t\^3\) has the term s"):
-            check_relation(spec, spec.pres.relations[0])
+        # and d_2(t^3) = s is not a multiple of the relation.  The spec
+        # checks every relation when it is built
+        with pytest.raises(RelationError, match=r"d_2\(t\^3\) has the term s") as e:
+            self.spec(relation)
+        assert e.value.relation == (relation["t"], 0)
 
     def test_preserved_relation(self):
         # d_2(t^3*s) = s^2 = 0
@@ -519,22 +529,93 @@ class TestCheckRelation:
 
 
 class TestSquareZero:
+    """DifferentialSpec refuses d_r² ≠ 0 on the generators; the per-monomial
+    oracle (helpers.py) agrees on each case."""
+
     def test_good_spec_passes(self):
         pres, window, spec = xy_complex()
         check_square_zero(build_page(pres, window), spec, 1)
 
     def test_bad_spec_raises(self):
-        # d(x) = y, d(y) = z with matching bidegrees: d² (x) = z ≠ 0
+        # d(x) = y, d(y) = z with matching bidegrees: d² (x) = z ≠ 0.  d
+        # preserves x^3 (d(x^3) = 3x^2·y = 0) and z^2, as d(z) = 0
         pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
                                 GeneratorSymbol("y", -1, 1),
-                                GeneratorSymbol("z", -2, 2)], [{"x": 2}, {"z": 2}])
+                                GeneratorSymbol("z", -2, 2)], [{"x": 3}, {"z": 2}])
         cat = pres.catalog
-        spec = DifferentialSpec(pres, [
-            DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
-            DiffEntry(1, "y", 1, ((cat.mono({"z": 1}), 1),))])
+        entries = [DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
+                   DiffEntry(1, "y", 1, ((cat.mono({"z": 1}), 1),))]
+        with pytest.raises(ValueError, match="^d_1 squared is nonzero on x: "
+                                             "d_1 of its image has the term z$"):
+            DifferentialSpec(pres, entries)
         page = build_page(pres, Window(-3, 0, 0, 3))
         with pytest.raises(VerificationError, match="squared"):
-            check_square_zero(page, spec, 1)
+            check_square_zero(page, unchecked_spec(pres, entries), 1)
+
+    def test_base_power_is_named(self):
+        # d_1(x^2) = y and d_1(y) = z: d² (x^2) = z ≠ 0.  With u = x^2,
+        # d(u^3) = 3u^2·y = 0 preserves x^6
+        pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
+                                GeneratorSymbol("y", -1, 1),
+                                GeneratorSymbol("z", -2, 2)], [{"x": 6}])
+        cat = pres.catalog
+        with pytest.raises(ValueError, match=r"^d_1 squared is nonzero on x\^2: "
+                                             "d_1 of its image has the term z$"):
+            DifferentialSpec(pres, [
+                DiffEntry(1, "x", 2, ((cat.mono({"y": 1}), 1),)),
+                DiffEntry(1, "y", 1, ((cat.mono({"z": 1}), 1),))])
+
+    def test_square_nonzero_only_outside_the_window(self):
+        # d(x) = y and d(y) = w: the window of weight 1 and 2 holds y and w
+        # but not x, at weight 0, and d² is zero on y and w, so the
+        # per-monomial oracle passes; but d² (x) = w ≠ 0 in the algebra, and
+        # the spec is refused
+        pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
+                                GeneratorSymbol("y", 1, 1),
+                                GeneratorSymbol("w", 0, 2)])
+        cat = pres.catalog
+        entries = [DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
+                   DiffEntry(1, "y", 1, ((cat.mono({"w": 1}), 1),))]
+        page = build_page(pres, Window(0, 1, 1, 2))
+        assert sorted(page.data) == [(0, 2), (1, 1)]
+        check_square_zero(page, unchecked_spec(pres, entries), 1)
+        with pytest.raises(ValueError, match="^d_1 squared is nonzero on x"):
+            DifferentialSpec(pres, entries)
+
+
+class TestSquareZeroOracle:
+    """Whatever DifferentialSpec's generator-level check accepts, the
+    per-monomial oracle (helpers.py) accepts too, on each spec page over the
+    input's whole window."""
+
+    @staticmethod
+    def oracle_passes(spec, window):
+        page = build_page(spec.pres, window)
+        for r in spec.pages:
+            check_square_zero(page, spec, r)
+
+    @pytest.mark.parametrize("draw", [random_square_zero_case,
+                                      random_two_page_case])
+    def test_random_draws(self, draw):
+        for seed in range(300):
+            _pres, window, spec, *_pages = draw(random.Random(seed))
+            self.oracle_passes(spec, window)
+
+    def test_ss_grid_inputs_and_presets_to_41(self):
+        # the ss grid holds tp and tcminus at every prime up to 41 and every
+        # de Rham file and quotient, each with the window `ss` runs it on
+        presets = files = 0
+        for argv, text in load_grid().ss_commands():
+            if text is None:
+                structure, p = argv[2], int(argv[4])
+                spec = derive_differentials(p, structure)
+                window = run_window(p, structure, *default_table_window(p)[:2])
+                presets += 1
+            else:
+                _prime, _pres, spec, window = parse_presentation(text)
+                files += 1
+            self.oracle_passes(spec, window)
+        assert (presets, files) == (26, 71)
 
 
 # Omega(F_3[x1, x2]) in degrees 0..8, with the one page d_1
@@ -549,42 +630,64 @@ window deg 0 8 weight 0 2
 """
 
 
-class TestDifferentialMap:
-    """turn_page reads d_r off the map check_square_zero fills, so each
-    d_r(m) is computed once per page."""
+def _shared_support_case():
+    """(pres, spec, window): a, b and c in (2, 0), each cubed to zero, odd w
+    in (1, 1) and v in (1, 2), with d_1 a = d_1 b = d_1 c = w and d_2 c = v
+    at p = 3; the window holds the whole algebra.  The d_1 cycles at (2, 0)
+    are b - c and a - c, so E_2 there has two classes whose RREF rows share
+    a coordinate, and d_2 reads that monomial for both."""
+    pres = Presentation(3, [GeneratorSymbol(n, 2, 0) for n in "abc"]
+                        + [GeneratorSymbol("w", 1, 1), GeneratorSymbol("v", 1, 2)],
+                        [{n: 3} for n in "abc"])
+    cat = pres.catalog
+    w, v = cat.mono({"w": 1}), cat.mono({"v": 1})
+    spec = DifferentialSpec(pres, [*(DiffEntry(1, n, 1, ((w, 1),)) for n in "abc"),
+                                   DiffEntry(2, "c", 1, ((v, 1),))])
+    return pres, spec, Window(0, 14, 0, 3)
 
-    @pytest.mark.parametrize("source", ["preset-tp-p3", "derham"])
-    def test_leibniz_once_per_page_and_monomial(self, source, monkeypatch,
-                                                tmp_path):
+
+class TestDifferentialMap:
+    """turn_page computes d_r(m) only for a monomial of an alive source class
+    whose target has alive classes, and at most once per page."""
+
+    @pytest.mark.parametrize("source", ["preset-tp-p3", "derham", "shared-support"])
+    def test_leibniz_once_per_page_and_monomial(self, source, monkeypatch):
         if source == "derham":
-            path = tmp_path / "derham.ss"
-            path.write_text(DERHAM_SMALL, encoding="utf-8")
-            argv = ["ss", "--file", str(path)]
+            _, pres, spec, window = parse_presentation(DERHAM_SMALL)
+        elif source == "shared-support":
+            pres, spec, window = _shared_support_case()
         else:
-            argv = ["ss", "--preset", "tp", "--prime", "3"]
+            spec = derive_differentials(3, "tp")
+            pres, window = spec.pres, run_window(3, "tp", *default_table_window(3)[:2])
         calls = collections.Counter()
-        maps = []
-        real_check = spectral.check_square_zero
 
         def counted(spec, r, m):
             calls[r, m] += 1
             return leibniz_extend(spec, r, m)
 
-        def captured(page, spec, r):
-            dmap = real_check(page, spec, r)
-            maps.append((page, spec, r, dmap))
-            return dmap
-
         monkeypatch.setattr(spectral, "leibniz_extend", counted)
-        monkeypatch.setattr(spectral, "check_square_zero", captured)
-        code, _out, err = run_cli(argv)
-        assert code == 0, err
+        page = build_page(pres, window)
+        flags = flag_boundary(page, spec)
+        shared = False
+        for r in spec.pages:
+            page = SSPage(pres, window, r, page.data, flags)
+            shift = spec.rule.shift(r)
+            want = set()
+            for b, d in page.data.items():
+                target = page.data.get((b[0] + shift[0], b[1] + shift[1]))
+                if d.alive and target is not None and target.alive:
+                    support = [i for v in d.alive for i in v]
+                    shared |= len(support) > len(set(support))
+                    want |= {d.monos[i] for i in support}
+            page = turn_page(page, spec)
+            got = {m for rr, m in calls if rr == r}
+            # a flagged class outside d_r's domain stops at its first such
+            # monomial, so a flagged source may leave some unread
+            flagged = {m for b in flags for m in page.data[b].monos}
+            assert want - flagged <= got <= want
+            assert got < {m for d in page.data.values() for m in d.monos}
         assert calls and max(calls.values()) == 1
-        assert maps
-        for page, spec, r, dmap in maps:
-            for d in page.data.values():
-                for m in d.monos:
-                    assert dmap[m] == leibniz_extend(spec, r, m)
+        assert shared == (source == "shared-support")
 
 
 def _snapshot(page):
@@ -617,17 +720,24 @@ class TestTurnPageKeepsInput:
     def test_two_term_boundary(self):
         # d(x) = y + z: the boundary row y + z has a term at the pivot of the
         # survivor y, so inserting y into a copy of the boundaries rewrites
-        # that row, which the copy shares with the page it was copied from
+        # that row, which the copy shares with the page it was copied from.
+        # x^3 = 0 is preserved, as d(x^3) = 3x^2(y + z) = 0.
         pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
                                 GeneratorSymbol("y", -1, 1),
-                                GeneratorSymbol("z", -1, 1)], [{"x": 2}])
+                                GeneratorSymbol("z", -1, 1)], [{"x": 3}])
         cat = pres.catalog
         spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
             (cat.mono({"y": 1}), 1), (cat.mono({"z": 1}), 1)))])
         page2 = _turn_keeping_input(build_page(pres, Window(-2, 0, 0, 2)), spec)
-        assert sorted(page2.rep_names()) == ["1", "x*y*z", "x*z", "y"]
-        # (-1, 1) holds z < y < xz < xy in catalog order
-        assert page2.data[(-1, 1)].boundaries.rows == {0: {0: 1, 1: 1}}
+        # by hand: d(x^a) = a·x^(a-1)(y + z), d(x^a·y) = -a·x^(a-1)·yz and
+        # d(x^a·z) = a·x^(a-1)·yz.  (0, 0) keeps 1.  (-1, 1) has the cycles
+        # z, y, x(y + z) and x^2(y + z) over the boundaries y + z and
+        # x(y + z): classes y and x^2(y + z), whose pivot is x^2z.  (-2, 2)
+        # holds yz, xyz and x^2yz over the boundaries yz and xyz.
+        assert sorted(page2.rep_names()) == ["1", "x^2*y*z", "x^2*z", "y"]
+        # (-1, 1) holds z < y < xz < xy < x^2z < x^2y in catalog order
+        assert page2.data[(-1, 1)].boundaries.rows == {0: {0: 1, 1: 1},
+                                                       2: {2: 1, 3: 1}}
         _turn_keeping_input(page2, DifferentialSpec(pres, [
             DiffEntry(2, "x", 1, ())]))
 
@@ -653,18 +763,18 @@ class TestTurnPage:
     def test_hand_computed_homology(self):
         pres, window, spec = xy_complex()
         page = build_page(pres, window)
-        assert page.total_dim() == 8
+        assert page.total_dim() == 6
         nxt = turn_page(page, spec)
         assert nxt.r == 2
-        assert sorted(nxt.rep_names()) == ["1", "x^2*y", "x^3", "x^3*y"]
-        assert nxt.dims() == {(0, 0): 1, (0, 3): 1, (-1, 4): 1, (-1, 5): 1}
+        assert sorted(nxt.rep_names()) == ["1", "x^2*y"]
+        assert nxt.dims() == {(0, 0): 1, (-1, 4): 1}
 
     def test_page_without_entries_is_identity(self):
         pres, window, spec = xy_complex()
         page = build_page(pres, window)
         page2 = turn_page(turn_page(page, spec), spec)  # page 2 -> 3: no d_2
         assert page2.r == 3
-        assert page2.total_dim() == 4
+        assert page2.total_dim() == 2
 
     def test_representatives_are_smallest_monomials(self):
         pres, window, spec = xy_complex()
@@ -682,7 +792,8 @@ class TestTurnPage:
             turn_page(page, spec)
 
     def test_stale_representative_raises(self):
-        # after d_1(x) = y, the class of y is a boundary, yet it is alive
+        # after d_1(x) = y and d_1(x^2) = 2xy, the class of y is a boundary,
+        # yet it is alive
         page, spec, i = _xy_page()
         page2 = turn_page(page, spec)
         page2.data[(-1, 1)].alive = [{i["y"]: 1}]
@@ -707,9 +818,10 @@ class TestTurnPage:
             turn_page(page, spec)
 
     def test_alive_class_outside_the_domain_raises(self):
-        # d_1 is given on x^2 only, so the alive class x has no d_1
+        # d_1 is given on x^2 only, so the alive class x has no d_1.  With
+        # u = x^2, x^6 = u^3 = 0 is preserved: d(u^3) = 3u^2·y = 0
         pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
-                                GeneratorSymbol("y", -1, 1)], [{"x": 3}])
+                                GeneratorSymbol("y", -1, 1)], [{"x": 6}])
         spec = DifferentialSpec(pres, [DiffEntry(1, "x", 2, (
             (pres.catalog.mono({"y": 1}), 1),))])
         page = build_page(pres, Window(-1, 0, 0, 1))
@@ -719,11 +831,12 @@ class TestTurnPage:
 
 
 def _xy_page():
-    """Page 1 of x in (0, 0), x^2 = 0, and odd y in (-1, 1), with
-    d_1(x) = y; and the index of each window monomial, by name, in its
-    bidegree."""
+    """Page 1 of x in (0, 0), x^3 = 0, and odd y in (-1, 1), with
+    d_1(x) = y, which preserves x^3 as d(x^3) = 3x^2·y = 0; and the index of
+    each window monomial, by name, in its bidegree.  (0, 0) holds 1, x and
+    x^2, with d_1 0, y and 2xy; (-1, 1) holds y, xy and x^2y, all cycles."""
     pres = Presentation(3, [GeneratorSymbol("x", 0, 0),
-                            GeneratorSymbol("y", -1, 1)], [{"x": 2}])
+                            GeneratorSymbol("y", -1, 1)], [{"x": 3}])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
         (cat.mono({"y": 1}), 1),))])
@@ -866,11 +979,12 @@ class TestReferenceOracle:
 
 
 def _line_page():
-    """Page 1 of x in (2, 0), x^2 = 0, and odd y in (1, 1), with
-    d_1(x) = y: four bidegrees of one monomial each, 1, x, y and x*y, and
-    one pair in d_1 position, x -> y."""
+    """Page 1 of x in (2, 0), x^3 = 0, and odd y in (1, 1), with
+    d_1(x) = y, which preserves x^3: four bidegrees of one monomial each,
+    1, x, y and x*y (x^2 lies past degree 3), and one pair in d_1 position,
+    x -> y."""
     pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
-                            GeneratorSymbol("y", 1, 1)], [{"x": 2}])
+                            GeneratorSymbol("y", 1, 1)], [{"x": 3}])
     cat = pres.catalog
     spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
         (cat.mono({"y": 1}), 1),))])
@@ -878,12 +992,13 @@ def _line_page():
 
 
 def _outside_domain_page(flags):
-    """Page 1, flagged at ``flags``, of x in (2, 0) with x^3 = 0, odd y in
+    """Page 1, flagged at ``flags``, of x in (2, 0) with x^6 = 0, odd y in
     (3, 1) and odd z in (1, 1), with d_1 given on x^2 only: the
-    one-monomial pair x -> z has x outside the domain of d_1."""
+    one-monomial pair x -> z has x outside the domain of d_1.  With
+    u = x^2, d(u^3) = 3u^2·y = 0 preserves x^6, which lies past the window."""
     pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
                             GeneratorSymbol("y", 3, 1),
-                            GeneratorSymbol("z", 1, 1)], [{"x": 3}])
+                            GeneratorSymbol("z", 1, 1)], [{"x": 6}])
     spec = DifferentialSpec(pres, [DiffEntry(1, "x", 2, (
         (pres.catalog.mono({"y": 1}), 1),))])
     page = build_page(pres, Window(0, 4, 0, 1))
@@ -988,23 +1103,22 @@ class TestOneMonomialPairs:
                            match=r"stale representative in bidegree \(1, 1\)"):
             turn_page(page, spec)
 
-    def test_class_lost_and_gained_fails_rank_bookkeeping(self, monkeypatch):
+    def test_class_lost_and_gained_fails_rank_bookkeeping(self):
         # d_1(x) = y and d_1(y) = w, so d_1 squared is w on x; with the
         # square-zero check skipped, y both loses and gains its one class
         pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
                                 GeneratorSymbol("y", 1, 1),
                                 GeneratorSymbol("w", 0, 2)])
         cat = pres.catalog
-        spec = DifferentialSpec(pres, [
-            DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
-            DiffEntry(1, "y", 1, ((cat.mono({"w": 1}), 1),))])
+        entries = [DiffEntry(1, "x", 1, ((cat.mono({"y": 1}), 1),)),
+                   DiffEntry(1, "y", 1, ((cat.mono({"w": 1}), 1),))]
         page = build_page(pres, Window(0, 2, 0, 2))
         assert all(len(d.monos) == 1 for d in page.data.values())
+        with pytest.raises(ValueError, match="d_1 squared is nonzero on x"):
+            DifferentialSpec(pres, entries)
+        spec = unchecked_spec(pres, entries)
         with pytest.raises(VerificationError, match="d_1 squared is nonzero on x"):
-            turn_page(page, spec)
-        monkeypatch.setattr(spectral, "check_square_zero", lambda page, spec, r: {
-            m: leibniz_extend(spec, r, m)
-            for d in page.data.values() for m in d.monos})
+            check_square_zero(page, spec, 1)
         with pytest.raises(VerificationError,
                            match=r"rank bookkeeping failed at bidegree \(1, 1\) "
                                  r"page 1: 1 - 1 - 1 != 0"):
@@ -1078,9 +1192,10 @@ class TestPopulatedPairs:
         # x^a and x^{a-1}y sit one degree and one weight apart
         assert self.pairs(page)[1] > 0
         final = turn_page(page, spec)
-        # the four survivors still pair up arithmetically (1 -> x^2y needs
-        # d_4 etc.); this tiny window cannot certify stability, by design
-        assert self.pairs(final) == {1: 1, 2: 1, 4: 1, 5: 1}
+        # the two survivors still pair up arithmetically: 1 at (0, 0) and
+        # x^2y at (-1, 4) are in d_4 position, and x^2y -> 1 lowers the
+        # weight; this tiny window cannot certify stability, by design
+        assert self.pairs(final) == {4: 1}
 
     def test_needs_growing_weight(self):
         pres, window, spec = xy_complex()
@@ -1096,7 +1211,7 @@ class TestPopulatedPairs:
         pres, window, spec = xy_complex()
         page = build_page(pres, window)
         with pytest.raises(WindowInconclusiveError,
-                           match=r"beyond page 1 at pages \[2, 4, 5\]"):
+                           match=r"beyond page 1 at pages \[4\]"):
             run_to_stable(page, spec)
 
 

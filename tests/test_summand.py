@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import run_cli
 from synto import fgl, summand
 from synto.fgl import orientation_truncation
 from synto.graded import Poly, VerificationError
@@ -75,6 +76,23 @@ class TestDeriveDifferentials:
     def test_unknown_structure(self):
         with pytest.raises(ValueError):
             derive_differentials(3, "thh")
+
+    def test_refused_preset_is_a_failed_check(self, monkeypatch):
+        # λ₁ at weight 1: the image t^4·λ₁ of d_3(t) lands one weight above
+        # (-2, 1) + (-1, 3), so DifferentialSpec refuses the preset, and that
+        # is an internal fault (exit 2), not a bad input
+        def wrong(p):
+            return Presentation(p, [replace(g, weight=1) if g.name == "lambda1"
+                                    else g for g in tp_presentation(p).gens])
+
+        monkeypatch.setitem(summand.PRESENTATIONS, "tp", wrong)
+        why = ("the tp preset at p = 3 is refused: image term t^4*lambda1 of "
+               "d_3(t^1) has bidegree (-3, 5), expected (-3, 4)")
+        with pytest.raises(VerificationError) as e:
+            derive_differentials(3, "tp")
+        assert str(e.value) == why
+        assert run_cli(["ss", "--preset", "tp", "--prime", "3"]) == (
+            2, "", f"assertion failed: {why}\n")
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_t_power_permanence(self, p):
