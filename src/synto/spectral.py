@@ -97,9 +97,9 @@ class Presentation:
         self.p = p
         self.catalog = Catalog(gens)
         self.gens = self.catalog.symbols
-        for g in self.gens:
-            if g.degree % 2 and g.invertible:
-                raise ValueError(f"odd generator {g.name} must have exponent <= 1")
+        for i in self.catalog.odd:
+            if self.gens[i].invertible:
+                raise ValueError(f"odd generator {self.gens[i].name} must have exponent <= 1")
         self.relations: tuple[Mono, ...] = tuple(
             self.catalog.mono(r) for r in relations)
         for rel in self.relations:
@@ -122,7 +122,7 @@ class Presentation:
         for i, g in enumerate(self.gens):
             # x^k caps x below k, an odd x at 1; the relation 1 caps all below 0
             caps = [rel[i] - 1 for rel in self.relations
-                    if not any(rel[:i] + rel[i + 1:])] + [1] * (g.degree % 2)
+                    if not any(rel[:i] + rel[i + 1:])] + [1] * (i in self.catalog.odd)
             hi = min(caps, default=None)
             # a unit can only be capped by the relation 1, which empties it
             ranges.append((None if g.invertible and hi is None else 0, hi))
@@ -273,7 +273,7 @@ class DifferentialSpec:
             if e.page < 1 or e.base_exp < 1:
                 raise ValueError("pages and base exponents are positive")
             gi = cat.index[e.gen]
-            if e.base_exp > 1 and cat.symbols[gi].degree % 2:
+            if e.base_exp > 1 and gi in cat.odd:
                 raise ValueError(f"odd generator {e.gen} has no power {e.base_exp}")
             base = cat.mono({e.gen: e.base_exp})
             want = (cat.degree(base) + self.rule.shift(e.page)[0],
@@ -285,6 +285,8 @@ class DifferentialSpec:
                     raise ValueError(
                         f"image term {cat.mono_str(m)} of d_{e.page}({e.gen}^{e.base_exp}) "
                         f"has bidegree {cat.bidegree(m)}, expected {want}")
+            # a term with an odd generator squared is zero
+            image = tuple(t for t in image if all(t[0][k] < 2 for k in cat.odd))
             page = self._by_page.setdefault(e.page, {})
             if gi in page:
                 raise ValueError(f"duplicate differential for {e.gen} at page {e.page}")
@@ -321,11 +323,11 @@ class DifferentialSpec:
                             f"image term {cat.mono_str(m)} of d_{r}({cat.symbols[i].name}^{e0}) "
                             f"is outside the domain of d_{r}: its exponent of "
                             f"{cat.symbols[j].name} is not a multiple of {ej}")
-                odd = tuple(k for k in cat._odd if m[k])
-                flips = tuple(j for k in odd for j in cat._odd
+                odd = tuple(k for k in cat.odd if m[k])
+                flips = tuple(j for k in odd for j in cat.odd
                               if k < j <= i or i < j < k)
                 terms.append((m, c, odd, flips))
-            rows.append((i, e0, tuple(terms), tuple(j for j in cat._odd if j < i)))
+            rows.append((i, e0, tuple(terms), tuple(j for j in cat.odd if j < i)))
         return tuple(rows)
 
     @property
@@ -349,8 +351,8 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     rest[k] ≠ 0.  Otherwise moving each odd factor k of the image to its
     catalog place flips the sign once for each odd j with rest[j] ≠ 0 and
     k < j ≤ i (a factor of rest it passes leftwards) or i < j < k
-    (rightwards): the pairs `Catalog.mono_mul` would count multiplying
-    rest's part up to g_i by the image, then by rest's part after g_i.
+    (rightwards): the transpositions of odd factors that multiplying rest's
+    part up to g_i by the image, then by rest's part after g_i, would count.
     `Presentation.killed` runs only when there are relations.
     """
     rows = spec._rows.get(r)
@@ -404,7 +406,7 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
     settles the relation on that page.
     """
     cat = spec.pres.catalog
-    if any(rel[i] > 1 for i in cat._odd):
+    if any(rel[i] > 1 for i in cat.odd):
         return
     for r in spec.pages:
         lifted = list(rel)

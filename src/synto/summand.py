@@ -634,16 +634,13 @@ def hodge_tate_check(p: int) -> HodgeTateReport:
     ps = p_series(p, p * p + 2, ideal=("p", "v1"))
     cat = ps.catalog
     lead = cat.mono({"v2": 1, "t": p * p})
-    unit = ps.terms.get(lead)
+    unit = ps.terms.get(lead)  # over F_p, so a unit when present
     others = {m for m in ps.terms
               if m[cat.index["t"]] <= p * p and m != lead}
     if unit is None or others:
         raise VerificationError(
             "p-series mod (p, v1) does not start with a unit times "
             "v2*t^(p^2)")
-    unit = int(unit) % p
-    if unit == 0:
-        raise VerificationError("p-series leading coefficient is not a unit")
 
     lo, hi = -2 * p * p, 2 * p * p
     left = _exterior_laurent_dims(tp_presentation(p), "t", p * p, lo, hi)

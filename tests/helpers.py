@@ -1,8 +1,8 @@
 """Shared test utilities: dense F_p linear algebra used as an independent
 oracle for the sparse spectral-sequence engine, a per-monomial d² = 0
-oracle, and a generator of random square-zero differential specs
-(square-zero by triangularity: differentials only hit generators that
-themselves map to zero)."""
+oracle, the Koszul product of monomials, and a generator of random
+square-zero differential specs (square-zero by triangularity:
+differentials only hit generators that themselves map to zero)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import importlib.util
 import io
 import itertools
 import math
+import operator
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -94,6 +95,29 @@ def check_square_zero(page, spec, r):
                 raise VerificationError(
                     f"d_{r} squared is nonzero on {cat.mono_str(m)}")
     return dmap
+
+
+def mono_mul(cat, a, b):
+    """(sign, a*b) in the graded-commutative algebra on ``cat``, or None
+    when an odd generator would square: the Koszul rule written factor by
+    factor, the reference that `leibniz_extend`'s compiled signs are tested
+    against.
+
+    The sign counts the transpositions needed to interleave the odd part
+    of b into the odd part of a, i.e. pairs (i in a, j in b) of odd
+    generator positions with i > j.
+    """
+    sign = 1
+    for i in cat.odd:
+        if a[i] and b[i]:
+            return None
+        if b[i]:
+            # moving b's odd factor at i past every odd factor of a
+            # sitting at a later catalog position
+            swaps = sum(1 for j in cat.odd if j > i and a[j])
+            if swaps & 1:
+                sign = -sign
+    return sign, tuple(map(operator.add, a, b))
 
 
 def unchecked_spec(pres, entries):

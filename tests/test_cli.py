@@ -435,6 +435,20 @@ class TestSsCommand:
         assert out.endswith("survivors (boundary-safe): 1\n  1\n"
                             "(+ 1 classes too close to the window edge to certify)\n")
 
+    def test_image_term_with_an_odd_square_is_zero(self, tmp_path):
+        # y^2*z is zero in any graded-commutative algebra, so d_1(x) = 0;
+        # the term used to reach turn_page, which failed with exit 2
+        f = tmp_path / "square.ss"
+        f.write_text("prime 3\ngen x deg 2 weight 0 parity even\n"
+                     "gen y deg 1 weight 1 parity odd\n"
+                     "gen z deg -1 weight -1 parity odd\n"
+                     "diff page 1 x -> y^2*z\n"
+                     "window deg -1 6 weight -1 2\n")
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert (code, err) == (0, "")
+        assert "d_1: 15 -> 15 classes\n" in out
+        assert "survivors (boundary-safe): 12\n" in out
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_p_th_power_relation_is_accepted(self, tmp_path, p):
         # d(x^p) = p*x^(p-1)*dx = 0

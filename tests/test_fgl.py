@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import formal_sum, values
+from synto import fgl
 from synto.cli import format_series
 from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
                        formal_sum_of, log_coefficients, log_of,
@@ -62,21 +63,21 @@ class TestExpLog:
         assert log_of(E, p, ls, trc) == t
 
 
-# orientation variables x, y, coefficients v1, v2, and two odd generators,
-# so that compositions meet Koszul signs and odd squares
+# orientation variables x, y, coefficients v1, v2, and an even generator mu
+# outside the canonical catalog, drawn with Laurent exponents
 CAT_XY = Catalog(canonical_catalog(3, orientations=("x", "y")).symbols + (
-    GeneratorSymbol("lambda1", 5, 0),
-    GeneratorSymbol("lambda2", 17, 0)))
+    GeneratorSymbol("mu", 18, 0),))
 ZP3 = CoeffRing(0, 3)  # Z[1/3], the ring of CAT_XY's prime
 
 
 def random_series(rng, lowest, size):
     """A Z[1/3] polynomial in CAT_XY whose terms have (x, y)-degree >=
     lowest, the first term exactly lowest."""
-    x, y = CAT_XY.index["x"], CAT_XY.index["y"]
+    x, y, mu = (CAT_XY.index[n] for n in ("x", "y", "mu"))
     terms = []
     for i in range(size):
         m = [rng.choice((0, 0, 1)) for _ in CAT_XY.symbols]
+        m[mu] = rng.choice((-1, 0, 1))
         m[x], m[y] = (lowest, 0) if i == 0 else (rng.randint(0, 3),
                                                  rng.randint(0, 2))
         if m[x] + m[y] < lowest:
@@ -224,6 +225,15 @@ class TestRightUnit:
     def test_linear_normalization_guard(self):
         eta = right_unit_t(5, 4)
         assert eta.coefficient(eta.catalog.unit_mono("t")) == 1
+
+    def test_lost_normalization_is_a_hard_error(self, monkeypatch):
+        # the formal sum's series with its linear coefficient doubled
+        real = fgl.formal_sum_of
+        monkeypatch.setattr(fgl, "formal_sum_of",
+                            lambda *args: real(*args).scale(2))
+        with pytest.raises(VerificationError,
+                           match="^right unit lost its linear normalization$"):
+            right_unit_t(5, 4)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_cut_series_is_the_short_right_unit(self, p):

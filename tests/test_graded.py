@@ -13,13 +13,10 @@ from synto.graded import (Catalog, CoeffRing, GeneratorSymbol, Poly,
 from synto.fgl import orientation_truncation
 from synto.summand import _rewrite_through_suspension
 
-# the canonical catalog at p = 3, which is all even, followed by odd
-# generators of the tests' own, so that Koszul signs and odd squares are
-# exercised
+# the canonical catalog at p = 3 followed by an even Laurent generator of
+# the tests' own; the series ring has no odd generator
 CAT3 = Catalog(canonical_catalog(3).symbols + (
-    GeneratorSymbol("lambda1", 5, 1),
-    GeneratorSymbol("lambda2", 17, 1),
-    GeneratorSymbol("mu", 18, 0)))
+    GeneratorSymbol("mu", 18, 0),))
 FP3 = CoeffRing(3)
 ZP3 = CoeffRing(0, 3)  # Z[1/3]
 
@@ -32,35 +29,24 @@ class TestCatalog:
     def test_canonical_symbols(self):
         names = tuple(s.name for s in CAT3.symbols)
         assert names == ("t", "v1", "v2", "t1", "t2",
-                         "sigma2t1", "sigma2v2", "lambda1", "lambda2", "mu")
+                         "sigma2t1", "sigma2v2", "mu")
         assert CAT3.symbols[CAT3.index["t"]].degree == -2
         assert CAT3.symbols[CAT3.index["v1"]].degree == 4
         assert CAT3.symbols[CAT3.index["t2"]].degree == 16
+        assert CAT3.odd == ()
         # the odd generators are exactly those of odd degree
-        assert CAT3._odd == (CAT3.index["lambda1"], CAT3.index["lambda2"])
+        cat = Catalog([GeneratorSymbol("a", 1, 0), GeneratorSymbol("b", 2, 0),
+                       GeneratorSymbol("c", -3, 1)])
+        assert cat.odd == (0, 2)
 
     def test_bidegree(self):
-        m = mono(t=2, v1=1, lambda1=1)
-        assert CAT3.degree(m) == -4 + 4 + 5
-        assert CAT3.weight(m) == 2 + 0 + 1
+        m = mono(t=2, v1=1, mu=1)
+        assert CAT3.degree(m) == -4 + 4 + 18
+        assert CAT3.weight(m) == 2 + 0 + 0
         assert CAT3.bidegree(CAT3.one) == (0, 0)
 
-    def test_mono_mul_even(self):
-        s, m = CAT3.mono_mul(mono(t=2), mono(t=-1, v1=1))
-        assert s == 1 and m == mono(t=1, v1=1)
-
-    def test_mono_mul_odd_square_is_none(self):
-        assert CAT3.mono_mul(mono(lambda1=1), mono(lambda1=1)) is None
-
-    def test_mono_mul_koszul_sign(self):
-        # lambda2 * lambda1 = -lambda1 * lambda2 (catalog order fixed)
-        s, m = CAT3.mono_mul(mono(lambda2=1), mono(lambda1=1))
-        assert s == -1 and m == mono(lambda1=1, lambda2=1)
-        s, m = CAT3.mono_mul(mono(lambda1=1), mono(lambda2=1))
-        assert s == 1 and m == mono(lambda1=1, lambda2=1)
-
     def test_mono_str(self):
-        assert CAT3.mono_str(mono(t=-3, lambda1=1)) == "t^-3*lambda1"
+        assert CAT3.mono_str(mono(t=-3, mu=1)) == "t^-3*mu"
         assert CAT3.mono_str(CAT3.one) == "1"
 
     def test_duplicate_names_rejected(self):
@@ -104,11 +90,20 @@ class TestPoly:
         f = Poly.gen(CAT3, ZP3, "t")
         assert f ** 0 == Poly.unit(CAT3, ZP3)
 
-    def test_odd_square_vanishes_in_any_characteristic(self):
-        for ring in (ZP3, FP3, CoeffRing(2)):
-            lam = (Poly.gen(CAT3, ring, "lambda1")
-                   + Poly.gen(CAT3, ring, "lambda2"))
-            assert (lam * lam).is_zero()
+    def test_product_over_an_odd_generator_is_refused(self):
+        # the graded sign rule lives in the engine; a series never has an
+        # odd generator, so a product over one is refused, not signed
+        cat = Catalog(CAT3.symbols + (GeneratorSymbol("lambda1", 5, 1),))
+        lam, t = Poly.gen(cat, ZP3, "lambda1"), Poly.gen(cat, ZP3, "t")
+        for a, b in ((lam, lam), (t, t), (t, Poly.unit(cat, ZP3))):
+            with pytest.raises(ValueError,
+                               match="^cannot multiply over the odd generator "
+                                     "lambda1: the series ring is "
+                                     "commutative$"):
+                a * b
+        # a sum, a scale and the zeroth power form no product
+        assert (lam + t).scale(2) - lam.scale(2) == t.scale(2)
+        assert lam ** 0 == Poly.unit(cat, ZP3)
 
     def test_reduce_mod_p(self):
         f = Poly.from_terms(CAT3, CoeffRing(0, 2),
@@ -348,12 +343,10 @@ class TestAddTruncation:
 
 
 def random_mono(rng):
-    """A CAT3 monomial: odd generators 0 or 1, t and mu Laurent."""
+    """A CAT3 monomial: t and mu Laurent."""
     exps = []
     for s in CAT3.symbols:
-        if s.degree % 2:
-            exps.append(rng.randint(0, 1))
-        elif s.name in ("t", "mu"):
+        if s.name in ("t", "mu"):
             exps.append(rng.randint(-2, 3))
         else:
             exps.append(rng.choice((0, 0, 1, 2)))
@@ -374,16 +367,16 @@ def random_poly(rng, ring, trunc=None, size=6):
 
 def brute_product(f, g):
     """The values of f * g: every pair of coefficient values multiplied
-    as Fractions, filtered through mono_mul and the left operand's
-    truncation after the product is formed, then reduced mod char over
-    F_p."""
+    as Fractions at the sum of the exponents, filtered through the left
+    operand's truncation after the product is formed, then reduced mod
+    char over F_p."""
     mod, trunc, acc = f.ring.char, f.trunc, {}
     for ma, ca in values(f).items():
         for mb, cb in values(g).items():
-            sm = CAT3.mono_mul(ma, mb)
-            if sm is None or (trunc is not None and not trunc.keeps(sm[1])):
+            m = tuple(a + b for a, b in zip(ma, mb))
+            if trunc is not None and not trunc.keeps(m):
                 continue
-            acc[sm[1]] = acc.get(sm[1], 0) + sm[0] * Fraction(ca) * cb
+            acc[m] = acc.get(m, 0) + Fraction(ca) * cb
     if mod:
         acc = {m: c % mod for m, c in acc.items()}
     return {m: c for m, c in acc.items() if c}
@@ -391,8 +384,8 @@ def brute_product(f, g):
 
 class TestMulOracle:
     """Poly.__mul__ stops each row at the truncation bound; a brute-force
-    product over all pairs must agree, with Koszul signs, odd squares,
-    Laurent exponents inside the truncated variables, and a truncation on
+    product over all pairs must agree, with Laurent exponents inside the
+    truncated variables, and a truncation on
     either factor, on both (the tighter wins) or on neither."""
 
     @pytest.mark.parametrize("seed", range(40))
@@ -402,7 +395,7 @@ class TestMulOracle:
         if rng.random() < 0.2:
             trunc = None
         else:
-            names = rng.sample(("t", "mu", "v1", "lambda1", "sigma2t1"),
+            names = rng.sample(("t", "mu", "v1", "t2", "sigma2t1"),
                                rng.randint(1, 2))
             trunc = Truncation(frozenset(CAT3.index[n] for n in names),
                                rng.randint(-2, 5))
@@ -442,9 +435,7 @@ class TestRewrite:
 def monomials(draw):
     exps = []
     for s in CAT3.symbols:
-        if s.degree % 2:
-            exps.append(draw(st.integers(0, 1)))
-        elif s.name == "t":
+        if s.name == "t":
             exps.append(draw(st.integers(-2, 2)))
         else:
             exps.append(draw(st.integers(0, 2)))
@@ -478,17 +469,15 @@ def series_polys(draw, ring):
 class TestProperties:
     @given(monomials(), monomials())
     def test_graded_commutativity(self, m1, m2):
+        # every generator is even, so graded commutativity is commutativity
         x = Poly.from_terms(CAT3, ZP3, [(m1, 1)])
         y = Poly.from_terms(CAT3, ZP3, [(m2, 1)])
-        sign = -1 if (CAT3.degree(m1) * CAT3.degree(m2)) % 2 else 1
-        assert x * y == (y * x).scale(sign)
+        assert x * y == y * x
 
     @given(monomials(), monomials())
     def test_bidegree_additive(self, m1, m2):
-        prod = CAT3.mono_mul(m1, m2)
-        if prod is None:
-            return
-        _, m = prod
+        (m,) = (Poly.from_terms(CAT3, ZP3, [(m1, 1)])
+                * Poly.from_terms(CAT3, ZP3, [(m2, 1)])).terms
         assert CAT3.degree(m) == CAT3.degree(m1) + CAT3.degree(m2)
         assert CAT3.weight(m) == CAT3.weight(m1) + CAT3.weight(m2)
 

@@ -168,6 +168,24 @@ class TestFormalGroupCertificate:
                                  r"t\^3\*v1\*t1"):
             _certificate(2)
 
+    def test_early_and_late_quotients_are_compared(self, monkeypatch):
+        # only the check series, which takes (p, v1) after the arithmetic,
+        # gains a term; the certified right unit took it before
+        real = fgl.right_unit_t
+
+        def corrupted(p, trunc, ideal=()):
+            eta = real(p, trunc, ideal)
+            cat = eta.catalog
+            return eta + Poly.from_terms(
+                cat, eta.ring, [(cat.mono({"t": p + 1}), 1)], eta.trunc)
+
+        monkeypatch.setattr(fgl, "right_unit_t", corrupted)
+        with pytest.raises(VerificationError,
+                           match=r"^right unit mod \(p, v1\) differs when v1 "
+                                 r"is killed before the series arithmetic "
+                                 r"and after it$"):
+            _certificate(3)
+
     def test_frobenius_bound(self, monkeypatch):
         # the rewritten-degree bound implies this one for any series, so it
         # is reached through the Frobenius it reads
@@ -535,6 +553,24 @@ class TestHodgeTate:
         report = hodge_tate_check(p)
         assert report.ok and report.degree_window == (-P, P)
         assert report.dimensions == want
+
+    @pytest.mark.parametrize("kill, extra", [(["v2"], None), ([], {"t": 9})])
+    def test_p_series_leading_term_is_checked(self, monkeypatch, kill, extra):
+        # [3](t) mod (3, v1) loses its v2*t^9, or gains a bare t^9 beside it
+        real = summand.p_series
+
+        def corrupted(p, trunc, ideal=()):
+            ps = real(p, trunc, ideal).kill_generators(kill)
+            cat = ps.catalog
+            return ps + Poly.from_terms(
+                cat, ps.ring, [(cat.mono(extra), 1)] if extra else [],
+                ps.trunc)
+
+        monkeypatch.setattr(summand, "p_series", corrupted)
+        with pytest.raises(VerificationError,
+                           match=r"^p-series mod \(p, v1\) does not start "
+                                 r"with a unit times v2\*t\^\(p\^2\)$"):
+            hodge_tate_check(3)
 
     def test_mu_off_the_t_lattice_is_caught(self, monkeypatch):
         # |μ| = 2p² + 2 is not -p²·|t|, so the two sides disagree
