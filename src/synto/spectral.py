@@ -227,8 +227,8 @@ class Presentation:
 
 
 # one row of a compiled page, as DifferentialSpec._compile builds it
-_Row = tuple[int, int, tuple[tuple[Mono, int, tuple[int, ...], tuple[int, ...]], ...],
-             tuple[int, ...]]
+_Terms = tuple[tuple[Mono, int, tuple[int, ...], tuple[int, ...]], ...]
+_Row = tuple[int, int, _Terms, tuple[int, ...], _Terms]
 
 
 @dataclass(frozen=True)
@@ -278,15 +278,16 @@ class DifferentialSpec:
             base = cat.mono({e.gen: e.base_exp})
             want = (cat.degree(base) + self.rule.shift(e.page)[0],
                     cat.weight(base) + self.rule.shift(e.page)[1])
-            image = tuple((m, c % pres.p) for m, c in e.image
-                          if c % pres.p and not pres.killed(m))
+            image = tuple((m, c % pres.p) for m, c in e.image if c % pres.p)
             for m, _ in image:
                 if cat.bidegree(m) != want:
                     raise ValueError(
                         f"image term {cat.mono_str(m)} of d_{e.page}({e.gen}^{e.base_exp}) "
                         f"has bidegree {cat.bidegree(m)}, expected {want}")
-            # a term with an odd generator squared is zero
-            image = tuple(t for t in image if all(t[0][k] < 2 for k in cat.odd))
+            # a term that a relation kills, or with an odd generator squared,
+            # is zero; it is still refused in the wrong bidegree
+            image = tuple(t for t in image if not pres.killed(t[0])
+                          and all(t[0][k] < 2 for k in cat.odd))
             page = self._by_page.setdefault(e.page, {})
             if gi in page:
                 raise ValueError(f"duplicate differential for {e.gen} at page {e.page}")
@@ -308,14 +309,21 @@ class DifferentialSpec:
     def _compile(self, r: int, ents: dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]
                  ) -> tuple[_Row, ...]:
         """Page r's rows for `leibniz_extend`, one per generator g_i that d_r
-        acts on: (i, e₀, terms, the odd positions before i).  Each term is
-        (image, coefficient, its odd factors k, and for each k the odd
-        positions j with k < j ≤ i or i < j < k).  An image term outside
-        d_r's own domain is refused, so d_r never leaves it."""
+        acts on: (i, e₀, terms, the odd positions before i, squared).  Each
+        term is (δ, coefficient, the odd factors k ≠ i of its image, and for
+        each k the odd positions j with k < j < i or i < j < k), where
+        δ = image − e₀·g_i shifts m to the term.  An odd g_i has e₀ = 1 and
+        is gone from m / g_i, so i is in neither list.  squared is the terms
+        for an m that holds an odd g_i squared, which is zero and on no page:
+        a g_i is left in m / g_i, so the terms whose image holds g_i drop
+        and each odd factor of the image before g_i flips the sign; for an
+        even g_i it is the terms.  An image term outside d_r's own domain is
+        refused, so d_r never leaves it."""
         cat = self.pres.catalog
         rows = []
         for i, (e0, image) in ents.items():
             terms = []
+            squared = []
             for m, c in image:
                 for j, (ej, _) in ents.items():
                     if m[j] % ej:
@@ -323,11 +331,16 @@ class DifferentialSpec:
                             f"image term {cat.mono_str(m)} of d_{r}({cat.symbols[i].name}^{e0}) "
                             f"is outside the domain of d_{r}: its exponent of "
                             f"{cat.symbols[j].name} is not a multiple of {ej}")
-                odd = tuple(k for k in cat.odd if m[k])
+                delta = tuple(x - e0 if j == i else x for j, x in enumerate(m))
+                odd = tuple(k for k in cat.odd if m[k] and k != i)
                 flips = tuple(j for k in odd for j in cat.odd
-                              if k < j <= i or i < j < k)
-                terms.append((m, c, odd, flips))
-            rows.append((i, e0, tuple(terms), tuple(j for j in cat.odd if j < i)))
+                              if k < j < i or i < j < k)
+                terms.append((delta, c, odd, flips))
+                if not m[i]:
+                    flip = sum(k < i for k in odd) % 2
+                    squared.append((delta, -c if flip else c, odd, flips))
+            rows.append((i, e0, tuple(terms), tuple(j for j in cat.odd if j < i),
+                         tuple(squared) if i in cat.odd else tuple(terms)))
         return tuple(rows)
 
     @property
@@ -344,15 +357,17 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     base power, e.g. d_{p^2} is only defined on multiples of t^p).
 
     Each generator g_i that d_r acts on, with base exponent e₀ and m[i] = a,
-    gives (a/e₀)·rest·image, where rest is m with g_i lowered by e₀, so the
-    exponents are rest + image.  Signs: writing m = f_1 ... f_k in catalog
-    order, differentiating the factor of g_i costs (-1)^{Σ m[j] over odd
-    j < i}.  A term is zero when an odd factor k of the image has
-    rest[k] ≠ 0.  Otherwise moving each odd factor k of the image to its
-    catalog place flips the sign once for each odd j with rest[j] ≠ 0 and
-    k < j ≤ i (a factor of rest it passes leftwards) or i < j < k
-    (rightwards): the transpositions of odd factors that multiplying rest's
-    part up to g_i by the image, then by rest's part after g_i, would count.
+    gives (a/e₀)·(m / g_i^e₀)·image: one term m + δ per image term, where
+    the compiled shift δ = image − e₀·g_i.  Signs: writing m = f_1 ... f_k
+    in catalog order, differentiating the factor of g_i costs (-1)^{Σ m[j]
+    over odd j < i}.  A term is zero when an odd factor k ≠ i of the image
+    has m[k] ≠ 0.  Otherwise moving each odd factor k of the image to its
+    catalog place flips the sign once for each odd j ≠ i with m[j] ≠ 0 and
+    k < j < i (a factor of m it passes leftwards) or i < j < k
+    (rightwards).  An odd g_i leaves no factor g_i in m / g_i, as e₀ = 1
+    and a = 1 on any page, so i is never tested.  An m with a > 1 there is
+    zero and on no page; it reads the row's squared terms, which give the
+    answer of multiplying out factor by factor, as before the shifts.
     `Presentation.killed` runs only when there are relations.
     """
     rows = spec._rows.get(r)
@@ -361,7 +376,7 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     pres, p = spec.pres, spec.pres.p
     killed = pres.killed if pres.relations else None
     total: dict[Mono, int] = {}
-    for i, e0, terms, before in rows:
+    for i, e0, terms, before, squared in rows:
         a = m[i]
         if not a:
             continue
@@ -370,20 +385,21 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
         q = (a // e0) % p
         if not q:
             continue
-        rest = m[:i] + (a - e0,) + m[i + 1:]
+        if a > e0:
+            terms = squared
         if before and sum(m[j] for j in before) % 2:
             q = -q
-        for img, c, odd, flips in terms:
+        for delta, c, odd, flips in terms:
             for k in odd:
-                if rest[k]:
+                if m[k]:
                     break
             else:
-                full = tuple(map(add, rest, img))
+                full = tuple(map(add, m, delta))
                 if killed is not None and killed(full):
                     continue
                 s = q * c
                 for j in flips:
-                    if rest[j]:
+                    if m[j]:
                         s = -s
                 coeff = (total.get(full, 0) + s) % p
                 if coeff:
@@ -522,8 +538,11 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
 
     def image(b: tuple[int, int], d: BidegreeData, v: Vec,
               tb: tuple[int, int], td: BidegreeData) -> Vec:
-        """d_r of the class v at b, over tb's monomials."""
+        """d_r of the class v at b, over tb's monomials.  A one-entry class
+        maps to its column times c as it is: distinct monomials have
+        distinct indices, and c·c₁ ≢ 0 (mod p)."""
         dv: Vec = {}
+        one = len(v) == 1
         for i, c in v.items():
             m = d.monos[i]
             if m not in dmap:
@@ -543,8 +562,8 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                     raise VerificationError(
                         f"d_{r} image term {cat.mono_str(m1)} missing from "
                         f"target bidegree {tb}")
-                dv[j] = (dv.get(j, 0) + c * c1) % p
-        return {j: x for j, x in dv.items() if x}
+                dv[j] = c * c1 % p if one else (dv.get(j, 0) + c * c1) % p
+        return dv if one else {j: x for j, x in dv.items() if x}
 
     # every read is of the input page, and tb = b + shift is injective
     kernels: dict[tuple[int, int], list[Vec]] = {}
@@ -579,7 +598,9 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         for v in d.alive:
             # reducing mod tb's boundaries changes neither the kernel nor the
             # new span; what is left must be a combination of classes
-            dv = bounds.reduce(image(b, d, v, tb, td))
+            dv = image(b, d, v, tb, td)
+            if bounds.rows:
+                dv = bounds.reduce(dv)
             if classes.reduce(dv):
                 raise VerificationError(
                     f"d_{r} image not a cycle mod boundaries at {tb}")

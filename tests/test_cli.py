@@ -449,6 +449,20 @@ class TestSsCommand:
         assert "d_1: 15 -> 15 classes\n" in out
         assert "survivors (boundary-safe): 12\n" in out
 
+    @pytest.mark.parametrize("rel", ["rel y*z\n", ""], ids=["killed", "unkilled"])
+    def test_killed_image_term_in_the_wrong_bidegree(self, tmp_path, rel):
+        # y*z sits at (2, 2), not at d_1(x)'s (1, 1): a typo, refused
+        # whether or not a relation kills it
+        f = tmp_path / "killed.ss"
+        f.write_text("prime 3\ngen x deg 2 weight 0 parity even\n"
+                     "gen y deg 1 weight 1 parity odd\n"
+                     "gen z deg 1 weight 1 parity odd\n"
+                     f"{rel}diff page 1 x -> y*z\n"
+                     "window deg 0 6 weight 0 2\n")
+        assert run_cli(["ss", "--file", str(f)]) == (
+            1, "", "error: bad differential: image term y*z of d_1(x^1) "
+                   "has bidegree (2, 2), expected (1, 1)\n")
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_p_th_power_relation_is_accepted(self, tmp_path, p):
         # d(x^p) = p*x^(p-1)*dx = 0

@@ -383,30 +383,32 @@ class TestLeibniz:
             pres, window, spec, r = random_square_zero_case(random.Random(case))
         else:
             pres, window, spec, r = _odd_factors_on_both_sides(case)
-        cat, p = pres.catalog, pres.p
         for m in enumerate_basis(pres, window):
-            want = {}
-            for i, (e0, image) in spec.by_page(r).items():
-                if not m[i]:
-                    continue
-                if m[i] % e0:
-                    want = None
-                    break
-                front = tuple(m[j] if j < i else m[i] - e0 if j == i else 0
-                              for j in range(len(m)))
-                back = tuple(m[j] if j > i else 0 for j in range(len(m)))
-                sign = (-1) ** sum(m[j] * cat.symbols[j].degree
-                                   for j in range(i))
-                for mono, c in image:
-                    s1 = mono_mul(cat, front, mono)
-                    s2 = s1 and mono_mul(cat, s1[1], back)
-                    if s2 and not pres.killed(s2[1]):
-                        k = (want.get(s2[1], 0)
-                             + m[i] // e0 * c * sign * s1[0] * s2[0]) % p
-                        want[s2[1]] = k
-            if want is not None:
-                want = {mono: c for mono, c in want.items() if c}
-            assert leibniz_extend(spec, r, m) == want, cat.mono_str(m)
+            assert leibniz_extend(spec, r, m) == _factor_by_factor(spec, r, m), \
+                pres.catalog.mono_str(m)
+
+    @pytest.mark.parametrize("image", [
+        {"a": 1, "e": 1}, {"a": 1, "h": 1}, {"a": 1, "b": 1, "e": 1, "h": 1},
+        {"a": 1, "c": 1, "e": 1, "h": 1}, {"a": 1, "e": 1, "f": 1, "h": 1},
+        {"g": 1, "y": 1}])
+    def test_odd_source_matches_the_factor_by_factor_rule(self, image):
+        # d_1 of the odd g, whose image has odd factors before and after g:
+        # leibniz_extend never tests g and flips no sign for it.  An m with
+        # an odd square is zero and on no page; it gets the factor-by-factor
+        # answer too, which drops a term whose image holds g and flips the
+        # sign once for each odd factor of the image before the g left over
+        spec = _odd_source_spec(image)
+        for m in itertools.product((0, 1, 2), repeat=8):
+            assert leibniz_extend(spec, 1, m) == _factor_by_factor(spec, 1, m), m
+
+    def test_odd_square_of_the_source(self):
+        # d_1(g^2) = 2·g·d_1(g): moving a past the g left over costs a sign
+        spec = _odd_source_spec({"a": 1, "e": 1})
+        cat = spec.pres.catalog
+        assert leibniz_extend(spec, 1, cat.mono({"g": 2})) == {
+            cat.mono({"a": 1, "g": 1, "e": 1}): 1}
+        assert leibniz_extend(_odd_source_spec({"g": 1, "y": 1}), 1,
+                              cat.mono({"g": 2})) == {}
 
     def test_never_multiplies_monomials_or_tests_absent_relations(self, monkeypatch):
         # leibniz_extend forms each term from its compiled page, with no
@@ -461,6 +463,43 @@ class TestLeibniz:
                 lhs, rhs = _product_rule_sides(spec, r, m1, m2)
                 assert lhs == rhs, (pres.catalog.mono_str(m1),
                                     pres.catalog.mono_str(m2))
+
+
+def _factor_by_factor(spec, r, m):
+    """d_r(m) with each Leibniz term multiplied out factor by factor with
+    `mono_mul`: m / g_i^e₀ cut before and after g_i, the image between
+    them; None outside the domain."""
+    pres, cat, p = spec.pres, spec.pres.catalog, spec.pres.p
+    want = {}
+    for i, (e0, image) in spec.by_page(r).items():
+        if not m[i]:
+            continue
+        if m[i] % e0:
+            return None
+        front = tuple(m[j] if j < i else m[i] - e0 if j == i else 0
+                      for j in range(len(m)))
+        back = tuple(m[j] if j > i else 0 for j in range(len(m)))
+        sign = (-1) ** sum(m[j] * cat.symbols[j].degree for j in range(i))
+        for mono, c in image:
+            s1 = mono_mul(cat, front, mono)
+            s2 = s1 and mono_mul(cat, s1[1], back)
+            if s2 and not pres.killed(s2[1]):
+                k = (want.get(s2[1], 0)
+                     + m[i] // e0 * c * sign * s1[0] * s2[0]) % p
+                want[s2[1]] = k
+    return {mono: c for mono, c in want.items() if c}
+
+
+def _odd_source_spec(image):
+    """d_1(g) = image over eight odd generators a, b, g, c, e, f, h, y at
+    p = 3, where g sits between a, b and c, e, f, h."""
+    gens = [GeneratorSymbol("a", 1, 1), GeneratorSymbol("b", 1, 0),
+            GeneratorSymbol("g", 1, 0), GeneratorSymbol("c", 1, 0),
+            GeneratorSymbol("e", -1, 0), GeneratorSymbol("f", 1, 0),
+            GeneratorSymbol("h", -1, 0), GeneratorSymbol("y", -1, 1)]
+    pres = Presentation(3, gens)
+    return DifferentialSpec(pres, [
+        DiffEntry(1, "g", 1, ((pres.catalog.mono(image), 1),))])
 
 
 def _odd_factors_on_both_sides(source):

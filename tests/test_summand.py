@@ -13,7 +13,7 @@ from synto import fgl, summand
 from synto.fgl import orientation_truncation
 from synto.graded import Poly, VerificationError
 from synto.linalg import Span, kernel_basis
-from synto.spectral import ChartEntry, Presentation
+from synto.spectral import BidegreeData, ChartEntry, Presentation, SSPage
 from synto.summand import (BasisClass, GeneratorTable, SyntomicWindowError,
                            TableEntry, comparison_maps,
                            default_table_window, derive_differentials,
@@ -477,6 +477,89 @@ class TestSyntomicTable:
     def test_v2_bidegree(self):
         assert syntomic_table(2).v2_bidegree == (6, 3)
         assert syntomic_table(3).v2_bidegree == (16, 8)
+
+
+class TestPipelineChecks:
+    """Each of the pipeline's own checks fires when the layer before it
+    hands on a wrong answer, and exits 2 from the CLI."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        summand._einfty.cache_clear()
+        yield
+        summand._einfty.cache_clear()
+
+    @staticmethod
+    def stable_page(monkeypatch, edit):
+        """Make `run_to_stable` hand `edit(page)`'s page to the pipeline."""
+        real = summand.run_to_stable
+
+        def patched(page, spec):
+            final, log = real(page, spec)
+            return edit(final), log
+
+        monkeypatch.setattr(summand, "run_to_stable", patched)
+
+    @staticmethod
+    def fiber(monkeypatch, edit):
+        """Make `_fiber_parts` hand `edit(kernel, cokernel, dims)` on."""
+        real = summand._fiber_parts
+        monkeypatch.setattr(summand, "_fiber_parts", lambda *a: edit(*real(*a)))
+
+    @staticmethod
+    def fails(call, why):
+        """call() raises ``why``, and so does `synto syntomic`, which runs
+        TC⁻ first."""
+        with pytest.raises(VerificationError) as e:
+            call()
+        assert str(e.value) == why
+        assert run_cli(["syntomic", "--prime", "2"]) == (
+            2, "", f"assertion failed: {why}\n")
+
+    def test_einfty_against_the_closed_form(self, monkeypatch):
+        # the least unflagged class of the stable page goes missing
+        def drop(page):
+            b = min(b for b, d in page.data.items() if d.alive and b not in page.flags)
+            d = page.data[b]
+            data = {**page.data, b: BidegreeData(d.monos, [], d.boundaries, d.index)}
+            return SSPage(page.pres, page.window, page.r, data, page.flags)
+
+        self.stable_page(monkeypatch, drop)
+        self.fails(lambda: tcminus_einfty(2),
+                   "tcminus E-infinity mismatch at bidegree (-1, 4): "
+                   "computed [], closed form ['t^4*lambda2']")
+
+    def test_boundary_uncertain_bidegree_in_range(self, monkeypatch):
+        # the class 1 at (0, 0), inside the table's degrees, is flagged
+        self.stable_page(monkeypatch, lambda page: SSPage(
+            page.pres, page.window, page.r, page.data, page.flags | {(0, 0)}))
+        self.fails(lambda: tcminus_einfty(2),
+                   "tcminus run window leaves bidegree (0, 0) "
+                   "boundary-uncertain inside the requested degree range")
+
+    def test_fiber_bookkeeping(self, monkeypatch):
+        # one kernel class too many in the least degree
+        def extra(kernel, cokernel, dims):
+            n = min(dims)
+            return kernel, cokernel, {**dims, n: (dims[n][0] + 1, dims[n][1])}
+
+        self.fiber(monkeypatch, extra)
+        self.fails(lambda: syntomic_table(2),
+                   "fiber bookkeeping fails in degree -1: 1 != 1 + 1")
+
+    def test_del_class_degrees(self, monkeypatch):
+        # a kernel class in degree n handed on as a cokernel class in degree
+        # n + 1: the same count in each degree, and a fifth ∂-class
+        def move(kernel, cokernel, dims):
+            c, n = kernel[0], kernel[0].degree
+            dims = {**dims, n: (dims[n][0] - 1, dims[n][1])}
+            k, co = dims.get(n + 1, (0, 0))
+            dims[n + 1] = (k, co + 1)
+            return kernel[1:], cokernel + [replace(c, degree=n + 1, name="ghost")], dims
+
+        self.fiber(monkeypatch, move)
+        self.fails(lambda: syntomic_table(2), "del-classes sit at degrees "
+                                              "[-1, 0, 2, 6, 9], expected [-1, 2, 6, 9]")
 
 
 class TestTableSerialization:
