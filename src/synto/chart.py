@@ -8,10 +8,8 @@ order.  The ASCII renderer draws the same grid with occupancy counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import __version__
-from .graded import VerificationError, superscript
+from .graded import VerificationError, record_repr, superscript
 
 UNIT = 24
 LABEL_PT = 10
@@ -46,16 +44,19 @@ def label_for(name: str) -> str:
     return "".join(out)
 
 
-@dataclass
 class ChartLayout:
     """Placed glyphs: one per table entry, with deterministic nudges for
     coincident (degree, weight) spots."""
 
-    deg_range: tuple[int, int]
-    weight_range: tuple[int, int]
-    # per entry: (name, degree, weight, origin, label, nudge_px)
-    glyphs: list[tuple[str, int, int, str, str, int]] = field(
-        default_factory=list)
+    __slots__ = ("deg_range", "weight_range", "glyphs")
+
+    def __init__(self, deg_range: tuple[int, int],
+                 weight_range: tuple[int, int]) -> None:
+        self.deg_range, self.weight_range = deg_range, weight_range
+        # per entry: (name, degree, weight, origin, label, nudge_px)
+        self.glyphs: list[tuple[str, int, int, str, str, int]] = []
+
+    __repr__ = record_repr
 
     @classmethod
     def from_table(cls, table) -> "ChartLayout":

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -47,18 +46,43 @@ class VerificationError(Exception):
     """An internal exactness or consistency check failed (hard error)."""
 
 
-@dataclass(frozen=True)
+def record_repr(record) -> str:
+    """``Name(field=value, ...)`` over the fields in ``__slots__``, the repr
+    of synto's plain records.
+
+    >>> CoeffRing(0, 3)
+    CoeffRing(char=0, p=3)
+    """
+    fields = ", ".join(f"{f}={getattr(record, f)!r}"
+                       for f in type(record).__slots__)
+    return f"{type(record).__name__}({fields})"
+
+
 class GeneratorSymbol:
     """A generator of bidegree (degree, weight).  `invertible` lets exponents
     go negative on a page of `spectral.Presentation`; the series ignores it."""
 
-    name: str
-    degree: int
-    weight: int
-    invertible: bool = False
+    __slots__ = ("name", "degree", "weight", "invertible")
+
+    def __init__(self, name: str, degree: int, weight: int,
+                 invertible: bool = False) -> None:
+        self.name, self.degree, self.weight = name, degree, weight
+        self.invertible = invertible
+
+    def _fields(self) -> tuple:
+        return (self.name, self.degree, self.weight, self.invertible)
+
+    def __eq__(self, other):
+        if type(other) is not GeneratorSymbol:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = record_repr
 
 
-@dataclass(frozen=True)
 class CoeffRing:
     """Coefficient ring tag, one per prime p.
 
@@ -68,17 +92,31 @@ class CoeffRing:
     so no operation takes a gcd.
     """
 
-    char: int
-    p: int = 0  # the prime: char itself for F_p, the inverted one for Z[1/p]
+    # p is the prime: char itself for F_p, the inverted one for Z[1/p]
+    __slots__ = ("char", "p")
 
-    def __post_init__(self) -> None:
-        if self.char:
-            if self.p not in (0, self.char):
-                raise ValueError(f"F_{self.char} has no second prime {self.p}")
-            object.__setattr__(self, "p", self.char)
-        elif self.p < 2:
+    def __init__(self, char: int, p: int = 0) -> None:
+        if char:
+            if p not in (0, char):
+                raise ValueError(f"F_{char} has no second prime {p}")
+            p = char
+        elif p < 2:
             raise ValueError("characteristic 0 needs the prime p that "
                              "Z[1/p] inverts: CoeffRing(0, p)")
+        self.char, self.p = char, p
+
+    # every sum and product of two Polys compares their rings
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not CoeffRing:
+            return NotImplemented
+        return self.char == other.char and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.char, self.p))
+
+    __repr__ = record_repr
 
     def split(self, c) -> tuple[int, int]:
         """(n, k) with c = n / p^k, n a residue in F_p.  c is an int or a
@@ -178,7 +216,6 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
     return Catalog(syms)
 
 
-@dataclass(frozen=True)
 class Truncation:
     """Drop monomials whose total exponent over `vars` reaches `bound`.
 
@@ -186,8 +223,23 @@ class Truncation:
     truncated at bound N is exact modulo t^N.
     """
 
-    vars: frozenset[int]
-    bound: int
+    __slots__ = ("vars", "bound")
+
+    def __init__(self, vars: frozenset[int], bound: int) -> None:
+        self.vars, self.bound = vars, bound
+
+    # every sum and product of two Polys compares their truncations
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Truncation:
+            return NotImplemented
+        return self.bound == other.bound and self.vars == other.vars
+
+    def __hash__(self) -> int:
+        return hash((self.vars, self.bound))
+
+    __repr__ = record_repr
 
     def degree(self, m: Mono) -> int:
         """Total exponent of m over `vars`; additive under products."""

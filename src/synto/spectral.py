@@ -30,11 +30,11 @@ other Bockstein-style conventions (e.g. a v2-Bockstein with v2 in bidegree
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from synto.graded import Catalog, GeneratorSymbol, Mono, VerificationError
+from synto.graded import (Catalog, GeneratorSymbol, Mono, VerificationError,
+                          record_repr)
 from synto.linalg import Span, Vec, kernel_basis, vec_addmul
 
 
@@ -42,26 +42,30 @@ class WindowInconclusiveError(VerificationError):
     """The window cannot certify the claim (too small or unstable)."""
 
 
-@dataclass(frozen=True)
 class Window:
-    deg_min: int
-    deg_max: int
-    weight_min: int
-    weight_max: int
+    __slots__ = ("deg_min", "deg_max", "weight_min", "weight_max")
 
-    def __post_init__(self) -> None:
-        if self.deg_min > self.deg_max or self.weight_min > self.weight_max:
+    def __init__(self, deg_min: int, deg_max: int, weight_min: int,
+                 weight_max: int) -> None:
+        if deg_min > deg_max or weight_min > weight_max:
             raise ValueError("empty window bounds")
+        self.deg_min, self.deg_max = deg_min, deg_max
+        self.weight_min, self.weight_max = weight_min, weight_max
+
+    __repr__ = record_repr
 
 
-@dataclass(frozen=True)
 class BidegreeRule:
     """d_r shifts (degree, weight) by (deg_per_r*r + deg_const, weight_per_r*r + weight_const)."""
 
-    deg_per_r: int = 0
-    deg_const: int = -1
-    weight_per_r: int = 1
-    weight_const: int = 0
+    __slots__ = ("deg_per_r", "deg_const", "weight_per_r", "weight_const")
+
+    def __init__(self, deg_per_r: int = 0, deg_const: int = -1,
+                 weight_per_r: int = 1, weight_const: int = 0) -> None:
+        self.deg_per_r, self.deg_const = deg_per_r, deg_const
+        self.weight_per_r, self.weight_const = weight_per_r, weight_const
+
+    __repr__ = record_repr
 
     def shift(self, r: int) -> tuple[int, int]:
         return (self.deg_per_r * r + self.deg_const,
@@ -231,14 +235,17 @@ _Terms = tuple[tuple[Mono, int, tuple[int, ...], tuple[int, ...]], ...]
 _Row = tuple[int, int, _Terms, tuple[int, ...], _Terms]
 
 
-@dataclass(frozen=True)
 class DiffEntry:
     """d_{page}(gen^base_exp) = image (terms as (monomial, coefficient))."""
 
-    page: int
-    gen: str
-    base_exp: int
-    image: tuple[tuple[Mono, int], ...]
+    __slots__ = ("page", "gen", "base_exp", "image")
+
+    def __init__(self, page: int, gen: str, base_exp: int,
+                 image: tuple[tuple[Mono, int], ...]) -> None:
+        self.page, self.gen = page, gen
+        self.base_exp, self.image = base_exp, image
+
+    __repr__ = record_repr
 
 
 class RelationError(ValueError):
@@ -714,23 +721,30 @@ def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[di
     return current, log
 
 
-@dataclass(frozen=True)
 class ChartEntry:
     """A named chart class, optionally a degreewise-periodic family."""
 
-    name: str
-    degree: int
-    weight: int
-    period: Optional[int] = None  # degrees degree + k*period for all k >= 0
+    __slots__ = ("name", "degree", "weight", "period")
+
+    def __init__(self, name: str, degree: int, weight: int,
+                 period: Optional[int] = None) -> None:
+        self.name, self.degree, self.weight = name, degree, weight
+        self.period = period  # degrees degree + k*period for all k >= 0
+
+    __repr__ = record_repr
 
 
-@dataclass
 class CollapseReport:
-    collapses: bool
-    rule: BidegreeRule
-    r_range: tuple[int, int]
-    witnesses: list[tuple[int, str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("collapses", "rule", "r_range", "witnesses", "notes")
+
+    def __init__(self, collapses: bool, rule: BidegreeRule,
+                 r_range: tuple[int, int],
+                 witnesses: list[tuple[int, str, str]],
+                 notes: list[str]) -> None:
+        self.collapses, self.rule, self.r_range = collapses, rule, r_range
+        self.witnesses, self.notes = witnesses, notes
+
+    __repr__ = record_repr
 
 
 def _degrees_can_match(src: ChartEntry, tgt: ChartEntry, dshift: int) -> bool:
@@ -758,7 +772,7 @@ def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,
         raise ValueError("need weight_per_r > 0: the weights decide r")
     notes = []
     if not entries:
-        return CollapseReport(True, rule, (r_min, r_min - 1), notes=["empty chart"])
+        return CollapseReport(True, rule, (r_min, r_min - 1), [], ["empty chart"])
     if r_max is None:
         span = (max(e.weight for e in entries) - min(e.weight for e in entries))
         r_max = (span - rule.weight_const) // rule.weight_per_r

@@ -24,11 +24,11 @@ Hodge–Tate comparison (`hodge_tate_check`) validate the surrounding claims.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import Optional
 
 from . import fgl
 from .graded import (GeneratorSymbol, Poly, VerificationError,
-                     canonical_catalog)
+                     canonical_catalog, record_repr)
 from .fgl import (coefficientwise_frobenius, orientation_truncation, p_series,
                   reduce_ideal, right_unit_t)
 from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
@@ -298,18 +298,38 @@ def tcminus_einfty(p: int, deg_window=None) -> SSPage:
 # ---------------------------------------------------------------------------
 # E-infinity bases over a table window
 
-@dataclass(frozen=True, order=True)
 class BasisClass:
     """A named E∞ basis class.  ``weight`` is the Adams weight ε₁+ε₂ (t and μ
-    do not contribute), which both comparison maps preserve."""
+    do not contribute), which both comparison maps preserve.  Classes
+    compare and sort by the tuple of their fields, degree first."""
 
-    degree: int
-    weight: int
-    name: str
-    t_exp: int
-    mu_exp: int
-    eps1: int
-    eps2: int
+    __slots__ = ("degree", "weight", "name", "t_exp", "mu_exp", "eps1",
+                 "eps2")
+
+    def __init__(self, degree: int, weight: int, name: str, t_exp: int,
+                 mu_exp: int, eps1: int, eps2: int) -> None:
+        self.degree, self.weight, self.name = degree, weight, name
+        self.t_exp, self.mu_exp = t_exp, mu_exp
+        self.eps1, self.eps2 = eps1, eps2
+
+    def _fields(self) -> tuple:
+        return (self.degree, self.weight, self.name, self.t_exp,
+                self.mu_exp, self.eps1, self.eps2)
+
+    def __eq__(self, other):
+        if type(other) is not BasisClass:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __lt__(self, other):
+        if type(other) is not BasisClass:
+            return NotImplemented
+        return self._fields() < other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = record_repr
 
 
 def _einfty_basis(p: int, structure: str, win) -> list[BasisClass]:
@@ -400,36 +420,52 @@ def default_table_window(p: int) -> tuple[int, int, int, int]:
     return (-2, 2 * p * p + 2 * p + 2, 0, 2 * p * p)
 
 
-@dataclass(frozen=True)
 class TableEntry:
-    name: str
-    degree: int
-    weight: int
-    origin: str  # "kernel" | "cokernel"
+    __slots__ = ("name", "degree", "weight", "origin")
+
+    def __init__(self, name: str, degree: int, weight: int,
+                 origin: str) -> None:
+        self.name, self.degree, self.weight = name, degree, weight
+        self.origin = origin  # "kernel" | "cokernel"
+
+    def _fields(self) -> tuple:
+        return (self.name, self.degree, self.weight, self.origin)
+
+    def __eq__(self, other):
+        if type(other) is not TableEntry:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = record_repr
 
     def sort_key(self):
         return (self.weight, -self.degree, self.origin == "cokernel",
                 self.name)
 
 
-@dataclass
 class GeneratorTable:
     """The mod (p, v1, v2) generator table: a finite F_p-basis of the
     degreewise fiber of (φ − can), free over F_p[v₂]."""
 
-    p: int
-    frobenius_unit: str
-    entries: list[TableEntry]
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("p", "frobenius_unit", "entries", "notes")
 
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=TableEntry.sort_key)
+    def __init__(self, p: int, frobenius_unit: str,
+                 entries: list[TableEntry],
+                 notes: Optional[list[str]] = None) -> None:
+        self.p, self.frobenius_unit = p, frobenius_unit
+        self.entries = sorted(entries, key=TableEntry.sort_key)
+        self.notes = [] if notes is None else notes
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise VerificationError("generator names are not unique")
         for e in self.entries:
             if e.origin not in ("kernel", "cokernel"):
                 raise VerificationError(f"bad origin {e.origin!r}")
+
+    __repr__ = record_repr
 
     @property
     def v2_bidegree(self) -> tuple[int, int]:
@@ -598,14 +634,18 @@ def _verify_table(p, table, dims) -> None:
 # ---------------------------------------------------------------------------
 # consistency checkers
 
-@dataclass
 class HodgeTateReport:
-    p: int
-    leading_unit: int
-    leading_term: str
-    degree_window: tuple[int, int]
-    dimensions: dict[int, int]
-    ok: bool
+    __slots__ = ("p", "leading_unit", "leading_term", "degree_window",
+                 "dimensions", "ok")
+
+    def __init__(self, p: int, leading_unit: int, leading_term: str,
+                 degree_window: tuple[int, int], dimensions: dict[int, int],
+                 ok: bool) -> None:
+        self.p, self.leading_unit = p, leading_unit
+        self.leading_term, self.degree_window = leading_term, degree_window
+        self.dimensions, self.ok = dimensions, ok
+
+    __repr__ = record_repr
 
 
 def _exterior_laurent_dims(pres: Presentation, x: str, power: int, lo: int,

@@ -720,6 +720,13 @@ class TestChartCommand:
 
 
 class TestOutFlag:
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path):
+        # in-process, so that scripts/raise_reach.py sees _emit's raise
+        code, out, err = run_cli(["fgl", "p-series", "--prime", "3",
+                                  "--trunc", "10", "--out", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_unwritable_out_is_usage_error(self, tmp_path):
         table_json = tmp_path / "t.json"
         run_cli(["syntomic", "--prime", "2", "--format", "json",
@@ -776,6 +783,18 @@ class TestInternalChecks:
 
 
 class TestEntryPoints:
+    def test_import_loads_no_dataclasses(self):
+        # every command pays for the import; dataclasses alone would load
+        # inspect, ast, dis and tokenize.  -S keeps site-packages' .pth
+        # files from importing anything first.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, synto, synto.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "synto", "syntomic", "--prime", "2",

@@ -269,6 +269,48 @@ class TestRingOracle:
                                ).coefficient(mono(t=1)) == 2
 
 
+class TestRecords:
+    """Rings, truncations and generators are plain records compared by
+    value: `_common_ring` and `_tighter` meet ones built apart."""
+
+    def test_fresh_records_are_equal_with_equal_hashes(self):
+        ti = frozenset([CAT3.index["t"]])
+        for a, b in ((CoeffRing(0, 3), CoeffRing(0, 3)),
+                     (CoeffRing(3), CoeffRing(3, 3)),
+                     (Truncation(ti, 4), Truncation(frozenset(ti), 4)),
+                     (GeneratorSymbol("t", -2, 1),
+                      GeneratorSymbol("t", -2, 1, False))):
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert not a != b
+        assert Truncation(ti, 4) != Truncation(ti, 5)
+        assert Truncation(ti, 4) != Truncation(frozenset(), 4)
+        assert GeneratorSymbol("t", -2, 1) != GeneratorSymbol("t", -2, 1, True)
+
+    def test_polys_over_fresh_records_combine(self):
+        ti = frozenset([CAT3.index["t"]])
+        f = Poly.gen(CAT3, CoeffRing(0, 3), "t", Truncation(ti, 4))
+        g = Poly.gen(CAT3, CoeffRing(0, 3), "t", Truncation(frozenset(ti), 4))
+        for total in (f + g, f * g):
+            assert total.ring == ZP3 and total.trunc == Truncation(ti, 4)
+
+    def test_records_of_different_types_are_unequal(self):
+        ti = frozenset([0])
+        assert CoeffRing(3) != Truncation(ti, 3)
+        assert Truncation(ti, 3) != CoeffRing(3)
+        assert CoeffRing(0, 3) != (0, 3)
+        assert Truncation(ti, 3) != (ti, 3)
+        assert GeneratorSymbol("t", -2, 1) != ("t", -2, 1, False)
+
+    def test_reprs(self):
+        assert repr(CoeffRing(3)) == "CoeffRing(char=3, p=3)"
+        assert repr(ZP3) == "CoeffRing(char=0, p=3)"
+        assert (repr(Truncation(frozenset([2]), 5))
+                == "Truncation(vars=frozenset({2}), bound=5)")
+        assert (repr(GeneratorSymbol("t", -2, 1, invertible=True))
+                == "GeneratorSymbol(name='t', degree=-2, weight=1, "
+                   "invertible=True)")
+
+
 def _p_adic_order(n, p):
     k = 0
     while n % p == 0:

@@ -37,6 +37,14 @@ class TestWindow:
     def test_empty_bounds_rejected(self):
         with pytest.raises(ValueError):
             Window(1, 0, 0, 0)
+        with pytest.raises(ValueError, match="^empty window bounds$"):
+            Window(0, 0, 1, 0)
+
+    def test_repr(self):
+        assert (repr(Window(-4, 4, 0, 2))
+                == "Window(deg_min=-4, deg_max=4, weight_min=0, weight_max=2)")
+        assert (repr(ChartEntry("x", 3, 1))
+                == "ChartEntry(name='x', degree=3, weight=1, period=None)")
 
 
 class TestBidegreeRule:

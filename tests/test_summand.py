@@ -3,7 +3,6 @@ comparison maps, the generator table, and the consistency checkers."""
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from helpers import run_cli
 from synto import fgl, summand
 from synto.fgl import orientation_truncation
-from synto.graded import Poly, VerificationError
+from synto.graded import GeneratorSymbol, Poly, VerificationError
 from synto.linalg import Span, kernel_basis
 from synto.spectral import BidegreeData, ChartEntry, Presentation, SSPage
 from synto.summand import (BasisClass, GeneratorTable, SyntomicWindowError,
@@ -29,8 +28,8 @@ def with_degree(make, name, degree):
     """``make`` with generator ``name`` moved to ``degree``."""
     def patched(p):
         pres = make(p)
-        gens = [replace(g, degree=degree) if g.name == name else g
-                for g in pres.gens]
+        gens = [GeneratorSymbol(name, degree, g.weight, g.invertible)
+                if g.name == name else g for g in pres.gens]
         rels = [{g.name: e for g, e in zip(pres.gens, rel) if e}
                 for rel in pres.relations]
         return Presentation(p, gens, rels)
@@ -82,8 +81,10 @@ class TestDeriveDifferentials:
         # (-2, 1) + (-1, 3), so DifferentialSpec refuses the preset, and that
         # is an internal fault (exit 2), not a bad input
         def wrong(p):
-            return Presentation(p, [replace(g, weight=1) if g.name == "lambda1"
-                                    else g for g in tp_presentation(p).gens])
+            return Presentation(p, [GeneratorSymbol(g.name, g.degree, 1,
+                                                    g.invertible)
+                                    if g.name == "lambda1" else g
+                                    for g in tp_presentation(p).gens])
 
         monkeypatch.setitem(summand.PRESENTATIONS, "tp", wrong)
         why = ("the tp preset at p = 3 is refused: image term t^4*lambda1 of "
@@ -260,6 +261,35 @@ class TestBases:
     def test_basis_classes_are_sorted(self):
         source, target, _can, _phi = comparison_maps(2)
         assert source == sorted(source) and target == sorted(target)
+
+    def test_basis_classes_sort_by_their_fields_in_order(self):
+        fields = [(0, 1, "b", 0, 0, 1, 0), (0, 1, "a", 2, 0, 0, 1),
+                  (-1, 2, "c", 0, 1, 1, 1), (0, 0, "z", 0, 0, 0, 0),
+                  (0, 1, "a", 1, 3, 0, 0), (0, 1, "a", 1, 2, 1, 0),
+                  (0, 1, "a", 1, 2, 0, 1), (0, 1, "a", 1, 2, 0, 0)]
+        classes = [BasisClass(*f) for f in fields]
+        assert sorted(classes) == [BasisClass(*f) for f in sorted(fields)]
+        again = BasisClass(*fields[0])
+        assert again is not classes[0] and again == classes[0]
+        assert hash(again) == hash(classes[0])
+
+    def test_record_reprs(self):
+        assert (repr(BasisClass(3, 1, "lambda1", 0, 0, 1, 0))
+                == "BasisClass(degree=3, weight=1, name='lambda1', t_exp=0, "
+                   "mu_exp=0, eps1=1, eps2=0)")
+        assert (repr(TableEntry("1", 0, 0, "kernel"))
+                == "TableEntry(name='1', degree=0, weight=0, origin='kernel')")
+        assert (repr(GeneratorTable(2, "one", [TableEntry("1", 0, 0, "kernel")]))
+                == "GeneratorTable(p=2, frobenius_unit='one', entries=["
+                   "TableEntry(name='1', degree=0, weight=0, origin='kernel')"
+                   "], notes=[])")
+
+    def test_records_of_different_types_are_unequal(self):
+        entry = TableEntry("1", 0, 0, "kernel")
+        assert entry == TableEntry("1", 0, 0, "kernel")
+        assert entry != ("1", 0, 0, "kernel")
+        assert entry != BasisClass(0, 0, "1", 0, 0, 0, 0)
+        assert BasisClass(0, 0, "1", 0, 0, 0, 0) != (0, 0, "1", 0, 0, 0, 0)
 
     def test_degree_formula(self):
         # |t^d·x| = |x| - 2d: t^2·lambda1 at p=3 has degree 5 - 4 = 1
@@ -555,7 +585,9 @@ class TestPipelineChecks:
             dims = {**dims, n: (dims[n][0] - 1, dims[n][1])}
             k, co = dims.get(n + 1, (0, 0))
             dims[n + 1] = (k, co + 1)
-            return kernel[1:], cokernel + [replace(c, degree=n + 1, name="ghost")], dims
+            ghost = BasisClass(n + 1, c.weight, "ghost", c.t_exp, c.mu_exp,
+                               c.eps1, c.eps2)
+            return kernel[1:], cokernel + [ghost], dims
 
         self.fiber(monkeypatch, move)
         self.fails(lambda: syntomic_table(2), "del-classes sit at degrees "
