@@ -448,6 +448,9 @@ def cmd_fgl(args) -> int:
 
 def cmd_ss(args) -> int:
     if args.file:
+        if args.prime is not None:
+            raise CLIUsageError("--prime is for --preset runs; the 'prime' "
+                                "line of the --file sets its prime")
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -459,7 +462,7 @@ def cmd_ss(args) -> int:
             return 0
         prime, pres, spec, window = parsed
     else:
-        prime = _require_prime(args.prime)
+        prime = _require_prime(2 if args.prime is None else args.prime)
         structure = args.preset
         spec = derive_differentials(prime, structure)
         pres = spec.pres
@@ -545,8 +548,8 @@ def build_parser() -> _Parser:
     src = pss.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="presentation file")
     src.add_argument("--preset", choices=tuple(PRESENTATIONS))
-    pss.add_argument("--prime", type=int, default=2,
-                     help="prime for --preset runs")
+    pss.add_argument("--prime", type=int,
+                     help="prime for --preset runs (default 2)")
     pss.add_argument("--verbose", "-v", action="count", default=0)
     pss.set_defaults(func=cmd_ss)
 

@@ -443,21 +443,31 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
                 f"{cat.mono_str(min(image))}", rel)
 
 
+_ONE: list[Vec] = [{0: 1}]  # the E₁ classes of every one-monomial bidegree
+
+
 class BidegreeData:
     """The monomials of one bidegree, the alive classes over them and the
-    boundary span (None while empty).  Pages share these and never write a
-    stored one, so `build_page` gives all its one-monomial bidegrees the same
-    alive list [{0: 1}] and builds their index as {m: 0}."""
+    boundary span.  Pages share records and never write a stored one, and a
+    record keeps only what a later turn reads.  `index` is derived from
+    `monos` when read.  A one-monomial bidegree starts with the shared
+    alive list `_ONE`, so `turn_page` knows an untouched one by identity.
+    `turn_page` never reads a bidegree with no class, so it keeps no span."""
 
-    __slots__ = ("monos", "index", "alive", "boundaries")
+    __slots__ = ("monos", "alive", "boundaries")
 
     def __init__(self, monos: list[Mono], alive: Optional[list[Vec]] = None,
-                 boundaries: Optional[Span] = None,
-                 index: Optional[dict[Mono, int]] = None):
+                 boundaries: Optional[Span] = None):
         self.monos = monos
-        self.index = {m: i for i, m in enumerate(monos)} if index is None else index
-        self.alive = [{i: 1} for i in range(len(monos))] if alive is None else alive
-        self.boundaries = boundaries
+        if alive is None:
+            alive = _ONE if len(monos) == 1 else [{i: 1} for i in range(len(monos))]
+        self.alive = alive
+        self.boundaries = boundaries if alive else None
+
+    @property
+    def index(self) -> dict[Mono, int]:
+        """Each monomial's position in `monos`."""
+        return {m: i for i, m in enumerate(self.monos)}
 
 
 class SSPage:
@@ -496,14 +506,13 @@ class SSPage:
 
 def build_page(pres: Presentation, window: Window) -> SSPage:
     """Page 1: every relation-free window monomial is a class of its own,
-    grouped by the (degree, weight) the walk reaches it at."""
+    grouped by the (degree, weight) the walk reaches it at, in one
+    `BidegreeData` with the default alive list per bidegree."""
     data: dict[tuple[int, int], list[Mono]] = {}
     for m, b in pres._walk(pres.exponent_ranges(window), pres._gradings(window)):
         data.setdefault(b, []).append(m)
-    one = [{0: 1}]  # shared, see BidegreeData
-    return SSPage(pres, window, 1, {
-        b: BidegreeData(ms, one, None, {ms[0]: 0}) if len(ms) == 1 else BidegreeData(ms)
-        for b, ms in sorted(data.items())})
+    return SSPage(pres, window, 1,
+                  {b: BidegreeData(ms) for b, ms in sorted(data.items())})
 
 
 def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
@@ -522,15 +531,11 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     boundaries.  A bidegree that loses no class to the kernel and gains no
     boundary keeps the previous page's `BidegreeData`.
 
-    A pair of one-monomial bidegrees whose alive lists are both [{0: 1}],
-    with no boundaries at the target, is decided by d_r's one coefficient c
-    there: that elimination on a 1 x 1 matrix.  With c ≠ 0 the source class
-    is in no kernel and the target gains the boundary row {0: 1}; with c = 0
-    both stay as they are.  Such a target's single class covers its one
-    coordinate, so the stale-representative and cycle checks cannot fail;
-    the domain and missing-term checks stay.  Likewise a one-monomial
-    bidegree that loses or gains a class is left with none, where the
-    general insert would find every cycle dependent.
+    A pair of untouched one-monomial bidegrees, both alive lists the shared
+    `_ONE`, is decided by d_r's one coefficient c: with c ≠ 0 both lose
+    their class, with no span built, and with c = 0 both stay as they are.
+    A one-monomial bidegree that loses or gains a class is left with none,
+    where the general insert would find every cycle dependent.
 
     d_r(m) is computed only for the monomials of an alive source class whose
     target has alive classes, and at most once per page.  d_r² = 0 needs no
@@ -544,7 +549,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     dmap: dict[Mono, Optional[dict[Mono, int]]] = {}
 
     def image(b: tuple[int, int], d: BidegreeData, v: Vec,
-              tb: tuple[int, int], td: BidegreeData) -> Vec:
+              tb: tuple[int, int], tindex: dict[Mono, int]) -> Vec:
         """d_r of the class v at b, over tb's monomials.  A one-entry class
         maps to its column times c as it is: distinct monomials have
         distinct indices, and c·c₁ ≢ 0 (mod p)."""
@@ -564,7 +569,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                 raise VerificationError(
                     f"alive class {cat.mono_str(m)} is outside the domain of d_{r}")
             for m1, c1 in h.items():
-                j = td.index.get(m1)
+                j = tindex.get(m1)
                 if j is None:
                     raise VerificationError(
                         f"d_{r} image term {cat.mono_str(m1)} missing from "
@@ -574,8 +579,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
 
     # every read is of the input page, and tb = b + shift is injective
     kernels: dict[tuple[int, int], list[Vec]] = {}
-    grown: dict[tuple[int, int], tuple[Span, int]] = {}
-    one = [{0: 1}]
+    grown: dict[tuple[int, int], tuple[Optional[Span], int]] = {}
     for b in sorted(page.data):
         d = page.data[b]
         tb = (b[0] + shift[0], b[1] + shift[1])
@@ -584,14 +588,12 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             # the differential leaves the window (flagged separately), or
             # the target group is zero, so the induced map is zero
             continue
-        if (td.boundaries is None and len(td.monos) == 1
-                and d.alive == one == td.alive and len(d.monos) == 1):
+        tindex = td.index
+        if d.alive is _ONE is td.alive:
             # a 1 x 1 pair: d_r is the scalar c of the target's monomial
-            if image(b, d, one[0], tb, td):
+            if image(b, d, _ONE[0], tb, tindex):
                 kernels[b] = []
-                span = Span(p)
-                span.rows = {0: {0: 1}}
-                grown[tb] = span, 1
+                grown[tb] = None, 1
             continue
         bounds = td.boundaries or Span(p)
         classes = Span(p)
@@ -605,7 +607,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         for v in d.alive:
             # reducing mod tb's boundaries changes neither the kernel nor the
             # new span; what is left must be a combination of classes
-            dv = image(b, d, v, tb, td)
+            dv = image(b, d, v, tb, tindex)
             if bounds.rows:
                 dv = bounds.reduce(dv)
             if classes.reduce(dv):
@@ -644,7 +646,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             raise VerificationError(
                 f"rank bookkeeping failed at bidegree {b} page {r}: "
                 f"{old_dim} - {rank_out} - {rank_in} != {len(alive)}")
-        data[b] = BidegreeData(d.monos, alive, span, d.index)
+        data[b] = BidegreeData(d.monos, alive, span)
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 
@@ -652,30 +654,25 @@ def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, 
     """Bidegrees whose fate could depend on classes outside the window.
 
     Seeds: populated bidegrees with a potential d_r (either direction, any
-    spec page) crossing a binding window edge.  Flags propagate through the
+    spec page) crossing a binding window edge, that is, within the largest
+    |shift| in that grading of the edge.  Flags propagate through the
     populated-bidegree graph, since a wrongly-killed killer falsifies its
     whole differential chain.
     """
     binding = page.pres.binding_edges(page.window)
-    if not binding:
+    shifts = [spec.rule.shift(r) for r in spec.pages]
+    if not binding or not shifts:
         return frozenset()
     w = page.window
     pop = {b for b, d in page.data.items() if d.monos}
-    shifts = [spec.rule.shift(r) for r in spec.pages]
-
-    def crosses_binding(deg: int, weight: int) -> bool:
-        return ((deg < w.deg_min and "deg_min" in binding)
-                or (deg > w.deg_max and "deg_max" in binding)
-                or (weight < w.weight_min and "weight_min" in binding)
-                or (weight > w.weight_max and "weight_max" in binding))
-
-    seeds = set()
-    for (d0, w0) in pop:
-        for sd, sw in shifts:
-            if crosses_binding(d0 + sd, w0 + sw) or crosses_binding(d0 - sd, w0 - sw):
-                seeds.add((d0, w0))
-    flagged = set(seeds)
-    frontier = list(seeds)
+    dd = max(abs(sd) for sd, _ in shifts)
+    dw = max(abs(sw) for _, sw in shifts)
+    flagged = {(d0, w0) for d0, w0 in pop
+               if ("deg_min" in binding and d0 - dd < w.deg_min)
+               or ("deg_max" in binding and d0 + dd > w.deg_max)
+               or ("weight_min" in binding and w0 - dw < w.weight_min)
+               or ("weight_max" in binding and w0 + dw > w.weight_max)}
+    frontier = list(flagged)
     while frontier:
         d0, w0 = frontier.pop()
         for sd, sw in shifts:

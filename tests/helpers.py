@@ -536,7 +536,6 @@ def reference_kernel_basis(p, cols):
 def _reference_clone(d):
     c = BidegreeData.__new__(BidegreeData)
     c.monos = d.monos
-    c.index = d.index
     c.alive = list(d.alive)
     c.boundaries = None if d.boundaries is None else d.boundaries.copy()
     return c
@@ -632,3 +631,37 @@ def reference_turn_page(page, spec):
                 f"rank bookkeeping failed at bidegree {b} page {r}: "
                 f"{old_dim} - {rank_out} - {rank_in} != {len(d.alive)}")
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
+
+
+def reference_flag_boundary(page, spec):
+    """`flag_boundary` the long way: a populated bidegree is a seed when
+    b + s or b - s lies past a binding edge for some spec shift s, tested
+    shift by shift; the flags then spread along every shift."""
+    binding = page.pres.binding_edges(page.window)
+    if not binding:
+        return frozenset()
+    w = page.window
+    pop = {b for b, d in page.data.items() if d.monos}
+    shifts = [spec.rule.shift(r) for r in spec.pages]
+
+    def crosses_binding(deg, weight):
+        return ((deg < w.deg_min and "deg_min" in binding)
+                or (deg > w.deg_max and "deg_max" in binding)
+                or (weight < w.weight_min and "weight_min" in binding)
+                or (weight > w.weight_max and "weight_max" in binding))
+
+    seeds = set()
+    for (d0, w0) in pop:
+        for sd, sw in shifts:
+            if crosses_binding(d0 + sd, w0 + sw) or crosses_binding(d0 - sd, w0 - sw):
+                seeds.add((d0, w0))
+    flagged = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        d0, w0 = frontier.pop()
+        for sd, sw in shifts:
+            for nb in ((d0 + sd, w0 + sw), (d0 - sd, w0 - sw)):
+                if nb in pop and nb not in flagged:
+                    flagged.add(nb)
+                    frontier.append(nb)
+    return frozenset(flagged)

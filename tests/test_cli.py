@@ -321,6 +321,20 @@ class TestSsCommand:
         code, _, err = run_cli(["ss", "--file", str(f)])
         assert code == 1 and "not prime" in err
 
+    @pytest.mark.parametrize("prime", ["3", "7"])
+    def test_prime_with_file_is_refused(self, tmp_path, prime):
+        # the file's prime line sets the prime, even when --prime agrees
+        f = tmp_path / "toy.ss"
+        f.write_text(TOY_PRESENTATION)
+        code, out, err = run_cli(["ss", "--file", str(f), "--prime", prime])
+        assert (code, out) == (1, "")
+        assert err == ("error: --prime is for --preset runs; the 'prime' "
+                       "line of the --file sets its prime\n")
+
+    def test_preset_prime_defaults_to_2(self):
+        code, out, _ = run_cli(["ss", "--preset", "tcminus"])
+        assert code == 0 and out.startswith("prime 2, E1:")
+
     def test_parity_that_disagrees_with_degree(self, tmp_path):
         # a and b have odd degree: declared even, products would commute
         # while d signs by degree, and E∞ would be wrong

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (check_square_zero, dense_matrix, dense_page_dims,
                      dense_rank, dense_two_page_dims, enumerate_basis,
                      random_square_zero_case, random_two_page_case,
-                     load_grid, mono_mul, reference_turn_page, run_cli,
-                     unchecked_spec, window_contains)
+                     load_grid, mono_mul, reference_flag_boundary,
+                     reference_turn_page, run_cli, unchecked_spec,
+                     window_contains)
 from synto import spectral
 from synto.cli import parse_presentation
 from synto.graded import Catalog, GeneratorSymbol, VerificationError
@@ -1036,13 +1037,16 @@ class TestRandomOracle:
 
 
 def _turn_against_reference(page, spec):
-    """turn_page, checked against the reference: the same representatives
-    and boundary rows, and the input's BidegreeData kept exactly where d_r
-    changes nothing."""
+    """turn_page, checked against the reference: the same representatives,
+    the same boundary rows where a class is left and no span where none is,
+    and the input's BidegreeData kept exactly where d_r changes nothing."""
     nxt = turn_page(page, spec)
     ref = reference_turn_page(page, spec)
     assert nxt.class_reps() == ref.class_reps()
     for b, d in nxt.data.items():
+        if not d.alive:
+            assert d.boundaries is None
+            continue
         rows = {} if d.boundaries is None else d.boundaries.rows
         want = ref.data[b].boundaries
         assert rows == ({} if want is None else want.rows)
@@ -1163,7 +1167,7 @@ class TestOneMonomialPairs:
         assert nxt.data[(2, 0)].alive == []
         assert nxt.data[(2, 0)].boundaries is None
         assert nxt.data[(1, 1)].alive == []
-        assert nxt.data[(1, 1)].boundaries.rows == {0: {0: 1}}
+        assert nxt.data[(1, 1)].boundaries is None
         for b in ((0, 0), (3, 1)):
             assert nxt.data[b] is page.data[b]
 
@@ -1229,6 +1233,44 @@ class TestOneMonomialPairs:
                            match=r"rank bookkeeping failed at bidegree \(1, 1\) "
                                  r"page 1: 1 - 1 - 1 != 0"):
             turn_page(page, spec)
+
+
+class TestPageRecords:
+    """A page record keeps only what a later turn reads: no span where no
+    class is left, the one shared alive list on every one-monomial
+    bidegree no turn has touched, and an index derived from its monomials."""
+
+    def stable(self, source):
+        if source == "derham":
+            _, pres, spec, window = parse_presentation(DERHAM_SMALL)
+        else:
+            spec = derive_differentials(5, source)
+            pres, window = spec.pres, run_window(5, source,
+                                                 *default_table_window(5)[:2])
+        page = build_page(pres, window)
+        return page, run_to_stable(page, spec)[0]
+
+    @pytest.mark.parametrize("source", ["tp", "tcminus", "derham"])
+    def test_records_keep_only_what_a_turn_reads(self, source):
+        e1, final = self.stable(source)
+        assert final.data.keys() == e1.data.keys()
+        dead = [b for b, d in final.data.items() if not d.alive]
+        assert dead
+        for b in dead:
+            assert final.data[b].boundaries is None
+        for b, d in e1.data.items():
+            if len(d.monos) == 1:
+                assert d.alive is spectral._ONE
+                kept = final.data[b]
+                # a one-monomial bidegree a turn touched has no class left
+                assert (kept is d) == bool(kept.alive)
+        for d in final.data.values():
+            assert d.index == {m: i for i, m in enumerate(d.monos)}
+            assert [d.index[m] for m in d.monos] == list(range(len(d.monos)))
+        # the rule holds for every shape: de Rham's (1, 1) held dx1 and
+        # dx2, and both became boundaries
+        biggest = max(len(final.data[b].monos) for b in dead)
+        assert (biggest > 1) == (source == "derham")
 
 
 class TestRunToStable:
@@ -1335,6 +1377,33 @@ class TestFlagBoundary:
         # seeds sit where a d_2 or d_4 would cross the window edge
         for b in flags:
             assert b in page.data
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("structure", ["tp", "tcminus"])
+    def test_presets_match_the_per_shift_reference(self, structure, p):
+        spec = derive_differentials(p, structure)
+        lo, hi = default_table_window(p)[:2]
+        windows = (run_window(p, structure, lo, hi),
+                   run_window(p, structure, lo, hi // 3),
+                   Window(-2 * p, 4 * p, -p * p, p * p))
+        partly = 0
+        for window in windows:
+            page = build_page(spec.pres, window)
+            flags = flag_boundary(page, spec)
+            assert flags == reference_flag_boundary(page, spec)
+            assert flags
+            partly += flags < page.data.keys()
+        assert partly
+
+    def test_random_specs_match_the_per_shift_reference(self):
+        flagged = 0
+        for seed in range(200):
+            pres, window, spec, _r = random_square_zero_case(random.Random(seed))
+            page = build_page(pres, window)
+            flags = flag_boundary(page, spec)
+            assert flags == reference_flag_boundary(page, spec)
+            flagged += bool(flags)
+        assert flagged >= 20
 
 
 class TestCollapseCheck:

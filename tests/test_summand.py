@@ -551,7 +551,7 @@ class TestPipelineChecks:
         def drop(page):
             b = min(b for b, d in page.data.items() if d.alive and b not in page.flags)
             d = page.data[b]
-            data = {**page.data, b: BidegreeData(d.monos, [], d.boundaries, d.index)}
+            data = {**page.data, b: BidegreeData(d.monos, [], d.boundaries)}
             return SSPage(page.pres, page.window, page.r, data, page.flags)
 
         self.stable_page(monkeypatch, drop)
