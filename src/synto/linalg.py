@@ -3,9 +3,9 @@
 Vectors are dicts from integer coordinate to nonzero canonical residue.
 They are values: nothing here changes a vector it was given or has stored
 (`vec_addmul`, `vec_scale` and `Span.insert` always build new dicts, and
-`Span.reduce` writes only the private copy it returns), and callers keep to
-the same rule.  So copies of a `Span` or of a list of vectors may share the
-vectors themselves.
+`Span.reduce` copies a vector only when a pivot meets it), and callers keep
+to the same rule.  So `Span.reduce` may return its argument itself, and
+copies of a `Span` or of a list of vectors may share the vectors themselves.
 
 The workhorse is `Span`, a row space kept in fully reduced RREF with the
 pivot of each row at its smallest nonzero coordinate.  RREF is canonical
@@ -72,8 +72,11 @@ class Span:
         return len(self.rows)
 
     def reduce(self, v: Vec) -> Vec:
+        hit = v.keys() & self.rows.keys()
+        if not hit:
+            return v
         p, rows, out = self.p, self.rows, dict(v)
-        for piv in sorted(out.keys() & rows.keys()):
+        for piv in sorted(hit):
             c = out.get(piv)
             if c:
                 for i, a in rows[piv].items():

@@ -444,6 +444,7 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
 
 
 _ONE: list[Vec] = [{0: 1}]  # the E₁ classes of every one-monomial bidegree
+_NONE: list[Vec] = []  # the classes of every bidegree a turn leaves empty
 
 
 class BidegreeData:
@@ -452,7 +453,8 @@ class BidegreeData:
     record keeps only what a later turn reads.  `index` is derived from
     `monos` when read.  A one-monomial bidegree starts with the shared
     alive list `_ONE`, so `turn_page` knows an untouched one by identity.
-    `turn_page` never reads a bidegree with no class, so it keeps no span."""
+    `turn_page` never reads a bidegree with no class, so it keeps no span,
+    and one that a turn leaves empty shares the alive list `_NONE`."""
 
     __slots__ = ("monos", "alive", "boundaries")
 
@@ -629,7 +631,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         rank_out = old_dim - len(ker)
         if not (rank_out or rank_in):
             continue
-        alive: list[Vec] = []
+        alive = _NONE
         # one monomial that lost or gained a class keeps none
         if len(d.monos) > 1:
             base = span.copy() if span else Span(p)
@@ -641,7 +643,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                 piv = base.insert(vec)
                 if piv is not None:
                     pivots.append(piv)
-            alive = [base.rows[piv] for piv in sorted(pivots)]
+            alive = [base.rows[piv] for piv in sorted(pivots)] or _NONE
         if len(alive) != old_dim - rank_out - rank_in:
             raise VerificationError(
                 f"rank bookkeeping failed at bidegree {b} page {r}: "

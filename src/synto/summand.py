@@ -5,8 +5,8 @@ The pipeline, per prime p:
 1. ``derive_differentials`` turns formal-group data into t-Bockstein
    differentials: the right-unit deviation gives d_p(t) = t^{p+1}·λ₁ through
    the circle-suspension class σ²t₁, and its p-th power gives
-   d_{p²}(t^p) = t^{p²+p}·λ₂.  One right unit per prime carries every such
-   fact; it is certified once and the report cached, for both structures.
+   d_{p²}(t^p) = t^{p²+p}·λ₂.  One right unit per prime, to t^{p+2}, carries
+   both (its p-th power by Frobenius), certified once for both structures.
 2. ``tp_einfty`` / ``tcminus_einfty`` run the spectral sequence engine on
    E₁ = F_p[t^{±1}]⊗Λ(λ₁,λ₂) resp. F_p[t,μ]/(tμ)⊗Λ(λ₁,λ₂) and certify the
    closed-form answers on the boundary-safe part of the window.
@@ -92,30 +92,29 @@ def _rewrite_through_suspension(poly):
 @functools.cache
 def _formal_group_certificate(p: int) -> dict:
     """Every formal-group fact behind the two differentials, checked on one
-    right unit η = η_R(t) mod (p, v₁, t^{p²+2p}); returns the permanence
+    right unit η = η_R(t) mod (p, v₁, t^{p+2}); returns the permanence
     report.  Any failure is a hard error.
 
     The engine's generators must match formal-group classes in both
     presentations: λ₁ the circle suspension σ²t₁ one degree down (as a
     cocycle representative), λ₂ likewise (σ²t₁)^p, and μ the class σ²v₂.
 
-    Cut to t^{p+2}, η − t rewrites (t₁ ↦ t·σ²t₁) to exactly t^{p+1}·σ²t₁,
-    so every term has t-degree ≥ p+1 and the truncated tail sits at ≥ p+2.
-    Raising to the p²-th power is exponentwise mod p, so η_R(t^{p²}) − t^{p²}
-    has t-degree ≥ (p+1)p² = p³ + p² and t^{p²} is a permanent cycle.  The
-    p-th power η^p − t^p rewrites to exactly t^{p²+p}·(σ²t₁)^p.  At this
-    truncation, over F_p, η^p − t^p is the Frobenius image of the cut η − t,
-    so the p-th-power check passes exactly when the d_p check does.  Both
-    are kept, since every internal check stays a hard error (ROADMAP.md).
+    η − t rewrites (t₁ ↦ t·σ²t₁) to exactly t^{p+1}·σ²t₁, so every term has
+    t-degree ≥ p+1 and the truncated tail sits at ≥ p+2.  Raising to the
+    p²-th power is exponentwise mod p, so η_R(t^{p²}) − t^{p²} has t-degree
+    ≥ (p+1)p² = p³ + p² and t^{p²} is a permanent cycle.  Over F_p the p-th
+    power is Frobenius, so η^p mod t^{p(p+2)} depends only on η mod t^{p+2}:
+    η^p − t^p, taken at t^{p²+2p}, rewrites to exactly t^{p²+p}·(σ²t₁)^p, and
+    the p-th-power check passes exactly when the d_p check does.  Both are
+    kept, since every internal check stays a hard error (ROADMAP.md).
 
     η is computed with v₁ killed before the series arithmetic (see
     ``fgl``), so the last check recomputes the right unit without the
-    quotient, over Z₍ₚ₎[v₁, v₂, …], on the window d_p is read from,
-    t^{p+2}.  ``right_unit_t`` asserts that full series p-integral, and its
-    quotient mod (p, v₁) must equal the cut η.  A fault that only the full
-    series sees is caught as far as that window reaches: l₁ scaled by 1/p
-    shows at p = 2 as −v₁/2·t₁t³, while at p ≥ 3 the window holds no term
-    that it makes non-p-integral.
+    quotient, over Z₍ₚ₎[v₁, v₂, …], to the same t^{p+2}.  ``right_unit_t``
+    asserts that full series p-integral, and its quotient mod (p, v₁) must
+    equal η.  A fault that only the full series sees is caught as far as
+    that window reaches: l₁ scaled by 1/p shows at p = 2 as −v₁/2·t₁t³,
+    while at p ≥ 3 the window holds no term that it makes non-p-integral.
     """
     fcat = canonical_catalog(p)
     s2t1, s2v2 = (fcat.symbols[fcat.index[n]].degree
@@ -131,10 +130,9 @@ def _formal_group_certificate(p: int) -> dict:
                     f"axiom degree mismatch ({what}): {g.degree} != {degree}")
     # the two permanence bounds come first: the exact leading term implies
     # them, and in this order a fault trips the weakest check that sees it
-    eta = right_unit_t(p, p * p + 2 * p, ideal=("p", "v1"))
+    eta = right_unit_t(p, p + 2, ideal=("p", "v1"))
     cat, ring = eta.catalog, eta.ring
-    cut = eta.with_trunc(orientation_truncation(cat, p + 2))
-    dev = _rewrite_through_suspension(cut - Poly.gen(cat, ring, "t", cut.trunc))
+    dev = _rewrite_through_suspension(eta - Poly.gen(cat, ring, "t", eta.trunc))
     degrees = sorted({m[cat.index["t"]] for m in dev.terms})
     if degrees and degrees[0] < p + 1:
         raise VerificationError(
@@ -150,15 +148,16 @@ def _formal_group_certificate(p: int) -> dict:
         raise VerificationError(
             "cobar differential of t is not t^(p+1)*sigma2t1; "
             "formal-group sign convention mismatch")
-    tp = Poly.from_terms(cat, ring, [(cat.mono({"t": p}), 1)], eta.trunc)
-    devp = _rewrite_through_suspension(eta ** p - tp)
+    wide = orientation_truncation(cat, p * p + 2 * p)
+    tp = Poly.from_terms(cat, ring, [(cat.mono({"t": p}), 1)], wide)
+    devp = _rewrite_through_suspension(eta.with_trunc(wide) ** p - tp)
     if dict(devp.terms) != {cat.mono({"t": p * p + p, "sigma2t1": p}): 1}:
         raise VerificationError(
             "p-th power of the right unit is not t^p + t^(p^2+p)*sigma2t1^p; "
             "formal-group sign convention mismatch")
     # the check series, beside the one right unit η that the report reads
     full = fgl.right_unit_t(p, p + 2)
-    if reduce_ideal(full, p, ("p", "v1")) != cut:
+    if reduce_ideal(full, p, ("p", "v1")) != eta:
         raise VerificationError(
             "right unit mod (p, v1) differs when v1 is killed before the "
             "series arithmetic and after it")
@@ -167,7 +166,6 @@ def _formal_group_certificate(p: int) -> dict:
         "min_rewritten_degree": degrees[0] if degrees else None,
         "min_frobenius_degree": fdeg[0] if fdeg else None,
         "bound": bound,
-        "tail_degree": (p + 2) * p * p,
     }
 
 
@@ -671,16 +669,13 @@ def hodge_tate_check(p: int) -> HodgeTateReport:
     ``tcminus_presentation``: this holds when |μ| = −p²·|t|.  Either failure
     is a hard error.
     """
-    ps = p_series(p, p * p + 2, ideal=("p", "v1"))
-    cat = ps.catalog
-    lead = cat.mono({"v2": 1, "t": p * p})
-    unit = ps.terms.get(lead)  # over F_p, so a unit when present
-    others = {m for m in ps.terms
-              if m[cat.index["t"]] <= p * p and m != lead}
-    if unit is None or others:
+    ps = p_series(p, p * p + 1, ideal=("p", "v1"))
+    lead = ps.catalog.mono({"v2": 1, "t": p * p})
+    if ps.terms.keys() != {lead}:
         raise VerificationError(
             "p-series mod (p, v1) does not start with a unit times "
             "v2*t^(p^2)")
+    unit = ps.terms[lead]  # over F_p, so a unit
 
     lo, hi = -2 * p * p, 2 * p * p
     left = _exterior_laurent_dims(tp_presentation(p), "t", p * p, lo, hi)

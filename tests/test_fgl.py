@@ -305,7 +305,7 @@ class TestEarlyQuotientOracle:
 
 def cobar_deviation(p, trunc):
     """eta_R(t) - t mod (p, v1), cut to t^trunc from the right unit at
-    t^{p^2+2p} as summand certifies it, with t1 rewritten as t*sigma2t1."""
+    t^{p^2+2p}, with t1 rewritten as t*sigma2t1 as summand rewrites it."""
     eta = right_unit_t(p, p * p + 2 * p, ideal=("p", "v1"))
     cut = eta.with_trunc(orientation_truncation(eta.catalog, trunc))
     return _rewrite_through_suspension(

@@ -40,9 +40,9 @@ CASES = {
                                    "--trunc", "28", "--format", "json"],
     "fgl-p-series-p2-t22.txt": ["fgl", "p-series", "--prime", "2",
                                 "--trunc", "22"],
-    # quotients taken before the series arithmetic: the certificate's own
-    # window t^{p^2+2p}, a rational quotient with no reduction mod p, and
-    # a quotient by two generators
+    # quotients taken before the series arithmetic: the window t^{p^2+2p}
+    # of the certificate's p-th power, a rational quotient with no
+    # reduction mod p, and a quotient by two generators
     "fgl-right-unit-p5-mod-p-v1.json": ["fgl", "right-unit", "--prime", "5",
                                         "--mod", "p,v1", "--trunc", "35",
                                         "--format", "json"],

@@ -39,6 +39,19 @@ class TestSpan:
                 if other_piv != piv:
                     assert other_piv not in row
 
+    def test_reduce_returns_a_vector_that_meets_no_pivot(self):
+        # vectors are values, so one that needs no reducing is not copied
+        s = Span(5, [{0: 1, 2: 3}, {1: 1, 2: 1}])
+        rows = {q: dict(row) for q, row in s.rows.items()}
+        for v in ({2: 4, 3: 1}, {}):
+            before = dict(v)
+            assert s.reduce(v) is v
+            assert v == before
+        assert s.rows == rows
+        # one that meets a pivot still comes back as a new vector
+        v = {0: 1, 3: 1}
+        assert s.reduce(v) == {2: 2, 3: 1} and v == {0: 1, 3: 1}
+
     def test_empty_vector_is_dependent(self):
         assert Span(3).insert({}) is None
 

@@ -1236,9 +1236,10 @@ class TestOneMonomialPairs:
 
 
 class TestPageRecords:
-    """A page record keeps only what a later turn reads: no span where no
-    class is left, the one shared alive list on every one-monomial
-    bidegree no turn has touched, and an index derived from its monomials."""
+    """A page record keeps only what a later turn reads: no span and the one
+    shared empty alive list where no class is left, the one shared alive
+    list on every one-monomial bidegree no turn has touched, and an index
+    derived from its monomials."""
 
     def stable(self, source):
         if source == "derham":
@@ -1258,6 +1259,7 @@ class TestPageRecords:
         assert dead
         for b in dead:
             assert final.data[b].boundaries is None
+            assert final.data[b].alive is spectral._NONE
         for b, d in e1.data.items():
             if len(d.monos) == 1:
                 assert d.alive is spectral._ONE

@@ -114,26 +114,30 @@ class TestFormalGroupCertificate:
         _certificate.cache_clear()
 
     def test_one_right_unit_per_prime(self, monkeypatch):
+        # η mod (p, v1) and the unreduced check series, both to t^{p+2}: the
+        # p-th power is taken of η, not of a wider series
         calls = []
-        real = summand.right_unit_t
+        real = fgl.right_unit_t
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append((*args, *kwargs.values()))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(summand, "right_unit_t", counted)
+        monkeypatch.setattr(fgl, "right_unit_t", counted)
         for p in (2, 3):
             derive_differentials(p, "tp")
             derive_differentials(p, "tcminus")
             assert _certificate(p)["bound"] == p ** 3 + p ** 2
-        assert calls == [(2, 8), (3, 15)]
+        assert calls == [(2, 4, ("p", "v1")), (2, 4), (3, 5, ("p", "v1")),
+                         (3, 5)]
 
     @pytest.mark.parametrize("extra, widen, message", [
         ({"t": 2}, 0, "rewritten term at t-degree 2 < 4"),
         ({"t": 4}, 0, r"cobar differential of t is not t\^\(p\+1\)"),
-        # t^5 lies past the cut; its p-th power t^15 shows once the
-        # truncation is widened
-        ({"t": 5}, 3, "p-th power of the right unit is not"),
+        # t^5 lies past t^{p+2}, but the d_p check reads all of η, so it
+        # sees the term before the p-th power does
+        ({"t": 5}, 3, r"cobar differential of t is not t\^\(p\+1\)"),
     ])
     def test_corrupted_right_unit(self, monkeypatch, extra, widen, message):
         real = summand.right_unit_t
@@ -148,6 +152,36 @@ class TestFormalGroupCertificate:
         monkeypatch.setattr(summand, "right_unit_t", corrupted)
         with pytest.raises(VerificationError, match=message):
             derive_differentials(3, "tp")
+
+    def test_corrupted_pth_power(self, monkeypatch):
+        # every fault in η trips the d_p check first, so only the p-th
+        # power, the one power taken over F_p here, gains a t^{p²+1}
+        real = Poly.__pow__
+
+        def corrupted(self, k):
+            out = real(self, k)
+            if not self.ring.char:
+                return out
+            cat = self.catalog
+            return out + Poly.from_terms(
+                cat, self.ring, [(cat.mono({"t": k * k + 1}), 1)], self.trunc)
+
+        monkeypatch.setattr(Poly, "__pow__", corrupted)
+        with pytest.raises(VerificationError,
+                           match="p-th power of the right unit is not"):
+            derive_differentials(3, "tp")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pth_power_needs_only_the_narrow_right_unit(self, p):
+        # the Frobenius fact the certificate rests on: over F_p, η^p mod
+        # t^{p(p+2)} depends only on η mod t^{p+2}
+        ideal = ("p", "v1")
+        eta = fgl.right_unit_t(p, p + 2, ideal)
+        wide = fgl.right_unit_t(p, p * p + 2 * p, ideal)
+        assert eta.catalog.symbols == wide.catalog.symbols
+        narrow = eta.with_trunc(orientation_truncation(eta.catalog,
+                                                       p * p + 2 * p))
+        assert narrow ** p == wide ** p
 
     def test_unreduced_right_unit_is_checked(self, monkeypatch):
         """A fault that only the unreduced series sees: l₁ = v₁/p² in place
