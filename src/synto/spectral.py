@@ -22,14 +22,13 @@ stability beyond the last specified page is certified by checking that no
 pair of populated bidegrees sits in d_r position for any larger r.
 
 The bidegree convention is Adams-style: d_r moves (degree, weight) by
-(-1, +r).  `BidegreeRule` generalizes this to (n*r + c, a*r + b) so that
+(-1, +r).  `BidegreeRule` generalizes this to (n*r - 1, a*r) so that
 other Bockstein-style conventions (e.g. a v2-Bockstein with v2 in bidegree
 (2p^2-2, p^2-1)) reuse the same collapse checker.
 """
 
 from __future__ import annotations
 
-import math
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -56,20 +55,19 @@ class Window:
 
 
 class BidegreeRule:
-    """d_r shifts (degree, weight) by (deg_per_r*r + deg_const, weight_per_r*r + weight_const)."""
+    """d_r shifts (degree, weight) by (deg_per_r*r - 1, weight_per_r*r).
+    With deg_per_r = 0, as in `ADAMS_RULE`, every d_r has degree -1, which
+    `DifferentialSpec`'s check of d² on the generators relies on."""
 
-    __slots__ = ("deg_per_r", "deg_const", "weight_per_r", "weight_const")
+    __slots__ = ("deg_per_r", "weight_per_r")
 
-    def __init__(self, deg_per_r: int = 0, deg_const: int = -1,
-                 weight_per_r: int = 1, weight_const: int = 0) -> None:
-        self.deg_per_r, self.deg_const = deg_per_r, deg_const
-        self.weight_per_r, self.weight_const = weight_per_r, weight_const
+    def __init__(self, deg_per_r: int = 0, weight_per_r: int = 1) -> None:
+        self.deg_per_r, self.weight_per_r = deg_per_r, weight_per_r
 
     __repr__ = record_repr
 
     def shift(self, r: int) -> tuple[int, int]:
-        return (self.deg_per_r * r + self.deg_const,
-                self.weight_per_r * r + self.weight_const)
+        return self.deg_per_r * r - 1, self.weight_per_r * r
 
 
 ADAMS_RULE = BidegreeRule()
@@ -232,7 +230,7 @@ class Presentation:
 
 # one row of a compiled page, as DifferentialSpec._compile builds it
 _Terms = tuple[tuple[Mono, int, tuple[int, ...], tuple[int, ...]], ...]
-_Row = tuple[int, int, _Terms, tuple[int, ...], _Terms]
+_Row = tuple[int, int, _Terms, tuple[int, ...]]
 
 
 class DiffEntry:
@@ -316,21 +314,16 @@ class DifferentialSpec:
     def _compile(self, r: int, ents: dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]
                  ) -> tuple[_Row, ...]:
         """Page r's rows for `leibniz_extend`, one per generator g_i that d_r
-        acts on: (i, e₀, terms, the odd positions before i, squared).  Each
-        term is (δ, coefficient, the odd factors k ≠ i of its image, and for
-        each k the odd positions j with k < j < i or i < j < k), where
+        acts on: (i, e₀, terms, the odd positions before i).  Each term is
+        (δ, coefficient, the odd factors k ≠ i of its image, and for each k
+        the odd positions j with k < j < i or i < j < k), where
         δ = image − e₀·g_i shifts m to the term.  An odd g_i has e₀ = 1 and
-        is gone from m / g_i, so i is in neither list.  squared is the terms
-        for an m that holds an odd g_i squared, which is zero and on no page:
-        a g_i is left in m / g_i, so the terms whose image holds g_i drop
-        and each odd factor of the image before g_i flips the sign; for an
-        even g_i it is the terms.  An image term outside d_r's own domain is
-        refused, so d_r never leaves it."""
+        is gone from m / g_i, so i is in neither list.  An image term outside
+        d_r's own domain is refused, so d_r never leaves it."""
         cat = self.pres.catalog
         rows = []
         for i, (e0, image) in ents.items():
             terms = []
-            squared = []
             for m, c in image:
                 for j, (ej, _) in ents.items():
                     if m[j] % ej:
@@ -343,11 +336,7 @@ class DifferentialSpec:
                 flips = tuple(j for k in odd for j in cat.odd
                               if k < j < i or i < j < k)
                 terms.append((delta, c, odd, flips))
-                if not m[i]:
-                    flip = sum(k < i for k in odd) % 2
-                    squared.append((delta, -c if flip else c, odd, flips))
-            rows.append((i, e0, tuple(terms), tuple(j for j in cat.odd if j < i),
-                         tuple(squared) if i in cat.odd else tuple(terms)))
+            rows.append((i, e0, tuple(terms), tuple(j for j in cat.odd if j < i)))
         return tuple(rows)
 
     @property
@@ -363,6 +352,12 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     domain (a specified generator appears to an exponent not divisible by its
     base power, e.g. d_{p^2} is only defined on multiples of t^p).
 
+    m must hold each odd generator at most once; for an m with an odd square,
+    which is zero, the result is not d_r(m).  Every m the engine passes
+    keeps to this: `_structural_ranges` caps odd exponents at 1, so every E₁
+    monomial does, `DifferentialSpec` drops an image term with an odd
+    square, and `check_relation` lifts no relation with one.
+
     Each generator g_i that d_r acts on, with base exponent e₀ and m[i] = a,
     gives (a/e₀)·(m / g_i^e₀)·image: one term m + δ per image term, where
     the compiled shift δ = image − e₀·g_i.  Signs: writing m = f_1 ... f_k
@@ -372,9 +367,7 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     catalog place flips the sign once for each odd j ≠ i with m[j] ≠ 0 and
     k < j < i (a factor of m it passes leftwards) or i < j < k
     (rightwards).  An odd g_i leaves no factor g_i in m / g_i, as e₀ = 1
-    and a = 1 on any page, so i is never tested.  An m with a > 1 there is
-    zero and on no page; it reads the row's squared terms, which give the
-    answer of multiplying out factor by factor, as before the shifts.
+    and a = 1, so i is never tested.
     `Presentation.killed` runs only when there are relations.
     """
     rows = spec._rows.get(r)
@@ -383,7 +376,7 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
     pres, p = spec.pres, spec.pres.p
     killed = pres.killed if pres.relations else None
     total: dict[Mono, int] = {}
-    for i, e0, terms, before, squared in rows:
+    for i, e0, terms, before in rows:
         a = m[i]
         if not a:
             continue
@@ -392,8 +385,6 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
         q = (a // e0) % p
         if not q:
             continue
-        if a > e0:
-            terms = squared
         if before and sum(m[j] for j in before) % 2:
             q = -q
         for delta, c, odd, flips in terms:
@@ -666,7 +657,7 @@ def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, 
     if not binding or not shifts:
         return frozenset()
     w = page.window
-    pop = {b for b, d in page.data.items() if d.monos}
+    pop = page.data  # every bidegree of a page holds a monomial
     dd = max(abs(sd) for sd, _ in shifts)
     dw = max(abs(sw) for _, sw in shifts)
     flagged = {(d0, w0) for d0, w0 in pop
@@ -721,14 +712,13 @@ def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[di
 
 
 class ChartEntry:
-    """A named chart class, optionally a degreewise-periodic family."""
+    """A named chart class at (degree, weight); under `collapse_check`'s
+    period it stands for a degreewise-periodic family."""
 
-    __slots__ = ("name", "degree", "weight", "period")
+    __slots__ = ("name", "degree", "weight")
 
-    def __init__(self, name: str, degree: int, weight: int,
-                 period: Optional[int] = None) -> None:
+    def __init__(self, name: str, degree: int, weight: int) -> None:
         self.name, self.degree, self.weight = name, degree, weight
-        self.period = period  # degrees degree + k*period for all k >= 0
 
     __repr__ = record_repr
 
@@ -746,42 +736,33 @@ class CollapseReport:
     __repr__ = record_repr
 
 
-def _degrees_can_match(src: ChartEntry, tgt: ChartEntry, dshift: int) -> bool:
-    """Is deg(src) + k_s*P_s + dshift = deg(tgt) + k_t*P_t solvable, k >= 0?"""
-    c = src.degree + dshift - tgt.degree
-    if src.period is None and tgt.period is None:
-        return c == 0
-    if src.period is not None and tgt.period is None:
-        return c <= 0 and c % src.period == 0
-    if src.period is None and tgt.period is not None:
-        return c >= 0 and c % tgt.period == 0
-    return c % math.gcd(src.period, tgt.period) == 0
-
-
 def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,
-                   r_min: int = 1, r_max: Optional[int] = None) -> CollapseReport:
+                   r_min: int = 1, period: Optional[int] = None) -> CollapseReport:
     """Bidegree-arithmetic collapse detector.
 
     For every pair of chart entries, solves r from their weights (so the
     rule needs weight_per_r > 0) and checks whether a d_r with r in [r_min,
-    r_max] could connect them; collapse means no pair can.  Witnesses are
-    sorted by r.  r_max defaults to the largest r whose weight shift still
-    fits inside the chart's weight span."""
+    r_max] could connect them; collapse means no pair can.  r_max is the
+    largest r whose weight shift still fits inside the chart's weight span.
+    With a ``period``, every entry stands for the family of degrees
+    degree + k*period, k >= 0 (a v2-tower), so a pair can connect when the
+    degrees agree mod period; without one they must be equal.  Witnesses
+    are sorted by r."""
     if rule.weight_per_r <= 0:
         raise ValueError("need weight_per_r > 0: the weights decide r")
-    notes = []
     if not entries:
         return CollapseReport(True, rule, (r_min, r_min - 1), [], ["empty chart"])
-    if r_max is None:
-        span = (max(e.weight for e in entries) - min(e.weight for e in entries))
-        r_max = (span - rule.weight_const) // rule.weight_per_r
-        notes.append(f"r_max = {r_max} from weight span {span}")
+    span = (max(e.weight for e in entries) - min(e.weight for e in entries))
+    r_max = span // rule.weight_per_r
+    notes = [f"r_max = {r_max} from weight span {span}"]
     witnesses = []
     for src in entries:
         for tgt in entries:
-            r, rem = divmod(tgt.weight - src.weight - rule.weight_const, rule.weight_per_r)
-            if (not rem and r_min <= r <= r_max
-                    and _degrees_can_match(src, tgt, rule.shift(r)[0])):
+            r, rem = divmod(tgt.weight - src.weight, rule.weight_per_r)
+            if rem or not r_min <= r <= r_max:
+                continue
+            c = src.degree + rule.shift(r)[0] - tgt.degree
+            if (c % period if period else c) == 0:
                 witnesses.append((r, src.name, tgt.name))
     witnesses.sort(key=lambda wit: wit[0])
     return CollapseReport(not witnesses, rule, (r_min, r_max), witnesses, notes)

@@ -274,7 +274,7 @@ def _einfty(p: int, structure: str, deg_lo: int, deg_hi: int) -> SSPage:
     # the requested degree range must be fully boundary-safe, so that the
     # bases read off this page over it are certified
     for b in final.flags:
-        if deg_lo <= b[0] <= deg_hi and final.data[b].monos:
+        if deg_lo <= b[0] <= deg_hi:
             raise VerificationError(
                 f"{structure} run window leaves bidegree {b} "
                 f"boundary-uncertain inside the requested degree range")
@@ -587,8 +587,8 @@ def syntomic_table(p: int, window=None,
     win = window or default_table_window(p)
     if win[0] > win[1] or win[2] > win[3]:
         raise ValueError("window bounds must satisfy min <= max")
-    kernel, cokernel, dims = _fiber_parts(
-        p, *comparison_maps(p, win, convention))
+    source, target, can, phi = comparison_maps(p, win, convention)
+    kernel, cokernel, dims = _fiber_parts(p, source, target, can=can, phi=phi)
 
     entries = [TableEntry(c.name, c.degree, c.weight, "kernel")
                for c in kernel]
@@ -689,26 +689,25 @@ def hodge_tate_check(p: int) -> HodgeTateReport:
     return HodgeTateReport(p, unit, leading, (lo, hi), left, True)
 
 
-def _chart_entries(table: GeneratorTable, period=None) -> list[ChartEntry]:
-    return [ChartEntry(e.name, e.degree, e.weight, period)
-            for e in table.entries]
+def _chart_entries(table: GeneratorTable) -> list[ChartEntry]:
+    return [ChartEntry(e.name, e.degree, e.weight) for e in table.entries]
 
 
 def motivic_collapse_check(p: int, table: GeneratorTable | None = None,
                            ) -> CollapseReport:
     """No differentials on the four-line chart of the motivic sequence.
 
-    Entries are the table generators extended by their v₂-towers (period
-    2p²−2 in degree, constant line).  A d_r moves (−1, +r); the first page
-    carrying one is r = 2, so r starts there.  Lines 0 and 2 sit in even
-    degrees and lines 1 and 3 in odd degrees, so parity rules out every even
-    r, and r = 3 fails the residue test mod 2p²−2; the checker verifies this
-    exhaustively and reports any witness pair.
+    Entries are the table generators, and the chart's one period 2p²−2
+    extends each to its v₂-tower (constant line).  A d_r moves (−1, +r);
+    the first page carrying one is r = 2, so r starts there.  Lines 0 and 2
+    sit in even degrees and lines 1 and 3 in odd degrees, so parity rules
+    out every even r, and r = 3 fails the residue test mod 2p²−2; the
+    checker verifies this exhaustively and reports any witness pair.
     """
     if table is None:
         table = syntomic_table(p)
-    entries = _chart_entries(table, period=_v2_bidegree(p)[0])
-    report = collapse_check(entries, ADAMS_RULE, r_min=2)
+    report = collapse_check(_chart_entries(table), ADAMS_RULE, r_min=2,
+                            period=_v2_bidegree(p)[0])
     report.notes.append(
         "lines 0 and 2 are even-degree, lines 1 and 3 odd-degree: parity "
         "excludes even r; r = 3 needs a degree match mod 2p^2-2 that the "
@@ -727,8 +726,7 @@ def v2_bockstein_check(p: int, table: GeneratorTable | None = None,
     if table is None:
         table = syntomic_table(p)
     n, a = _v2_bidegree(p)
-    rule = BidegreeRule(deg_per_r=n, deg_const=-1, weight_per_r=a,
-                        weight_const=0)
+    rule = BidegreeRule(deg_per_r=n, weight_per_r=a)
     report = collapse_check(_chart_entries(table), rule, r_min=1)
     report.notes.append(
         f"a d_r raises weight by r*{a}; chart weights span 0..3")

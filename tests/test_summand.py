@@ -477,6 +477,24 @@ class TestComparisonMaps:
         with pytest.raises(ValueError):
             comparison_maps(3, convention="legendre")
 
+    @pytest.mark.parametrize("name", ["phi", "can"])
+    def test_table_names_the_faulty_map(self, monkeypatch, name):
+        # one column of one map points at a class that does not exist; with
+        # the maps swapped the matrix would be can − φ, of the same kernel
+        # and cokernel, so only the message tells them apart
+        real = summand.comparison_maps
+
+        def corrupted(*args):
+            source, target, can, phi = real(*args)
+            maps = {"can": can, "phi": phi}
+            maps[name] = {**maps[name], "1": {"nonexistent": 1}}
+            return source, target, maps["can"], maps["phi"]
+
+        monkeypatch.setattr(summand, "comparison_maps", corrupted)
+        with pytest.raises(VerificationError, match=(
+                f"^{name} has no image class on 1 -> nonexistent$")):
+            syntomic_table(3)
+
 
 P2_TABLE = [
     # (name, degree, weight, origin) in table order
@@ -568,7 +586,8 @@ class TestPipelineChecks:
     def fiber(monkeypatch, edit):
         """Make `_fiber_parts` hand `edit(kernel, cokernel, dims)` on."""
         real = summand._fiber_parts
-        monkeypatch.setattr(summand, "_fiber_parts", lambda *a: edit(*real(*a)))
+        monkeypatch.setattr(summand, "_fiber_parts",
+                            lambda *a, **kw: edit(*real(*a, **kw)))
 
     @staticmethod
     def fails(call, why):
