@@ -232,19 +232,27 @@ def parse_presentation(text: str):
     <gen|gen^e> -> <combination>`` (terms separated by `` + ``/`` - ``),
     ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  The
     degree decides a generator's parity, so the parity token must agree
-    with it, and ``maxexp <n>`` is the relation ``<name>^(n+1)``.
+    with it, and ``maxexp <n>`` is the relation ``<name>^(n+1)``.  A
+    ``prime`` or ``window`` line may appear only once.  Returns None for a
+    file with no ``gen``, ``rel`` or ``diff`` line.
     """
     prime = None
     gens: list[tuple[int, GeneratorSymbol]] = []
     rels: list[tuple[int, dict]] = []
     diffs: list[tuple[int, int, str, int, str]] = []
     window = None
+    first: dict[str, int] = {}  # the line of each 'prime' and 'window'
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         kw = toks[0]
+        if kw in ("prime", "window"):
+            if kw in first:
+                raise PresentationParseError(
+                    f"line {ln}: repeated {kw!r} line (first on line {first[kw]})")
+            first[kw] = ln
         if kw == "prime":
             if len(toks) != 2 or not toks[1].isdigit():
                 raise PresentationParseError(f"line {ln}: usage: prime <p>")
@@ -332,7 +340,7 @@ def parse_presentation(text: str):
             raise PresentationParseError(
                 f"line {ln}: unknown directive {kw!r}")
 
-    if not gens:
+    if not (gens or rels or diffs):
         return None
     if prime is None:
         raise PresentationParseError("missing 'prime <p>' line")

@@ -177,6 +177,9 @@ class Presentation:
         relation's exponent, so it never reaches a monomial that a relation
         kills."""
         n = len(ranges)
+        if not n and self.relations:
+            # with no generator, the one monomial 1 is killed by the relation 1
+            return iter(())
         # extremes of each grading over the exponents not yet chosen
         suffix = [[_extent(ranges[i:], coeffs[i:]) for coeffs, _, _ in gradings]
                   for i in range(n + 1)]
@@ -435,7 +438,6 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
 
 
 _ONE: list[Vec] = [{0: 1}]  # the E₁ classes of every one-monomial bidegree
-_NONE: list[Vec] = []  # the classes of every bidegree a turn leaves empty
 
 
 class BidegreeData:
@@ -444,8 +446,8 @@ class BidegreeData:
     record keeps only what a later turn reads.  `index` is derived from
     `monos` when read.  A one-monomial bidegree starts with the shared
     alive list `_ONE`, so `turn_page` knows an untouched one by identity.
-    `turn_page` never reads a bidegree with no class, so it keeps no span,
-    and one that a turn leaves empty shares the alive list `_NONE`."""
+    Every record holds at least one class: a page has no record for a
+    bidegree with none."""
 
     __slots__ = ("monos", "alive", "boundaries")
 
@@ -455,7 +457,7 @@ class BidegreeData:
         if alive is None:
             alive = _ONE if len(monos) == 1 else [{i: 1} for i in range(len(monos))]
         self.alive = alive
-        self.boundaries = boundaries if alive else None
+        self.boundaries = boundaries
 
     @property
     def index(self) -> dict[Mono, int]:
@@ -464,7 +466,10 @@ class BidegreeData:
 
 
 class SSPage:
-    """One page: surviving classes per bidegree, with canonical representatives."""
+    """One page: surviving classes per bidegree, with canonical
+    representatives.  `data` maps each bidegree that has at least one class
+    to its record; a bidegree with no class has no record, so a turned page
+    lists only the bidegrees that still have classes."""
 
     def __init__(self, pres: Presentation, window: Window, r: int,
                  data: dict[tuple[int, int], BidegreeData],
@@ -476,7 +481,7 @@ class SSPage:
         self.flags = flags
 
     def dims(self) -> dict[tuple[int, int], int]:
-        return {b: len(d.alive) for b, d in sorted(self.data.items()) if d.alive}
+        return {b: len(d.alive) for b, d in sorted(self.data.items())}
 
     def total_dim(self) -> int:
         return sum(len(d.alive) for d in self.data.values())
@@ -524,11 +529,13 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     boundaries.  A bidegree that loses no class to the kernel and gains no
     boundary keeps the previous page's `BidegreeData`.
 
-    A pair of untouched one-monomial bidegrees, both alive lists the shared
-    `_ONE`, is decided by d_r's one coefficient c: with c ≠ 0 both lose
-    their class, with no span built, and with c = 0 both stay as they are.
-    A one-monomial bidegree that loses or gains a class is left with none,
-    where the general insert would find every cycle dependent.
+    A bidegree that a turn leaves with no class is deleted from the new
+    page.  A pair of untouched one-monomial bidegrees, both alive lists the
+    shared `_ONE`, is decided by d_r's one coefficient c: with c ≠ 0 both
+    lose their class and both records, with no span built, and with c = 0
+    both stay as they are.  A one-monomial bidegree that loses or gains a
+    class is left with none without an insert: a killing pair builds no
+    span, so the insert would keep the hit target's class.
 
     d_r(m) is computed only for the monomials of an alive source class whose
     target has alive classes, and at most once per page.  d_r² = 0 needs no
@@ -577,7 +584,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         d = page.data[b]
         tb = (b[0] + shift[0], b[1] + shift[1])
         td = page.data.get(tb)
-        if not d.alive or td is None or not td.alive:
+        if td is None:
             # the differential leaves the window (flagged separately), or
             # the target group is zero, so the induced map is zero
             continue
@@ -622,7 +629,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         rank_out = old_dim - len(ker)
         if not (rank_out or rank_in):
             continue
-        alive = _NONE
+        alive = []
         # one monomial that lost or gained a class keeps none
         if len(d.monos) > 1:
             base = span.copy() if span else Span(p)
@@ -634,17 +641,21 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                 piv = base.insert(vec)
                 if piv is not None:
                     pivots.append(piv)
-            alive = [base.rows[piv] for piv in sorted(pivots)] or _NONE
+            alive = [base.rows[piv] for piv in sorted(pivots)]
         if len(alive) != old_dim - rank_out - rank_in:
             raise VerificationError(
                 f"rank bookkeeping failed at bidegree {b} page {r}: "
                 f"{old_dim} - {rank_out} - {rank_in} != {len(alive)}")
-        data[b] = BidegreeData(d.monos, alive, span)
+        if alive:
+            data[b] = BidegreeData(d.monos, alive, span)
+        else:
+            del data[b]
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 
 def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, int]]:
-    """Bidegrees whose fate could depend on classes outside the window.
+    """Bidegrees of page 1 whose fate could depend on classes outside the
+    window.
 
     Seeds: populated bidegrees with a potential d_r (either direction, any
     spec page) crossing a binding window edge, that is, within the largest
@@ -657,7 +668,7 @@ def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, 
     if not binding or not shifts:
         return frozenset()
     w = page.window
-    pop = page.data  # every bidegree of a page holds a monomial
+    pop = page.data  # page 1 lists every bidegree that holds a monomial
     dd = max(abs(sd) for sd, _ in shifts)
     dw = max(abs(sw) for _, sw in shifts)
     flagged = {(d0, w0) for d0, w0 in pop
@@ -677,12 +688,13 @@ def flag_boundary(page: SSPage, spec: DifferentialSpec) -> frozenset[tuple[int, 
 
 
 def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[dict]]:
-    """Turn every specified page, then certify stability.
+    """Turn page 1, as `build_page` gives it, through every specified page,
+    then certify stability; `flag_boundary` reads page 1's bidegrees.
 
     A page that carries no d_r leaves the classes as they are, so only the
-    spec pages are turned.  Stability = no pair of surviving populated
-    bidegrees sits in d_r position for any r beyond the last specified page;
-    failing that the window is inconclusive (hard error), because out-of-spec
+    spec pages are turned.  Stability = no pair of surviving bidegrees sits
+    in d_r position for any r beyond the last specified page; failing that
+    the window is inconclusive (hard error), because out-of-spec
     differentials could not be ruled out.
     """
     flags = flag_boundary(page, spec)
@@ -693,16 +705,14 @@ def run_to_stable(page: SSPage, spec: DifferentialSpec) -> tuple[SSPage, list[di
     # the last turned page ended with
     classes = current.total_dim()
     for r in spec.pages:
-        if r < current.r:
-            continue
         current = SSPage(current.pres, current.window, r, current.data, flags)
         current = turn_page(current, spec)
         after = current.total_dim()
         log.append({"page": r, "classes_before": classes,
                     "classes_after": after})
         classes = after
-    beyond = collapse_check([ChartEntry(str(b), *b) for b, d in current.data.items()
-                             if d.alive], spec.rule, r_min=last + 1)
+    beyond = collapse_check([ChartEntry(str(b), *b) for b in current.data],
+                            spec.rule, r_min=last + 1)
     if not beyond.collapses:
         raise WindowInconclusiveError(
             f"window inconclusive: populated bidegree pairs beyond page {last} "

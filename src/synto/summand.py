@@ -242,17 +242,19 @@ def run_window(p: int, structure: str, deg_lo: int, deg_hi: int) -> Window:
     return Window(deg_lo - 4, deg_hi + 4, a_lo - slack, a_hi + slack)
 
 
-def _certify(page: SSPage, p: int, structure: str) -> None:
+def _certify(page: SSPage, final: SSPage, p: int, structure: str) -> None:
     """Exact two-sided comparison with the closed form on every unflagged
     bidegree: survivors there must be named by closed-form monomials and
-    every closed-form monomial must survive."""
+    every closed-form monomial must survive.  The closed form is read off
+    E₁, ``page``, as the stable page ``final`` has no record of a bidegree
+    whose classes all died."""
     pres = page.pres
     member = _CLOSED_FORMS[structure]
     alive: dict[tuple[int, int], set] = {}
-    for b, mono, _vec in page.class_reps(include_flagged=True):
+    for b, mono, _vec in final.class_reps(include_flagged=True):
         alive.setdefault(b, set()).add(mono)
     for b in sorted(page.data):
-        if b in page.flags:
+        if b in final.flags:
             continue
         got = alive.get(b, set())
         want = {m for m in page.data[b].monos if member(pres, p, m)}
@@ -270,7 +272,7 @@ def _einfty(p: int, structure: str, deg_lo: int, deg_hi: int) -> SSPage:
     win = run_window(p, structure, deg_lo, deg_hi)
     page = build_page(spec.pres, win)
     final, _log = run_to_stable(page, spec)
-    _certify(final, p, structure)
+    _certify(page, final, p, structure)
     # the requested degree range must be fully boundary-safe, so that the
     # bases read off this page over it are certified
     for b in final.flags:

@@ -202,6 +202,14 @@ diff page 1 x -> y
 window deg -1 0 weight 0 5
 """
 
+# a file's lines after 'prime', with one 'window' line
+REPEATED_TAIL = """\
+gen t deg -2 weight 1 parity even invertible
+gen l deg 5 weight 0 parity odd
+diff page 3 t -> t^4*l
+window deg -10 10 weight -3 3
+"""
+
 
 def trial_division(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
@@ -292,6 +300,35 @@ class TestSsCommand:
         code, out, _ = run_cli(["ss", "--file", str(f)])
         assert code == 0
         assert "empty presentation: no classes" in out
+
+    @pytest.mark.parametrize("text, why", [
+        ("prime 2\nprime 3\n" + REPEATED_TAIL,
+         "line 2: repeated 'prime' line (first on line 1)"),
+        ("prime 3\n" + REPEATED_TAIL + "window deg -4 4 weight -2 2\n",
+         "line 6: repeated 'window' line (first on line 5)"),
+    ], ids=["prime", "window"])
+    def test_repeated_prime_or_window_line(self, tmp_path, text, why):
+        # the last line used to win in silence
+        f = tmp_path / "twice.ss"
+        f.write_text(text)
+        assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: {why}\n")
+
+    @pytest.mark.parametrize("line, why", [
+        ("rel x", "unknown generator 'x' in relation"),
+        ("diff page 1 x -> y", "differential on unknown generator 'x'"),
+    ], ids=["rel", "diff"])
+    def test_no_gen_line_is_not_an_empty_file(self, tmp_path, line, why):
+        # a file with no gen line used to print "empty presentation"
+        f = tmp_path / "nogen.ss"
+        f.write_text(f"prime 2\n{line}\nwindow deg 0 1 weight 0 1\n")
+        assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: line 2: {why}\n")
+
+    def test_relation_one_with_no_generator_leaves_no_class(self, tmp_path):
+        f = tmp_path / "one.ss"
+        f.write_text("prime 2\nrel 1\nwindow deg 0 0 weight 0 0\n")
+        code, out, _ = run_cli(["ss", "--file", str(f)])
+        assert code == 0
+        assert "E1: 0 classes" in out and "stable: 0 classes" in out
 
     def test_parse_error_carries_line_number(self, tmp_path):
         f = tmp_path / "bad.ss"

@@ -156,7 +156,7 @@ class TestPresentation:
         assert len(enumerate_basis(pres, Window(0, 5, 0, 1))) == 6
 
     def test_relation_one_kills_every_monomial(self):
-        for gens in ([GeneratorSymbol("x", 2, 0)],
+        for gens in ([], [GeneratorSymbol("x", 2, 0)],
                      [GeneratorSymbol("u", 0, 0, invertible=True),
                       GeneratorSymbol("y", 1, 1)]):
             pres = Presentation(3, gens, [{}])
@@ -808,7 +808,7 @@ class TestDifferentialMap:
             return leibniz_extend(spec, r, m)
 
         monkeypatch.setattr(spectral, "leibniz_extend", counted)
-        page = build_page(pres, window)
+        page = e1 = build_page(pres, window)
         flags = flag_boundary(page, spec)
         shared = False
         for r in spec.pages:
@@ -825,9 +825,9 @@ class TestDifferentialMap:
             got = {m for rr, m in calls if rr == r}
             # a flagged class outside d_r's domain stops at its first such
             # monomial, so a flagged source may leave some unread
-            flagged = {m for b in flags for m in page.data[b].monos}
+            flagged = {m for b in flags for m in e1.data[b].monos}
             assert want - flagged <= got <= want
-            assert got < {m for d in page.data.values() for m in d.monos}
+            assert got < {m for d in e1.data.values() for m in d.monos}
         assert calls and max(calls.values()) == 1
         assert shared == (source == "shared-support")
 
@@ -1006,8 +1006,7 @@ class TestRandomOracle:
             page = turn_page(page, spec)
         nxt = turn_page(page, spec)
         dense = dense_page_dims(pres, window, spec, r)
-        got = {b: len(d.alive) for b, d in nxt.data.items()}
-        assert got == dense
+        assert nxt.dims() == {b: n for b, n in dense.items() if n}
 
     @pytest.mark.parametrize("seed", range(100))
     def test_two_pages_match_dense_homology(self, seed):
@@ -1015,8 +1014,8 @@ class TestRandomOracle:
         page = build_page(pres, window)
         while page.r <= r2:
             page = turn_page(page, spec)
-        got = {b: len(d.alive) for b, d in page.data.items()}
-        assert got == dense_two_page_dims(pres, window, spec, r, r2)
+        dense = dense_two_page_dims(pres, window, spec, r, r2)
+        assert page.dims() == {b: n for b, n in dense.items() if n}
 
     def test_two_page_seeds_turn_over_rewritable_boundaries(self):
         # a boundary row with a term at a survivor's pivot is what an
@@ -1073,15 +1072,13 @@ class TestRandomOracle:
 
 def _turn_against_reference(page, spec):
     """turn_page, checked against the reference: the same representatives,
-    the same boundary rows where a class is left and no span where none is,
+    a record exactly where a class is left, with the same boundary rows,
     and the input's BidegreeData kept exactly where d_r changes nothing."""
     nxt = turn_page(page, spec)
     ref = reference_turn_page(page, spec)
     assert nxt.class_reps() == ref.class_reps()
+    assert nxt.data.keys() == {b for b, d in ref.data.items() if d.alive}
     for b, d in nxt.data.items():
-        if not d.alive:
-            assert d.boundaries is None
-            continue
         rows = {} if d.boundaries is None else d.boundaries.rows
         want = ref.data[b].boundaries
         assert rows == ({} if want is None else want.rows)
@@ -1199,10 +1196,9 @@ class TestOneMonomialPairs:
         page, spec = _line_page()
         nxt = turn_page(page, spec)
         assert sorted(nxt.rep_names()) == ["1", "x*y"]
-        assert nxt.data[(2, 0)].alive == []
-        assert nxt.data[(2, 0)].boundaries is None
-        assert nxt.data[(1, 1)].alive == []
-        assert nxt.data[(1, 1)].boundaries is None
+        # both bidegrees of the pair are left with no class, so no record
+        assert (2, 0) not in nxt.data
+        assert (1, 1) not in nxt.data
         for b in ((0, 0), (3, 1)):
             assert nxt.data[b] is page.data[b]
 
@@ -1227,7 +1223,7 @@ class TestOneMonomialPairs:
         for b in ((2, 0), (1, 1)):
             assert nxt.data[b] is page.data[b]
         # d_1(x^2) = y still kills the pair (4, 0) -> (3, 1)
-        assert nxt.data[(4, 0)].alive == []
+        assert (4, 0) not in nxt.data
 
     def test_stale_representative_next_to_a_boundary_raises(self):
         # y is alive and a boundary at once
@@ -1271,42 +1267,59 @@ class TestOneMonomialPairs:
 
 
 class TestPageRecords:
-    """A page record keeps only what a later turn reads: no span and the one
-    shared empty alive list where no class is left, the one shared alive
-    list on every one-monomial bidegree no turn has touched, and an index
-    derived from its monomials."""
+    """A page record keeps only what a later turn reads: no record where no
+    class is left, the one shared alive list on every one-monomial bidegree
+    no turn has touched, and an index derived from its monomials."""
+
+    @staticmethod
+    def inputs(source, p=5):
+        """(presentation, spec, window) of DERHAM_SMALL or a preset at p."""
+        if source == "derham":
+            return parse_presentation(DERHAM_SMALL)[1:]
+        spec = derive_differentials(p, source)
+        return spec.pres, spec, run_window(p, source, *default_table_window(p)[:2])
 
     def stable(self, source):
-        if source == "derham":
-            _, pres, spec, window = parse_presentation(DERHAM_SMALL)
-        else:
-            spec = derive_differentials(5, source)
-            pres, window = spec.pres, run_window(5, source,
-                                                 *default_table_window(5)[:2])
+        pres, spec, window = self.inputs(source)
         page = build_page(pres, window)
         return page, run_to_stable(page, spec)[0]
+
+    @pytest.mark.parametrize("source, p", [
+        *((s, p) for s in ("tp", "tcminus") for p in (2, 3, 5, 7)), ("derham", 3)])
+    def test_every_record_holds_a_class(self, source, p, monkeypatch):
+        pres, spec, window = self.inputs(source, p)
+        real, turns = spectral.turn_page, []
+
+        def checked(page, spec):
+            nxt = real(page, spec)
+            assert all(d.alive for d in nxt.data.values())
+            turns.append(nxt.r)
+            return nxt
+
+        monkeypatch.setattr(spectral, "turn_page", checked)
+        e1 = build_page(pres, window)
+        final, _log = run_to_stable(e1, spec)
+        assert turns == [r + 1 for r in spec.pages]
+        assert len(final.data) == len(final.dims()) < len(e1.data)
 
     @pytest.mark.parametrize("source", ["tp", "tcminus", "derham"])
     def test_records_keep_only_what_a_turn_reads(self, source):
         e1, final = self.stable(source)
-        assert final.data.keys() == e1.data.keys()
-        dead = [b for b, d in final.data.items() if not d.alive]
-        assert dead
-        for b in dead:
-            assert final.data[b].boundaries is None
-            assert final.data[b].alive is spectral._NONE
+        assert final.data.keys() < e1.data.keys()
+        dead = e1.data.keys() - final.data.keys()
+        assert all(d.alive for d in final.data.values())
         for b, d in e1.data.items():
             if len(d.monos) == 1:
                 assert d.alive is spectral._ONE
-                kept = final.data[b]
+                kept = final.data.get(b)
                 # a one-monomial bidegree a turn touched has no class left
-                assert (kept is d) == bool(kept.alive)
+                assert (kept is d) == (kept is not None)
         for d in final.data.values():
             assert d.index == {m: i for i, m in enumerate(d.monos)}
             assert [d.index[m] for m in d.monos] == list(range(len(d.monos)))
         # the rule holds for every shape: de Rham's (1, 1) held dx1 and
         # dx2, and both became boundaries
-        biggest = max(len(final.data[b].monos) for b in dead)
+        biggest = max(len(e1.data[b].monos) for b in dead)
         assert (biggest > 1) == (source == "derham")
 
 

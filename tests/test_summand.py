@@ -12,7 +12,7 @@ from synto import fgl, summand
 from synto.fgl import orientation_truncation
 from synto.graded import GeneratorSymbol, Poly, VerificationError
 from synto.linalg import Span, kernel_basis
-from synto.spectral import BidegreeData, ChartEntry, Presentation, SSPage
+from synto.spectral import ChartEntry, Presentation, SSPage
 from synto.summand import (BasisClass, GeneratorTable, SyntomicWindowError,
                            TableEntry, comparison_maps,
                            default_table_window, derive_differentials,
@@ -600,11 +600,11 @@ class TestPipelineChecks:
             2, "", f"assertion failed: {why}\n")
 
     def test_einfty_against_the_closed_form(self, monkeypatch):
-        # the least unflagged class of the stable page goes missing
+        # the least unflagged bidegree of the stable page goes missing,
+        # as a bidegree whose classes all died does
         def drop(page):
-            b = min(b for b, d in page.data.items() if d.alive and b not in page.flags)
-            d = page.data[b]
-            data = {**page.data, b: BidegreeData(d.monos, [], d.boundaries)}
+            b = min(b for b in page.data if b not in page.flags)
+            data = {c: d for c, d in page.data.items() if c != b}
             return SSPage(page.pres, page.window, page.r, data, page.flags)
 
         self.stable_page(monkeypatch, drop)
