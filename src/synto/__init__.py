@@ -20,7 +20,6 @@ from synto.graded import (
     CoeffRing,
     GeneratorSymbol,
     Poly,
-    Truncation,
     canonical_catalog,
 )
 from synto.summand import (
@@ -39,7 +38,6 @@ __all__ = [
     "GeneratorSymbol",
     "GeneratorTable",
     "Poly",
-    "Truncation",
     "canonical_catalog",
     "hodge_tate_check",
     "motivic_collapse_check",

@@ -432,9 +432,11 @@ def cmd_syntomic(args) -> int:
 def cmd_fgl(args) -> int:
     p = _require_prime(args.prime)
     ideal = tuple(x for x in args.mod.split(",") if x) if args.mod else ()
-    for name in ideal:
+    for i, name in enumerate(ideal):
         if name not in ("p", "v1", "v2"):
             raise CLIUsageError(f"--mod accepts p, v1, v2; got {name!r}")
+        if name in ideal[:i]:
+            raise CLIUsageError(f"--mod names {name} twice")
     trunc = args.trunc
     if trunc < 1:
         raise CLIUsageError(f"--trunc must be positive, got {trunc}")

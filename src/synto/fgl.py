@@ -29,14 +29,15 @@ out.  The series is then built over Z[1/p][the other v_n], p-integrality is
 asserted on it, and the reduction mod p, the one step that needs it, comes
 last.  So mod (p, v1) the arithmetic never carries a v1 term.
 
-Every series is truncated in the orientation variables, and the arithmetic
-does only the work the truncation keeps.  A product never forms a pair of
-terms whose degrees sum to the bound or more (``Poly.__mul__``).  In
-``compose`` the inner series has no constant term, so each of the k
-multiplications still ahead of Horner's accumulator at e_k raises its
-degree by at least inner's least degree `low`: a term at or above
-bound - k*low can only feed terms the final truncation drops, and the
-accumulator is cut there.  Both skip only terms the truncation would
+Every series is truncated at an int bound on its catalog's orientation
+degree (``Catalog.orientation_degree``), the total exponent over the
+degree -2 generators, and the arithmetic does only the work the truncation
+keeps.  A product never forms a pair of terms whose degrees sum to the
+bound or more (``Poly.__mul__``).  In ``compose`` the inner series has no
+constant term, so each of the k multiplications still ahead of Horner's
+accumulator at e_k raises its degree by at least inner's least degree
+`low`: a term at or above bound - k*low can only feed terms the final
+truncation drops, and the accumulator is cut there.  Both skip only terms the truncation would
 discard, so every series is exact.
 
 >>> from synto.cli import format_series
@@ -52,7 +53,6 @@ from synto.graded import (
     Catalog,
     CoeffRing,
     Poly,
-    Truncation,
     VerificationError,
     canonical_catalog,
 )
@@ -70,13 +70,6 @@ def pipeline_catalog(p: int, trunc: int) -> Catalog:
     return canonical_catalog(p, depth=max(2, required_depth(p, trunc)))
 
 
-def orientation_truncation(cat: Catalog, trunc: int) -> Truncation:
-    """Truncation over the catalog's orientation generators, the symbols of
-    degree -2 (see ``canonical_catalog``)."""
-    return Truncation(frozenset(i for i, s in enumerate(cat.symbols)
-                                if s.degree == -2), trunc)
-
-
 def log_coefficients(p: int, depth: int, cat: Catalog,
                      ideal: Iterable[str] = ()) -> list[Poly]:
     """l_0 .. l_depth as exact polynomials in v1..v_depth over Z[1/p], with
@@ -92,7 +85,7 @@ def log_coefficients(p: int, depth: int, cat: Catalog,
     return ls
 
 
-def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: Truncation) -> Poly:
+def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: int) -> Poly:
     """log(s) = sum_n l_n * s^{p^n}, for s with zero constant term."""
     out = Poly.zero(summand.catalog, summand.ring, trunc)
     for n, ln in enumerate(ls):
@@ -120,10 +113,9 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog,
     true denominators stay bounded by the truncation.
     """
     ring = CoeffRing(0, p)
-    trc = orientation_truncation(cat, trunc)
     ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
-    t = Poly.gen(cat, ring, "t", trc)
-    L = log_of(t, p, ls, trc)
+    t = Poly.gen(cat, ring, "t", trunc)
+    L = log_of(t, p, ls, trunc)
     t_idx = cat.index["t"]
     es = [Poly.zero(cat, ring), Poly.unit(cat, ring)]
     comp = L
@@ -143,7 +135,7 @@ def compose(coeffs: Sequence[Poly], inner: Poly) -> Poly:
     """sum_k coeffs[k] * inner^k by Horner, under inner's truncation.
 
     Horner's accumulator after coeffs[k] is multiplied by inner k more
-    times, and each factor raises the truncation degree by at least `low`,
+    times, and each factor raises the orientation degree by at least `low`,
     the least degree of inner's terms (clamped at 0).  So only its terms
     below bound - k*low can reach the result, and the step for coeffs[k]
     keeps just those.  The window grows back to the full bound at k = 0;
@@ -155,11 +147,10 @@ def compose(coeffs: Sequence[Poly], inner: Poly) -> Poly:
     """
     cat, ring, trunc = inner.catalog, inner.ring, inner.trunc
     low = 0 if trunc is None else max(
-        0, min(map(trunc.degree, inner.terms), default=0))
+        0, min(map(cat.orientation_degree, inner.terms), default=0))
     acc = Poly.zero(cat, ring, trunc)
     for k in reversed(range(len(coeffs))):
-        step = None if trunc is None else Truncation(trunc.vars,
-                                                     trunc.bound - k * low)
+        step = None if trunc is None else trunc - k * low
         acc = (Poly(cat, ring, acc.terms, step, acc.den) * inner
                + coeffs[k].with_trunc(step)).normalized()
     return acc
@@ -193,13 +184,12 @@ def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
     every generator that the ideal names killed before the arithmetic.  The
     prime is not reduced here (see ``_mod_p_last``)."""
     ideal = tuple(ideal)
-    trc = orientation_truncation(cat, trunc)
     ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
     names = _generators(ideal)
-    total = Poly.zero(cat, CoeffRing(0, p), trc)
+    total = Poly.zero(cat, CoeffRing(0, p), trunc)
     for s in summands:
-        total = total + log_of(s.kill_generators(names).with_trunc(trc),
-                               p, ls, trc)
+        total = total + log_of(s.kill_generators(names).with_trunc(trunc),
+                               p, ls, trunc)
     return compose(exp_coefficients(p, trunc, cat, ideal), total)
 
 
@@ -231,12 +221,12 @@ def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
     hard-errors if it ever fails to hold).
     """
     cat = pipeline_catalog(p, trunc)
-    ring, trc = CoeffRing(0, p), orientation_truncation(cat, trunc)
-    summands = [Poly.gen(cat, ring, "t", trc)]
+    ring = CoeffRing(0, p)
+    summands = [Poly.gen(cat, ring, "t", trunc)]
     i = 1
     while p ** i < trunc:
         s = Poly.from_terms(
-            cat, ring, [(cat.mono({f"t{i}": 1, "t": p ** i}), 1)], trc)
+            cat, ring, [(cat.mono({f"t{i}": 1, "t": p ** i}), 1)], trunc)
         summands.append(s)
         i += 1
     ideal = tuple(ideal)
@@ -247,12 +237,12 @@ def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
 
 
 def coefficientwise_frobenius(poly: Poly, p: int, e: int = 1) -> Poly:
-    """x -> x^{p^e} termwise, valid over F_p: exponents scale, coefficients fix."""
+    """x -> x^{p^e} termwise, valid over F_p: exponents scale, coefficients
+    fix, and so does the truncation, by p^e."""
     if poly.ring.char != p:
         raise ValueError("coefficientwise Frobenius needs F_p coefficients")
     q = p ** e
     return Poly.from_terms(
         poly.catalog, poly.ring,
         ((tuple(x * q for x in m), c) for m, c in poly.terms.items()),
-        None if poly.trunc is None else Truncation(poly.trunc.vars,
-                                                   poly.trunc.bound * q))
+        None if poly.trunc is None else poly.trunc * q)

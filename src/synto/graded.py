@@ -10,9 +10,14 @@ rule and the odd squares live in the spectral sequence engine
 (``spectral``), whose presentations share `Catalog`.  Coefficients are
 exact, in one ring per prime p: Z[1/p], where each polynomial holds int
 numerators over a single power p^den, or F_p, held as canonical residues.
-No operation takes a gcd, and `fractions.Fraction` appears only at the
-edges: as an input coefficient, a non-integral `Poly.coefficient`, or in an
-error message.
+A coefficient enters as an int, and a p-power denominator only by
+`Poly.over_p`.  No operation takes a gcd, and `fractions.Fraction` appears
+only where a non-integral coefficient is read out (`Poly.coefficient`) or
+in an error message.
+
+A series is a power series in the orientation t, cut at some t^N: its
+truncation is the int N, a bound on the catalog's orientation degree (the
+total exponent over the degree -2 generators, `Catalog.orient`).
 
 Monomials are exponent tuples aligned with the catalog, so the zero tuple is
 1 and negative exponents are legal (used for Laurent generators like t^{-1}
@@ -89,7 +94,8 @@ class CoeffRing:
     ``CoeffRing(p)`` is F_p, held as canonical residues.  ``CoeffRing(0, p)``
     is Z[1/p], the integers with p inverted, where the Hazewinkel series
     live: a `Poly` over it holds plain int numerators over one power p^den,
-    so no operation takes a gcd.
+    so no operation takes a gcd.  A coefficient enters either ring as an
+    int (see `Poly.from_terms`).
     """
 
     # p is the prime: char itself for F_p, the inverted one for Z[1/p]
@@ -118,32 +124,12 @@ class CoeffRing:
 
     __repr__ = record_repr
 
-    def split(self, c) -> tuple[int, int]:
-        """(n, k) with c = n / p^k, n a residue in F_p.  c is an int or a
-        Fraction in the ring: its denominator is a power of p in Z[1/p] and
-        prime to p in F_p.  Anything else raises ValueError."""
-        p = self.p
-        if isinstance(c, int):
-            return (c % p if self.char else c), 0
-        if not isinstance(c, Fraction):
-            raise TypeError(f"coefficient {c!r} is neither int nor Fraction")
-        n, d = c.numerator, c.denominator
-        if self.char:
-            if d % p == 0:
-                raise ValueError(f"coefficient {c} is not in F_{p}")
-            return n * pow(d, -1, p) % p, 0
-        k = 0
-        while d % p == 0:
-            d //= p
-            k += 1
-        if d != 1:
-            raise ValueError(f"coefficient {c} is not in Z[1/{p}]")
-        return n, k
-
 
 class Catalog:
-    """Ordered generator list: names, bidegrees, and the positions `odd` of
-    the generators of odd degree, the one place parity is read off a degree.
+    """Ordered generator list: names, bidegrees, the positions `odd` of
+    the generators of odd degree, the one place parity is read off a degree,
+    and the positions `orient` of the degree -2 orientation generators, the
+    ones a truncation counts (see `orientation_degree`).
 
     The catalog order is the canonical monomial order everywhere: a monomial
     is its exponent tuple, tuples compare lexicographically, and "smallest
@@ -157,10 +143,9 @@ class Catalog:
             raise ValueError("duplicate generator name in catalog")
         self.n = len(self.symbols)
         self.odd = tuple(i for i, s in enumerate(self.symbols) if s.degree % 2)
+        self.orient = tuple(i for i, s in enumerate(self.symbols)
+                            if s.degree == -2)
         self.one: Mono = (0,) * self.n
-
-    def __len__(self) -> int:
-        return self.n
 
     def mono(self, exps: dict[str, int]) -> Mono:
         out = [0] * self.n
@@ -170,6 +155,11 @@ class Catalog:
 
     def unit_mono(self, name: str) -> Mono:
         return self.mono({name: 1})
+
+    def orientation_degree(self, m: Mono) -> int:
+        """Total exponent of m over `orient`, the degree a truncation
+        bounds; additive under products."""
+        return sum([m[i] for i in self.orient])
 
     def degree(self, m: Mono) -> int:
         return sum(e * s.degree for e, s in zip(m, self.symbols) if e)
@@ -216,52 +206,12 @@ def canonical_catalog(p: int, depth: int = 2, orientations: tuple[str, ...] = ("
     return Catalog(syms)
 
 
-class Truncation:
-    """Drop monomials whose total exponent over `vars` reaches `bound`.
-
-    Keeping exponents < bound matches the usual O(t^N) convention: a series
-    truncated at bound N is exact modulo t^N.
-    """
-
-    __slots__ = ("vars", "bound")
-
-    def __init__(self, vars: frozenset[int], bound: int) -> None:
-        self.vars, self.bound = vars, bound
-
-    # every sum and product of two Polys compares their truncations
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Truncation:
-            return NotImplemented
-        return self.bound == other.bound and self.vars == other.vars
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.bound))
-
-    __repr__ = record_repr
-
-    def degree(self, m: Mono) -> int:
-        """Total exponent of m over `vars`; additive under products."""
-        return sum(m[i] for i in self.vars)
-
-    def keeps(self, m: Mono) -> bool:
-        return self.degree(m) < self.bound
-
-
-def _tighter(a: Optional[Truncation],
-             b: Optional[Truncation]) -> Optional[Truncation]:
-    """The truncation of a sum or product: the one that keeps less.
-    Truncations over different variables keep incomparable sets, so they
-    cannot be met."""
-    if a is None or a == b:
+def _tighter(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The truncation of a sum or product: the smaller bound, where None
+    is no bound."""
+    if a is None:
         return b
-    if b is None:
-        return a
-    if a.vars != b.vars:
-        raise ValueError("cannot combine polynomials truncated over "
-                         "different variables")
-    return a if a.bound <= b.bound else b
+    return a if b is None else min(a, b)
 
 
 def _common_ring(a: "Poly", b: "Poly") -> CoeffRing:
@@ -282,12 +232,15 @@ class Poly:
     arithmetic.  `normalized` strips the common power of p; a normalized
     poly has den 0 exactly when every coefficient is an integer, and then
     terms holds the coefficients themselves.
+
+    `trunc` is None or an int N: a term whose orientation degree reaches N
+    is dropped, so the poly is exact modulo t^N.
     """
 
     __slots__ = ("catalog", "ring", "terms", "trunc", "den")
 
     def __init__(self, catalog: Catalog, ring: CoeffRing,
-                 terms: dict[Mono, int], trunc: Optional[Truncation] = None,
+                 terms: dict[Mono, int], trunc: Optional[int] = None,
                  den: int = 0):
         self.catalog = catalog
         self.ring = ring
@@ -297,39 +250,39 @@ class Poly:
 
     @classmethod
     def from_terms(cls, catalog: Catalog, ring: CoeffRing,
-                   pairs: Iterable[tuple[Mono, object]],
-                   trunc: Optional[Truncation] = None) -> "Poly":
-        """The normalized sum of the (monomial, coefficient) pairs that trunc
-        keeps; a coefficient is an int or a Fraction (see
-        `CoeffRing.split`)."""
-        split = [(m, *ring.split(c)) for m, c in pairs
-                 if trunc is None or trunc.keeps(m)]
-        den = max((k for _, _, k in split), default=0)
-        p, mod = ring.p, ring.char
+                   pairs: Iterable[tuple[Mono, int]],
+                   trunc: Optional[int] = None) -> "Poly":
+        """The sum of the (monomial, int coefficient) pairs whose orientation
+        degree is below trunc, with den 0: reduced mod p over F_p, the ints
+        themselves over Z[1/p].  A p-power denominator comes from
+        `over_p`."""
+        deg, mod = catalog.orientation_degree, ring.char
         acc: dict[Mono, int] = {}
-        for m, n, k in split:
-            c = acc.get(m, 0) + n * p ** (den - k)
+        for m, c in pairs:
+            if trunc is not None and deg(m) >= trunc:
+                continue
+            c += acc.get(m, 0)
             if mod:
                 c %= mod
             if c:
                 acc[m] = c
             else:
                 acc.pop(m, None)
-        return cls(catalog, ring, acc, trunc, den).normalized()
+        return cls(catalog, ring, acc, trunc)
 
     @classmethod
     def zero(cls, catalog: Catalog, ring: CoeffRing,
-             trunc: Optional[Truncation] = None) -> "Poly":
+             trunc: Optional[int] = None) -> "Poly":
         return cls(catalog, ring, {}, trunc)
 
     @classmethod
     def unit(cls, catalog: Catalog, ring: CoeffRing,
-             trunc: Optional[Truncation] = None) -> "Poly":
+             trunc: Optional[int] = None) -> "Poly":
         return cls.from_terms(catalog, ring, [(catalog.one, 1)], trunc)
 
     @classmethod
     def gen(cls, catalog: Catalog, ring: CoeffRing, name: str,
-            trunc: Optional[Truncation] = None) -> "Poly":
+            trunc: Optional[int] = None) -> "Poly":
         return cls.from_terms(catalog, ring, [(catalog.unit_mono(name), 1)], trunc)
 
     def is_zero(self) -> bool:
@@ -346,12 +299,13 @@ class Poly:
     def _wrap(self, terms: dict[Mono, int]) -> "Poly":
         return Poly(self.catalog, self.ring, terms, self.trunc, self.den)
 
-    def _kept(self, trunc: Optional[Truncation], den: int):
+    def _kept(self, trunc: Optional[int], den: int):
         """The (monomial, numerator over p^den) pairs of self that trunc
         keeps; den is at least self.den."""
         items = self.terms.items()
         if trunc != self.trunc:
-            items = [(m, c) for m, c in items if trunc.keeps(m)]
+            deg = self.catalog.orientation_degree
+            items = [(m, c) for m, c in items if deg(m) < trunc]
         if den != self.den:
             f = self.ring.p ** (den - self.den)
             items = [(m, c * f) for m, c in items]
@@ -401,19 +355,6 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def scale(self, c) -> "Poly":
-        """c * self, for c an int or a Fraction in the ring."""
-        n, k = self.ring.split(c)
-        if not n:
-            return Poly.zero(self.catalog, self.ring, self.trunc)
-        mod = self.ring.char
-        out = {}
-        for m, a in self.terms.items():
-            v = a * n % mod if mod else a * n
-            if v:
-                out[m] = v
-        return Poly(self.catalog, self.ring, out, self.trunc, self.den + k)
-
     def over_p(self, k: int = 1) -> "Poly":
         """self / p^k over Z[1/p]: den grows by k, and no numerator moves."""
         if self.ring.char:
@@ -429,7 +370,7 @@ class Poly:
         catalog with an odd generator is refused (ValueError): the series
         ring is commutative.
 
-        The truncation degree of a product is the sum of its factors', so
+        The orientation degree of a product is the sum of its factors', so
         other's terms are sorted by it once, and for each term of self the
         inner loop stops at the first term of other whose product would
         reach the bound: a pair the truncation drops is never formed.
@@ -442,16 +383,16 @@ class Poly:
                              f"{cat.symbols[cat.odd[0]].name}: the series "
                              f"ring is commutative")
         mod, trunc = ring.char, _tighter(self.trunc, other.trunc)
+        deg = cat.orientation_degree
         if trunc is None:
             right = [(0, m, c) for m, c in other.terms.items()]
         else:
-            right = sorted(((trunc.degree(m), m, c)
-                            for m, c in other.terms.items()),
+            right = sorted(((deg(m), m, c) for m, c in other.terms.items()),
                            key=operator.itemgetter(0))
         add = operator.add
         acc: dict[Mono, int] = {}
         for ma, ca in self.terms.items():
-            room = 1 if trunc is None else trunc.bound - trunc.degree(ma)
+            room = 1 if trunc is None else trunc - deg(ma)
             for db, mb, cb in right:
                 if db >= room:
                     break
@@ -479,9 +420,10 @@ class Poly:
             k = base_needed
         return result
 
-    def with_trunc(self, trunc: Optional[Truncation]) -> "Poly":
+    def with_trunc(self, trunc: Optional[int]) -> "Poly":
+        deg = self.catalog.orientation_degree
         terms = (dict(self.terms) if trunc is None else
-                 {m: c for m, c in self.terms.items() if trunc.keeps(m)})
+                 {m: c for m, c in self.terms.items() if deg(m) < trunc})
         return Poly(self.catalog, self.ring, terms, trunc, self.den)
 
     def coefficient(self, m: Mono):

@@ -29,8 +29,8 @@ from typing import Optional
 from . import fgl
 from .graded import (GeneratorSymbol, Poly, VerificationError,
                      canonical_catalog, record_repr)
-from .fgl import (coefficientwise_frobenius, orientation_truncation, p_series,
-                  reduce_ideal, right_unit_t)
+from .fgl import (coefficientwise_frobenius, p_series, reduce_ideal,
+                  right_unit_t)
 from .spectral import (ADAMS_RULE, BidegreeRule, ChartEntry, CollapseReport,
                        DiffEntry, DifferentialSpec, Presentation, SSPage,
                        Window, build_page, collapse_check, run_to_stable)
@@ -148,7 +148,7 @@ def _formal_group_certificate(p: int) -> dict:
         raise VerificationError(
             "cobar differential of t is not t^(p+1)*sigma2t1; "
             "formal-group sign convention mismatch")
-    wide = orientation_truncation(cat, p * p + 2 * p)
+    wide = p * p + 2 * p
     tp = Poly.from_terms(cat, ring, [(cat.mono({"t": p}), 1)], wide)
     devp = _rewrite_through_suspension(eta.with_trunc(wide) ** p - tp)
     if dict(devp.terms) != {cat.mono({"t": p * p + p, "sigma2t1": p}): 1}:
@@ -420,6 +420,12 @@ def default_table_window(p: int) -> tuple[int, int, int, int]:
     return (-2, 2 * p * p + 2 * p + 2, 0, 2 * p * p)
 
 
+# the typed fields of a table entry in JSON; GeneratorTable checks the
+# origin by its value
+_ENTRY_FIELDS = (("name", str, "a string"), ("degree", int, "an int"),
+                 ("weight", int, "an int"))
+
+
 class TableEntry:
     __slots__ = ("name", "degree", "weight", "origin")
 
@@ -495,8 +501,16 @@ class GeneratorTable:
             raise VerificationError("unknown module statement in table JSON")
         if list(data.get("v2_bidegree", [])) != list(_v2_bidegree(p)):
             raise VerificationError("v2 bidegree does not match the prime")
-        entries = [TableEntry(g["name"], g["degree"], g["weight"], g["origin"])
-                   for g in data["generators"]]
+        entries = []
+        for i, g in enumerate(data["generators"]):
+            # type(...) is int: a JSON true is a bool, not a degree
+            for field, kind, what in _ENTRY_FIELDS:
+                if type(g[field]) is not kind:
+                    raise VerificationError(
+                        f"generator {i} ({g['name']!r}): {field} "
+                        f"{g[field]!r} is not {what}")
+            entries.append(TableEntry(g["name"], g["degree"], g["weight"],
+                                      g["origin"]))
         return cls(p, data["convention"]["frobenius_unit"], entries,
                    list(data.get("notes", [])))
 

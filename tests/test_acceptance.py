@@ -18,9 +18,8 @@ from helpers import (check_square_zero, dense_matrix, dense_page_dims,
                      random_square_zero_case, source_env)
 from synto.cli import main
 from synto.fgl import (compose, exp_coefficients, formal_sum_of,
-                       log_coefficients, log_of, orientation_truncation,
-                       p_series, pipeline_catalog, required_depth,
-                       right_unit_t)
+                       log_coefficients, log_of, p_series, pipeline_catalog,
+                       required_depth, right_unit_t)
 from synto.graded import CoeffRing, Poly, canonical_catalog
 from synto.linalg import vec_addmul
 from synto.spectral import build_page, leibniz_extend, turn_page
@@ -286,10 +285,9 @@ class TestAcceptance:
             trunc = 6 if p == 2 else 5
             acat = canonical_catalog(p, depth=max(2, required_depth(p, trunc)),
                                      orientations=("t", "x", "y", "z"))
-            atrc = orientation_truncation(acat, trunc)
-            ax = Poly.gen(acat, ring, "x", atrc)
-            ay = Poly.gen(acat, ring, "y", atrc)
-            az = Poly.gen(acat, ring, "z", atrc)
+            ax = Poly.gen(acat, ring, "x", trunc)
+            ay = Poly.gen(acat, ring, "y", trunc)
+            az = Poly.gen(acat, ring, "z", trunc)
             Fxy = formal_sum_of(p, trunc, [ax, ay], acat)
             Fyz = formal_sum_of(p, trunc, [ay, az], acat)
             assert formal_sum_of(p, trunc, [Fxy, az], acat) == \
@@ -297,12 +295,11 @@ class TestAcceptance:
 
             # log/exp inversion
             lcat = pipeline_catalog(p, 10)
-            ltrc = orientation_truncation(lcat, 10)
             ls = log_coefficients(p, required_depth(p, 10), lcat)
             es = exp_coefficients(p, 10, lcat)
-            t = Poly.gen(lcat, ring, "t", ltrc)
-            assert compose(es, log_of(t, p, ls, ltrc)) == t
-            assert log_of(compose(es, t), p, ls, ltrc) == t
+            t = Poly.gen(lcat, ring, "t", 10)
+            assert compose(es, log_of(t, p, ls, 10)) == t
+            assert log_of(compose(es, t), p, ls, 10) == t
 
             # p-integrality of the formal sum at truncation 12
             formal_sum(p, 12).assert_p_integral(p)

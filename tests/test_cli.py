@@ -192,6 +192,14 @@ class TestFglCommand:
                                 "--mod", "p,v9", "--trunc", "10"])
         assert code == 1 and "v9" in err
 
+    def test_repeated_ideal_name(self):
+        for series in ("p-series", "right-unit"):
+            code, out, err = run_cli(["fgl", series, "--prime", "3",
+                                      "--mod", "p,v1,v1", "--trunc", "10",
+                                      "--format", "json"])
+            assert (code, out) == (1, ""), series
+            assert err == "error: --mod names v1 twice\n", series
+
 
 TOY_PRESENTATION = """\
 # truncated polynomial algebra with one differential: d(x^3) = 3x^2*y = 0
@@ -761,6 +769,25 @@ class TestChartCommand:
                                       "--format", fmt])
             assert (code, out) == (1, "")
             assert err.startswith("error: bad table JSON: ") and why in err
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("name", 5, "generator 0 (5): name 5 is not a string"),
+        ("degree", True, "generator 0 ('1'): degree True is not an int"),
+        ("weight", "0", "generator 0 ('1'): weight '0' is not an int"),
+        ("origin", None, "bad origin None"),
+    ])
+    def test_generator_field_of_the_wrong_type(self, tmp_path, field, value,
+                                               why):
+        doc = json.loads(run_cli(["syntomic", "--prime", "2", "--format",
+                                  "json"])[1])
+        doc["generators"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for fmt in ("svg", "ascii"):
+            code, out, err = run_cli(["chart", "--in", str(bad),
+                                      "--format", fmt])
+            assert (code, out) == (1, "")
+            assert err == f"error: bad table JSON: {why}\n"
 
     def test_wrong_schema_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

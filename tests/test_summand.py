@@ -3,13 +3,11 @@ comparison maps, the generator table, and the consistency checkers."""
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
 from helpers import run_cli
 from synto import fgl, summand
-from synto.fgl import orientation_truncation
 from synto.graded import GeneratorSymbol, Poly, VerificationError
 from synto.linalg import Span, kernel_basis
 from synto.spectral import ChartEntry, Presentation, SSPage
@@ -147,7 +145,7 @@ class TestFormalGroupCertificate:
             cat = eta.catalog
             return Poly.from_terms(
                 cat, eta.ring, [*eta.terms.items(), (cat.mono(extra), 1)],
-                orientation_truncation(cat, trunc + widen))
+                trunc + widen)
 
         monkeypatch.setattr(summand, "right_unit_t", corrupted)
         with pytest.raises(VerificationError, match=message):
@@ -179,8 +177,7 @@ class TestFormalGroupCertificate:
         eta = fgl.right_unit_t(p, p + 2, ideal)
         wide = fgl.right_unit_t(p, p * p + 2 * p, ideal)
         assert eta.catalog.symbols == wide.catalog.symbols
-        narrow = eta.with_trunc(orientation_truncation(eta.catalog,
-                                                       p * p + 2 * p))
+        narrow = eta.with_trunc(p * p + 2 * p)
         assert narrow ** p == wide ** p
 
     def test_unreduced_right_unit_is_checked(self, monkeypatch):
@@ -194,7 +191,7 @@ class TestFormalGroupCertificate:
 
         def corrupted(p, depth, cat, ideal=()):
             ls = real(p, depth, cat, ideal)
-            ls[1] = ls[1].scale(Fraction(1, p))
+            ls[1] = ls[1].over_p()
             return ls
 
         monkeypatch.setattr(fgl, "log_coefficients", corrupted)
