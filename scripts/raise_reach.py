@@ -35,10 +35,9 @@ def raises(path: Path) -> list[tuple[int, int]]:
                   if isinstance(node, ast.Raise))
 
 
-def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code, and the lines run in each file of the package."""
-    import pytest
-
+def traced(run):
+    """``run()``'s result, and the lines it ran in each file of the
+    package."""
     prefix = str(PACKAGE) + os.sep
     lines: dict[str, set[int]] = {}
 
@@ -54,14 +53,23 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         lines.setdefault(name, set())
         return local
 
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, lines
+
+
+def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """pytest's exit code, and the lines run in each file of the package."""
+    import pytest
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    code, lines = traced(lambda: pytest.main(
+        ["-q", "-p", "no:cacheprovider", *pytest_args]))
     return int(code), lines
 
 

@@ -9,7 +9,7 @@ order.  The ASCII renderer draws the same grid with occupancy counts.
 from __future__ import annotations
 
 from . import __version__
-from .graded import VerificationError, record_repr, superscript
+from .graded import VerificationError, superscript
 
 UNIT = 24
 LABEL_PT = 10
@@ -55,8 +55,6 @@ class ChartLayout:
         self.deg_range, self.weight_range = deg_range, weight_range
         # per entry: (name, degree, weight, origin, label, nudge_px)
         self.glyphs: list[tuple[str, int, int, str, str, int]] = []
-
-    __repr__ = record_repr
 
     @classmethod
     def from_table(cls, table) -> "ChartLayout":

@@ -24,7 +24,7 @@ from .fgl import p_series, right_unit_t
 from .spectral import (DiffEntry, DifferentialSpec, Presentation,
                        RelationError, Window, build_page, run_to_stable)
 from .summand import (FROBENIUS_CONVENTIONS, PRESENTATIONS, GeneratorTable,
-                      default_table_window, derive_differentials,
+                      _prime_error, default_table_window, derive_differentials,
                       hodge_tate_check, run_window, syntomic_table)
 from .chart import ascii_chart, svg_chart
 
@@ -36,49 +36,6 @@ class CLIUsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIUsageError(message)
-
-
-# Miller-Rabin with the prime bases up to 41 is exact below this bound
-# (Sorenson and Webster, 2015; the bases up to 37 only reach 3.18e23)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, in time polynomial in the digits of n.
-    A composite n with a factor up to 41 is answered at any size; any
-    other n from _MR_BOUND on raises ValueError."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    if n >= _MR_BOUND:
-        raise ValueError(f"{n} is too large to test for primality "
-                         f"(the test is exact below {_MR_BOUND})")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_error(n: int) -> Optional[str]:
-    """Why n is refused as a prime, or None if it is prime."""
-    try:
-        return None if _is_prime(n) else f"{n} is not prime"
-    except ValueError as e:
-        return str(e)
 
 
 def _require_prime(n: int) -> int:

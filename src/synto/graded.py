@@ -51,18 +51,6 @@ class VerificationError(Exception):
     """An internal exactness or consistency check failed (hard error)."""
 
 
-def record_repr(record) -> str:
-    """``Name(field=value, ...)`` over the fields in ``__slots__``, the repr
-    of synto's plain records.
-
-    >>> CoeffRing(0, 3)
-    CoeffRing(char=0, p=3)
-    """
-    fields = ", ".join(f"{f}={getattr(record, f)!r}"
-                       for f in type(record).__slots__)
-    return f"{type(record).__name__}({fields})"
-
-
 class GeneratorSymbol:
     """A generator of bidegree (degree, weight).  `invertible` lets exponents
     go negative on a page of `spectral.Presentation`; the series ignores it."""
@@ -73,19 +61,6 @@ class GeneratorSymbol:
                  invertible: bool = False) -> None:
         self.name, self.degree, self.weight = name, degree, weight
         self.invertible = invertible
-
-    def _fields(self) -> tuple:
-        return (self.name, self.degree, self.weight, self.invertible)
-
-    def __eq__(self, other):
-        if type(other) is not GeneratorSymbol:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    __repr__ = record_repr
 
 
 class CoeffRing:
@@ -119,10 +94,8 @@ class CoeffRing:
             return NotImplemented
         return self.char == other.char and self.p == other.p
 
-    def __hash__(self) -> int:
-        return hash((self.char, self.p))
-
-    __repr__ = record_repr
+    def __str__(self) -> str:
+        return f"F_{self.p}" if self.char else f"Z[1/{self.p}]"
 
 
 class Catalog:

@@ -23,7 +23,7 @@ beyond the min-pivot rule.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 Vec = dict[int, int]
 
@@ -46,7 +46,8 @@ def vec_scale(p: int, v: Vec, c: int) -> Vec:
 
 
 class Span:
-    """An F_p row space in reduced row echelon form.
+    """An F_p row space in reduced row echelon form, empty when made;
+    `insert` adds a vector.
 
     rows maps pivot coordinate -> vector with 1 at the pivot and support
     only on non-pivot coordinates otherwise, so reduction is a single pass.
@@ -60,12 +61,10 @@ class Span:
     while the index is None, that is, before any insert that added a row.
     """
 
-    def __init__(self, p: int, vectors: Iterable[Vec] = ()):
+    def __init__(self, p: int):
         self.p = p
         self.rows: dict[int, Vec] = {}
         self._holders: Optional[dict[int, set[int]]] = None
-        for v in vectors:
-            self.insert(v)
 
     @property
     def dim(self) -> int:

@@ -32,8 +32,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from synto.graded import (Catalog, GeneratorSymbol, Mono, VerificationError,
-                          record_repr)
+from synto.graded import Catalog, GeneratorSymbol, Mono, VerificationError
 from synto.linalg import Span, Vec, kernel_basis, vec_addmul
 
 
@@ -51,8 +50,6 @@ class Window:
         self.deg_min, self.deg_max = deg_min, deg_max
         self.weight_min, self.weight_max = weight_min, weight_max
 
-    __repr__ = record_repr
-
 
 class BidegreeRule:
     """d_r shifts (degree, weight) by (deg_per_r*r - 1, weight_per_r*r).
@@ -63,8 +60,6 @@ class BidegreeRule:
 
     def __init__(self, deg_per_r: int = 0, weight_per_r: int = 1) -> None:
         self.deg_per_r, self.weight_per_r = deg_per_r, weight_per_r
-
-    __repr__ = record_repr
 
     def shift(self, r: int) -> tuple[int, int]:
         return self.deg_per_r * r - 1, self.weight_per_r * r
@@ -245,8 +240,6 @@ class DiffEntry:
                  image: tuple[tuple[Mono, int], ...]) -> None:
         self.page, self.gen = page, gen
         self.base_exp, self.image = base_exp, image
-
-    __repr__ = record_repr
 
 
 class RelationError(ValueError):
@@ -730,8 +723,6 @@ class ChartEntry:
     def __init__(self, name: str, degree: int, weight: int) -> None:
         self.name, self.degree, self.weight = name, degree, weight
 
-    __repr__ = record_repr
-
 
 class CollapseReport:
     __slots__ = ("collapses", "rule", "r_range", "witnesses", "notes")
@@ -742,8 +733,6 @@ class CollapseReport:
                  notes: list[str]) -> None:
         self.collapses, self.rule, self.r_range = collapses, rule, r_range
         self.witnesses, self.notes = witnesses, notes
-
-    __repr__ = record_repr
 
 
 def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,

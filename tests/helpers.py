@@ -1,8 +1,9 @@
 """Shared test utilities: dense F_p linear algebra used as an independent
 oracle for the sparse spectral-sequence engine, a per-monomial d² = 0
-oracle, the Koszul product of monomials, and a generator of random
+oracle, the Koszul product of monomials, a generator of random
 square-zero differential specs (square-zero by triangularity:
-differentials only hit generators that themselves map to zero)."""
+differentials only hit generators that themselves map to zero), and a
+presentation with one generator moved to another degree."""
 
 from __future__ import annotations
 
@@ -27,6 +28,18 @@ from synto.spectral import (ADAMS_RULE, BidegreeData, DiffEntry,
                             leibniz_extend)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def with_degree(make, name, degree):
+    """``make`` with generator ``name`` moved to ``degree``."""
+    def patched(p):
+        pres = make(p)
+        gens = [GeneratorSymbol(name, degree, g.weight, g.invertible)
+                if g.name == name else g for g in pres.gens]
+        rels = [{g.name: e for g, e in zip(pres.gens, rel) if e}
+                for rel in pres.relations]
+        return Presentation(p, gens, rels)
+    return patched
 
 
 def source_env() -> dict[str, str]:

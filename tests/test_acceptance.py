@@ -13,20 +13,25 @@ import sys
 import time
 from contextlib import redirect_stdout
 
+import pytest
+
 from helpers import (check_square_zero, dense_matrix, dense_page_dims,
                      dense_rank, enumerate_basis, formal_sum,
-                     random_square_zero_case, source_env)
+                     random_square_zero_case, source_env, with_degree)
+from synto import summand
 from synto.cli import main
 from synto.fgl import (compose, exp_coefficients, formal_sum_of,
                        log_coefficients, log_of, p_series, pipeline_catalog,
                        required_depth, right_unit_t)
-from synto.graded import CoeffRing, Poly, canonical_catalog
+from synto.graded import CoeffRing, Poly, VerificationError, canonical_catalog
 from synto.linalg import vec_addmul
 from synto.spectral import build_page, leibniz_extend, turn_page
 from synto.summand import (GeneratorTable, TableEntry, _einfty,
-                           _formal_group_certificate, hodge_tate_check,
-                           motivic_collapse_check, syntomic_table,
-                           tcminus_einfty, tp_einfty, v2_bockstein_check)
+                           _formal_group_certificate, default_table_window,
+                           hodge_tate_check, motivic_collapse_check,
+                           syntomic_table, tcminus_einfty,
+                           tcminus_presentation, tp_einfty,
+                           v2_bockstein_check)
 
 PRIMES_SMALL = (2, 3, 5)
 PRIMES_ALL = (2, 3, 5, 7)
@@ -133,7 +138,7 @@ class TestAcceptance:
             pp = p * p
             # TP: the Laurent lattice F_p[t^{+-p^2}] tensor the exterior
             # algebra on lambda1, lambda2
-            page = tp_einfty(p)
+            page = tp_einfty(p, default_table_window(p)[:2])
             cat = page.pres.catalog
             ti = cat.index["t"]
             actual = {cat.mono_str(m)
@@ -149,7 +154,7 @@ class TestAcceptance:
             # TC-: the non-negative lattice, the mu tower, plus the four
             # leftover families t^d*l1, t^(pd)*l2, t^d*l1l2, t^(pd)*l1l2
             # with 0 < d < p
-            page = tcminus_einfty(p)
+            page = tcminus_einfty(p, default_table_window(p)[:2])
             cat = page.pres.catalog
             ti, mi = cat.index["t"], cat.index["mu"]
             l1, l2 = cat.index["lambda1"], cat.index["lambda2"]
@@ -232,10 +237,10 @@ class TestAcceptance:
 
     def test_criterion_6_collapse_checkers(self):
         for p in (3, 5, 7):
-            report = motivic_collapse_check(p)
+            report = motivic_collapse_check(p, table=syntomic_table(p))
             assert report.collapses and report.witnesses == []
         for p in PRIMES_ALL:
-            report = v2_bockstein_check(p)
+            report = v2_bockstein_check(p, table=syntomic_table(p))
             assert report.collapses and report.witnesses == []
         table = syntomic_table(3)
         fake = GeneratorTable(
@@ -246,19 +251,25 @@ class TestAcceptance:
               "v2-Bockstein collapse for p in (2, 3, 5, 7), corrupted chart "
               f"flagged with {len(report.witnesses)} witness(es)")
 
-    def test_criterion_7_hodge_tate_comparison(self):
-        widths = {}
+    def test_criterion_7_hodge_tate_comparison(self, monkeypatch):
         for p in PRIMES_ALL:
             report = hodge_tate_check(p)
-            assert report.ok
-            lo, hi = report.degree_window
-            assert hi - lo >= 4 * p * p
-            # spot check: in degree 0 both sides are one-dimensional
-            assert report.dimensions[0] == 1
-            widths[p] = hi - lo
-        shown = ", ".join(f"p={p}: width {w}" for p, w in widths.items())
-        print(f"\nCRITERION 7 PASS: graded dimensions agree degreewise; "
-              f"{shown}")
+            assert report.ok and report.leading_term.endswith(f"v2*t^{p * p}")
+        # |μ| = 2p² is checked by the certificate: μ at 2p² + 2 and at -2p²
+        # are refused
+        for degree in (2 * 9 + 2, -2 * 9):
+            _formal_group_certificate.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(summand, "tcminus_presentation",
+                          with_degree(tcminus_presentation, "mu", degree))
+                with pytest.raises(VerificationError,
+                                   match=r"^axiom degree mismatch "
+                                         r"\(mu vs sigma2v2\)"):
+                    _formal_group_certificate(3)
+        _formal_group_certificate.cache_clear()
+        print(f"\nCRITERION 7 PASS: the p-series mod (p, v1) starts with "
+              f"a unit times v2*t^(p^2) for p in {PRIMES_ALL}; mu at "
+              f"2p^2 + 2 and at -2p^2 is refused")
 
     def test_criterion_8_fgl_property_suite(self):
         for p in (2, 3):

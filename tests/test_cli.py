@@ -17,9 +17,9 @@ from unittest import mock
 import pytest
 
 from helpers import SRC, run_cli, source_env
-from synto.cli import (CLIUsageError, _is_prime, format_series, main,
-                       parse_presentation)
+from synto.cli import CLIUsageError, format_series, main, parse_presentation
 from synto.fgl import p_series, right_unit_t
+from synto.summand import _is_prime
 
 
 class TestFormatSeries:
@@ -466,6 +466,16 @@ class TestSsCommand:
         assert err == ("error: line 6: d_1 does not preserve the relation "
                        "x1*x2: d_1(x1*x2) has the term x2*dx1\n")
 
+    def test_relation_holding_an_odd_generator_is_checked(self, tmp_path):
+        # d(x1*dx2) = dx1*dx2 is not zero in the quotient by x1*dx2
+        f = tmp_path / "rel.ss"
+        f.write_text(self.DERHAM_XY.replace("rel x1*x2\n", "").replace(
+            "window", "rel x1*dx2\nwindow"))
+        code, out, err = run_cli(["ss", "--file", str(f)])
+        assert code == 1 and out == ""
+        assert err == ("error: line 8: d_1 does not preserve the relation "
+                       "x1*dx2: d_1(x1*dx2) has the term dx1*dx2\n")
+
     def test_cap_that_d_does_not_preserve(self, tmp_path):
         # maxexp 3 is the relation x^4, and d(x^4) = 4x^3*y = x^3*y mod 3
         f = tmp_path / "toy.ss"
@@ -788,6 +798,22 @@ class TestChartCommand:
                                       "--format", fmt])
             assert (code, out) == (1, "")
             assert err == f"error: bad table JSON: {why}\n"
+
+    @pytest.mark.parametrize("prime, v2", [(4, [30, 15]), (1, [0, 0]),
+                                           (0, [-2, -1])])
+    def test_prime_that_is_not_prime(self, tmp_path, prime, v2):
+        # the v2 bidegree (2p^2 - 2, p^2 - 1) matches the prime, which
+        # `synto syntomic --prime` would refuse
+        doc = json.loads(run_cli(["syntomic", "--prime", "2", "--format",
+                                  "json"])[1])
+        doc.update(prime=prime, v2_bidegree=v2)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for fmt in ("svg", "ascii"):
+            code, out, err = run_cli(["chart", "--in", str(bad),
+                                      "--format", fmt])
+            assert (code, out) == (1, "")
+            assert err == f"error: bad table JSON: {prime} is not prime\n"
 
     def test_wrong_schema_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact bigraded algebra core."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,8 +252,10 @@ class TestRingOracle:
         # an F_3 sum with a Z[1/3] poly over p^1 used to read 2/3 in F_3
         f = Poly.from_terms(CAT3, FP3, [(mono(t=1), 2)])
         g = from_pairs(ZP3, [(mono(t=1), 2, 1)])
-        for a, b in ((f, g), (g, f)):
-            with pytest.raises(ValueError, match="cannot combine"):
+        for a, b, names in ((f, g, "F_3 and Z[1/3]"),
+                            (g, f, "Z[1/3] and F_3")):
+            with pytest.raises(ValueError, match=rf"^cannot combine "
+                               rf"polynomials over {re.escape(names)}$"):
                 a + b
             with pytest.raises(ValueError, match="cannot combine"):
                 a * b
@@ -268,17 +271,14 @@ class TestRingOracle:
 
 
 class TestRecords:
-    """Rings and generators are plain records compared by value:
-    `_common_ring` meets rings built apart."""
+    """Rings are compared by value: `_common_ring` meets rings built
+    apart."""
 
-    def test_fresh_records_are_equal_with_equal_hashes(self):
+    def test_fresh_records_are_equal(self):
         for a, b in ((CoeffRing(0, 3), CoeffRing(0, 3)),
-                     (CoeffRing(3), CoeffRing(3, 3)),
-                     (GeneratorSymbol("t", -2, 1),
-                      GeneratorSymbol("t", -2, 1, False))):
-            assert a is not b and a == b and hash(a) == hash(b)
+                     (CoeffRing(3), CoeffRing(3, 3))):
+            assert a is not b and a == b
             assert not a != b
-        assert GeneratorSymbol("t", -2, 1) != GeneratorSymbol("t", -2, 1, True)
 
     def test_polys_over_fresh_records_combine(self):
         f = Poly.gen(CAT3, CoeffRing(0, 3), "t", 4)
@@ -288,14 +288,6 @@ class TestRecords:
 
     def test_records_of_different_types_are_unequal(self):
         assert CoeffRing(0, 3) != (0, 3)
-        assert GeneratorSymbol("t", -2, 1) != ("t", -2, 1, False)
-
-    def test_reprs(self):
-        assert repr(CoeffRing(3)) == "CoeffRing(char=3, p=3)"
-        assert repr(ZP3) == "CoeffRing(char=0, p=3)"
-        assert (repr(GeneratorSymbol("t", -2, 1, invertible=True))
-                == "GeneratorSymbol(name='t', degree=-2, weight=1, "
-                   "invertible=True)")
 
 
 def _p_adic_order(n, p):

@@ -41,7 +41,9 @@ class TestSpan:
 
     def test_reduce_returns_a_vector_that_meets_no_pivot(self):
         # vectors are values, so one that needs no reducing is not copied
-        s = Span(5, [{0: 1, 2: 3}, {1: 1, 2: 1}])
+        s = Span(5)
+        for v in ({0: 1, 2: 3}, {1: 1, 2: 1}):
+            s.insert(v)
         rows = {q: dict(row) for q, row in s.rows.items()}
         for v in ({2: 4, 3: 1}, {}):
             before = dict(v)
@@ -157,7 +159,8 @@ class TestIndex:
         assert removed >= 10
 
     def test_kernel_basis_reduces_each_column_once(self):
-        span = Span(5, [{0: 1, 2: 3}])
+        span = Span(5)
+        span.insert({0: 1, 2: 3})
         cols = [{0: 1, 1: 2}, {1: 1}, {0: 1, 1: 3}, {2: 4}]
         with mock.patch.object(Span, "reduce", autospec=True,
                                side_effect=Span.reduce) as reduce:
@@ -181,7 +184,10 @@ class TestAgainstDense:
         p = rng.choice((2, 3, 5, 7))
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         cols = random_cols(rng, p, ncols, nrows)
-        assert Span(p, cols).dim == dense_rank(p, cols, nrows)
+        span = Span(p)
+        for col in cols:
+            span.insert(col)
+        assert span.dim == dense_rank(p, cols, nrows)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_kernel_dimension_and_membership(self, seed):
@@ -210,8 +216,10 @@ class TestCanonicity:
     @settings(max_examples=60)
     @given(st.lists(vec_strategy, max_size=6), st.randoms())
     def test_span_is_order_independent(self, vecs, rnd):
-        a = Span(5, vecs)
         shuffled = list(vecs)
         rnd.shuffle(shuffled)
-        b = Span(5, shuffled)
+        a, b = Span(5), Span(5)
+        for u, v in zip(vecs, shuffled):
+            a.insert(u)
+            b.insert(v)
         assert a.rows == b.rows

@@ -41,12 +41,6 @@ class TestWindow:
         with pytest.raises(ValueError, match="^empty window bounds$"):
             Window(0, 0, 1, 0)
 
-    def test_repr(self):
-        assert (repr(Window(-4, 4, 0, 2))
-                == "Window(deg_min=-4, deg_max=4, weight_min=0, weight_max=2)")
-        assert (repr(ChartEntry("x", 3, 1))
-                == "ChartEntry(name='x', degree=3, weight=1)")
-
 
 class TestBidegreeRule:
     def test_adams_shift(self):
@@ -1229,8 +1223,9 @@ class TestOneMonomialPairs:
         # y is alive and a boundary at once
         page, spec = _line_page()
         y = page.data[(1, 1)].monos[0]
-        page.data[(1, 1)] = spectral.BidegreeData([y], [{0: 1}],
-                                                  spectral.Span(3, [{0: 1}]))
+        boundaries = spectral.Span(3)
+        boundaries.insert({0: 1})
+        page.data[(1, 1)] = spectral.BidegreeData([y], [{0: 1}], boundaries)
         with pytest.raises(VerificationError,
                            match=r"stale representative in bidegree \(1, 1\)"):
             turn_page(page, spec)

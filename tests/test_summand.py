@@ -3,10 +3,11 @@ comparison maps, the generator table, and the consistency checkers."""
 
 import json
 import random
+import re
 
 import pytest
 
-from helpers import run_cli
+from helpers import run_cli, with_degree
 from synto import fgl, summand
 from synto.graded import GeneratorSymbol, Poly, VerificationError
 from synto.linalg import Span, kernel_basis
@@ -16,22 +17,10 @@ from synto.summand import (BasisClass, GeneratorTable, SyntomicWindowError,
                            default_table_window, derive_differentials,
                            hodge_tate_check, motivic_collapse_check,
                            syntomic_table,
-                           tcminus_einfty, tcminus_presentation, tp_einfty,
-                           tp_presentation, v2_bockstein_check)
+                           tcminus_einfty, tp_einfty, tp_presentation,
+                           v2_bockstein_check)
 
 _certificate = summand._formal_group_certificate
-
-
-def with_degree(make, name, degree):
-    """``make`` with generator ``name`` moved to ``degree``."""
-    def patched(p):
-        pres = make(p)
-        gens = [GeneratorSymbol(name, degree, g.weight, g.invertible)
-                if g.name == name else g for g in pres.gens]
-        rels = [{g.name: e for g, e in zip(pres.gens, rel) if e}
-                for rel in pres.relations]
-        return Presentation(p, gens, rels)
-    return patched
 
 
 class TestAxioms:
@@ -48,14 +37,22 @@ class TestAxioms:
             _certificate(p)
 
     def test_degree_mismatch_raises(self, monkeypatch):
-        for make, name, message in (
-                ("tp_presentation", "lambda1", "lambda1 vs sigma2t1"),
-                ("tcminus_presentation", "lambda2", "lambda2 vs sigma2t1"),
-                ("tcminus_presentation", "mu", "mu vs sigma2v2")):
+        # μ at 2p² + 2 = 20 is off the t^{p²}-lattice; at -2p² = -18 it is
+        # on it, but of the wrong sign
+        for make, name, degree, message in (
+                ("tp_presentation", "lambda1", 4, "lambda1 vs sigma2t1"),
+                ("tcminus_presentation", "lambda2", 4,
+                 "lambda2 vs sigma2t1^p"),
+                ("tcminus_presentation", "mu", 4, "mu vs sigma2v2"),
+                ("tcminus_presentation", "mu", 20, "mu vs sigma2v2"),
+                ("tcminus_presentation", "mu", -18, "mu vs sigma2v2")):
+            _certificate.cache_clear()
             with monkeypatch.context() as m:
                 m.setattr(summand, make,
-                          with_degree(getattr(summand, make), name, 4))
-                with pytest.raises(VerificationError, match=message):
+                          with_degree(getattr(summand, make), name, degree))
+                with pytest.raises(VerificationError,
+                                   match=rf"^axiom degree mismatch "
+                                         rf"\({re.escape(message)}\): "):
                     _certificate(3)
 
 
@@ -176,7 +173,9 @@ class TestFormalGroupCertificate:
         ideal = ("p", "v1")
         eta = fgl.right_unit_t(p, p + 2, ideal)
         wide = fgl.right_unit_t(p, p * p + 2 * p, ideal)
-        assert eta.catalog.symbols == wide.catalog.symbols
+        assert ([(s.name, s.degree, s.weight) for s in eta.catalog.symbols]
+                == [(s.name, s.degree, s.weight)
+                    for s in wide.catalog.symbols])
         narrow = eta.with_trunc(p * p + 2 * p)
         assert narrow ** p == wide ** p
 
@@ -235,14 +234,14 @@ class TestFormalGroupCertificate:
 
 class TestEInfty:
     def test_tp_p2_is_laurent_lattice(self):
-        page = tp_einfty(2)
+        page = tp_einfty(2, default_table_window(2)[:2])
         ti = page.pres.catalog.index["t"]
         reps = page.class_reps(include_flagged=False)
         assert reps
         assert all(m[ti] % 4 == 0 for _b, m, _v in reps)
 
     def test_tcminus_p3_leftovers(self):
-        page = tcminus_einfty(3)
+        page = tcminus_einfty(3, default_table_window(3)[:2])
         cat = page.pres.catalog
         ti = cat.index["t"]
         leftovers = sorted(cat.mono_str(m)
@@ -256,7 +255,7 @@ class TestEInfty:
         ])
 
     def test_tcminus_p2_mu_and_t_parts(self):
-        page = tcminus_einfty(2)
+        page = tcminus_einfty(2, default_table_window(2)[:2])
         cat = page.pres.catalog
         names = {cat.mono_str(m) for _b, m, _v in page.class_reps(False)}
         # t^4 itself sits at degree -8, outside the default window; its
@@ -299,28 +298,7 @@ class TestBases:
                   (0, 1, "a", 1, 3, 0, 0), (0, 1, "a", 1, 2, 1, 0),
                   (0, 1, "a", 1, 2, 0, 1), (0, 1, "a", 1, 2, 0, 0)]
         classes = [BasisClass(*f) for f in fields]
-        assert sorted(classes) == [BasisClass(*f) for f in sorted(fields)]
-        again = BasisClass(*fields[0])
-        assert again is not classes[0] and again == classes[0]
-        assert hash(again) == hash(classes[0])
-
-    def test_record_reprs(self):
-        assert (repr(BasisClass(3, 1, "lambda1", 0, 0, 1, 0))
-                == "BasisClass(degree=3, weight=1, name='lambda1', t_exp=0, "
-                   "mu_exp=0, eps1=1, eps2=0)")
-        assert (repr(TableEntry("1", 0, 0, "kernel"))
-                == "TableEntry(name='1', degree=0, weight=0, origin='kernel')")
-        assert (repr(GeneratorTable(2, "one", [TableEntry("1", 0, 0, "kernel")]))
-                == "GeneratorTable(p=2, frobenius_unit='one', entries=["
-                   "TableEntry(name='1', degree=0, weight=0, origin='kernel')"
-                   "], notes=[])")
-
-    def test_records_of_different_types_are_unequal(self):
-        entry = TableEntry("1", 0, 0, "kernel")
-        assert entry == TableEntry("1", 0, 0, "kernel")
-        assert entry != ("1", 0, 0, "kernel")
-        assert entry != BasisClass(0, 0, "1", 0, 0, 0, 0)
-        assert BasisClass(0, 0, "1", 0, 0, 0, 0) != (0, 0, "1", 0, 0, 0, 0)
+        assert [c._fields() for c in sorted(classes)] == sorted(fields)
 
     def test_degree_formula(self):
         # |t^d·x| = |x| - 2d: t^2·lambda1 at p=3 has degree 5 - 4 = 1
@@ -386,7 +364,9 @@ def reference_fiber_parts(p, source, target, phi, can):
             cols.append(v)
         kers = kernel_basis(p, cols)
         kernel += [src[max(ker)] for ker in kers]
-        span = Span(p, cols)
+        span = Span(p)
+        for col in cols:
+            span.insert(col)
         cokernel += [c for i, c in enumerate(tgt) if i not in span.rows]
         dims[degree] = (len(kers), len(tgt) - span.dim)
     return kernel, cokernel, dims
@@ -460,8 +440,11 @@ class TestComparisonMaps:
 
     def test_alt_convention_differs_only_in_units(self):
         source, target, can, one = comparison_maps(3, convention="one")
-        *same, alt = comparison_maps(3, convention="alt")
-        assert same == [source, target, can]
+        source2, target2, can2, alt = comparison_maps(3, convention="alt")
+        for got, want in ((source2, source), (target2, target)):
+            assert ([c._fields() for c in got]
+                    == [c._fields() for c in want])
+        assert can2 == can
         assert set(one) == set(alt)
         diffs = 0
         for c in source:
@@ -537,12 +520,12 @@ class TestSyntomicTable:
         base = syntomic_table(3)
         d0, d1, w0, w1 = default_table_window(3)
         wide = syntomic_table(3, (d0 - 6, d1 + 10, w0, w1 + 4))
-        assert base.entries == wide.entries
+        assert base.to_csv() == wide.to_csv()
 
     def test_convention_independence(self):
         one = syntomic_table(3, convention="one")
         alt = syntomic_table(3, convention="alt")
-        assert one.entries == alt.entries
+        assert one.to_csv() == alt.to_csv()
         assert one.frobenius_unit != alt.frobenius_unit
 
     def test_cutting_window_is_an_error(self):
@@ -605,7 +588,7 @@ class TestPipelineChecks:
             return SSPage(page.pres, page.window, page.r, data, page.flags)
 
         self.stable_page(monkeypatch, drop)
-        self.fails(lambda: tcminus_einfty(2),
+        self.fails(lambda: tcminus_einfty(2, default_table_window(2)[:2]),
                    "tcminus E-infinity mismatch at bidegree (-1, 4): "
                    "computed [], closed form ['t^4*lambda2']")
 
@@ -613,7 +596,7 @@ class TestPipelineChecks:
         # the class 1 at (0, 0), inside the table's degrees, is flagged
         self.stable_page(monkeypatch, lambda page: SSPage(
             page.pres, page.window, page.r, page.data, page.flags | {(0, 0)}))
-        self.fails(lambda: tcminus_einfty(2),
+        self.fails(lambda: tcminus_einfty(2, default_table_window(2)[:2]),
                    "tcminus run window leaves bidegree (0, 0) "
                    "boundary-uncertain inside the requested degree range")
 
@@ -649,7 +632,7 @@ class TestTableSerialization:
         table = syntomic_table(3)
         doc = table.to_json_dict()
         back = GeneratorTable.from_json_dict(doc)
-        assert back.entries == table.entries
+        assert back.to_csv() == table.to_csv()
         assert back.p == 3 and back.frobenius_unit == "one"
         assert back.to_json_dict() == doc
 
@@ -697,27 +680,6 @@ class TestHodgeTate:
         report = hodge_tate_check(p)
         assert report.ok and report.leading_unit == 1
         assert report.leading_term == f"v2*t^{p * p}"
-        assert report.degree_window == (-2 * p * p, 2 * p * p)
-
-    def test_dimensions_cover_window(self):
-        report = hodge_tate_check(2)
-        assert report.dimensions[0] >= 1
-        assert min(report.dimensions) >= -8
-        assert max(report.dimensions) <= 8
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    def test_dimensions_match_a_count(self, p):
-        # Λ(λ₁, λ₂) sits in degrees 0, 2p-1, 2p²-1 and 2p²+2p-2; each side
-        # adds every multiple of 2p², counted over [-2p², 2p²]
-        P = 2 * p * p
-        want = {}
-        for c in (0, 2 * p - 1, P - 1, P + 2 * p - 2):
-            for d in range(c - 2 * P, c + 2 * P + 1, P):
-                if -P <= d <= P:
-                    want[d] = want.get(d, 0) + 1
-        report = hodge_tate_check(p)
-        assert report.ok and report.degree_window == (-P, P)
-        assert report.dimensions == want
 
     @pytest.mark.parametrize("kill, extra", [(["v2"], None), ([], {"t": 9})])
     def test_p_series_leading_term_is_checked(self, monkeypatch, kill, extra):
@@ -737,25 +699,17 @@ class TestHodgeTate:
                                  r"with a unit times v2\*t\^\(p\^2\)$"):
             hodge_tate_check(3)
 
-    def test_mu_off_the_t_lattice_is_caught(self, monkeypatch):
-        # |μ| = 2p² + 2 is not -p²·|t|, so the two sides disagree
-        monkeypatch.setattr(
-            summand, "tcminus_presentation",
-            with_degree(tcminus_presentation, "mu", 2 * 9 + 2))
-        with pytest.raises(VerificationError, match="graded dimensions"):
-            hodge_tate_check(3)
-
 
 class TestCollapseCheckers:
     @pytest.mark.parametrize("p", [3, 5])
     def test_motivic_collapse(self, p):
-        report = motivic_collapse_check(p)
+        report = motivic_collapse_check(p, table=syntomic_table(p))
         assert report.collapses and report.witnesses == []
         assert report.r_range[0] == 2
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_v2_bockstein_collapse(self, p):
-        report = v2_bockstein_check(p)
+        report = v2_bockstein_check(p, table=syntomic_table(p))
         assert report.collapses and report.witnesses == []
         assert report.rule.deg_per_r == 2 * p * p - 2
         assert report.rule.weight_per_r == p * p - 1
