@@ -37,14 +37,12 @@ class TestAxioms:
             _certificate(p)
 
     def test_degree_mismatch_raises(self, monkeypatch):
-        # μ at 2p² + 2 = 20 is off the t^{p²}-lattice; at -2p² = -18 it is
-        # on it, but of the wrong sign
+        # μ at -2p² = -18 is on the t^{p²}-lattice, but of the wrong sign
         for make, name, degree, message in (
                 ("tp_presentation", "lambda1", 4, "lambda1 vs sigma2t1"),
                 ("tcminus_presentation", "lambda2", 4,
                  "lambda2 vs sigma2t1^p"),
                 ("tcminus_presentation", "mu", 4, "mu vs sigma2v2"),
-                ("tcminus_presentation", "mu", 20, "mu vs sigma2v2"),
                 ("tcminus_presentation", "mu", -18, "mu vs sigma2v2")):
             _certificate.cache_clear()
             with monkeypatch.context() as m:
@@ -698,6 +696,20 @@ class TestHodgeTate:
                            match=r"^p-series mod \(p, v1\) does not start "
                                  r"with a unit times v2\*t\^\(p\^2\)$"):
             hodge_tate_check(3)
+
+    def test_mu_off_the_t_lattice_is_caught(self, monkeypatch):
+        # |μ| = 2p² + 2 is not -p²·|t|; the certificate refuses it
+        _certificate.cache_clear()
+        monkeypatch.setattr(
+            summand, "tcminus_presentation",
+            with_degree(summand.tcminus_presentation, "mu", 2 * 9 + 2))
+        try:
+            with pytest.raises(VerificationError,
+                               match=r"^axiom degree mismatch "
+                                     r"\(mu vs sigma2v2\): "):
+                _certificate(3)
+        finally:
+            _certificate.cache_clear()
 
 
 class TestCollapseCheckers:
