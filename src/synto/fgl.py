@@ -29,16 +29,26 @@ out.  The series is then built over Z[1/p][the other v_n], p-integrality is
 asserted on it, and the reduction mod p, the one step that needs it, comes
 last.  So mod (p, v1) the arithmetic never carries a v1 term.
 
+Every series is homogeneous: with |t| = -2 and |v_n| = |t_n| = 2(p^n - 1)
+(``Catalog.degree``), each term of log t, [p](t) and eta_R(t) has total
+degree -2.  Every v_n has degree divisible by 2(p - 1), and e_k, the k-th
+exp coefficient, has degree 2(k - 1); so e_k = 0 unless k = 1 (mod p - 1).
+``exp_coefficients`` solves only those k, ``compose`` steps over that
+support, and ``_mod_p_last`` asserts the degree on every finished series as
+a hard error.
+
 Every series is truncated at an int bound on its catalog's orientation
 degree (``Catalog.orientation_degree``), the total exponent over the
 degree -2 generators, and the arithmetic does only the work the truncation
 keeps.  A product never forms a pair of terms whose degrees sum to the
-bound or more (``Poly.__mul__``).  In ``compose`` the inner series has no
-constant term, so each of the k multiplications still ahead of Horner's
-accumulator at e_k raises its degree by at least inner's least degree
+bound or more (``Poly.__mul__``).  In ``compose`` the coefficients e_k are
+supported on k = a + jg, and Horner runs over w = inner^g before one last
+product with inner^a.  The inner series has no constant term, so each of
+the k factors of inner still ahead of the accumulator at e_k (j of them in
+w^j, a in inner^a) raises its degree by at least inner's least degree
 `low`: a term at or above bound - k*low can only feed terms the final
-truncation drops, and the accumulator is cut there.  Both skip only terms the truncation would
-discard, so every series is exact.
+truncation drops, and the accumulator is cut there.  Both skip only terms
+the truncation would discard, so every series is exact.
 
 >>> from synto.cli import format_series
 >>> print(format_series(p_series(2, 3), 3))
@@ -47,6 +57,7 @@ discard, so every series is exact.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from synto.graded import (
@@ -104,9 +115,12 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog,
     coefficients are ``log_coefficients(..., ideal)``.
 
     Solved by forcing exp(log t) = t one t-degree at a time; e_k is minus
-    the degree-k defect of the partial composition.  Exactness of the
-    arithmetic makes this the whole verification story: the round-trip
-    identities are separate tests, not part of the solve.
+    the degree-k defect of the partial composition.  By homogeneity (see
+    the module docstring) only k = 1 + j(p - 1) can carry one, so only
+    those k are solved: L^k steps by one product with L^{p-1}, and every
+    other e_k is zero.  Exactness of the arithmetic makes this the whole
+    verification story: the round-trip identities are separate tests, not
+    part of the solve.
 
     L^k and the partial composition are normalized at every step: each
     product adds dens, so den(L^k) would grow as k times den(L), while the
@@ -117,43 +131,53 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog,
     t = Poly.gen(cat, ring, "t", trunc)
     L = log_of(t, p, ls, trunc)
     t_idx = cat.index["t"]
-    es = [Poly.zero(cat, ring), Poly.unit(cat, ring)]
+    zero = Poly.zero(cat, ring)
+    es = [zero, Poly.unit(cat, ring)] + [zero] * (trunc - 2)
     comp = L
     lpow = L
-    for k in range(2, trunc):
-        lpow = (lpow * L).normalized()
+    stride = (L ** (p - 1)).normalized()
+    for k in range(p, trunc, p - 1):
+        lpow = (lpow * stride).normalized()
         defect = {m[:t_idx] + (0,) + m[t_idx + 1:]: -c
                   for m, c in comp.terms.items() if m[t_idx] == k}
         ek = Poly(cat, ring, defect, None, comp.den).normalized()
-        es.append(ek)
+        es[k] = ek
         if ek.terms:
             comp = (comp + ek * lpow).normalized()
     return es
 
 
 def compose(coeffs: Sequence[Poly], inner: Poly) -> Poly:
-    """sum_k coeffs[k] * inner^k by Horner, under inner's truncation.
+    """sum_k coeffs[k] * inner^k by Horner over the support of coeffs,
+    under inner's truncation.
 
-    Horner's accumulator after coeffs[k] is multiplied by inner k more
-    times, and each factor raises the orientation degree by at least `low`,
-    the least degree of inner's terms (clamped at 0).  So only its terms
-    below bound - k*low can reach the result, and the step for coeffs[k]
-    keeps just those.  The window grows back to the full bound at k = 0;
-    an inner with a constant or Laurent term has low = 0 and tightens
-    nothing.
+    With a the least k of a nonzero coefficient and g the gcd of the
+    differences of such k, the sum is inner^a * sum_j coeffs[a+jg] * w^j
+    with w = inner^g; with g = 1 this is Horner over inner itself.  The
+    step for coeffs[k] cuts its accumulator at bound - k*low, by the window
+    rule of the module docstring; an inner with a constant or Laurent term
+    has low = 0 and tightens nothing.
 
-    Each step is normalized, since every multiplication by inner adds its
-    den; so the result comes back normalized.
+    inner and every step are normalized, since every multiplication adds
+    the factor's den; so the result comes back normalized.
     """
+    inner = inner.normalized()
     cat, ring, trunc = inner.catalog, inner.ring, inner.trunc
+    support = [k for k, c in enumerate(coeffs) if c.terms]
+    if not support:
+        return Poly.zero(cat, ring, trunc)
+    a = support[0]
+    g = math.gcd(*(k - a for k in support)) or 1
     low = 0 if trunc is None else max(
         0, min(map(cat.orientation_degree, inner.terms), default=0))
+    w = (inner ** g).normalized()
     acc = Poly.zero(cat, ring, trunc)
-    for k in reversed(range(len(coeffs))):
+    for k in range(support[-1], a - 1, -g):
         step = None if trunc is None else trunc - k * low
-        acc = (Poly(cat, ring, acc.terms, step, acc.den) * inner
+        acc = (Poly(cat, ring, acc.terms, step, acc.den) * w
                + coeffs[k].with_trunc(step)).normalized()
-    return acc
+    return (Poly(cat, ring, acc.terms, trunc, acc.den)
+            * (inner ** a).normalized()).normalized()
 
 
 def _generators(ideal: Sequence[str]) -> list[str]:
@@ -163,8 +187,13 @@ def _generators(ideal: Sequence[str]) -> list[str]:
 
 def _mod_p_last(series: Poly, p: int, ideal: Iterable[str]) -> Poly:
     """The last step of every exported series, whose named generators are
-    already killed: assert it p-integral, then reduce mod p if the ideal
-    names p."""
+    already killed: assert it homogeneous of degree -2 and p-integral, then
+    reduce mod p if the ideal names p."""
+    cat = series.catalog
+    for m in series.terms:
+        if (d := cat.degree(m)) != -2:
+            raise VerificationError(
+                f"series term {cat.mono_str(m)} has degree {d}, not -2")
     series.assert_p_integral(p)
     return series.reduce_mod_p(p) if "p" in ideal else series
 

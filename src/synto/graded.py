@@ -119,6 +119,7 @@ class Catalog:
         self.orient = tuple(i for i, s in enumerate(self.symbols)
                             if s.degree == -2)
         self.one: Mono = (0,) * self.n
+        self.degrees = tuple(s.degree for s in self.symbols)
 
     def mono(self, exps: dict[str, int]) -> Mono:
         out = [0] * self.n
@@ -135,7 +136,7 @@ class Catalog:
         return sum([m[i] for i in self.orient])
 
     def degree(self, m: Mono) -> int:
-        return sum(e * s.degree for e, s in zip(m, self.symbols) if e)
+        return sum(map(operator.mul, m, self.degrees))
 
     def weight(self, m: Mono) -> int:
         return sum(e * s.weight for e, s in zip(m, self.symbols) if e)
@@ -193,6 +194,21 @@ def _common_ring(a: "Poly", b: "Poly") -> CoeffRing:
         raise ValueError(f"cannot combine polynomials over {a.ring} and "
                          f"{b.ring}")
     return a.ring
+
+
+def _p_power_log(q: int, p: int) -> int:
+    """The k with q = p^k, for q a power of p: q is divided by p^(2^i)
+    for each i from the largest that fits down, which reads off k's binary
+    digits, so a large k costs about log2(k) big-int divisions, not k."""
+    squares = [p]
+    while squares[-1] <= q // squares[-1]:
+        squares.append(squares[-1] * squares[-1])
+    k = 0
+    for i in reversed(range(len(squares))):
+        if q >= squares[i]:
+            q //= squares[i]
+            k += 1 << i
+    return k
 
 
 class Poly:
@@ -290,17 +306,12 @@ class Poly:
         if not self.den:
             return self
         p = self.ring.p
-        g = math.gcd(p ** self.den, *self.terms.values())
-        if g == 1:
+        q = math.gcd(p ** self.den, *self.terms.values())
+        if q == 1:
             return self
-        k = 0
-        while g > 1:
-            g //= p
-            k += 1
-        q = p ** k
         return Poly(self.catalog, self.ring,
                     {m: c // q for m, c in self.terms.items()}, self.trunc,
-                    self.den - k)
+                    self.den - _p_power_log(q, p))
 
     def __add__(self, other: "Poly") -> "Poly":
         """Sum under the tighter of the two truncations (see `_tighter`),

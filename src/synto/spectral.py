@@ -29,6 +29,7 @@ other Bockstein-style conventions (e.g. a v2-Bockstein with v2 in bidegree
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -746,22 +747,41 @@ def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,
     With a ``period``, every entry stands for the family of degrees
     degree + k*period, k >= 0 (a v2-tower), so a pair can connect when the
     degrees agree mod period; without one they must be equal.  Witnesses
-    are sorted by r."""
+    are sorted by r, then by source and target position in ``entries``.
+
+    The targets are grouped by weight, then by degree (mod period), and the
+    weights by residue mod weight_per_r, in order.  A source finds the
+    weights src.weight + r*weight_per_r, r in [r_min, r_max], by bisection,
+    and looks up at each only the degree a d_r would reach; so it costs one
+    dict lookup per weight in reach, not a pass over every entry."""
     if rule.weight_per_r <= 0:
         raise ValueError("need weight_per_r > 0: the weights decide r")
     if not entries:
         return CollapseReport(True, rule, (r_min, r_min - 1), [], ["empty chart"])
     span = (max(e.weight for e in entries) - min(e.weight for e in entries))
-    r_max = span // rule.weight_per_r
+    step = rule.weight_per_r
+    r_max = span // step
     notes = [f"r_max = {r_max} from weight span {span}"]
-    witnesses = []
-    for src in entries:
-        for tgt in entries:
-            r, rem = divmod(tgt.weight - src.weight, rule.weight_per_r)
-            if rem or not r_min <= r <= r_max:
-                continue
-            c = src.degree + rule.shift(r)[0] - tgt.degree
-            if (c % period if period else c) == 0:
-                witnesses.append((r, src.name, tgt.name))
-    witnesses.sort(key=lambda wit: wit[0])
+
+    def key(degree: int) -> int:
+        return degree % period if period else degree
+
+    targets: dict[int, dict[int, list[int]]] = {}
+    for j, tgt in enumerate(entries):
+        targets.setdefault(tgt.weight, {}).setdefault(
+            key(tgt.degree), []).append(j)
+    ladders: dict[int, list[int]] = {}
+    for weight in sorted(targets):
+        ladders.setdefault(weight % step, []).append(weight)
+    found = []
+    for i, src in enumerate(entries):
+        ladder = ladders.get(src.weight % step, [])
+        for weight in ladder[bisect_left(ladder, src.weight + r_min * step):
+                             bisect_right(ladder, src.weight + r_max * step)]:
+            r = (weight - src.weight) // step
+            for j in targets[weight].get(key(src.degree + rule.shift(r)[0]),
+                                         ()):
+                found.append((r, i, j))
+    found.sort()
+    witnesses = [(r, entries[i].name, entries[j].name) for r, i, j in found]
     return CollapseReport(not witnesses, rule, (r_min, r_max), witnesses, notes)

@@ -518,8 +518,15 @@ class GeneratorTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorTable":
         p = data["prime"]
+        if type(p) is not int:  # 2.0 would pass every check below
+            raise VerificationError(f"prime {p!r} is not an int")
         if (why := _prime_error(p)) is not None:
             raise VerificationError(why)
+        unit = data["convention"]["frobenius_unit"]
+        if unit not in FROBENIUS_CONVENTIONS:
+            raise VerificationError(
+                f"frobenius_unit {unit!r} is not one of "
+                f"{', '.join(FROBENIUS_CONVENTIONS)}")
         if data.get("module") != "free_over_v2":
             raise VerificationError("unknown module statement in table JSON")
         if list(data.get("v2_bidegree", [])) != list(_v2_bidegree(p)):
@@ -534,8 +541,7 @@ class GeneratorTable:
                         f"{g[field]!r} is not {what}")
             entries.append(TableEntry(g["name"], g["degree"], g["weight"],
                                       g["origin"]))
-        return cls(p, data["convention"]["frobenius_unit"], entries,
-                   list(data.get("notes", [])))
+        return cls(p, unit, entries, list(data.get("notes", [])))
 
     def to_csv(self) -> str:
         lines = ["name,degree,weight,origin"]

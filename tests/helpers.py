@@ -646,6 +646,25 @@ def reference_turn_page(page, spec):
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 
+def reference_collapse_witnesses(entries, rule, r_min, period):
+    """`collapse_check`'s witnesses the long way: every (source, target)
+    pair in entry order, r solved from the weights, then a stable sort by
+    r."""
+    span = max(e.weight for e in entries) - min(e.weight for e in entries)
+    r_max = span // rule.weight_per_r
+    witnesses = []
+    for src in entries:
+        for tgt in entries:
+            r, rem = divmod(tgt.weight - src.weight, rule.weight_per_r)
+            if rem or not r_min <= r <= r_max:
+                continue
+            c = src.degree + rule.shift(r)[0] - tgt.degree
+            if (c % period if period else c) == 0:
+                witnesses.append((r, src.name, tgt.name))
+    witnesses.sort(key=lambda wit: wit[0])
+    return witnesses
+
+
 def reference_flag_boundary(page, spec):
     """`flag_boundary` the long way: a populated bidegree is a seed when
     b + s or b - s lies past a binding edge for some spec shift s, tested

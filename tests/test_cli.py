@@ -815,6 +815,29 @@ class TestChartCommand:
             assert (code, out) == (1, "")
             assert err == f"error: bad table JSON: {prime} is not prime\n"
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("prime", 2.0, "prime 2.0 is not an int"),
+        ("prime", True, "prime True is not an int"),
+        ("frobenius_unit", "x", "frobenius_unit 'x' is not one of one, alt"),
+        ("frobenius_unit", None,
+         "frobenius_unit None is not one of one, alt"),
+    ])
+    def test_prime_or_unit_of_the_wrong_type(self, tmp_path, key, value,
+                                             why):
+        doc = json.loads(run_cli(["syntomic", "--prime", "2", "--format",
+                                  "json"])[1])
+        if key == "prime":
+            doc["prime"] = value
+        else:
+            doc["convention"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for fmt in ("svg", "ascii"):
+            code, out, err = run_cli(["chart", "--in", str(bad),
+                                      "--format", fmt])
+            assert (code, out) == (1, "")
+            assert err == f"error: bad table JSON: {why}\n"
+
     def test_wrong_schema_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"prime": 2, "module": "free_over_v1",

@@ -48,7 +48,8 @@ class TestLogCoefficients:
 
 
 class TestExpLog:
-    @pytest.mark.parametrize("p,trunc", [(2, 10), (3, 10), (5, 8)])
+    @pytest.mark.parametrize("p,trunc", [(2, 10), (3, 10), (5, 8), (5, 20),
+                                         (7, 26)])
     def test_exp_log_roundtrip(self, p, trunc):
         cat = pipeline_catalog(p, trunc)
         ls = log_coefficients(p, required_depth(p, trunc), cat)
@@ -60,6 +61,22 @@ class TestExpLog:
         # log(exp t) = t
         E = compose(es, t)
         assert log_of(E, p, ls, trunc) == t
+
+    @pytest.mark.parametrize("ideal", [(), ("v1",), ("p",), ("v2",),
+                                       ("p", "v1")])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_exp_is_supported_on_one_mod_p_minus_1(self, p, ideal):
+        # homogeneity: e_k has degree 2(k - 1), and every v_n has degree
+        # divisible by 2(p - 1)
+        trunc = 2 * p * p  # killing v1 leaves e_1, e_{p^2}, e_{2p^2-1}
+        cat = pipeline_catalog(p, trunc)
+        es = exp_coefficients(p, trunc, cat, ideal)
+        assert len(es) == trunc
+        support = [k for k, ek in enumerate(es) if not ek.is_zero()]
+        assert support[0] == 1 and len(support) > 2
+        assert all(k % (p - 1) == 1 for k in support)
+        assert all(cat.degree(m) == 2 * (k - 1)
+                   for k in support for m in es[k].terms)
 
 
 # orientation variables x, y, coefficients v1, v2, and an even generator mu
@@ -89,10 +106,26 @@ def random_series(rng, lowest, size):
                 None, 2).normalized()
 
 
+def assert_compose_is_naive(coeffs, inner, trunc):
+    """compose(coeffs, inner cut at trunc) equals the naive
+    sum_k coeffs[k] * inner^k, computed without truncation and truncated
+    once at the end over both orientations x and y."""
+    naive, power = Poly.zero(CAT_XY, ZP3), Poly.unit(CAT_XY, ZP3)
+    for ek in coeffs:
+        naive = naive + ek * power
+        power = power * inner
+    got = compose(coeffs, inner.with_trunc(trunc))
+    x, y = CAT_XY.index["x"], CAT_XY.index["y"]
+    assert values(got) == {m: c for m, c in values(naive).items()
+                           if trunc is None or m[x] + m[y] < trunc}
+    assert got.trunc == trunc
+    assert got.den == got.normalized().den  # compose normalizes
+
+
 class TestComposeOracle:
-    """compose shrinks Horner's window by the least degree of inner; it must
-    equal the naive sum_k e_k * inner^k computed without truncation and
-    truncated once at the end, over both orientations x and y."""
+    """compose shrinks Horner's window by the least degree of inner and
+    steps over the support of its coefficients; it must equal the naive
+    sum for any coefficient list."""
 
     @pytest.mark.parametrize("lowest", [0, 1, 2])
     @pytest.mark.parametrize("seed", range(8))
@@ -104,16 +137,27 @@ class TestComposeOracle:
             inner = inner + Poly.from_terms(CAT_XY, ZP3, [(CAT_XY.one, 2)])
         coeffs = [random_series(rng, 0, rng.randint(0, 3))
                   for _ in range(rng.randint(1, 7 if trunc else 4))]
-        naive, power = Poly.zero(CAT_XY, ZP3), Poly.unit(CAT_XY, ZP3)
-        for ek in coeffs:
-            naive = naive + ek * power
-            power = power * inner
-        got = compose(coeffs, inner.with_trunc(trunc))
-        x, y = CAT_XY.index["x"], CAT_XY.index["y"]
-        assert values(got) == {m: c for m, c in values(naive).items()
-                               if trunc is None or m[x] + m[y] < trunc}
-        assert got.trunc == trunc
-        assert got.den == got.normalized().den  # compose normalizes
+        assert_compose_is_naive(coeffs, inner, trunc)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strided_support_matches_naive_sum(self, seed, g, a):
+        # coefficients supported on k = a (mod g), k >= a, with e_a nonzero
+        rng = random.Random(100 * g + 10 * a + seed)
+        trunc = None if seed == 0 else rng.randint(2, 9)
+        inner = random_series(rng, 1 + seed % 2, rng.randint(1, 3))
+        coeffs = [random_series(rng, 0, rng.randint(1, 3))
+                  if k >= a and (k - a) % g == 0 else Poly.zero(CAT_XY, ZP3)
+                  for k in range(a + g * rng.randint(1, 3 if trunc else 2)
+                                 + 1)]
+        assert coeffs[a].terms
+        assert_compose_is_naive(coeffs, inner, trunc)
+
+    def test_all_zero_coefficients(self):
+        inner = Poly.gen(CAT_XY, ZP3, "x", 4)
+        got = compose([Poly.zero(CAT_XY, ZP3)] * 3, inner)
+        assert got.is_zero() and got.trunc == 4
 
 
 class TestFormalSum:
@@ -204,6 +248,25 @@ class TestPSeries:
 
     def test_exact_integrality(self):
         p_series(3, 12).assert_p_integral(3)
+
+    @pytest.mark.parametrize("series", [p_series, right_unit_t],
+                             ids=["p-series", "right-unit"])
+    def test_a_term_of_another_degree_is_a_hard_error(self, series,
+                                                      monkeypatch):
+        # the formal sum's series with a stray v1*t^2, of degree 2p - 6
+        real = fgl.formal_sum_of
+
+        def stray(*args):
+            s = real(*args)
+            cat = s.catalog
+            return s + Poly.from_terms(
+                cat, s.ring, [(cat.mono({"v1": 1, "t": 2}), 1)], s.trunc)
+
+        monkeypatch.setattr(fgl, "formal_sum_of", stray)
+        with pytest.raises(VerificationError,
+                           match="^series term t\\^2\\*v1 has degree 0, "
+                                 "not -2$"):
+            series(3, 4)
 
 
 class TestRightUnit:

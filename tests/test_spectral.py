@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (check_square_zero, dense_matrix, dense_page_dims,
                      dense_rank, dense_two_page_dims, enumerate_basis,
                      random_square_zero_case, random_two_page_case,
-                     load_grid, mono_mul, reference_flag_boundary,
-                     reference_turn_page, run_cli, unchecked_spec,
-                     window_contains)
+                     load_grid, mono_mul, reference_collapse_witnesses,
+                     reference_flag_boundary, reference_turn_page, run_cli,
+                     unchecked_spec, window_contains)
 from synto import spectral
 from synto.cli import parse_presentation
 from synto.graded import Catalog, GeneratorSymbol, VerificationError
@@ -1479,6 +1479,25 @@ class TestCollapseCheck:
                    ChartEntry("a", 0, 0)]
         report = collapse_check(entries, ADAMS_RULE, r_min=1)
         assert report.witnesses == [(1, "b", "c"), (2, "a", "b")]
+
+    @pytest.mark.parametrize("period", [None, 3, 7])
+    @pytest.mark.parametrize("r_min", [-1, 1, 2])
+    def test_random_charts_match_the_all_pairs_reference(self, r_min,
+                                                          period):
+        # small ranges, so that pairs match often and bidegrees repeat
+        witnessed = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            rule = BidegreeRule(rng.randint(-2, 2), rng.randint(1, 3))
+            entries = [ChartEntry(f"e{i}", rng.randint(-6, 6),
+                                  rng.randint(-4, 6))
+                       for i in range(rng.randint(1, 14))]
+            report = collapse_check(entries, rule, r_min, period)
+            want = reference_collapse_witnesses(entries, rule, r_min, period)
+            assert report.witnesses == want
+            assert report.collapses is not want
+            witnessed += bool(want)
+        assert witnessed >= 20
 
     def test_r_max_from_weight_span(self):
         entries = [ChartEntry("a", 0, 0), ChartEntry("b", 5, 3)]
