@@ -190,8 +190,9 @@ def parse_presentation(text: str):
     ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  The
     degree decides a generator's parity, so the parity token must agree
     with it, and ``maxexp <n>`` is the relation ``<name>^(n+1)``.  A
-    ``prime`` or ``window`` line may appear only once.  Returns None for a
-    file with no ``gen``, ``rel`` or ``diff`` line.
+    ``prime`` or ``window`` line may appear only once, and so may each
+    option of a ``gen`` line.  Returns None for a file with no ``gen``,
+    ``rel`` or ``diff`` line.
     """
     prime = None
     gens: list[tuple[int, GeneratorSymbol]] = []
@@ -239,8 +240,12 @@ def parse_presentation(text: str):
                     f"line {ln}: parity {toks[7]} disagrees with deg {deg}")
             invertible = False
             max_exp = None
-            rest = toks[8:]
+            rest, seen = toks[8:], set()
             while rest:
+                if rest[0] in seen:
+                    raise PresentationParseError(
+                        f"line {ln}: repeated gen option {rest[0]!r}")
+                seen.add(rest[0])
                 if rest[0] == "invertible":
                     invertible = True
                     rest = rest[1:]
@@ -366,14 +371,11 @@ def _split_combination(text: str) -> list[tuple[str, int]]:
 
 def cmd_syntomic(args) -> int:
     p = _require_prime(args.prime)
-    window = tuple(args.window) if args.window else None
-    if window is not None and (window[0] > window[1] or window[2] > window[3]):
-        raise CLIUsageError("window bounds must satisfy min <= max")
-    table = syntomic_table(p, window, args.frobenius_unit)
+    table = syntomic_table(p, args.frobenius_unit)
     hodge_tate_check(p)
     if args.verbose:
         print(f"# {len(table.entries)} generators, window "
-              f"{window or default_table_window(p)}", file=sys.stderr)
+              f"{default_table_window(p)}", file=sys.stderr)
     if args.format == "table":
         _emit(format_table(table, color=_use_color() and not args.out),
               args.out)
@@ -433,8 +435,7 @@ def cmd_ss(args) -> int:
         structure = args.preset
         spec = derive_differentials(prime, structure)
         pres = spec.pres
-        window = run_window(prime, structure,
-                            *default_table_window(prime)[:2])
+        window = run_window(prime, structure, *default_table_window(prime))
     page = build_page(pres, window)
     print(f"prime {prime}, E1: {page.total_dim()} classes, window "
           f"deg [{window.deg_min}, {window.deg_max}] "
@@ -492,8 +493,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--prime", type=int, required=True)
     ps.add_argument("--format", choices=("table", "json", "csv", "svg"),
                     default="table")
-    ps.add_argument("--window", type=int, nargs=4,
-                    metavar=("DEGMIN", "DEGMAX", "WMIN", "WMAX"))
     ps.add_argument("--frobenius-unit", choices=FROBENIUS_CONVENTIONS,
                     default=FROBENIUS_CONVENTIONS[0])
     ps.add_argument("--out", help="write output to a file")

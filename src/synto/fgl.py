@@ -109,10 +109,9 @@ def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: int) -> Poly:
     return out
 
 
-def exp_coefficients(p: int, trunc: int, cat: Catalog,
-                     ideal: Iterable[str] = ()) -> list[Poly]:
-    """Coefficients e_k of exp(u) = sum e_k u^k, inverse to the log whose
-    coefficients are ``log_coefficients(..., ideal)``.
+def exp_coefficients(p: int, L: Poly) -> list[Poly]:
+    """Coefficients e_k of exp(u) = sum e_k u^k, inverse to L = log t, as
+    ``log_t`` builds it, through L's truncation.
 
     Solved by forcing exp(log t) = t one t-degree at a time; e_k is minus
     the degree-k defect of the partial composition.  By homogeneity (see
@@ -126,10 +125,7 @@ def exp_coefficients(p: int, trunc: int, cat: Catalog,
     product adds dens, so den(L^k) would grow as k times den(L), while the
     true denominators stay bounded by the truncation.
     """
-    ring = CoeffRing(0, p)
-    ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
-    t = Poly.gen(cat, ring, "t", trunc)
-    L = log_of(t, p, ls, trunc)
+    cat, ring, trunc = L.catalog, L.ring, L.trunc
     t_idx = cat.index["t"]
     zero = Poly.zero(cat, ring)
     es = [zero, Poly.unit(cat, ring)] + [zero] * (trunc - 2)
@@ -207,24 +203,33 @@ def reduce_ideal(poly: Poly, p: int, ideal: Iterable[str]) -> Poly:
     return out.reduce_mod_p(p) if "p" in ideal else out
 
 
+def log_t(p: int, trunc: int, cat: Catalog,
+          ideal: Iterable[str] = ()) -> tuple[list[Poly], Poly]:
+    """The log coefficients with every generator that the ideal names
+    killed, and log t through t^{trunc-1} by them: what ``exp_coefficients``
+    inverts."""
+    ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
+    return ls, log_of(Poly.gen(cat, CoeffRing(0, p), "t", trunc), p, ls, trunc)
+
+
 def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
                   cat: Catalog, ideal: Iterable[str] = ()) -> Poly:
     """exp(sum log(s_i)): the iterated formal sum s_1 +_G s_2 +_G ..., with
     every generator that the ideal names killed before the arithmetic.  The
     prime is not reduced here (see ``_mod_p_last``)."""
     ideal = tuple(ideal)
-    ls = log_coefficients(p, required_depth(p, trunc), cat, ideal)
+    ls, L = log_t(p, trunc, cat, ideal)
     names = _generators(ideal)
-    total = Poly.zero(cat, CoeffRing(0, p), trunc)
+    total = Poly.zero(cat, L.ring, trunc)
     for s in summands:
         total = total + log_of(s.kill_generators(names).with_trunc(trunc),
                                p, ls, trunc)
-    return compose(exp_coefficients(p, trunc, cat, ideal), total)
+    return compose(exp_coefficients(p, L), total)
 
 
 def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
     """[p](t) = t +_G ... +_G t (p summands), reduced mod ideal, exact
-    through t^{trunc-1}."""
+    through t^{trunc-1}.  Built as exp(p * log t), from one log t."""
     ideal = tuple(ideal)
     if "p" in ideal and "v1" in ideal and trunc < p ** 2 + 1:
         raise ValueError(
@@ -235,10 +240,9 @@ def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
             f"window too small: need trunc >= {p + 1} to exhibit the "
             f"v1*t^{p} leading term mod (p)")
     cat = pipeline_catalog(p, trunc)
-    return _mod_p_last(
-        formal_sum_of(p, trunc, [Poly.gen(cat, CoeffRing(0, p), "t")] * p,
-                      cat, ideal),
-        p, ideal)
+    _ls, L = log_t(p, trunc, cat, ideal)
+    p_log = Poly.from_terms(cat, L.ring, [(cat.one, p)]) * L
+    return _mod_p_last(compose(exp_coefficients(p, L), p_log), p, ideal)
 
 
 def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:

@@ -726,13 +726,12 @@ class ChartEntry:
 
 
 class CollapseReport:
-    __slots__ = ("collapses", "rule", "r_range", "witnesses", "notes")
+    __slots__ = ("collapses", "r_range", "witnesses", "notes")
 
-    def __init__(self, collapses: bool, rule: BidegreeRule,
-                 r_range: tuple[int, int],
+    def __init__(self, collapses: bool, r_range: tuple[int, int],
                  witnesses: list[tuple[int, str, str]],
                  notes: list[str]) -> None:
-        self.collapses, self.rule, self.r_range = collapses, rule, r_range
+        self.collapses, self.r_range = collapses, r_range
         self.witnesses, self.notes = witnesses, notes
 
 
@@ -757,7 +756,7 @@ def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,
     if rule.weight_per_r <= 0:
         raise ValueError("need weight_per_r > 0: the weights decide r")
     if not entries:
-        return CollapseReport(True, rule, (r_min, r_min - 1), [], ["empty chart"])
+        return CollapseReport(True, (r_min, r_min - 1), [], ["empty chart"])
     span = (max(e.weight for e in entries) - min(e.weight for e in entries))
     step = rule.weight_per_r
     r_max = span // step
@@ -784,4 +783,4 @@ def collapse_check(entries: Sequence[ChartEntry], rule: BidegreeRule,
                 found.append((r, i, j))
     found.sort()
     witnesses = [(r, entries[i].name, entries[j].name) for r, i, j in found]
-    return CollapseReport(not witnesses, rule, (r_min, r_max), witnesses, notes)
+    return CollapseReport(not witnesses, (r_min, r_max), witnesses, notes)

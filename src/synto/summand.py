@@ -16,6 +16,7 @@ The pipeline, per prime p:
 4. ``syntomic_table`` takes the degreewise fiber of (φ − can): kernel classes
    keep their names, cokernel classes acquire a ∂ prefix, and the result is
    the mod (p, v1, v2) generator table, free over F_p[v₂] on 4p+4 classes.
+   They all lie in the degrees that ``default_table_window`` gives 3 and 4.
 
 Collapse checkers (`motivic_collapse_check`, `v2_bockstein_check`) and the
 Hodge–Tate check of the p-series leading term (`hodge_tate_check`) validate
@@ -41,7 +42,7 @@ __all__ = [
     "derive_differentials",
     "tp_presentation", "tcminus_presentation", "tp_einfty", "tcminus_einfty",
     "BasisClass", "comparison_maps",
-    "TableEntry", "GeneratorTable", "SyntomicWindowError", "syntomic_table",
+    "TableEntry", "GeneratorTable", "syntomic_table",
     "default_table_window", "run_window", "HodgeTateReport",
     "hodge_tate_check",
     "motivic_collapse_check", "v2_bockstein_check", "PRESENTATIONS",
@@ -299,7 +300,7 @@ def tcminus_einfty(p: int, deg_window: tuple[int, int]) -> SSPage:
 
 
 # ---------------------------------------------------------------------------
-# E-infinity bases over a table window
+# E-infinity bases over the table's degrees
 
 class BasisClass:
     """A named E∞ basis class.  ``weight`` is the Adams weight ε₁+ε₂ (t and μ
@@ -325,26 +326,27 @@ class BasisClass:
         return self._fields() < other._fields()
 
 
-def _einfty_basis(p: int, structure: str, win) -> list[BasisClass]:
-    """The certified E∞ classes of ``structure`` whose degree and Adams
-    weight lie in ``win`` = (deg_min, deg_max, weight_min, weight_max),
-    sorted by degree, weight and name.  At p = 2 the TP classes are
-    t^{4k}·λ^ε with |t^4| = −8, |λ₁| = 3 and |λ₂| = 7:
+def _einfty_basis(p: int, structure: str) -> list[BasisClass]:
+    """The certified E∞ classes of ``structure`` whose degree lies in
+    ``default_table_window(p)``, sorted by degree, weight and name.  At
+    p = 2 the TP classes are t^{4k}·λ^ε with |t^4| = −8, |λ₁| = 3 and
+    |λ₂| = 7, and the degrees are [−2, 14]:
 
-    >>> [c.name for c in _einfty_basis(2, "tp", (-2, 8, 0, 2))]
-    ['t^4*lambda2', '1', 't^4*lambda1*lambda2', 'lambda1', 'lambda2', 't^-4']
+    >>> [c.name for c in _einfty_basis(2, "tp")]  # doctest: +NORMALIZE_WHITESPACE
+    ['t^4*lambda2', '1', 't^4*lambda1*lambda2', 'lambda1', 'lambda2', 't^-4',
+     'lambda1*lambda2', 't^-4*lambda1']
     """
-    page = _einfty(p, structure, *win[:2])
+    dlo, dhi = default_table_window(p)
+    page = _einfty(p, structure, dlo, dhi)
     cat = page.pres.catalog
     ix = cat.index
-    dlo, dhi, wlo, whi = win
     out = []
     for _b, m, _vec in page.class_reps(include_flagged=False):
         eps1, eps2 = m[ix["lambda1"]], m[ix["lambda2"]]
         c = BasisClass(cat.degree(m), eps1 + eps2, cat.mono_str(m),
                        m[ix["t"]], m[ix["mu"]] if "mu" in ix else 0,
                        eps1, eps2)
-        if dlo <= c.degree <= dhi and wlo <= c.weight <= whi:
+        if dlo <= c.degree <= dhi:
             out.append(c)
     return sorted(out)
 
@@ -360,11 +362,11 @@ _FROBENIUS_UNITS = {
 FROBENIUS_CONVENTIONS = tuple(_FROBENIUS_UNITS)
 
 
-def comparison_maps(p: int, window=None,
-                    convention: str = FROBENIUS_CONVENTIONS[0]):
-    """(source, target, can, phi): the certified TC⁻ and TP bases over
-    ``window``, each read once, and the comparison maps between them, each
-    {source name: {target name: unit}} with no column where it is zero.
+def comparison_maps(p: int, convention: str = FROBENIUS_CONVENTIONS[0]):
+    """(source, target, can, phi): the certified TC⁻ and TP bases over the
+    degrees of ``default_table_window(p)``, each read once, and the
+    comparison maps between them, each {source name: {target name: unit}}
+    with no column where it is zero.
 
     can sends λ₁^{ε₁}λ₂^{ε₂}·t^{kp²} with k ≥ 0 to the class of the same
     name.  φ sends λ₁^{ε₁}λ₂^{ε₂}·μ^k to u·λ₁^{ε₁}λ₂^{ε₂}·t^{−kp²}, where
@@ -378,9 +380,8 @@ def comparison_maps(p: int, window=None,
     unit = _FROBENIUS_UNITS.get(convention)
     if unit is None:
         raise ValueError(f"unknown Frobenius unit convention {convention!r}")
-    win = window or default_table_window(p)
-    source = _einfty_basis(p, "tcminus", win)
-    target = _einfty_basis(p, "tp", win)
+    source = _einfty_basis(p, "tcminus")
+    target = _einfty_basis(p, "tp")
     tp = tp_presentation(p).catalog
     can, phi = {}, {}
     for c in source:
@@ -397,10 +398,6 @@ def comparison_maps(p: int, window=None,
 
 # ---------------------------------------------------------------------------
 # the generator table
-
-class SyntomicWindowError(VerificationError):
-    """The requested window cuts off part of the generator table."""
-
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, 2015; the bases up to 37 only reach 3.18e23)
@@ -450,10 +447,11 @@ def _v2_bidegree(p: int) -> tuple[int, int]:
     return (2 * p * p - 2, p * p - 1)
 
 
-def default_table_window(p: int) -> tuple[int, int, int, int]:
-    """Degrees [−2, 2p²+2p+2], weights [0, 2p²]: every base generator plus
-    one v₂-tower step."""
-    return (-2, 2 * p * p + 2 * p + 2, 0, 2 * p * p)
+def default_table_window(p: int) -> tuple[int, int]:
+    """The degrees [−2, 2p²+2p+2]: every base generator plus one v₂-tower
+    step.  No weight bound is needed, as every E∞ class has Adams weight
+    ε₁ + ε₂ ∈ {0, 1, 2}."""
+    return (-2, 2 * p * p + 2 * p + 2)
 
 
 # the typed fields of a table entry in JSON; GeneratorTable checks the
@@ -619,20 +617,17 @@ def _table_notes(p: int) -> list[str]:
     ]
 
 
-def syntomic_table(p: int, window=None,
-                   convention: str = FROBENIUS_CONVENTIONS[0],
+def syntomic_table(p: int, convention: str = FROBENIUS_CONVENTIONS[0],
                    ) -> GeneratorTable:
     """The mod (p, v1, v2) syntomic generator table for the Adams summand.
 
     Kernel classes of (φ − can) in degree n contribute generators (n, ε₁+ε₂);
     cokernel classes in degree n+1 contribute ∂-prefixed generators of degree
     n and weight ε₁+ε₂+1.  The result is free over F_p[v₂] on 4p+4
-    generators; a window too small to contain them all is an error.
+    generators, all of them inside ``default_table_window(p)``; any other
+    count is a hard error.
     """
-    win = window or default_table_window(p)
-    if win[0] > win[1] or win[2] > win[3]:
-        raise ValueError("window bounds must satisfy min <= max")
-    source, target, can, phi = comparison_maps(p, win, convention)
+    source, target, can, phi = comparison_maps(p, convention)
     kernel, cokernel, dims = _fiber_parts(p, source, target, can=can, phi=phi)
 
     entries = [TableEntry(c.name, c.degree, c.weight, "kernel")
@@ -644,9 +639,9 @@ def syntomic_table(p: int, window=None,
     table = GeneratorTable(p, convention, entries, _table_notes(p))
     expected = 4 * p + 4
     if len(entries) != expected:
-        raise SyntomicWindowError(
-            f"window {win} yields {len(entries)} generators, expected "
-            f"{expected}; enlarge the window to cover the full table")
+        raise VerificationError(
+            f"the fiber yields {len(entries)} generators, expected "
+            f"{expected}")
     _verify_table(p, table, dims)
     return table
 

@@ -76,30 +76,12 @@ class TestSyntomicCommand:
         assert code == 1
         assert "error: --prime 4 is not prime" in err
 
-    def test_cutting_window_is_assertion_failure(self):
-        code, _, err = run_cli(["syntomic", "--prime", "2",
-                                "--window", "-2", "8", "0", "8"])
-        assert code == 2
-        assert "assertion failed" in err and "generators" in err
-
     def test_no_verify_is_gone(self):
-        # every run checks its table, so a cutting window cannot print one
-        code, out, err = run_cli(["syntomic", "--prime", "2", "--window",
-                                  "-2", "8", "0", "8", "--no-verify"])
-        assert code == 1 and out == ""
-        assert "unrecognized arguments: --no-verify" in err
-
-    def test_window_min_above_max_is_usage_error(self):
-        code, out, err = run_cli(["syntomic", "--prime", "3",
-                                  "--window", "4", "-4", "0", "8"])
-        assert code == 1 and out == ""
-        assert "min <= max" in err
-
-    def test_window_containing_table_succeeds(self):
-        # p = 2: the table tops out at degree 10, inside this window
-        code, _, _ = run_cli(["syntomic", "--prime", "2",
-                              "--window", "-2", "10", "0", "8"])
-        assert code == 0
+        # every run checks its whole table, which one window holds
+        for option in (["--no-verify"], ["--window", "-2", "8", "0", "8"]):
+            code, out, err = run_cli(["syntomic", "--prime", "2", *option])
+            assert code == 1 and out == ""
+            assert f"unrecognized arguments: {' '.join(option)}" in err
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "table.json"
@@ -671,6 +653,10 @@ class TestParseRefusals:
         ("window deg 0 4 weight 1 0", "window bounds must satisfy min <= max"),
         ("diff page 1 x -> x^y", "bad exponent 'y'"),
         ("gen y deg 2 weight 0 parity even maxexp two", "maxexp needs an integer"),
+        ("gen y deg 2 weight 0 parity even maxexp 2 maxexp 1",
+         "repeated gen option 'maxexp'"),
+        ("gen y deg -2 weight 1 parity even invertible invertible",
+         "repeated gen option 'invertible'"),
     ])
     def test_line_is_refused(self, tmp_path, line, why):
         f = tmp_path / "bad.ss"

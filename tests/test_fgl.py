@@ -15,9 +15,9 @@ from helpers import formal_sum, values
 from synto import fgl
 from synto.cli import format_series
 from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
-                       formal_sum_of, log_coefficients, log_of, p_series,
-                       pipeline_catalog, reduce_ideal, required_depth,
-                       right_unit_t)
+                       formal_sum_of, log_coefficients, log_of, log_t,
+                       p_series, pipeline_catalog, reduce_ideal,
+                       required_depth, right_unit_t)
 from synto.graded import (Catalog, CoeffRing, GeneratorSymbol, Poly,
                           VerificationError, canonical_catalog)
 from synto.summand import _rewrite_through_suspension
@@ -53,9 +53,9 @@ class TestExpLog:
     def test_exp_log_roundtrip(self, p, trunc):
         cat = pipeline_catalog(p, trunc)
         ls = log_coefficients(p, required_depth(p, trunc), cat)
-        es = exp_coefficients(p, trunc, cat)
         t = Poly.gen(cat, CoeffRing(0, p), "t", trunc)
         L = log_of(t, p, ls, trunc)
+        es = exp_coefficients(p, L)
         # exp(log t) = t
         assert compose(es, L) == t
         # log(exp t) = t
@@ -70,7 +70,7 @@ class TestExpLog:
         # divisible by 2(p - 1)
         trunc = 2 * p * p  # killing v1 leaves e_1, e_{p^2}, e_{2p^2-1}
         cat = pipeline_catalog(p, trunc)
-        es = exp_coefficients(p, trunc, cat, ideal)
+        es = exp_coefficients(p, log_t(p, trunc, cat, ideal)[1])
         assert len(es) == trunc
         support = [k for k, ek in enumerate(es) if not ek.is_zero()]
         assert support[0] == 1 and len(support) > 2
@@ -249,12 +249,36 @@ class TestPSeries:
     def test_exact_integrality(self):
         p_series(3, 12).assert_p_integral(3)
 
+    @pytest.mark.parametrize("ideal", [
+        c for r in range(4) for c in itertools.combinations(("p", "v1", "v2"), r)])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_equals_the_formal_sum_of_p_copies_of_t(self, p, ideal):
+        # exp(p * log t) against the definition t +_G ... +_G t
+        trunc = p * p + 2
+        cat = pipeline_catalog(p, trunc)
+        t = Poly.gen(cat, CoeffRing(0, p), "t")
+        want = reduce_ideal(formal_sum_of(p, trunc, [t] * p, cat, ideal),
+                            p, ideal)
+        assert p_series(p, trunc, ideal) == want
+
+    def test_log_t_is_computed_once(self, monkeypatch):
+        calls = []
+        real = fgl.log_of
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(fgl, "log_of", counted)
+        p_series(5, 27, ("p", "v1"))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("series", [p_series, right_unit_t],
                              ids=["p-series", "right-unit"])
     def test_a_term_of_another_degree_is_a_hard_error(self, series,
                                                       monkeypatch):
-        # the formal sum's series with a stray v1*t^2, of degree 2p - 6
-        real = fgl.formal_sum_of
+        # the composed series with a stray v1*t^2, of degree 2p - 6
+        real = fgl.compose
 
         def stray(*args):
             s = real(*args)
@@ -262,7 +286,7 @@ class TestPSeries:
             return s + Poly.from_terms(
                 cat, s.ring, [(cat.mono({"v1": 1, "t": 2}), 1)], s.trunc)
 
-        monkeypatch.setattr(fgl, "formal_sum_of", stray)
+        monkeypatch.setattr(fgl, "compose", stray)
         with pytest.raises(VerificationError,
                            match="^series term t\\^2\\*v1 has degree 0, "
                                  "not -2$"):

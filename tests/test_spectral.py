@@ -407,7 +407,7 @@ class TestLeibniz:
         # product of monomials, so without relations Presentation.killed
         # never runs
         tp = derive_differentials(5, "tp")
-        tp_window = run_window(5, "tp", *default_table_window(5)[:2])
+        tp_window = run_window(5, "tp", *default_table_window(5))
         _, derham_pres, derham, derham_window = parse_presentation(DERHAM_SMALL)
         tcminus = derive_differentials(5, "tcminus")
         cat = tcminus.pres.catalog
@@ -571,7 +571,7 @@ class TestNoOddSquare:
     @pytest.mark.parametrize("structure", ["tp", "tcminus"])
     def test_presets(self, structure, p):
         spec = derive_differentials(p, structure)
-        window = run_window(p, structure, *default_table_window(p)[:2])
+        window = run_window(p, structure, *default_table_window(p))
         assert spec.pres.catalog.odd
         assert not self.odd_squares(spec.pres, window, spec)
 
@@ -745,7 +745,7 @@ class TestSquareZeroOracle:
             if text is None:
                 structure, p = argv[2], int(argv[4])
                 spec = derive_differentials(p, structure)
-                window = run_window(p, structure, *default_table_window(p)[:2])
+                window = run_window(p, structure, *default_table_window(p))
                 presets += 1
             else:
                 _prime, _pres, spec, window = parse_presentation(text)
@@ -794,7 +794,7 @@ class TestDifferentialMap:
             pres, spec, window = _shared_support_case()
         else:
             spec = derive_differentials(3, "tp")
-            pres, window = spec.pres, run_window(3, "tp", *default_table_window(3)[:2])
+            pres, window = spec.pres, run_window(3, "tp", *default_table_window(3))
         calls = collections.Counter()
 
         def counted(spec, r, m):
@@ -1151,7 +1151,7 @@ class TestOneMonomialPairs:
     def test_presets_match_the_reference(self, structure, p):
         spec = derive_differentials(p, structure)
         page = build_page(spec.pres, run_window(p, structure,
-                                                *default_table_window(p)[:2]))
+                                                *default_table_window(p)))
         assert all(len(d.monos) == 1 for d in page.data.values())
         page = SSPage(page.pres, page.window, 1, page.data,
                       flag_boundary(page, spec))
@@ -1272,7 +1272,7 @@ class TestPageRecords:
         if source == "derham":
             return parse_presentation(DERHAM_SMALL)[1:]
         spec = derive_differentials(p, source)
-        return spec.pres, spec, run_window(p, source, *default_table_window(p)[:2])
+        return spec.pres, spec, run_window(p, source, *default_table_window(p))
 
     def stable(self, source):
         pres, spec, window = self.inputs(source)
@@ -1427,7 +1427,7 @@ class TestFlagBoundary:
     @pytest.mark.parametrize("structure", ["tp", "tcminus"])
     def test_presets_match_the_per_shift_reference(self, structure, p):
         spec = derive_differentials(p, structure)
-        lo, hi = default_table_window(p)[:2]
+        lo, hi = default_table_window(p)
         windows = (run_window(p, structure, lo, hi),
                    run_window(p, structure, lo, hi // 3),
                    Window(-2 * p, 4 * p, -p * p, p * p))

@@ -12,7 +12,7 @@ from synto import fgl, summand
 from synto.graded import GeneratorSymbol, Poly, VerificationError
 from synto.linalg import Span, kernel_basis
 from synto.spectral import ChartEntry, Presentation, SSPage
-from synto.summand import (BasisClass, GeneratorTable, SyntomicWindowError,
+from synto.summand import (BasisClass, GeneratorTable,
                            TableEntry, comparison_maps,
                            default_table_window, derive_differentials,
                            hodge_tate_check, motivic_collapse_check,
@@ -232,14 +232,14 @@ class TestFormalGroupCertificate:
 
 class TestEInfty:
     def test_tp_p2_is_laurent_lattice(self):
-        page = tp_einfty(2, default_table_window(2)[:2])
+        page = tp_einfty(2, default_table_window(2))
         ti = page.pres.catalog.index["t"]
         reps = page.class_reps(include_flagged=False)
         assert reps
         assert all(m[ti] % 4 == 0 for _b, m, _v in reps)
 
     def test_tcminus_p3_leftovers(self):
-        page = tcminus_einfty(3, default_table_window(3)[:2])
+        page = tcminus_einfty(3, default_table_window(3))
         cat = page.pres.catalog
         ti = cat.index["t"]
         leftovers = sorted(cat.mono_str(m)
@@ -253,7 +253,7 @@ class TestEInfty:
         ])
 
     def test_tcminus_p2_mu_and_t_parts(self):
-        page = tcminus_einfty(2, default_table_window(2)[:2])
+        page = tcminus_einfty(2, default_table_window(2))
         cat = page.pres.catalog
         names = {cat.mono_str(m) for _b, m, _v in page.class_reps(False)}
         # t^4 itself sits at degree -8, outside the default window; its
@@ -268,20 +268,19 @@ class TestBases:
     the TC⁻ page and the target the TP page."""
 
     def test_tp_basis_window(self):
-        win = (-2, 14, 0, 8)
-        _source, basis, _can, _phi = comparison_maps(2, win)
+        lo, hi = default_table_window(2)
+        _source, basis, _can, _phi = comparison_maps(2)
         names = [c.name for c in basis]
         # degree of t^{4k} is -8k: t^-4 sits at degree 8 (inside), t^4 at
         # degree -8 (outside)
         assert "1" in names and "t^-4" in names
         assert "t^4" not in names
         for c in basis:
-            assert win[0] <= c.degree <= win[1]
+            assert lo <= c.degree <= hi
             assert c.t_exp % 4 == 0 and c.mu_exp == 0
 
     def test_tcminus_basis_has_leftovers(self):
-        win = default_table_window(3)
-        names = {c.name for c in comparison_maps(3, win)[0]}
+        names = {c.name for c in comparison_maps(3)[0]}
         assert {"t*lambda1", "t^6*lambda2", "mu",
                 "lambda1*lambda2"} <= names
         assert "t^-9" not in names  # no negative t-powers on this side
@@ -514,25 +513,11 @@ class TestSyntomicTable:
         assert dels == sorted([-1, 2 * p - 2, 2 * p * p - 2,
                                2 * p * p + 2 * p - 3])
 
-    def test_window_enlargement_is_invariant(self):
-        base = syntomic_table(3)
-        d0, d1, w0, w1 = default_table_window(3)
-        wide = syntomic_table(3, (d0 - 6, d1 + 10, w0, w1 + 4))
-        assert base.to_csv() == wide.to_csv()
-
     def test_convention_independence(self):
         one = syntomic_table(3, convention="one")
         alt = syntomic_table(3, convention="alt")
         assert one.to_csv() == alt.to_csv()
         assert one.frobenius_unit != alt.frobenius_unit
-
-    def test_cutting_window_is_an_error(self):
-        with pytest.raises(SyntomicWindowError, match="enlarge"):
-            syntomic_table(2, (-2, 8, 0, 8))
-
-    def test_bad_window_bounds(self):
-        with pytest.raises(ValueError):
-            syntomic_table(2, (3, -3, 0, 8))
 
     def test_v2_bidegree(self):
         assert syntomic_table(2).v2_bidegree == (6, 3)
@@ -586,7 +571,7 @@ class TestPipelineChecks:
             return SSPage(page.pres, page.window, page.r, data, page.flags)
 
         self.stable_page(monkeypatch, drop)
-        self.fails(lambda: tcminus_einfty(2, default_table_window(2)[:2]),
+        self.fails(lambda: tcminus_einfty(2, default_table_window(2)),
                    "tcminus E-infinity mismatch at bidegree (-1, 4): "
                    "computed [], closed form ['t^4*lambda2']")
 
@@ -594,9 +579,16 @@ class TestPipelineChecks:
         # the class 1 at (0, 0), inside the table's degrees, is flagged
         self.stable_page(monkeypatch, lambda page: SSPage(
             page.pres, page.window, page.r, page.data, page.flags | {(0, 0)}))
-        self.fails(lambda: tcminus_einfty(2, default_table_window(2)[:2]),
+        self.fails(lambda: tcminus_einfty(2, default_table_window(2)),
                    "tcminus run window leaves bidegree (0, 0) "
                    "boundary-uncertain inside the requested degree range")
+
+    def test_generator_count(self, monkeypatch):
+        # a kernel class goes missing, so the table holds 4p + 3 classes
+        self.fiber(monkeypatch, lambda kernel, cokernel, dims:
+                   (kernel[1:], cokernel, dims))
+        self.fails(lambda: syntomic_table(2),
+                   "the fiber yields 11 generators, expected 12")
 
     def test_fiber_bookkeeping(self, monkeypatch):
         # one kernel class too many in the least degree
@@ -721,10 +713,15 @@ class TestCollapseCheckers:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_v2_bockstein_collapse(self, p):
-        report = v2_bockstein_check(p, table=syntomic_table(p))
+        table = syntomic_table(p)
+        report = v2_bockstein_check(p, table=table)
         assert report.collapses and report.witnesses == []
-        assert report.rule.deg_per_r == 2 * p * p - 2
-        assert report.rule.weight_per_r == p * p - 1
+        # its d_1 moves (degree, weight) by (2p² − 3, p² − 1)
+        fake = GeneratorTable(p, "one", table.entries + [
+            TableEntry("fakesrc", 0, 0, "kernel"),
+            TableEntry("faketgt", 2 * p * p - 3, p * p - 1, "kernel")])
+        assert (1, "fakesrc", "faketgt") in v2_bockstein_check(
+            p, table=fake).witnesses
 
     def test_corrupted_chart_is_detected(self):
         table = syntomic_table(3)
