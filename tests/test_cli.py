@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 
 from helpers import SRC, run_cli, source_env
+from synto import summand
 from synto.cli import CLIUsageError, format_series, main, parse_presentation
 from synto.fgl import p_series, right_unit_t
 from synto.summand import _is_prime
@@ -75,6 +76,20 @@ class TestSyntomicCommand:
         code, out, err = run_cli(["syntomic", "--prime", "4"])
         assert code == 1
         assert "error: --prime 4 is not prime" in err
+
+    def test_cutting_window_is_assertion_failure(self, monkeypatch):
+        # the fiber loses a kernel class, as one a window cut off did
+        real = summand._fiber_parts
+
+        def cut(*args, **kwargs):
+            kernel, cokernel, dims = real(*args, **kwargs)
+            return kernel[1:], cokernel, dims
+
+        monkeypatch.setattr(summand, "_fiber_parts", cut)
+        code, out, err = run_cli(["syntomic", "--prime", "2"])
+        assert code == 2 and out == ""
+        assert err == ("assertion failed: the fiber yields 11 generators, "
+                       "expected 12\n")
 
     def test_no_verify_is_gone(self):
         # every run checks its whole table, which one window holds
