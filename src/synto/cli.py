@@ -86,8 +86,13 @@ def _series_terms(poly) -> list[tuple[int, object, str]]:
 def format_series(poly, order_bound: Optional[int] = None) -> str:
     """Human form: numeric factors abut, symbolic factors join the t-power
     with a middle dot, e.g. ``v2·t^9 + O(t^10)`` or ``t + t1·t^2``."""
+    return _format_terms(_series_terms(poly), order_bound)
+
+
+def _format_terms(terms, order_bound: Optional[int]) -> str:
+    """``format_series`` of the terms that ``_series_terms`` lists."""
     pieces = []
-    for texp, coeff, rest in _series_terms(poly):
+    for texp, coeff, rest in terms:
         neg = coeff < 0
         n = -coeff if neg else coeff
         tpart = "" if texp == 0 else ("t" if texp == 1 else f"t^{texp}")
@@ -108,12 +113,13 @@ def format_series(poly, order_bound: Optional[int] = None) -> str:
 
 
 def _series_json(poly, p, ideal, trunc, order_bound) -> str:
+    rows = _series_terms(poly)
     terms = [{"t_exponent": k,
               "coefficient": (f"{c}" if rest == "1"
                               else (rest if c == 1 else f"{c}*{rest}"))}
-             for k, c, rest in _series_terms(poly)]
+             for k, c, rest in rows]
     doc = {"prime": p, "ideal": list(ideal), "truncation": trunc,
-           "series": format_series(poly, order_bound), "terms": terms}
+           "series": _format_terms(rows, order_bound), "terms": terms}
     return json.dumps(doc, indent=1) + "\n"
 
 
@@ -249,10 +255,10 @@ def parse_presentation(text: str):
                 if rest[0] == "invertible":
                     invertible = True
                     rest = rest[1:]
-                elif rest[0] == "maxexp" and len(rest) >= 2:
+                elif rest[0] == "maxexp":
                     try:
                         max_exp = int(rest[1])
-                    except ValueError:
+                    except (IndexError, ValueError):
                         raise PresentationParseError(
                             f"line {ln}: maxexp needs an integer") from None
                     rest = rest[2:]

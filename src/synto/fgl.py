@@ -6,19 +6,26 @@ The logarithm is built from the Hazewinkel recursion
 
 so l_1 = v1/p, l_2 = v2/p + v1^{p+1}/p^2, and so on.  The exponential is the
 compositional inverse of log, solved degree by degree (the system is
-triangular because log is monic).  Everything else is composition:
+triangular because log is monic).  The formal sum and the right unit are
+compositions with it:
 
     F(x, y)  = exp(log x + log y)          the formal sum,
-    [p](t)   = exp(p * log t)              the p-series t +_G ... +_G t,
     eta_R(t) = exp(log t + log(t1 t^p) + log(t2 t^{p^2}) + ...)
                                            the right unit on the orientation.
+
+The p-series t +_G ... +_G t needs no composition:
+
+    [p](t)   = exp(p * log t) = sum_k p^k * e_k * (log t)^k,
+
+and the solve for the e_k already forms each product e_k * (log t)^k, so
+[p](t) is the sum of those products, each times p^k.
 
 Intermediate coefficients lie in Z[1/p] (``CoeffRing(0, p)``): a series
 holds int numerators over one power p^den, a product adds dens, and the
 division by p in the recursion only shifts den.  Left alone, den grows with
 every product while the true denominators stay bounded by the truncation,
-so the powers of log in ``exp_coefficients`` and each Horner step of
-``compose`` are normalized (the common power of p is stripped).  A
+so the powers of log and the products of the exp solve and each Horner
+step of ``compose`` are normalized (the common power of p is stripped).  A
 finished series therefore comes back normalized; it must be p-integral,
 that is den 0, and this is asserted, never rounded.
 
@@ -33,22 +40,24 @@ Every series is homogeneous: with |t| = -2 and |v_n| = |t_n| = 2(p^n - 1)
 (``Catalog.degree``), each term of log t, [p](t) and eta_R(t) has total
 degree -2.  Every v_n has degree divisible by 2(p - 1), and e_k, the k-th
 exp coefficient, has degree 2(k - 1); so e_k = 0 unless k = 1 (mod p - 1).
-``exp_coefficients`` solves only those k, ``compose`` steps over that
-support, and ``_mod_p_last`` asserts the degree on every finished series as
-a hard error.
+The exp solve (``_exp_terms``) forms only those k, ``compose`` steps over
+that support, and ``_mod_p_last`` asserts the degree on every finished
+series as a hard error.
 
 Every series is truncated at an int bound on its catalog's orientation
 degree (``Catalog.orientation_degree``), the total exponent over the
 degree -2 generators, and the arithmetic does only the work the truncation
 keeps.  A product never forms a pair of terms whose degrees sum to the
-bound or more (``Poly.__mul__``).  In ``compose`` the coefficients e_k are
-supported on k = a + jg, and Horner runs over w = inner^g before one last
-product with inner^a.  The inner series has no constant term, so each of
-the k factors of inner still ahead of the accumulator at e_k (j of them in
-w^j, a in inner^a) raises its degree by at least inner's least degree
-`low`: a term at or above bound - k*low can only feed terms the final
-truncation drops, and the accumulator is cut there.  Both skip only terms
-the truncation would discard, so every series is exact.
+bound or more (``Poly.__mul__``).  ``compose``, which only the formal sum
+(and so the right unit) uses, also cuts its Horner accumulator.  There the
+coefficients e_k are supported on k = a + jg, and Horner runs over
+w = inner^g before one last product with inner^a.  The inner series has no
+constant term, so each of the k factors of inner still ahead of the
+accumulator at e_k (j of them in w^j, a in inner^a) raises its degree by at
+least inner's least degree `low`: a term at or above bound - k*low can only
+feed terms the final truncation drops, and the accumulator is cut there.
+Both skip only terms the truncation would discard, so every series is
+exact.
 
 >>> from synto.cli import format_series
 >>> print(format_series(p_series(2, 3), 3))
@@ -109,26 +118,25 @@ def log_of(summand: Poly, p: int, ls: Sequence[Poly], trunc: int) -> Poly:
     return out
 
 
-def exp_coefficients(p: int, L: Poly) -> list[Poly]:
-    """Coefficients e_k of exp(u) = sum e_k u^k, inverse to L = log t, as
-    ``log_t`` builds it, through L's truncation.
+def _exp_terms(p: int, L: Poly):
+    """Yield (k, e_k, e_k * L^k) for each k >= p with e_k nonzero, in
+    order, where e_k are the coefficients of exp(u) = sum e_k u^k, inverse
+    to L = log t, as ``log_t`` builds it, through L's truncation; e_1 = 1.
 
     Solved by forcing exp(log t) = t one t-degree at a time; e_k is minus
-    the degree-k defect of the partial composition.  By homogeneity (see
-    the module docstring) only k = 1 + j(p - 1) can carry one, so only
-    those k are solved: L^k steps by one product with L^{p-1}, and every
-    other e_k is zero.  Exactness of the arithmetic makes this the whole
-    verification story: the round-trip identities are separate tests, not
-    part of the solve.
+    the degree-k defect of the partial composition, which the product
+    e_k * L^k then cancels.  By homogeneity (see the module docstring)
+    only k = 1 + j(p - 1) can carry one, so only those k are solved: L^k
+    steps by one product with L^{p-1}.  Exactness of the arithmetic makes
+    this the whole verification story: the round-trip identities are
+    separate tests, not part of the solve.
 
-    L^k and the partial composition are normalized at every step: each
-    product adds dens, so den(L^k) would grow as k times den(L), while the
-    true denominators stay bounded by the truncation.
+    L^k, each product and the partial composition are normalized at every
+    step: each product adds dens, so den(L^k) would grow as k times
+    den(L), while the true denominators stay bounded by the truncation.
     """
     cat, ring, trunc = L.catalog, L.ring, L.trunc
     t_idx = cat.index["t"]
-    zero = Poly.zero(cat, ring)
-    es = [zero, Poly.unit(cat, ring)] + [zero] * (trunc - 2)
     comp = L
     lpow = L
     stride = (L ** (p - 1)).normalized()
@@ -137,9 +145,21 @@ def exp_coefficients(p: int, L: Poly) -> list[Poly]:
         defect = {m[:t_idx] + (0,) + m[t_idx + 1:]: -c
                   for m, c in comp.terms.items() if m[t_idx] == k}
         ek = Poly(cat, ring, defect, None, comp.den).normalized()
-        es[k] = ek
         if ek.terms:
-            comp = (comp + ek * lpow).normalized()
+            term = (ek * lpow).normalized()
+            yield k, ek, term
+            comp = (comp + term).normalized()
+
+
+def exp_coefficients(p: int, L: Poly) -> list[Poly]:
+    """Coefficients e_k of exp(u) = sum e_k u^k, inverse to L = log t, as
+    ``log_t`` builds it, through L's truncation: e_1 = 1, the e_k that
+    ``_exp_terms`` solves, and zero at every other k."""
+    cat, ring = L.catalog, L.ring
+    zero = Poly.zero(cat, ring)
+    es = [zero, Poly.unit(cat, ring)] + [zero] * (L.trunc - 2)
+    for k, ek, _term in _exp_terms(p, L):
+        es[k] = ek
     return es
 
 
@@ -229,7 +249,10 @@ def formal_sum_of(p: int, trunc: int, summands: Sequence[Poly],
 
 def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
     """[p](t) = t +_G ... +_G t (p summands), reduced mod ideal, exact
-    through t^{trunc-1}.  Built as exp(p * log t), from one log t."""
+    through t^{trunc-1}.  Built as exp(p * log t) = p * log t +
+    sum_{k >= p} p^k * (e_k * (log t)^k), from one log t, by summing the
+    products that ``_exp_terms`` forms while it solves for the e_k: no
+    composition."""
     ideal = tuple(ideal)
     if "p" in ideal and "v1" in ideal and trunc < p ** 2 + 1:
         raise ValueError(
@@ -241,8 +264,15 @@ def p_series(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:
             f"v1*t^{p} leading term mod (p)")
     cat = pipeline_catalog(p, trunc)
     _ls, L = log_t(p, trunc, cat, ideal)
-    p_log = Poly.from_terms(cat, L.ring, [(cat.one, p)]) * L
-    return _mod_p_last(compose(exp_coefficients(p, L), p_log), p, ideal)
+    series = Poly.from_terms(cat, L.ring, [(cat.one, p)]) * L
+    for k, _ek, term in _exp_terms(p, L):
+        # p^k * term: den drops by k, and the numerators take what it cannot
+        shift = min(k, term.den)
+        q = p ** (k - shift)
+        series = series + Poly(cat, L.ring,
+                               {m: c * q for m, c in term.terms.items()},
+                               term.trunc, term.den - shift)
+    return _mod_p_last(series.normalized(), p, ideal)
 
 
 def right_unit_t(p: int, trunc: int, ideal: Iterable[str] = ()) -> Poly:

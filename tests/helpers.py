@@ -19,7 +19,8 @@ from pathlib import Path
 from unittest import mock
 
 from synto.cli import main
-from synto.fgl import formal_sum_of, required_depth
+from synto.fgl import (compose, exp_coefficients, formal_sum_of, log_t,
+                       pipeline_catalog, reduce_ideal, required_depth)
 from synto.graded import (CoeffRing, GeneratorSymbol, Poly, VerificationError,
                           canonical_catalog)
 from synto.linalg import Span, vec_addmul, vec_scale
@@ -72,6 +73,16 @@ def formal_sum(p, trunc, vars=("x", "y"), cat=None):
     F = formal_sum_of(p, trunc, [Poly.gen(cat, ring, v) for v in vars], cat)
     F.assert_p_integral(p)
     return F
+
+
+def reference_p_series(p, trunc, ideal=()):
+    """[p](t) mod ideal as exp composed with p * log t: Horner over p * log t
+    by ``compose``, the reference for ``fgl.p_series``, which sums the exp
+    solve's own products instead."""
+    cat = pipeline_catalog(p, trunc)
+    _ls, L = log_t(p, trunc, cat, ideal)
+    p_log = Poly.from_terms(cat, L.ring, [(cat.one, p)]) * L
+    return reduce_ideal(compose(exp_coefficients(p, L), p_log), p, ideal)
 
 
 def check_square_zero(page, spec, r):

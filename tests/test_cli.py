@@ -668,6 +668,7 @@ class TestParseRefusals:
         ("window deg 0 4 weight 1 0", "window bounds must satisfy min <= max"),
         ("diff page 1 x -> x^y", "bad exponent 'y'"),
         ("gen y deg 2 weight 0 parity even maxexp two", "maxexp needs an integer"),
+        ("gen y deg 2 weight 0 parity even maxexp", "maxexp needs an integer"),
         ("gen y deg 2 weight 0 parity even maxexp 2 maxexp 1",
          "repeated gen option 'maxexp'"),
         ("gen y deg -2 weight 1 parity even invertible invertible",

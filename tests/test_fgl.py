@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import formal_sum, values
+from helpers import formal_sum, reference_p_series, values
 from synto import fgl
 from synto.cli import format_series
 from synto.fgl import (coefficientwise_frobenius, compose, exp_coefficients,
@@ -273,20 +273,40 @@ class TestPSeries:
         p_series(5, 27, ("p", "v1"))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("p, trunc, ideal", [
+        (2, 22, ()), (3, 50, ()), (5, 60, ()),
+        (3, 28, ("p", "v1")), (5, 60, ("v1",))])
+    def test_equals_the_composition_with_p_log_t(self, p, trunc, ideal):
+        # the sum of the exp solve's products against exp composed with
+        # p * log t by Horner, at the sizes the benchmark queries
+        assert p_series(p, trunc, ideal) == reference_p_series(p, trunc,
+                                                               ideal)
+
+    def test_never_composes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("p_series called compose")
+
+        monkeypatch.setattr(fgl, "compose", refuse)
+        for ideal in ((), ("p",), ("p", "v1")):
+            p_series(3, 28, ideal)
+
     @pytest.mark.parametrize("series", [p_series, right_unit_t],
                              ids=["p-series", "right-unit"])
     def test_a_term_of_another_degree_is_a_hard_error(self, series,
                                                       monkeypatch):
-        # the composed series with a stray v1*t^2, of degree 2p - 6
-        real = fgl.compose
-
-        def stray(*args):
-            s = real(*args)
+        # a stray v1*t^2, of degree 2p - 6, on what each series is built
+        # from: the exp solve's products that p_series sums, and the
+        # composition that right_unit_t takes
+        def plant(s):
             cat = s.catalog
             return s + Poly.from_terms(
                 cat, s.ring, [(cat.mono({"v1": 1, "t": 2}), 1)], s.trunc)
 
-        monkeypatch.setattr(fgl, "compose", stray)
+        real_terms, real_compose = fgl._exp_terms, fgl.compose
+        monkeypatch.setattr(fgl, "_exp_terms", lambda *args: (
+            (k, ek, plant(term)) for k, ek, term in real_terms(*args)))
+        monkeypatch.setattr(fgl, "compose",
+                            lambda *args: plant(real_compose(*args)))
         with pytest.raises(VerificationError,
                            match="^series term t\\^2\\*v1 has degree 0, "
                                  "not -2$"):
