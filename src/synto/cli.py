@@ -23,8 +23,8 @@ from .graded import GeneratorSymbol, VerificationError
 from .fgl import p_series, right_unit_t
 from .spectral import (DiffEntry, DifferentialSpec, Presentation,
                        RelationError, Window, build_page, run_to_stable)
-from .summand import (FROBENIUS_CONVENTIONS, PRESENTATIONS, GeneratorTable,
-                      _prime_error, default_table_window, derive_differentials,
+from .summand import (PRESENTATIONS, GeneratorTable, _prime_error,
+                      default_table_window, derive_differentials,
                       hodge_tate_check, run_window, syntomic_table)
 from .chart import ascii_chart, svg_chart
 
@@ -132,8 +132,7 @@ def format_table(table: GeneratorTable, color: bool = False) -> str:
     head = _sty(f"mod ({p}, v1, v2) syntomic cohomology of the Adams summand",
                 "1", color)
     sub = (f"free over F_{p}[v2] on {len(table.entries)} generators; "
-           f"v2 bidegree ({n}, {a}); frobenius unit convention "
-           f"'{table.frobenius_unit}'")
+           f"v2 bidegree ({n}, {a}); frobenius unit convention 'one'")
     lines = [head, sub, ""]
     lines.append(f"{'weight':>6}  {'degree':>6}  {'origin':<9} name")
     for e in table.entries:
@@ -218,7 +217,8 @@ def parse_presentation(text: str):
                     f"line {ln}: repeated {kw!r} line (first on line {first[kw]})")
             first[kw] = ln
         if kw == "prime":
-            if len(toks) != 2 or not toks[1].isdigit():
+            # isdecimal, as int() refuses some digits, such as '²'
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise PresentationParseError(f"line {ln}: usage: prime <p>")
             prime = int(toks[1])
             if (why := _prime_error(prime)) is not None:
@@ -377,7 +377,7 @@ def _split_combination(text: str) -> list[tuple[str, int]]:
 
 def cmd_syntomic(args) -> int:
     p = _require_prime(args.prime)
-    table = syntomic_table(p, args.frobenius_unit)
+    table = syntomic_table(p)
     hodge_tate_check(p)
     if args.verbose:
         print(f"# {len(table.entries)} generators, window "
@@ -431,6 +431,8 @@ def cmd_ss(args) -> int:
                 text = fh.read()
         except OSError as e:
             raise CLIUsageError(str(e)) from None
+        except UnicodeDecodeError as e:
+            raise CLIUsageError(f"{args.file} is not UTF-8: {e}") from None
         parsed = parse_presentation(text)
         if parsed is None:
             print("empty presentation: no classes")
@@ -473,12 +475,15 @@ def cmd_chart(args) -> int:
     try:
         with open(args.infile, encoding="utf-8") as fh:
             data = json.load(fh)
+    except OSError as e:
+        raise CLIUsageError(str(e)) from None
+    except ValueError as e:  # bad JSON or UTF-8, or an int past int()'s limit
+        raise CLIUsageError(f"bad table JSON: {e}") from None
+    try:
         table = GeneratorTable.from_json_dict(data)
         # a name the chart cannot label is a fault of the file, too
         text = svg_chart(table) if args.format == "svg" else ascii_chart(table)
-    except OSError as e:
-        raise CLIUsageError(str(e)) from None
-    except (json.JSONDecodeError, KeyError, TypeError, VerificationError) as e:
+    except (KeyError, TypeError, VerificationError) as e:
         raise CLIUsageError(f"bad table JSON: {e}") from None
     _emit(text, args.out)
     return 0
@@ -499,8 +504,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--prime", type=int, required=True)
     ps.add_argument("--format", choices=("table", "json", "csv", "svg"),
                     default="table")
-    ps.add_argument("--frobenius-unit", choices=FROBENIUS_CONVENTIONS,
-                    default=FROBENIUS_CONVENTIONS[0])
     ps.add_argument("--out", help="write output to a file")
     ps.add_argument("--verbose", "-v", action="count", default=0)
     ps.set_defaults(func=cmd_syntomic)

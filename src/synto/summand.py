@@ -12,7 +12,9 @@ The pipeline, per prime p:
    closed-form answers on the boundary-safe part of the window.
 3. ``comparison_maps`` reads each certified E∞ basis once and names can and
    φ on that one pair of bases, so the closed forms serve only as
-   certificates and never as a second list of classes.
+   certificates and never as a second list of classes.  φ carries unit 1
+   on every μ^k: a unit on μ^k with k ≥ 1 would scale a column of φ − can
+   and move no generator, so each prime has one table.
 4. ``syntomic_table`` takes the degreewise fiber of (φ − can): kernel classes
    keep their names, cokernel classes acquire a ∂ prefix, and the result is
    the mod (p, v1, v2) generator table, free over F_p[v₂] on 4p+4 classes.
@@ -46,7 +48,6 @@ __all__ = [
     "default_table_window", "run_window", "HodgeTateReport",
     "hodge_tate_check",
     "motivic_collapse_check", "v2_bockstein_check", "PRESENTATIONS",
-    "FROBENIUS_CONVENTIONS",
 ]
 
 
@@ -354,32 +355,20 @@ def _einfty_basis(p: int, structure: str) -> list[BasisClass]:
 # ---------------------------------------------------------------------------
 # the comparison maps
 
-# the unit u(p, k, ε₁, ε₂) of φ per convention, for k ≥ 1 (``comparison_maps``)
-_FROBENIUS_UNITS = {
-    "one": lambda p, k, eps1, eps2: 1,
-    "alt": lambda p, k, eps1, eps2: (k + eps1 + eps2) % (p - 1) + 1,
-}
-FROBENIUS_CONVENTIONS = tuple(_FROBENIUS_UNITS)
-
-
-def comparison_maps(p: int, convention: str = FROBENIUS_CONVENTIONS[0]):
+def comparison_maps(p: int):
     """(source, target, can, phi): the certified TC⁻ and TP bases over the
     degrees of ``default_table_window(p)``, each read once, and the
     comparison maps between them, each {source name: {target name: unit}}
     with no column where it is zero.
 
     can sends λ₁^{ε₁}λ₂^{ε₂}·t^{kp²} with k ≥ 0 to the class of the same
-    name.  φ sends λ₁^{ε₁}λ₂^{ε₂}·μ^k to u·λ₁^{ε₁}λ₂^{ε₂}·t^{−kp²}, where
-    u = u(p, k, ε₁, ε₂) is 1 at k = 0 (φ is unital on the λ-subalgebra).
-    The units for k ≥ 1 are not pinned down by the structure, so
-    ``convention`` picks them: "one" is the default, and "alt" is a
-    deliberately different choice, used to show that the table does not
-    depend on it; at p = 2, where F_2^× is trivial, it is 1.  The images
-    are checked where φ − can is assembled, in ``_fiber_parts``.
+    name.  φ sends λ₁^{ε₁}λ₂^{ε₂}·μ^k to λ₁^{ε₁}λ₂^{ε₂}·t^{−kp²} with unit
+    1.  At k = 0 the structure fixes it, as φ is unital on the
+    λ-subalgebra.  For k ≥ 1 it is a choice that moves no generator: can
+    is zero on μ^k, so a unit there scales the whole column of φ − can,
+    which leaves its kernel and cokernel classes where they are.  The
+    images are checked where φ − can is assembled, in ``_fiber_parts``.
     """
-    unit = _FROBENIUS_UNITS.get(convention)
-    if unit is None:
-        raise ValueError(f"unknown Frobenius unit convention {convention!r}")
     source = _einfty_basis(p, "tcminus")
     target = _einfty_basis(p, "tp")
     tp = tp_presentation(p).catalog
@@ -388,11 +377,9 @@ def comparison_maps(p: int, convention: str = FROBENIUS_CONVENTIONS[0]):
         if c.mu_exp == 0 and c.t_exp >= 0 and c.t_exp % (p * p) == 0:
             can[c.name] = {c.name: 1}
         if c.t_exp == 0:
-            k = c.mu_exp
-            image = tp.mono({"t": -k * p * p, "lambda1": c.eps1,
+            image = tp.mono({"t": -c.mu_exp * p * p, "lambda1": c.eps1,
                              "lambda2": c.eps2})
-            phi[c.name] = {tp.mono_str(image):
-                           1 if k == 0 else unit(p, k, c.eps1, c.eps2)}
+            phi[c.name] = {tp.mono_str(image): 1}
     return source, target, can, phi
 
 
@@ -477,12 +464,11 @@ class GeneratorTable:
     """The mod (p, v1, v2) generator table: a finite F_p-basis of the
     degreewise fiber of (φ − can), free over F_p[v₂]."""
 
-    __slots__ = ("p", "frobenius_unit", "entries", "notes")
+    __slots__ = ("p", "entries", "notes")
 
-    def __init__(self, p: int, frobenius_unit: str,
-                 entries: list[TableEntry],
+    def __init__(self, p: int, entries: list[TableEntry],
                  notes: Optional[list[str]] = None) -> None:
-        self.p, self.frobenius_unit = p, frobenius_unit
+        self.p = p
         self.entries = sorted(entries, key=TableEntry.sort_key)
         self.notes = [] if notes is None else notes
         names = [e.name for e in self.entries]
@@ -500,7 +486,7 @@ class GeneratorTable:
         return {
             "prime": self.p,
             "convention": {
-                "frobenius_unit": self.frobenius_unit,
+                "frobenius_unit": "one",
                 "generators": "hazewinkel",
             },
             "module": "free_over_v2",
@@ -520,15 +506,15 @@ class GeneratorTable:
             raise VerificationError(f"prime {p!r} is not an int")
         if (why := _prime_error(p)) is not None:
             raise VerificationError(why)
-        unit = data["convention"]["frobenius_unit"]
-        if unit not in FROBENIUS_CONVENTIONS:
-            raise VerificationError(
-                f"frobenius_unit {unit!r} is not one of "
-                f"{', '.join(FROBENIUS_CONVENTIONS)}")
+        if (unit := data["convention"]["frobenius_unit"]) != "one":
+            raise VerificationError(f"frobenius_unit {unit!r} is not 'one'")
         if data.get("module") != "free_over_v2":
             raise VerificationError("unknown module statement in table JSON")
         if list(data.get("v2_bidegree", [])) != list(_v2_bidegree(p)):
             raise VerificationError("v2 bidegree does not match the prime")
+        # every table the pipeline writes lies in these bounds; a degree
+        # far outside them would make the chart draw that many grid lines
+        bounds = {"degree": default_table_window(p), "weight": (0, 3)}
         entries = []
         for i, g in enumerate(data["generators"]):
             # type(...) is int: a JSON true is a bool, not a degree
@@ -537,9 +523,14 @@ class GeneratorTable:
                     raise VerificationError(
                         f"generator {i} ({g['name']!r}): {field} "
                         f"{g[field]!r} is not {what}")
+            for field, (lo, hi) in bounds.items():
+                if not lo <= g[field] <= hi:
+                    raise VerificationError(
+                        f"generator {i} ({g['name']!r}): {field} "
+                        f"{g[field]} is outside {lo}..{hi}")
             entries.append(TableEntry(g["name"], g["degree"], g["weight"],
                                       g["origin"]))
-        return cls(p, unit, entries, list(data.get("notes", [])))
+        return cls(p, entries, list(data.get("notes", [])))
 
     def to_csv(self) -> str:
         lines = ["name,degree,weight,origin"]
@@ -617,17 +608,17 @@ def _table_notes(p: int) -> list[str]:
     ]
 
 
-def syntomic_table(p: int, convention: str = FROBENIUS_CONVENTIONS[0],
-                   ) -> GeneratorTable:
+def syntomic_table(p: int) -> GeneratorTable:
     """The mod (p, v1, v2) syntomic generator table for the Adams summand.
 
     Kernel classes of (φ − can) in degree n contribute generators (n, ε₁+ε₂);
     cokernel classes in degree n+1 contribute ∂-prefixed generators of degree
     n and weight ε₁+ε₂+1.  The result is free over F_p[v₂] on 4p+4
     generators, all of them inside ``default_table_window(p)``; any other
-    count is a hard error.
+    count is a hard error.  It is the one table of p: φ's units on μ^k,
+    fixed at 1 by ``comparison_maps``, move no generator.
     """
-    source, target, can, phi = comparison_maps(p, convention)
+    source, target, can, phi = comparison_maps(p)
     kernel, cokernel, dims = _fiber_parts(p, source, target, can=can, phi=phi)
 
     entries = [TableEntry(c.name, c.degree, c.weight, "kernel")
@@ -636,7 +627,7 @@ def syntomic_table(p: int, convention: str = FROBENIUS_CONVENTIONS[0],
         name = "del" if c.name == "1" else "del*" + c.name
         entries.append(TableEntry(name, c.degree - 1, c.weight + 1,
                                   "cokernel"))
-    table = GeneratorTable(p, convention, entries, _table_notes(p))
+    table = GeneratorTable(p, entries, _table_notes(p))
     expected = 4 * p + 4
     if len(entries) != expected:
         raise VerificationError(

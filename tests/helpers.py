@@ -85,6 +85,14 @@ def reference_p_series(p, trunc, ideal=()):
     return reduce_ideal(compose(exp_coefficients(p, L), p_log), p, ideal)
 
 
+def scale_mu_columns(p, source, phi, rng):
+    """φ of ``comparison_maps`` with each column on μ^k, k ≥ 1, scaled by a
+    draw from F_p^×."""
+    mu = {c.name: c.mu_exp for c in source}
+    return {s: {t: u * rng.randrange(1, p) % p if mu[s] else u
+                for t, u in col.items()} for s, col in phi.items()}
+
+
 def check_square_zero(page, spec, r):
     """d_r(d_r(m)) = 0 for every window monomial in the derivation's domain:
     the per-monomial reference for the generator-level check that

@@ -17,7 +17,8 @@ import pytest
 
 from helpers import (check_square_zero, dense_matrix, dense_page_dims,
                      dense_rank, enumerate_basis, formal_sum,
-                     random_square_zero_case, source_env, with_degree)
+                     random_square_zero_case, scale_mu_columns,
+                     source_env, with_degree)
 from synto import summand
 from synto.cli import main
 from synto.fgl import (compose, exp_coefficients, formal_sum_of,
@@ -27,7 +28,8 @@ from synto.graded import CoeffRing, Poly, VerificationError, canonical_catalog
 from synto.linalg import vec_addmul
 from synto.spectral import build_page, leibniz_extend, turn_page
 from synto.summand import (GeneratorTable, TableEntry, _einfty,
-                           _formal_group_certificate, default_table_window,
+                           _fiber_parts, _formal_group_certificate,
+                           comparison_maps, default_table_window,
                            hodge_tate_check, motivic_collapse_check,
                            syntomic_table, tcminus_einfty,
                            tcminus_presentation, tp_einfty,
@@ -244,7 +246,7 @@ class TestAcceptance:
             assert report.collapses and report.witnesses == []
         table = syntomic_table(3)
         fake = GeneratorTable(
-            3, "one", table.entries + [TableEntry("fake", 4, 3, "kernel")])
+            3, table.entries + [TableEntry("fake", 4, 3, "kernel")])
         report = motivic_collapse_check(3, table=fake)
         assert not report.collapses and len(report.witnesses) >= 1
         print("\nCRITERION 6 PASS: motivic collapse for p in (3, 5, 7), "
@@ -332,12 +334,15 @@ class TestAcceptance:
         svg2 = cli_text(["syntomic", "--prime", "2", "--format", "svg"])
         assert svg1 == svg2
 
-        # the Frobenius unit convention moves no generator
-        one = syntomic_table(3, convention="one")
-        alt = syntomic_table(3, convention="alt")
-        assert one.frobenius_unit != alt.frobenius_unit
-        assert len(one.entries) == len(alt.entries)
-        assert [(e.degree, e.weight, e.origin) for e in one.entries] == \
-            [(e.degree, e.weight, e.origin) for e in alt.entries]
+        # φ's units on μ^k, k ≥ 1, move no generator: seeded draws from
+        # F_p^× on those columns leave the fiber as it is
+        for p in (3, 5):
+            source, target, can, phi = comparison_maps(p)
+            fiber = _fiber_parts(p, source, target, phi=phi, can=can)
+            rng = random.Random(90 + p)
+            for _ in range(5):
+                scaled = scale_mu_columns(p, source, phi, rng)
+                assert _fiber_parts(p, source, target, phi=scaled,
+                                    can=can) == fiber
         print("\nCRITERION 9 PASS: process-level bit-identical output; "
-              "convention switch preserves all degrees, weights and counts")
+              "units of phi on mu^k, k >= 1, move no generator at p = 3, 5")

@@ -46,13 +46,13 @@ class TestLayout:
         assert layout.weight_range == (0, 3)
 
     def test_duplicate_names_rejected(self):
-        table = GeneratorTable(2, "one", [TableEntry("mu", 8, 0, "kernel")])
+        table = GeneratorTable(2, [TableEntry("mu", 8, 0, "kernel")])
         table.entries = table.entries + table.entries  # bypass the ctor check
         with pytest.raises(VerificationError, match="duplicate"):
             ChartLayout.from_table(table)
 
     def test_empty_table(self):
-        table = GeneratorTable(2, "one", [])
+        table = GeneratorTable(2, [])
         assert ChartLayout.from_table(table).glyphs == []
         assert ascii_chart(table) == "(empty chart)\n"
 
@@ -97,6 +97,6 @@ class TestAscii:
         assert "2" in w1_row
 
     def test_single_class_cell_is_star(self):
-        table = GeneratorTable(2, "one", [TableEntry("mu", 8, 0, "kernel")])
+        table = GeneratorTable(2, [TableEntry("mu", 8, 0, "kernel")])
         text = ascii_chart(table)
         assert "*" in text.splitlines()[0]

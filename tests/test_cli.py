@@ -92,8 +92,10 @@ class TestSyntomicCommand:
                        "expected 12\n")
 
     def test_no_verify_is_gone(self):
-        # every run checks its whole table, which one window holds
-        for option in (["--no-verify"], ["--window", "-2", "8", "0", "8"]):
+        # every run checks its whole table, which one window holds, and
+        # φ's units on μ^k move no generator, so each prime has one table
+        for option in (["--no-verify"], ["--window", "-2", "8", "0", "8"],
+                       ["--frobenius-unit", "alt"]):
             code, out, err = run_cli(["syntomic", "--prime", "2", *option])
             assert code == 1 and out == ""
             assert f"unrecognized arguments: {' '.join(option)}" in err
@@ -673,16 +675,47 @@ class TestParseRefusals:
          "repeated gen option 'maxexp'"),
         ("gen y deg -2 weight 1 parity even invertible invertible",
          "repeated gen option 'invertible'"),
+        # '²'.isdigit() holds, but int() refuses it
+        ("prime ²", "usage: prime <p>"),
     ])
     def test_line_is_refused(self, tmp_path, line, why):
+        text, ln = f"prime 3\ngen x deg 2 weight 0 parity even\n{line}\n", 3
+        if line.startswith("prime "):  # in place of the file's prime line
+            text, ln = f"{line}\ngen x deg 2 weight 0 parity even\n", 1
         f = tmp_path / "bad.ss"
-        f.write_text(f"prime 3\ngen x deg 2 weight 0 parity even\n{line}\n")
-        assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: line 3: {why}\n")
+        f.write_text(text, encoding="utf-8")
+        assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: line {ln}: {why}\n")
 
     def test_unreadable_chart_input(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert run_cli(["chart", "--in", str(missing)]) == (
             1, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+    DECODE = ("'utf-8' codec can't decode byte 0xff in position 8: invalid "
+              "start byte")
+
+    def test_ss_file_that_is_not_utf8(self, tmp_path):
+        f = tmp_path / "bad.ss"
+        f.write_bytes(b"prime 3\n\xff\n")
+        assert run_cli(["ss", "--file", str(f)]) == (
+            1, "", f"error: {f} is not UTF-8: {self.DECODE}\n")
+
+    def test_chart_input_that_is_not_utf8(self, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_bytes(b'{"a": 1,\xff}')
+        assert run_cli(["chart", "--in", str(f)]) == (
+            1, "", f"error: bad table JSON: {self.DECODE}\n")
+
+    def test_chart_input_with_an_int_past_the_digit_limit(self, tmp_path):
+        # json.load takes an int of more than 4300 digits as a ValueError
+        doc = json.loads(run_cli(["syntomic", "--prime", "2", "--format",
+                                  "json"])[1])
+        doc["generators"][0]["degree"] = "DEGREE"
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc).replace('"DEGREE"', "7" * 5000))
+        code, out, err = run_cli(["chart", "--in", str(f)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad table JSON: ")
 
 
 class TestParsePresentation:
@@ -787,6 +820,13 @@ class TestChartCommand:
         ("degree", True, "generator 0 ('1'): degree True is not an int"),
         ("weight", "0", "generator 0 ('1'): weight '0' is not an int"),
         ("origin", None, "bad origin None"),
+        # of the right type, outside the degrees of default_table_window(2)
+        # or the chart's weights; a degree of 10^4 draws 10^4 grid lines
+        ("degree", 10 ** 4, "generator 0 ('1'): degree 10000 is outside "
+                            "-2..14"),
+        ("degree", -3, "generator 0 ('1'): degree -3 is outside -2..14"),
+        ("weight", 4, "generator 0 ('1'): weight 4 is outside 0..3"),
+        ("weight", -1, "generator 0 ('1'): weight -1 is outside 0..3"),
     ])
     def test_generator_field_of_the_wrong_type(self, tmp_path, field, value,
                                                why):
@@ -820,9 +860,10 @@ class TestChartCommand:
     @pytest.mark.parametrize("key, value, why", [
         ("prime", 2.0, "prime 2.0 is not an int"),
         ("prime", True, "prime True is not an int"),
-        ("frobenius_unit", "x", "frobenius_unit 'x' is not one of one, alt"),
-        ("frobenius_unit", None,
-         "frobenius_unit None is not one of one, alt"),
+        ("frobenius_unit", "x", "frobenius_unit 'x' is not 'one'"),
+        ("frobenius_unit", None, "frobenius_unit None is not 'one'"),
+        # synto syntomic no longer writes it: φ's units move no generator
+        ("frobenius_unit", "alt", "frobenius_unit 'alt' is not 'one'"),
     ])
     def test_prime_or_unit_of_the_wrong_type(self, tmp_path, key, value,
                                              why):

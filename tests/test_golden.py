@@ -21,9 +21,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     **{f"syntomic-p{p}.csv": ["syntomic", "--prime", str(p), "--format", "csv"]
        for p in (2, 3, 5, 7, 11)},
-    **{f"syntomic-p3-{unit}.json": ["syntomic", "--prime", "3", "--format",
-                                    "json", "--frobenius-unit", unit]
-       for unit in ("one", "alt")},
+    "syntomic-p3.json": ["syntomic", "--prime", "3", "--format", "json"],
     "syntomic-p13.json": ["syntomic", "--prime", "13", "--format", "json"],
     "syntomic-p31.json": ["syntomic", "--prime", "31", "--format", "json"],
     "syntomic-p5.txt": ["syntomic", "--prime", "5", "--format", "table"],
@@ -63,7 +61,7 @@ CASES = {
 }
 
 # sha256 lines of the 288-command fgl grid, the 97-command ss grid and the
-# 104-command syntomic grid, written and checked by scripts/grid.py (CI steps
+# 52-command syntomic grid, written and checked by scripts/grid.py (CI steps
 # run the whole checks)
 GRIDS = ("fgl-grid.sha256", "ss-grid.sha256", "syntomic-grid.sha256")
 
@@ -100,7 +98,7 @@ def test_ss_grid_file_lists_the_grid_commands():
 
 
 def test_syntomic_grid_file_lists_the_grid_commands():
-    _lists_the_grid_commands("syntomic", 104)
+    _lists_the_grid_commands("syntomic", 52)
 
 
 def test_grid_sample_is_byte_identical(monkeypatch, tmp_path):
@@ -114,8 +112,7 @@ def test_ss_grid_sample_is_byte_identical(monkeypatch, tmp_path):
 
 
 def test_syntomic_grid_sample_is_byte_identical(monkeypatch, tmp_path):
-    # every 7th command, so each prime, unit and format is met; the CI step
-    # checks all 104
+    # every 7th command, so each format is met; the CI step checks all 52
     _sample_is_byte_identical("syntomic", 7, monkeypatch, tmp_path)
 
 

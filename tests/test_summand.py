@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import run_cli, with_degree
+from helpers import run_cli, scale_mu_columns, with_degree
 from synto import fgl, summand
 from synto.graded import GeneratorSymbol, Poly, VerificationError
 from synto.linalg import Span, kernel_basis
@@ -431,28 +431,9 @@ class TestComparisonMaps:
                 (tname, u) = next(iter(col.items()))
                 if c.mu_exp:
                     assert f"t^{-c.mu_exp * p * p}" in tname
-                assert u % p and (c.mu_exp > 0 or u == 1)
+                assert u == 1
             else:
                 assert col == {}
-
-    def test_alt_convention_differs_only_in_units(self):
-        source, target, can, one = comparison_maps(3, convention="one")
-        source2, target2, can2, alt = comparison_maps(3, convention="alt")
-        for got, want in ((source2, source), (target2, target)):
-            assert ([c._fields() for c in got]
-                    == [c._fields() for c in want])
-        assert can2 == can
-        assert set(one) == set(alt)
-        diffs = 0
-        for c in source:
-            a, b = one.get(c.name, {}), alt.get(c.name, {})
-            assert set(a) == set(b)
-            diffs += sum(1 for k in a if a[k] != b[k])
-        assert diffs > 0  # the conventions genuinely differ at p = 3
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            comparison_maps(3, convention="legendre")
 
     @pytest.mark.parametrize("name", ["phi", "can"])
     def test_table_names_the_faulty_map(self, monkeypatch, name):
@@ -514,10 +495,27 @@ class TestSyntomicTable:
                                2 * p * p + 2 * p - 3])
 
     def test_convention_independence(self):
-        one = syntomic_table(3, convention="one")
-        alt = syntomic_table(3, convention="alt")
-        assert one.to_csv() == alt.to_csv()
-        assert one.frobenius_unit != alt.frobenius_unit
+        # φ's units on μ^k with k ≥ 1 scale columns of φ − can that can does
+        # not touch, so they move no generator; at k = 0 can meets φ, and a
+        # unit other than 1 there does move the fiber
+        for p in (3, 5):
+            source, target, can, phi = comparison_maps(p)
+            fiber = summand._fiber_parts(p, source, target, phi=phi, can=can)
+            kernel, cokernel, _dims = fiber
+            assert len(kernel) + len(cokernel) == 4 * p + 4
+            rng = random.Random(p)
+            draws = [scale_mu_columns(p, source, phi, rng) for _ in range(5)]
+            assert any(scaled != phi for scaled in draws)  # a unit ≠ 1
+            for scaled in draws:
+                assert summand._fiber_parts(p, source, target, phi=scaled,
+                                            can=can) == fiber
+            lambdas = [c.name for c in source
+                       if c.name in phi and not c.mu_exp]
+            assert len(lambdas) == 4  # 1, λ₁, λ₂ and λ₁λ₂
+            for s in lambdas:
+                moved = {**phi, s: {t: 2 for t in phi[s]}}
+                assert summand._fiber_parts(p, source, target, phi=moved,
+                                            can=can) != fiber
 
     def test_cutting_window_is_an_error(self, monkeypatch):
         # a kernel class goes missing, as one a window cut off did, so the
@@ -631,7 +629,7 @@ class TestTableSerialization:
         doc = table.to_json_dict()
         back = GeneratorTable.from_json_dict(doc)
         assert back.to_csv() == table.to_csv()
-        assert back.p == 3 and back.frobenius_unit == "one"
+        assert back.p == 3
         assert back.to_json_dict() == doc
 
     def test_json_schema_fields(self):
@@ -664,12 +662,12 @@ class TestTableSerialization:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(VerificationError, match="unique"):
-            GeneratorTable(2, "one", [TableEntry("x", 0, 0, "kernel"),
-                                      TableEntry("x", 0, 0, "kernel")])
+            GeneratorTable(2, [TableEntry("x", 0, 0, "kernel"),
+                               TableEntry("x", 0, 0, "kernel")])
 
     def test_bad_origin_rejected(self):
         with pytest.raises(VerificationError, match="origin"):
-            GeneratorTable(2, "one", [TableEntry("x", 0, 0, "image")])
+            GeneratorTable(2, [TableEntry("x", 0, 0, "image")])
 
 
 class TestHodgeTate:
@@ -725,7 +723,7 @@ class TestCollapseCheckers:
         report = v2_bockstein_check(p, table=table)
         assert report.collapses and report.witnesses == []
         # its d_1 moves (degree, weight) by (2p² − 3, p² − 1)
-        fake = GeneratorTable(p, "one", table.entries + [
+        fake = GeneratorTable(p, table.entries + [
             TableEntry("fakesrc", 0, 0, "kernel"),
             TableEntry("faketgt", 2 * p * p - 3, p * p - 1, "kernel")])
         assert (1, "fakesrc", "faketgt") in v2_bockstein_check(
@@ -734,8 +732,7 @@ class TestCollapseCheckers:
     def test_corrupted_chart_is_detected(self):
         table = syntomic_table(3)
         fake = GeneratorTable(
-            3, "one",
-            table.entries + [TableEntry("fake", 4, 3, "kernel")])
+            3, table.entries + [TableEntry("fake", 4, 3, "kernel")])
         report = motivic_collapse_check(3, table=fake)
         assert not report.collapses
         assert any("fake" in (w[1], w[2]) for w in report.witnesses)
@@ -743,8 +740,7 @@ class TestCollapseCheckers:
     def test_corrupted_v2_chart_is_detected(self):
         table = syntomic_table(3)
         fake = GeneratorTable(
-            3, "one",
-            table.entries + [TableEntry("fakesrc", 0, 0, "kernel"),
-                             TableEntry("faketgt", 15, 8, "kernel")])
+            3, table.entries + [TableEntry("fakesrc", 0, 0, "kernel"),
+                                TableEntry("faketgt", 15, 8, "kernel")])
         report = v2_bockstein_check(3, table=fake)
         assert not report.collapses
