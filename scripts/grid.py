@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-identity check of `synto` outputs over three fixed grids of commands.
+"""Byte-identity check of `synto` outputs over four fixed grids of commands.
 
 ``fgl``: 288 commands.  ``p-series`` and ``right-unit`` at p = 2, 3, 5,
 ``--trunc`` 8, 16 and 22, with no ``--mod`` and with every nonempty subset
@@ -16,6 +16,11 @@ base name only.
 
 ``syntomic``: 52 commands.  Every prime up to 41, as table, JSON, CSV and
 SVG.
+
+``scale``: 4 commands at the primes where the cost of the table shows.
+``syntomic --format json`` at p = 101 and 151, and ``ss --preset tp`` and
+``ss --preset tcminus`` at p = 101 with ``-v``, which print every E1 and d_r
+count.  They take a few seconds together.
 
 Each command runs ``synto.cli.main`` in this process and gives one line: its
 argv, its exit code, and the sha256 of its stdout and its stderr.
@@ -118,9 +123,16 @@ def syntomic_commands():
             yield ["syntomic", "--prime", str(p), "--format", fmt], None
 
 
+def scale_commands():
+    for p in (101, 151):
+        yield ["syntomic", "--prime", str(p), "--format", "json"], None
+    for structure in ("tp", "tcminus"):
+        yield ["ss", "--preset", structure, "--prime", "101", "-v"], None
+
+
 # each grid yields (argv as its line shows it, presentation text or None)
 GRIDS = {"fgl": fgl_commands, "ss": ss_commands,
-         "syntomic": syntomic_commands}
+         "syntomic": syntomic_commands, "scale": scale_commands}
 
 
 def _sha(text: str) -> str:

@@ -153,19 +153,22 @@ class PresentationParseError(CLIUsageError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
+# every number of a presentation file: ASCII digits, no more of them than
+# Python converts from a string by default
+_INT_RE = re.compile(r"-?[0-9]{1,4300}")
+
+
+def _int(tok: str, line: int, msg: str) -> int:
+    """The integer ``tok`` writes; ``line {line}: {msg}`` refuses any other
+    token."""
+    if not _INT_RE.fullmatch(tok):
+        raise PresentationParseError(f"line {line}: {msg}")
+    return int(tok)
 
 
 def _parse_factor(tok: str, line: int):
     base, _, exp = tok.partition("^")
-    if exp:
-        try:
-            e = int(exp)
-        except ValueError:
-            raise PresentationParseError(
-                f"line {line}: bad exponent {exp!r}") from None
-    else:
-        e = 1
-    return base, e
+    return base, _int(exp, line, f"bad exponent {exp!r}") if exp else 1
 
 
 def _parse_mono_text(text: str, line: int) -> tuple[int, dict]:
@@ -175,14 +178,11 @@ def _parse_mono_text(text: str, line: int) -> tuple[int, dict]:
         tok = tok.strip()
         if not tok:
             raise PresentationParseError(f"line {line}: empty factor")
-        if re.fullmatch(r"-?\d+", tok):
-            coeff *= int(tok)
-            continue
         base, e = _parse_factor(tok, line)
-        if not _NAME_RE.match(base):
-            raise PresentationParseError(
-                f"line {line}: bad generator name {base!r}")
-        exps[base] = exps.get(base, 0) + e
+        if _NAME_RE.match(base):
+            exps[base] = exps.get(base, 0) + e
+        else:  # a factor that is no generator must be a coefficient
+            coeff *= _int(tok, line, f"bad generator name {base!r}")
     return coeff, exps
 
 
@@ -192,9 +192,11 @@ def parse_presentation(text: str):
     Lines: ``prime <p>``, ``gen <name> deg <d> weight <w> parity <even|odd>
     [invertible] [maxexp <n>]``, ``rel <monomial>``, ``diff page <r>
     <gen|gen^e> -> <combination>`` (terms separated by `` + ``/`` - ``),
-    ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  The
-    degree decides a generator's parity, so the parity token must agree
-    with it, and ``maxexp <n>`` is the relation ``<name>^(n+1)``.  A
+    ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  Every
+    number is ASCII digits, at most 4300 of them (Python's default limit
+    on converting a string), after an optional ``-``.  The degree decides a
+    generator's parity, so the parity token must agree with it, and
+    ``maxexp <n>`` is the relation ``<name>^(n+1)``.  A
     ``prime`` or ``window`` line may appear only once, and so may each
     option of a ``gen`` line.  Returns None for a file with no ``gen``,
     ``rel`` or ``diff`` line.
@@ -217,10 +219,8 @@ def parse_presentation(text: str):
                     f"line {ln}: repeated {kw!r} line (first on line {first[kw]})")
             first[kw] = ln
         if kw == "prime":
-            # isdecimal, as int() refuses some digits, such as '²'
-            if len(toks) != 2 or not toks[1].isdecimal():
-                raise PresentationParseError(f"line {ln}: usage: prime <p>")
-            prime = int(toks[1])
+            # a second token joins the first with a space, which no number holds
+            prime = _int(" ".join(toks[1:]), ln, "usage: prime <p>")
             if (why := _prime_error(prime)) is not None:
                 raise PresentationParseError(f"line {ln}: {why}")
         elif kw == "gen":
@@ -232,12 +232,8 @@ def parse_presentation(text: str):
             if not _NAME_RE.match(name):
                 raise PresentationParseError(
                     f"line {ln}: bad generator name {name!r}")
-            try:
-                deg = int(toks[3])
-                weight = int(toks[5])
-            except ValueError:
-                raise PresentationParseError(
-                    f"line {ln}: deg and weight must be integers") from None
+            deg, weight = (_int(toks[i], ln, "deg and weight must be integers")
+                           for i in (3, 5))
             if toks[6] != "parity" or toks[7] not in ("even", "odd"):
                 raise PresentationParseError(
                     f"line {ln}: parity must be 'even' or 'odd'")
@@ -256,18 +252,15 @@ def parse_presentation(text: str):
                     invertible = True
                     rest = rest[1:]
                 elif rest[0] == "maxexp":
-                    try:
-                        max_exp = int(rest[1])
-                    except (IndexError, ValueError):
-                        raise PresentationParseError(
-                            f"line {ln}: maxexp needs an integer") from None
+                    max_exp = _int(rest[1] if len(rest) > 1 else "", ln,
+                                   "maxexp needs an integer")
                     rest = rest[2:]
                 else:
                     raise PresentationParseError(
                         f"line {ln}: unknown gen option {rest[0]!r}")
             if max_exp is not None:
+                # Presentation refuses the relation on an invertible one
                 if why := (f"generator {name} has negative max_exp" if max_exp < 0
-                           else f"invertible generator {name} has a max_exp" if invertible
                            else f"odd generator {name} must have exponent <= 1"
                            if deg % 2 and max_exp > 1 else None):
                     raise PresentationParseError(f"line {ln}: {why}")
@@ -283,23 +276,19 @@ def parse_presentation(text: str):
                     f"line {ln}: relations are monomial (no coefficients)")
             rels.append((ln, exps))
         elif kw == "diff":
-            m = re.match(r"diff\s+page\s+(\d+)\s+(\S+)\s*->\s*(.+)$", line)
+            usage = "usage: diff page <r> <gen> -> <image>"
+            m = re.match(r"diff\s+page\s+(\S+)\s+(\S+)\s*->\s*(.+)$", line)
             if not m:
-                raise PresentationParseError(
-                    f"line {ln}: usage: diff page <r> <gen> -> <image>")
-            page = int(m.group(1))
-            gen_tok = m.group(2)
-            base, e0 = _parse_factor(gen_tok, ln)
+                raise PresentationParseError(f"line {ln}: {usage}")
+            page = _int(m.group(1), ln, usage)
+            base, e0 = _parse_factor(m.group(2), ln)
             diffs.append((ln, page, base, e0, m.group(3)))
         elif kw == "window":
             if len(toks) != 7 or toks[1] != "deg" or toks[4] != "weight":
                 raise PresentationParseError(
                     f"line {ln}: usage: window deg <a> <b> weight <c> <d>")
-            try:
-                a, b, c, d = (int(toks[i]) for i in (2, 3, 5, 6))
-            except ValueError:
-                raise PresentationParseError(
-                    f"line {ln}: window bounds must be integers") from None
+            a, b, c, d = (_int(toks[i], ln, "window bounds must be integers")
+                          for i in (2, 3, 5, 6))
             if a > b or c > d:
                 raise PresentationParseError(
                     f"line {ln}: window bounds must satisfy min <= max")

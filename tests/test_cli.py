@@ -396,9 +396,10 @@ class TestSsCommand:
     @pytest.mark.parametrize("lines, why", [
         (["gen x deg 2 weight 1 parity even maxexp -1"],
          "generator x has negative max_exp"),
+        # maxexp 1 is the relation x^2, which Presentation refuses on a unit
         (["gen y deg 2 weight 0 parity even",
           "gen x deg 2 weight 1 parity even invertible maxexp 1"],
-         "invertible generator x has a max_exp"),
+         "relation x^2 kills the unit x, so every class"),
         (["gen x deg 2 weight 1 parity even invertible", "", "rel x"],
          "relation x kills the unit x"),
         (["gen y deg 1 weight 0 parity odd maxexp 2"],
@@ -604,12 +605,13 @@ diff page 4 t^2 -> t^6*l2 + t^6*l2
 window deg -4 12 weight -2 6
 """
 
-# Substitutes hold no number above 3, so no mutant window grows past the
-# base one and every case runs in milliseconds.
+# Substitutes hold no number above 3 that the parser takes, so no mutant
+# window grows past the base one and every case runs in milliseconds.  The
+# last four are refused wherever a number stands.
 FUZZ_TOKENS = ("0", "1", "-1", "2", "3", "t", "mu", "l1", "->", "t^-1",
                "t^2", "*", "+", "-", "even", "odd", "invertible", "maxexp",
                "page", "weight", "deg", "window", "gen", "rel", "diff",
-               "prime", "#", "x^")
+               "prime", "#", "x^", "7" * 5000, "1_0", "+1", "\u0661")
 
 
 def mutate(rng, text):
@@ -645,15 +647,21 @@ def mutate(rng, text):
 class TestSsFileFuzz:
     def test_mutants_exit_cleanly(self, tmp_path):
         # every mutant is a result (0), a usage error (1) or a failed check
-        # (2), never a traceback
+        # (2), never a traceback; a refusal is one line on stderr
         rng = random.Random(20240)
         f = tmp_path / "mutant.ss"
         codes = set()
         for case in range(300):
             text = mutate(rng, FUZZ_BASE)
-            f.write_text(text)
-            code, _out, _err = run_cli(["ss", "--file", str(f)])
+            f.write_text(text, encoding="utf-8")
+            code, _out, err = run_cli(["ss", "--file", str(f)])
             assert code in (0, 1, 2), (case, text)
+            if code == 0:
+                assert err == "", (case, text)
+            else:
+                head = "error: " if code == 1 else "assertion failed: "
+                assert (err.startswith(head) and err.endswith("\n")
+                        and err.count("\n") == 1), (case, err)
             codes.add(code)
         assert codes == {0, 1, 2}
 
@@ -677,6 +685,7 @@ class TestParseRefusals:
          "repeated gen option 'invertible'"),
         # '²'.isdigit() holds, but int() refuses it
         ("prime ²", "usage: prime <p>"),
+        ("prime 3 5", "usage: prime <p>"),
     ])
     def test_line_is_refused(self, tmp_path, line, why):
         text, ln = f"prime 3\ngen x deg 2 weight 0 parity even\n{line}\n", 3
@@ -685,6 +694,44 @@ class TestParseRefusals:
         f = tmp_path / "bad.ss"
         f.write_text(text, encoding="utf-8")
         assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: line {ln}: {why}\n")
+
+    # each place of the format that holds an integer, as a line with {} for
+    # it, and the message that refuses a number outside the grammar
+    INT_SITES = {
+        "prime": ("prime {}", "usage: prime <p>"),
+        "deg": ("gen y deg {} weight 0 parity even",
+                "deg and weight must be integers"),
+        "weight": ("gen y deg 2 weight {} parity even",
+                   "deg and weight must be integers"),
+        "maxexp": ("gen y deg 2 weight 0 parity even maxexp {}",
+                   "maxexp needs an integer"),
+        "diff-page": ("diff page {} x -> x",
+                      "usage: diff page <r> <gen> -> <image>"),
+        "exponent": ("rel x^{}", "bad exponent '{}'"),
+        "coefficient": ("diff page 1 x -> {}*x", "bad generator name '{}'"),
+        "window": ("window deg 0 {} weight 0 1",
+                   "window bounds must be integers"),
+    }
+
+    # int() takes the first three (an underscore, a plus sign, an
+    # Arabic-Indic one); the last is past its limit of 4300 digits
+    @pytest.mark.parametrize("number", ["1_0", "+2", "\u0661", "7" * 5000],
+                             ids=["underscore", "plus", "arabic-indic-one",
+                                  "5000-digits"])
+    @pytest.mark.parametrize("site", sorted(INT_SITES))
+    def test_number_outside_the_grammar(self, tmp_path, site, number):
+        line, why = self.INT_SITES[site]
+        self.test_line_is_refused(tmp_path, line.format(number),
+                                  why.format(number))
+
+    def test_at_most_4300_digits(self):
+        text = ("prime 3\ngen x deg 2 weight 0 parity even\n"
+                "window deg -{} 0 weight 0 0\n")
+        window = parse_presentation(text.format("9" * 4300))[3]
+        assert window.deg_min == -(10 ** 4300 - 1)
+        with pytest.raises(CLIUsageError,
+                           match="^line 3: window bounds must be integers$"):
+            parse_presentation(text.format("9" * 4301))
 
     def test_unreadable_chart_input(self, tmp_path):
         missing = tmp_path / "missing.json"

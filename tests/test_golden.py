@@ -60,10 +60,11 @@ CASES = {
                                   "--trunc", "24"],
 }
 
-# sha256 lines of the 288-command fgl grid, the 97-command ss grid and the
-# 52-command syntomic grid, written and checked by scripts/grid.py (CI steps
-# run the whole checks)
-GRIDS = ("fgl-grid.sha256", "ss-grid.sha256", "syntomic-grid.sha256")
+# sha256 lines of the 288-command fgl grid, the 97-command ss grid, the
+# 52-command syntomic grid and the 4-command scale grid, written and checked
+# by scripts/grid.py (CI steps run the whole checks)
+GRIDS = ("fgl-grid.sha256", "ss-grid.sha256", "syntomic-grid.sha256",
+         "scale-grid.sha256")
 
 
 def _lines(name):
@@ -99,6 +100,11 @@ def test_ss_grid_file_lists_the_grid_commands():
 
 def test_syntomic_grid_file_lists_the_grid_commands():
     _lists_the_grid_commands("syntomic", 52)
+
+
+def test_scale_grid_file_lists_the_grid_commands():
+    # output at the primes where the table's cost shows; only CI runs them
+    _lists_the_grid_commands("scale", 4)
 
 
 def test_grid_sample_is_byte_identical(monkeypatch, tmp_path):
