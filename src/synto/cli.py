@@ -167,8 +167,8 @@ def _int(tok: str, line: int, msg: str) -> int:
 
 
 def _parse_factor(tok: str, line: int):
-    base, _, exp = tok.partition("^")
-    return base, _int(exp, line, f"bad exponent {exp!r}") if exp else 1
+    base, caret, exp = tok.partition("^")
+    return base, _int(exp, line, f"bad exponent {exp!r}") if caret else 1
 
 
 def _parse_mono_text(text: str, line: int) -> tuple[int, dict]:
@@ -194,7 +194,8 @@ def parse_presentation(text: str):
     <gen|gen^e> -> <combination>`` (terms separated by `` + ``/`` - ``),
     ``window deg <a> <b> weight <c> <d>``.  ``#`` starts a comment.  Every
     number is ASCII digits, at most 4300 of them (Python's default limit
-    on converting a string), after an optional ``-``.  The degree decides a
+    on converting a string), after an optional ``-``, and a factor
+    ``x^`` with no exponent is refused.  The degree decides a
     generator's parity, so the parity token must agree with it, and
     ``maxexp <n>`` is the relation ``<name>^(n+1)``.  A
     ``prime`` or ``window`` line may appear only once, and so may each

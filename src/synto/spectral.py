@@ -9,6 +9,15 @@ Leibniz rule.  Page turning is exact sparse linear algebra over F_p:
 per-bidegree homology with canonical RREF representatives, so output is
 deterministic down to the choice of basis vectors.
 
+Every E₁ record of n monomials holds one shared alive list, `_units(n)`,
+and a turn that changes a record gives it a new one.  So a record that
+still holds the shared list and no boundary is unturned, known by
+identity: its classes are the unit basis of its monomials.  As a target
+it needs neither the stale-representative check nor the "not a cycle mod
+boundaries" check, as a unit basis with no boundary is RREF and spans
+every image over its monomials; as a source its kernel vectors are its
+cycles as they stand.
+
 A `DifferentialSpec` is checked once, on generators, when it is built: each
 d_r has degree -1, so it is an odd derivation, and d_r² is then an even
 derivation in any characteristic.  So d_r is a differential on the quotient
@@ -30,6 +39,7 @@ other Bockstein-style conventions (e.g. a v2-Bockstein with v2 in bidegree
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -431,27 +441,41 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
                 f"{cat.mono_str(min(image))}", rel)
 
 
-_ONE: list[Vec] = [{0: 1}]  # the E₁ classes of every one-monomial bidegree
+@cache
+def _units(n: int) -> list[Vec]:
+    """The E₁ classes of every n-monomial bidegree, the unit vectors
+    e_0 … e_{n-1}: one list per n, shared by every record that holds it."""
+    return [{i: 1} for i in range(n)]
+
+
+_ONE = _units(1)  # the E₁ classes of every one-monomial bidegree
 
 
 class BidegreeData:
     """The monomials of one bidegree, the alive classes over them and the
     boundary span.  Pages share records and never write a stored one, and a
     record keeps only what a later turn reads.  `index` is derived from
-    `monos` when read.  A one-monomial bidegree starts with the shared
-    alive list `_ONE`, so `turn_page` knows an untouched one by identity.
-    Every record holds at least one class: a page has no record for a
-    bidegree with none."""
+    `monos` when read.  Every record holds at least one class: a page has
+    no record for a bidegree with none.
+
+    An n-monomial record starts with the shared alive list `_units(n)` and
+    no boundaries.  A turn that changes a record builds it a new alive list,
+    so `turn_page` knows an unturned record, one as `build_page` made it,
+    by identity: its classes are the unit basis of its monomials."""
 
     __slots__ = ("monos", "alive", "boundaries")
 
     def __init__(self, monos: list[Mono], alive: Optional[list[Vec]] = None,
                  boundaries: Optional[Span] = None):
         self.monos = monos
-        if alive is None:
-            alive = _ONE if len(monos) == 1 else [{i: 1} for i in range(len(monos))]
-        self.alive = alive
+        self.alive = _units(len(monos)) if alive is None else alive
         self.boundaries = boundaries
+
+    @property
+    def unturned(self) -> bool:
+        """As `build_page` made it: every monomial is a class, and there is
+        no boundary."""
+        return self.boundaries is None and self.alive is _units(len(self.monos))
 
     @property
     def index(self) -> dict[Mono, int]:
@@ -523,6 +547,15 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     boundaries.  A bidegree that loses no class to the kernel and gains no
     boundary keeps the previous page's `BidegreeData`.
 
+    An unturned target (`BidegreeData.unturned`: the shared `_units(n)`
+    and no boundaries) skips the stale-representative scan and the "not a
+    cycle mod boundaries" check.  Neither can fail there: its classes are
+    the unit basis of its monomials, so they are RREF with no boundary to
+    meet, and every image whose terms all lie in the target's monomials is
+    in their span.  The domain check, the missing-term check and the rank
+    bookkeeping run on every pair.  A source that holds `_units(n)` has
+    alive[j] = e_j, so its kernel vectors are inserted as its cycles.
+
     A bidegree that a turn leaves with no class is deleted from the new
     page.  A pair of untouched one-monomial bidegrees, both alive lists the
     shared `_ONE`, is decided by d_r's one coefficient c: with c ≠ 0 both
@@ -590,13 +623,17 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
                 grown[tb] = None, 1
             continue
         bounds = td.boundaries or Span(p)
-        classes = Span(p)
-        classes.rows = {min(v): v for v in td.alive if v}
-        pivots = classes.rows.keys() | bounds.rows.keys()
-        if (len(pivots) != len(td.alive) + bounds.dim
-                or any(v[q] != 1 or len(v.keys() & pivots) > 1
-                       for q, v in classes.rows.items())):
-            raise VerificationError(f"stale representative in bidegree {tb}")
+        # an unturned target's classes, the unit basis of its monomials with
+        # no boundary, are RREF and span every image that image() returns
+        classes = None
+        if not td.unturned:
+            classes = Span(p)
+            classes.rows = {min(v): v for v in td.alive if v}
+            pivots = classes.rows.keys() | bounds.rows.keys()
+            if (len(pivots) != len(td.alive) + bounds.dim
+                    or any(v[q] != 1 or len(v.keys() & pivots) > 1
+                           for q, v in classes.rows.items())):
+                raise VerificationError(f"stale representative in bidegree {tb}")
         images = []
         for v in d.alive:
             # reducing mod tb's boundaries changes neither the kernel nor the
@@ -604,7 +641,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             dv = image(b, d, v, tb, tindex)
             if bounds.rows:
                 dv = bounds.reduce(dv)
-            if classes.reduce(dv):
+            if classes is not None and classes.reduce(dv):
                 raise VerificationError(
                     f"d_{r} image not a cycle mod boundaries at {tb}")
             images.append(dv)
@@ -618,7 +655,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     for b in sorted(kernels.keys() | grown.keys()):
         d = page.data[b]
         old_dim = len(d.alive)
-        ker = kernels[b] if b in kernels else [{j: 1} for j in range(old_dim)]
+        ker = kernels[b] if b in kernels else _units(old_dim)
         span, rank_in = grown.get(b, (d.boundaries, 0))
         rank_out = old_dim - len(ker)
         if not (rank_out or rank_in):
@@ -627,11 +664,16 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         # one monomial that lost or gained a class keeps none
         if len(d.monos) > 1:
             base = span.copy() if span else Span(p)
+            # a record that holds _units(n) has alive[j] = e_j, so each
+            # kernel vector is its cycle over the monomials as it stands
+            units = d.alive is _units(len(d.monos))
             pivots = []
             for k in ker:
-                vec: Vec = {}
-                for j, c in k.items():
-                    vec = vec_addmul(p, vec, d.alive[j], c)
+                vec = k
+                if not units:
+                    vec = {}
+                    for j, c in k.items():
+                        vec = vec_addmul(p, vec, d.alive[j], c)
                 piv = base.insert(vec)
                 if piv is not None:
                     pivots.append(piv)

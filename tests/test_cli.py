@@ -2,6 +2,8 @@
 presentation-file parsing, and round trips."""
 
 import ast
+import collections
+import copy
 import importlib
 import inspect
 import json
@@ -666,11 +668,85 @@ class TestSsFileFuzz:
         assert codes == {0, 1, 2}
 
 
+# A field's substitutes: every JSON type, each field's own values and
+# values of the right type that the chart refuses.  None grows a table, so
+# every case runs in milliseconds.
+TABLE_VALUES = (None, True, False, 0, 1, -1, 2, 3, 5, 7, 10 ** 4, -(10 ** 4),
+                2.0, 0.5, "", "1", "2", "t^-2", "lambda1*mu", "t^x", "zz",
+                "one", "kernel", "cokernel", "free_over_v2", [], [0, 0],
+                [6, 3], [24, 8], {}, {"name": "1"})
+
+
+def mutate_table(rng, doc):
+    """One to three random edits of a table's JSON document: set or delete
+    a field of the document, of its convention or of one generator; or
+    delete, duplicate, swap or replace a generator."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        gens = doc.get("generators")
+        where = rng.randrange(4)
+        if where == 3 and isinstance(gens, list) and gens:
+            i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+            op = rng.randrange(4)
+            if op == 0:
+                del gens[i]
+            elif op == 1:
+                gens.insert(i, copy.deepcopy(gens[i]))
+            elif op == 2:
+                gens[i], gens[j] = gens[j], gens[i]
+            else:
+                gens[i] = copy.deepcopy(rng.choice(TABLE_VALUES))
+            continue
+        target = doc
+        if where == 1 and isinstance(doc.get("convention"), dict):
+            target = doc["convention"]
+        elif where == 2 and isinstance(gens, list) and gens:
+            g = rng.choice(gens)
+            target = g if isinstance(g, dict) else doc
+        key = rng.choice(sorted(target) + ["extra"])
+        if rng.randrange(4):
+            target[key] = copy.deepcopy(rng.choice(TABLE_VALUES))
+        else:
+            target.pop(key, None)
+    return doc
+
+
+class TestChartInputFuzz:
+    def test_mutants_exit_cleanly(self, tmp_path):
+        # every mutated table is charted (0) or refused (1) with one line
+        # on stderr, never a traceback
+        rng = random.Random(20241)
+        f = tmp_path / "mutant.json"
+        codes = collections.Counter()
+        for p in (2, 3, 5):
+            doc = summand.syntomic_table(p).to_json_dict()
+            for case in range(100):
+                mutant = mutate_table(rng, doc)
+                f.write_text(json.dumps(mutant), encoding="utf-8")
+                fmt = rng.choice(("svg", "ascii"))
+                code, out, err = run_cli(["chart", "--in", str(f),
+                                          "--format", fmt])
+                assert code in (0, 1, 2), (p, case, mutant)
+                if code == 0:
+                    assert out and err == "", (p, case, mutant)
+                else:
+                    head = "error: " if code == 1 else "assertion failed: "
+                    assert (out == "" and err.startswith(head)
+                            and err.endswith("\n")
+                            and err.count("\n") == 1), (p, case, err)
+                codes[code] += 1
+        # the fuzz reaches both a chart and a refusal
+        assert codes[0] and codes[1]
+
+
 class TestParseRefusals:
     """Each refusal of the `ss --file` parser, with its whole message."""
 
     @pytest.mark.parametrize("line, why", [
         ("rel x^a", "bad exponent 'a'"),
+        # a caret with nothing after it is no first power
+        ("rel x^", "bad exponent ''"),
+        ("diff page 1 x^ -> y", "bad exponent ''"),
         ("rel x**x", "empty factor"),
         ("rel 2x", "bad generator name '2x'"),
         ("rel 2*x", "relations are monomial (no coefficients)"),

@@ -1317,6 +1317,68 @@ class TestPageRecords:
         biggest = max(len(e1.data[b].monos) for b in dead)
         assert (biggest > 1) == (source == "derham")
 
+    @pytest.mark.parametrize("source", ["tp", "tcminus", "derham"])
+    def test_unturned_records_hold_the_shared_units(self, source, monkeypatch):
+        # every E₁ record of n monomials holds the one list _units(n), and
+        # no record that a turn wrote does
+        pres, spec, window = self.inputs(source)
+        e1 = build_page(pres, window)
+        assert spectral._units(1) is spectral._ONE
+        for d in e1.data.values():
+            assert d.alive is spectral._units(len(d.monos))
+            assert d.alive == [{i: 1} for i in range(len(d.monos))]
+            assert d.boundaries is None and d.unturned
+        real, rewritten = spectral.turn_page, []
+
+        def checked(page, spec):
+            nxt = real(page, spec)
+            for b, d in nxt.data.items():
+                if d is not page.data.get(b):
+                    assert d.alive is not spectral._units(len(d.monos))
+                    assert not d.unturned
+                    rewritten.append(len(d.monos))
+            return nxt
+
+        monkeypatch.setattr(spectral, "turn_page", checked)
+        run_to_stable(e1, spec)
+        # a one-monomial record a turn touches is deleted, never rewritten
+        assert bool(rewritten) == (source == "derham")
+        assert all(n > 1 for n in rewritten)
+
+    def test_target_with_a_new_alive_list_is_checked(self):
+        # (-1, 1) holds y, xy and x^2y; a list that drops y is no longer the
+        # shared one, so d_1(x) = y is checked against it and refused
+        page, spec, i = _xy_page()
+        td = page.data[(-1, 1)]
+        td.alive = [{i["x*y"]: 1}, {i["x^2*y"]: 1}]
+        assert not td.unturned
+        with pytest.raises(VerificationError,
+                           match=r"d_1 image not a cycle mod boundaries at \(-1, 1\)"):
+            turn_page(page, spec)
+
+    def test_equal_list_that_is_not_shared_is_checked_alike(self):
+        # the unit list by value, not by identity: every check runs and
+        # passes, and the turn gives the same classes
+        page, spec, _i = _xy_page()
+        want = turn_page(page, spec).dims()
+        for b, d in page.data.items():
+            page.data[b] = spectral.BidegreeData(d.monos, [dict(v) for v in d.alive])
+            assert not page.data[b].unturned
+        assert turn_page(page, spec).dims() == want
+
+    def test_shared_units_next_to_boundaries_is_stale(self):
+        # the shared unit list with a boundary span is not unturned, so the
+        # stale-representative check runs and finds y alive and a boundary
+        page, spec, i = _xy_page()
+        boundaries = spectral.Span(3)
+        boundaries.insert({i["y"]: 1})
+        monos = page.data[(-1, 1)].monos
+        page.data[(-1, 1)] = spectral.BidegreeData(monos, None, boundaries)
+        assert page.data[(-1, 1)].alive is spectral._units(len(monos))
+        with pytest.raises(VerificationError,
+                           match=r"stale representative in bidegree \(-1, 1\)"):
+            turn_page(page, spec)
+
 
 class TestRunToStable:
     def test_tp_p2_full_run(self):
