@@ -21,11 +21,11 @@ from typing import Optional
 from . import __version__
 from .graded import GeneratorSymbol, VerificationError
 from .fgl import p_series, right_unit_t
-from .spectral import (DiffEntry, DifferentialSpec, Presentation,
-                       RelationError, Window, build_page, run_to_stable)
+from .spectral import (DiffEntry, DifferentialSpec, InputError, Presentation,
+                       Window, build_page, run_to_stable)
 from .summand import (PRESENTATIONS, GeneratorTable, _prime_error,
-                      default_table_window, derive_differentials,
-                      hodge_tate_check, run_window, syntomic_table)
+                      certified_run, default_table_window, hodge_tate_check,
+                      syntomic_table)
 from .chart import ascii_chart, svg_chart
 
 
@@ -148,10 +148,6 @@ def format_table(table: GeneratorTable, color: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # presentation-file parsing for `ss`
 
-class PresentationParseError(CLIUsageError):
-    pass
-
-
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 # every number of a presentation file: ASCII digits, no more of them than
 # Python converts from a string by default
@@ -162,7 +158,7 @@ def _int(tok: str, line: int, msg: str) -> int:
     """The integer ``tok`` writes; ``line {line}: {msg}`` refuses any other
     token."""
     if not _INT_RE.fullmatch(tok):
-        raise PresentationParseError(f"line {line}: {msg}")
+        raise CLIUsageError(f"line {line}: {msg}")
     return int(tok)
 
 
@@ -177,7 +173,7 @@ def _parse_mono_text(text: str, line: int) -> tuple[int, dict]:
     for tok in text.split("*"):
         tok = tok.strip()
         if not tok:
-            raise PresentationParseError(f"line {line}: empty factor")
+            raise CLIUsageError(f"line {line}: empty factor")
         base, e = _parse_factor(tok, line)
         if _NAME_RE.match(base):
             exps[base] = exps.get(base, 0) + e
@@ -201,11 +197,15 @@ def parse_presentation(text: str):
     ``prime`` or ``window`` line may appear only once, and so may each
     option of a ``gen`` line.  Returns None for a file with no ``gen``,
     ``rel`` or ``diff`` line.
+
+    `Presentation` and `DifferentialSpec` are each built once, from the
+    generators, relations (a ``maxexp`` one at its ``gen`` line) and
+    differentials in file order; each of their refusals, an `InputError`,
+    is reported at the line its ``where`` names.
     """
     prime = None
-    gens: list[tuple[int, GeneratorSymbol]] = []
-    rels: list[tuple[int, dict]] = []
-    diffs: list[tuple[int, int, str, int, str]] = []
+    # each generator, relation and differential with its line
+    inputs: dict[str, list[tuple[int, object]]] = {"gen": [], "rel": [], "diff": []}
     window = None
     first: dict[str, int] = {}  # the line of each 'prime' and 'window'
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -216,38 +216,35 @@ def parse_presentation(text: str):
         kw = toks[0]
         if kw in ("prime", "window"):
             if kw in first:
-                raise PresentationParseError(
+                raise CLIUsageError(
                     f"line {ln}: repeated {kw!r} line (first on line {first[kw]})")
             first[kw] = ln
         if kw == "prime":
             # a second token joins the first with a space, which no number holds
             prime = _int(" ".join(toks[1:]), ln, "usage: prime <p>")
             if (why := _prime_error(prime)) is not None:
-                raise PresentationParseError(f"line {ln}: {why}")
+                raise CLIUsageError(f"line {ln}: {why}")
         elif kw == "gen":
             if len(toks) < 8 or toks[2] != "deg" or toks[4] != "weight":
-                raise PresentationParseError(
+                raise CLIUsageError(
                     f"line {ln}: usage: gen <name> deg <d> weight <w> "
                     f"parity <even|odd> [invertible] [maxexp <n>]")
             name = toks[1]
             if not _NAME_RE.match(name):
-                raise PresentationParseError(
-                    f"line {ln}: bad generator name {name!r}")
+                raise CLIUsageError(f"line {ln}: bad generator name {name!r}")
             deg, weight = (_int(toks[i], ln, "deg and weight must be integers")
                            for i in (3, 5))
             if toks[6] != "parity" or toks[7] not in ("even", "odd"):
-                raise PresentationParseError(
-                    f"line {ln}: parity must be 'even' or 'odd'")
+                raise CLIUsageError(f"line {ln}: parity must be 'even' or 'odd'")
             if toks[7] != ("odd" if deg % 2 else "even"):
-                raise PresentationParseError(
+                raise CLIUsageError(
                     f"line {ln}: parity {toks[7]} disagrees with deg {deg}")
             invertible = False
             max_exp = None
             rest, seen = toks[8:], set()
             while rest:
                 if rest[0] in seen:
-                    raise PresentationParseError(
-                        f"line {ln}: repeated gen option {rest[0]!r}")
+                    raise CLIUsageError(f"line {ln}: repeated gen option {rest[0]!r}")
                 seen.add(rest[0])
                 if rest[0] == "invertible":
                     invertible = True
@@ -257,109 +254,64 @@ def parse_presentation(text: str):
                                    "maxexp needs an integer")
                     rest = rest[2:]
                 else:
-                    raise PresentationParseError(
-                        f"line {ln}: unknown gen option {rest[0]!r}")
+                    raise CLIUsageError(f"line {ln}: unknown gen option {rest[0]!r}")
             if max_exp is not None:
                 # Presentation refuses the relation on an invertible one
                 if why := (f"generator {name} has negative max_exp" if max_exp < 0
                            else f"odd generator {name} must have exponent <= 1"
                            if deg % 2 and max_exp > 1 else None):
-                    raise PresentationParseError(f"line {ln}: {why}")
-                rels.append((ln, {name: max_exp + 1}))
-            gens.append((ln, GeneratorSymbol(name, deg, weight, invertible)))
+                    raise CLIUsageError(f"line {ln}: {why}")
+                inputs["rel"].append((ln, {name: max_exp + 1}))
+            inputs["gen"].append((ln, GeneratorSymbol(name, deg, weight, invertible)))
         elif kw == "rel":
             if len(toks) != 2:
-                raise PresentationParseError(
-                    f"line {ln}: usage: rel <monomial>")
+                raise CLIUsageError(f"line {ln}: usage: rel <monomial>")
             coeff, exps = _parse_mono_text(toks[1], ln)
             if coeff != 1:
-                raise PresentationParseError(
+                raise CLIUsageError(
                     f"line {ln}: relations are monomial (no coefficients)")
-            rels.append((ln, exps))
+            inputs["rel"].append((ln, exps))
         elif kw == "diff":
             usage = "usage: diff page <r> <gen> -> <image>"
             m = re.match(r"diff\s+page\s+(\S+)\s+(\S+)\s*->\s*(.+)$", line)
             if not m:
-                raise PresentationParseError(f"line {ln}: {usage}")
+                raise CLIUsageError(f"line {ln}: {usage}")
             page = _int(m.group(1), ln, usage)
             base, e0 = _parse_factor(m.group(2), ln)
-            diffs.append((ln, page, base, e0, m.group(3)))
+            # `a + 2*b - c`: an operator has spaces around it, so that t^-2
+            # keeps its sign, and each split eats them, so no term is blank
+            toks = re.split(r"\s+([+-])\s+", m.group(3).strip())
+            image = []
+            for op, term in zip(["+", *toks[1::2]], toks[::2]):
+                coeff, exps = _parse_mono_text(term, ln)
+                image.append((exps, coeff if op == "+" else -coeff))
+            inputs["diff"].append((ln, DiffEntry(page, base, e0, tuple(image))))
         elif kw == "window":
             if len(toks) != 7 or toks[1] != "deg" or toks[4] != "weight":
-                raise PresentationParseError(
+                raise CLIUsageError(
                     f"line {ln}: usage: window deg <a> <b> weight <c> <d>")
             a, b, c, d = (_int(toks[i], ln, "window bounds must be integers")
                           for i in (2, 3, 5, 6))
             if a > b or c > d:
-                raise PresentationParseError(
-                    f"line {ln}: window bounds must satisfy min <= max")
+                raise CLIUsageError(f"line {ln}: window bounds must satisfy min <= max")
             window = Window(a, b, c, d)
         else:
-            raise PresentationParseError(
-                f"line {ln}: unknown directive {kw!r}")
+            raise CLIUsageError(f"line {ln}: unknown directive {kw!r}")
 
-    if not (gens or rels or diffs):
+    if not any(inputs.values()):
         return None
     if prime is None:
-        raise PresentationParseError("missing 'prime <p>' line")
-    syms = [g for _ln, g in gens]
-    names = {g.name for g in syms}
-    for ln, exps in rels:
-        for nm in exps:
-            if nm not in names:
-                raise PresentationParseError(
-                    f"line {ln}: unknown generator {nm!r} in relation")
-    # Presentation refuses what describes no algebra.  Each generator and
-    # each relation is tried on its own, so that a refusal names its line;
-    # a duplicate generator name belongs to no one line.
-    for ln, some_gens, some_rels in ([(ln, [g], []) for ln, g in gens]
-                                     + [(None, syms, [])]
-                                     + [(ln, syms, [r]) for ln, r in rels]):
-        try:
-            Presentation(prime, some_gens, some_rels)
-        except (VerificationError, ValueError) as e:
-            raise PresentationParseError(
-                f"line {ln}: {e}" if ln else f"bad presentation: {e}") from None
-    pres = Presentation(prime, syms, relations=[r for _ln, r in rels])
-    cat = pres.catalog
-
-    entries = []
-    for ln, page, base, e0, image_text in diffs:
-        if base not in cat.index:
-            raise PresentationParseError(
-                f"line {ln}: differential on unknown generator {base!r}")
-        image = []
-        for term, sign in _split_combination(image_text):
-            coeff, exps = _parse_mono_text(term, ln)
-            for nm in exps:
-                if nm not in cat.index:
-                    raise PresentationParseError(
-                        f"line {ln}: unknown generator {nm!r} in image")
-            image.append((cat.mono(exps), sign * coeff))
-        entries.append(DiffEntry(page, base, e0, tuple(image)))
+        raise CLIUsageError("missing 'prime <p>' line")
     try:
-        spec = DifferentialSpec(pres, tuple(entries))
-    except RelationError as e:
-        # relations are checked in order, so a repeated one fails at its first line
-        ln = rels[pres.relations.index(e.relation)][0]
-        raise PresentationParseError(f"line {ln}: {e}") from None
-    except (VerificationError, ValueError) as e:
-        raise PresentationParseError(f"bad differential: {e}") from None
+        pres = Presentation(prime, [g for _ln, g in inputs["gen"]],
+                            [r for _ln, r in inputs["rel"]])
+        spec = DifferentialSpec(pres, [d for _ln, d in inputs["diff"]])
+    except InputError as e:
+        kind, i = e.where
+        raise CLIUsageError(f"line {inputs[kind][i][0]}: {e}") from None
     if window is None:
-        raise PresentationParseError("missing 'window' line")
+        raise CLIUsageError("missing 'window' line")
     return prime, pres, spec, window
-
-
-def _split_combination(text: str) -> list[tuple[str, int]]:
-    """Split ``a + 2*b - c`` into [(a,1), (2*b,1), (c,-1)]; operators must
-    be surrounded by spaces so t^-2 style exponents survive.  No term is
-    blank: ``text`` is stripped, and each split eats all the whitespace
-    around its operator."""
-    toks = re.split(r"\s+([+-])\s+", text.strip())
-    out = [(toks[0], 1)]
-    for op, term in zip(toks[1::2], toks[2::2]):
-        out.append((term, 1 if op == "+" else -1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +363,12 @@ def cmd_fgl(args) -> int:
     return 0
 
 
+def _print_e1(prime: int, page) -> None:
+    w = page.window
+    print(f"prime {prime}, E1: {page.total_dim()} classes, window deg "
+          f"[{w.deg_min}, {w.deg_max}] weight [{w.weight_min}, {w.weight_max}]")
+
+
 def cmd_ss(args) -> int:
     if args.file:
         if args.prime is not None:
@@ -428,17 +386,15 @@ def cmd_ss(args) -> int:
             print("empty presentation: no classes")
             return 0
         prime, pres, spec, window = parsed
+        page = build_page(pres, window)
+        # printed before the run, which may find the window inconclusive
+        _print_e1(prime, page)
+        final, log = run_to_stable(page, spec)
     else:
         prime = _require_prime(2 if args.prime is None else args.prime)
-        structure = args.preset
-        spec = derive_differentials(prime, structure)
-        pres = spec.pres
-        window = run_window(prime, structure, *default_table_window(prime))
-    page = build_page(pres, window)
-    print(f"prime {prime}, E1: {page.total_dim()} classes, window "
-          f"deg [{window.deg_min}, {window.deg_max}] "
-          f"weight [{window.weight_min}, {window.weight_max}]")
-    final, log = run_to_stable(page, spec)
+        page, final, log = certified_run(prime, args.preset,
+                                         *default_table_window(prime))
+        _print_e1(prime, page)
     for entry in log:
         if entry["page"] == "stable":
             print(f"stable: {entry['classes']} classes")
@@ -473,7 +429,7 @@ def cmd_chart(args) -> int:
         table = GeneratorTable.from_json_dict(data)
         # a name the chart cannot label is a fault of the file, too
         text = svg_chart(table) if args.format == "svg" else ascii_chart(table)
-    except (KeyError, TypeError, VerificationError) as e:
+    except VerificationError as e:
         raise CLIUsageError(f"bad table JSON: {e}") from None
     _emit(text, args.out)
     return 0

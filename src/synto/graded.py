@@ -51,6 +51,17 @@ class VerificationError(Exception):
     """An internal exactness or consistency check failed (hard error)."""
 
 
+class InputError(ValueError):
+    """A refused input of `Catalog`, `spectral.Presentation` or
+    `spectral.DifferentialSpec`.  ``where`` is ("gen", i), ("rel", j) or
+    ("diff", n): the position of the refused generator, relation or entry
+    in the sequence the caller gave."""
+
+    def __init__(self, message: str, where: tuple[str, int]) -> None:
+        super().__init__(message)
+        self.where = where
+
+
 class GeneratorSymbol:
     """A generator of bidegree (degree, weight).  `invertible` lets exponents
     go negative on a page of `spectral.Presentation`; the series ignores it."""
@@ -111,9 +122,10 @@ class Catalog:
 
     def __init__(self, symbols: Iterable[GeneratorSymbol]):
         self.symbols: tuple[GeneratorSymbol, ...] = tuple(symbols)
-        self.index: dict[str, int] = {s.name: i for i, s in enumerate(self.symbols)}
-        if len(self.index) != len(self.symbols):
-            raise ValueError("duplicate generator name in catalog")
+        self.index: dict[str, int] = {}
+        for i, s in enumerate(self.symbols):
+            if self.index.setdefault(s.name, i) != i:
+                raise InputError(f"duplicate generator name {s.name!r}", ("gen", i))
         self.n = len(self.symbols)
         self.odd = tuple(i for i, s in enumerate(self.symbols) if s.degree % 2)
         self.orient = tuple(i for i, s in enumerate(self.symbols)

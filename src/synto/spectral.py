@@ -43,7 +43,7 @@ from functools import cache
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from synto.graded import Catalog, GeneratorSymbol, Mono, VerificationError
+from synto.graded import Catalog, GeneratorSymbol, InputError, Mono, VerificationError
 from synto.linalg import Span, Vec, kernel_basis, vec_addmul
 
 
@@ -107,16 +107,25 @@ class Presentation:
         self.gens = self.catalog.symbols
         for i in self.catalog.odd:
             if self.gens[i].invertible:
-                raise ValueError(f"odd generator {self.gens[i].name} must have exponent <= 1")
+                raise InputError(f"odd generator {self.gens[i].name} must have "
+                                 f"exponent <= 1", ("gen", i))
         self.relations: tuple[Mono, ...] = tuple(
-            self.catalog.mono(r) for r in relations)
-        for rel in self.relations:
+            self.mono(r, "relation", ("rel", j)) for j, r in enumerate(relations))
+        for j, rel in enumerate(self.relations):
             if any(e < 0 for e in rel):
-                raise ValueError("relations must have non-negative exponents")
+                raise InputError("relations must have non-negative exponents", ("rel", j))
             for e, g in zip(rel, self.gens):
                 if e and g.invertible:
-                    raise ValueError(f"relation {self.catalog.mono_str(rel)} "
-                                     f"kills the unit {g.name}, so every class")
+                    raise InputError(f"relation {self.catalog.mono_str(rel)} "
+                                     f"kills the unit {g.name}, so every class", ("rel", j))
+
+    def mono(self, exps: dict[str, int], what: str, where: tuple[str, int]) -> Mono:
+        """The monomial of the exponents ``exps``, named by generator; a name
+        that is no generator is refused as one in ``what``, at ``where``."""
+        for name in exps:
+            if name not in self.catalog.index:
+                raise InputError(f"unknown generator {name!r} in {what}", where)
+        return self.catalog.mono(exps)
 
     def killed(self, m: Mono) -> bool:
         """Zero in the quotient: divisible by a relation."""
@@ -243,68 +252,68 @@ _Row = tuple[int, int, _Terms, tuple[int, ...]]
 
 
 class DiffEntry:
-    """d_{page}(gen^base_exp) = image (terms as (monomial, coefficient))."""
+    """d_{page}(gen^base_exp) = image, each image term a pair
+    ({generator name: exponent}, coefficient), as a relation is written."""
 
     __slots__ = ("page", "gen", "base_exp", "image")
 
     def __init__(self, page: int, gen: str, base_exp: int,
-                 image: tuple[tuple[Mono, int], ...]) -> None:
+                 image: tuple[tuple[dict[str, int], int], ...]) -> None:
         self.page, self.gen = page, gen
         self.base_exp, self.image = base_exp, image
-
-
-class RelationError(ValueError):
-    """Some d_r does not preserve ``relation``, so it is not defined on the
-    quotient."""
-
-    def __init__(self, message: str, relation: Mono):
-        super().__init__(message)
-        self.relation = relation
 
 
 class DifferentialSpec:
     """Generator-level differentials; anything unlisted at a page is a cycle.
     Each page is compiled once into the rows `leibniz_extend` reads.
 
-    The spec is refused (ValueError) unless each d_r is a differential on
-    the quotient.  Every relation must pass `check_relation` (else a
-    `RelationError`), so that d_r is defined on the quotient, and
-    d_r(d_r(g^e₀)) must vanish there for every entry.  That is enough: d_r
-    has degree -1, so it is an odd derivation, and d_r² is then a derivation
-    in any characteristic, as the cross terms ±d_r(a)·d_r(b) of d_r²(a·b)
-    cancel.  The g^e₀ and the unlisted generators generate d_r's domain, so
-    d_r² is zero on all of it."""
+    Each refusal is an `InputError` at ("diff", n), the refused entry, or at
+    a relation.  The spec is refused unless each d_r is a differential on
+    the quotient.  Every relation must pass `check_relation`, so that d_r
+    is defined on the quotient, and d_r(d_r(g^e₀)) must vanish there for
+    every entry.  That is enough: d_r has degree -1, so it is an odd
+    derivation, and d_r² is then a derivation in any characteristic, as the
+    cross terms ±d_r(a)·d_r(b) of d_r²(a·b) cancel.  The g^e₀ and the
+    unlisted generators generate d_r's domain, so d_r² is zero on all of
+    it."""
 
     def __init__(self, pres: Presentation, entries: Iterable[DiffEntry]):
         self.pres = pres
         self.rule = ADAMS_RULE
         self.entries = tuple(entries)
         self._by_page: dict[int, dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]] = {}
+        at: dict[tuple[int, int], int] = {}  # (page, generator) -> its entry
         cat = pres.catalog
-        for e in self.entries:
+        for n, e in enumerate(self.entries):
+            where = ("diff", n)
             if e.page < 1 or e.base_exp < 1:
-                raise ValueError("pages and base exponents are positive")
+                raise InputError("pages and base exponents are positive", where)
+            if e.gen not in cat.index:
+                raise InputError(f"differential on unknown generator {e.gen!r}", where)
             gi = cat.index[e.gen]
             if e.base_exp > 1 and gi in cat.odd:
-                raise ValueError(f"odd generator {e.gen} has no power {e.base_exp}")
+                raise InputError(f"odd generator {e.gen} has no power {e.base_exp}", where)
             base = cat.mono({e.gen: e.base_exp})
             want = (cat.degree(base) + self.rule.shift(e.page)[0],
                     cat.weight(base) + self.rule.shift(e.page)[1])
-            image = tuple((m, c % pres.p) for m, c in e.image if c % pres.p)
+            # the names of every term are checked, a zero term's too
+            terms = [(pres.mono(t, "image", where), c % pres.p) for t, c in e.image]
+            image = tuple((m, c) for m, c in terms if c)
             for m, _ in image:
                 if cat.bidegree(m) != want:
-                    raise ValueError(
+                    raise InputError(
                         f"image term {cat.mono_str(m)} of d_{e.page}({e.gen}^{e.base_exp}) "
-                        f"has bidegree {cat.bidegree(m)}, expected {want}")
+                        f"has bidegree {cat.bidegree(m)}, expected {want}", where)
             # a term that a relation kills, or with an odd generator squared,
             # is zero; it is still refused in the wrong bidegree
             image = tuple(t for t in image if not pres.killed(t[0])
                           and all(t[0][k] < 2 for k in cat.odd))
             page = self._by_page.setdefault(e.page, {})
             if gi in page:
-                raise ValueError(f"duplicate differential for {e.gen} at page {e.page}")
+                raise InputError(f"duplicate differential for {e.gen} at page {e.page}", where)
             page[gi] = (e.base_exp, image)
-        self._rows = {r: self._compile(r, ents) for r, ents in self._by_page.items()}
+            at[e.page, gi] = n
+        self._rows = {r: self._compile(r, ents, at) for r, ents in self._by_page.items()}
         for rel in pres.relations:
             check_relation(self, rel)
         for r, ents in self._by_page.items():
@@ -315,18 +324,19 @@ class DifferentialSpec:
                     square = vec_addmul(pres.p, square, leibniz_extend(self, r, m), c)
                 if square:
                     base = cat.mono_str(cat.mono({cat.symbols[i].name: e0}))
-                    raise ValueError(f"d_{r} squared is nonzero on {base}: d_{r} of "
-                                     f"its image has the term {cat.mono_str(min(square))}")
+                    raise InputError(f"d_{r} squared is nonzero on {base}: d_{r} of "
+                                     f"its image has the term {cat.mono_str(min(square))}",
+                                     ("diff", at[r, i]))
 
-    def _compile(self, r: int, ents: dict[int, tuple[int, tuple[tuple[Mono, int], ...]]]
-                 ) -> tuple[_Row, ...]:
+    def _compile(self, r: int, ents: dict[int, tuple[int, tuple[tuple[Mono, int], ...]]],
+                 at: dict[tuple[int, int], int]) -> tuple[_Row, ...]:
         """Page r's rows for `leibniz_extend`, one per generator g_i that d_r
         acts on: (i, e₀, terms, the odd positions before i).  Each term is
         (δ, coefficient, the odd factors k ≠ i of its image, and for each k
         the odd positions j with k < j < i or i < j < k), where
         δ = image − e₀·g_i shifts m to the term.  An odd g_i has e₀ = 1 and
         is gone from m / g_i, so i is in neither list.  An image term outside
-        d_r's own domain is refused, so d_r never leaves it."""
+        d_r's own domain is refused at its entry, ``at[r, i]``."""
         cat = self.pres.catalog
         rows = []
         for i, (e0, image) in ents.items():
@@ -334,10 +344,11 @@ class DifferentialSpec:
             for m, c in image:
                 for j, (ej, _) in ents.items():
                     if m[j] % ej:
-                        raise ValueError(
+                        raise InputError(
                             f"image term {cat.mono_str(m)} of d_{r}({cat.symbols[i].name}^{e0}) "
                             f"is outside the domain of d_{r}: its exponent of "
-                            f"{cat.symbols[j].name} is not a multiple of {ej}")
+                            f"{cat.symbols[j].name} is not a multiple of {ej}",
+                            ("diff", at[r, i]))
                 delta = tuple(x - e0 if j == i else x for j, x in enumerate(m))
                 odd = tuple(k for k in cat.odd if m[k] and k != i)
                 flips = tuple(j for k in odd for j in cat.odd
@@ -415,9 +426,10 @@ def leibniz_extend(spec: DifferentialSpec, r: int, m: Mono) -> Optional[dict[Mon
 
 
 def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
-    """Raise `RelationError` unless every d_r maps the relation ``rel`` into
-    the quotient's ideal, so that d_r is defined on the quotient; one with
-    an odd square, like y^2, holds in any graded-commutative algebra.
+    """Raise `InputError` at ("rel", j), j the first place of ``rel`` in
+    ``spec.pres.relations``, unless every d_r maps ``rel`` into the
+    quotient's ideal, so that d_r is defined on the quotient; one with an
+    odd square, like y^2, holds in any graded-commutative algebra.
     `DifferentialSpec` runs it on every relation of its presentation.
 
     On page r, ρ′ raises each generator that d_r acts on to the next
@@ -435,10 +447,10 @@ def check_relation(spec: DifferentialSpec, rel: Mono) -> None:
             lifted[i] = -(-rel[i] // e0) * e0
         image = leibniz_extend(spec, r, tuple(lifted))
         if image:
-            raise RelationError(
+            raise InputError(
                 f"d_{r} does not preserve the relation {cat.mono_str(rel)}: "
                 f"d_{r}({cat.mono_str(tuple(lifted))}) has the term "
-                f"{cat.mono_str(min(image))}", rel)
+                f"{cat.mono_str(min(image))}", ("rel", spec.pres.relations.index(rel)))
 
 
 @cache

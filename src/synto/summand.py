@@ -45,7 +45,7 @@ __all__ = [
     "tp_presentation", "tcminus_presentation", "tp_einfty", "tcminus_einfty",
     "BasisClass", "comparison_maps",
     "TableEntry", "GeneratorTable", "syntomic_table",
-    "default_table_window", "run_window", "HodgeTateReport",
+    "default_table_window", "run_window", "certified_run", "HodgeTateReport",
     "hodge_tate_check",
     "motivic_collapse_check", "v2_bockstein_check", "PRESENTATIONS",
 ]
@@ -191,12 +191,8 @@ def derive_differentials(p: int, structure: str = "tp") -> DifferentialSpec:
         raise ValueError(f"unknown structure {structure!r}")
     _formal_group_certificate(p)
     pres = PRESENTATIONS[structure](p)
-    pcat = pres.catalog
-    entries = (
-        DiffEntry(p, "t", 1, ((pcat.mono({"t": p + 1, "lambda1": 1}), 1),)),
-        DiffEntry(p * p, "t", p,
-                  ((pcat.mono({"t": p * p + p, "lambda2": 1}), 1),)),
-    )
+    entries = (DiffEntry(p, "t", 1, (({"t": p + 1, "lambda1": 1}, 1),)),
+               DiffEntry(p * p, "t", p, (({"t": p * p + p, "lambda2": 1}, 1),)))
     try:
         return DifferentialSpec(pres, entries)
     except ValueError as e:
@@ -270,13 +266,22 @@ def _certify(page: SSPage, final: SSPage, p: int, structure: str) -> None:
                 f"computed {gs}, closed form {ws}")
 
 
+def certified_run(p: int, structure: str, deg_lo: int, deg_hi: int
+                  ) -> tuple[SSPage, SSPage, list[dict]]:
+    """(page 1, the stable page, the log) of the ``structure`` preset at p
+    over ``run_window``'s window for the degrees [deg_lo, deg_hi], its
+    stable page certified against the closed form by ``_certify``."""
+    spec = derive_differentials(p, structure)
+    page = build_page(spec.pres, run_window(p, structure, deg_lo, deg_hi))
+    final, log = run_to_stable(page, spec)
+    _certify(page, final, p, structure)
+    return page, final, log
+
+
 @functools.cache
 def _einfty(p: int, structure: str, deg_lo: int, deg_hi: int) -> SSPage:
-    spec = derive_differentials(p, structure)
-    win = run_window(p, structure, deg_lo, deg_hi)
-    page = build_page(spec.pres, win)
-    final, _log = run_to_stable(page, spec)
-    _certify(page, final, p, structure)
+    # the cache keeps the stable page only, not page 1
+    final = certified_run(p, structure, deg_lo, deg_hi)[1]
     # the requested degree range must be fully boundary-safe, so that the
     # bases read off this page over it are certified
     for b in final.flags:
@@ -441,10 +446,18 @@ def default_table_window(p: int) -> tuple[int, int]:
     return (-2, 2 * p * p + 2 * p + 2)
 
 
+def _typed(value, kind: type, what: str, name: str):
+    """The JSON field ``name`` of value ``value`` (None if missing), refused
+    unless its type is exactly ``kind``, which ``what`` names."""
+    if type(value) is not kind:
+        raise VerificationError(f"{name} {value!r} is not {what}")
+    return value
+
+
 # the typed fields of a table entry in JSON; GeneratorTable checks the
-# origin by its value
+# origin's value
 _ENTRY_FIELDS = (("name", str, "a string"), ("degree", int, "an int"),
-                 ("weight", int, "an int"))
+                 ("weight", int, "an int"), ("origin", str, "a string"))
 
 
 class TableEntry:
@@ -501,36 +514,36 @@ class GeneratorTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorTable":
-        p = data["prime"]
-        if type(p) is not int:  # 2.0 would pass every check below
-            raise VerificationError(f"prime {p!r} is not an int")
+        """Each field is read through `_typed`, so that a refusal names it."""
+        data = _typed(data, dict, "an object", "table JSON")
+        p = _typed(data.get("prime"), int, "an int", "prime")
         if (why := _prime_error(p)) is not None:
             raise VerificationError(why)
-        if (unit := data["convention"]["frobenius_unit"]) != "one":
+        convention = _typed(data.get("convention"), dict, "an object", "convention")
+        if (unit := convention.get("frobenius_unit")) != "one":
             raise VerificationError(f"frobenius_unit {unit!r} is not 'one'")
         if data.get("module") != "free_over_v2":
             raise VerificationError("unknown module statement in table JSON")
-        if list(data.get("v2_bidegree", [])) != list(_v2_bidegree(p)):
+        v2 = _typed(data.get("v2_bidegree"), list, "a list", "v2_bidegree")
+        if v2 != list(_v2_bidegree(p)):
             raise VerificationError("v2 bidegree does not match the prime")
         # every table the pipeline writes lies in these bounds; a degree
         # far outside them would make the chart draw that many grid lines
         bounds = {"degree": default_table_window(p), "weight": (0, 3)}
         entries = []
-        for i, g in enumerate(data["generators"]):
-            # type(...) is int: a JSON true is a bool, not a degree
+        gens = _typed(data.get("generators"), list, "a list", "generators")
+        for i, g in enumerate(gens):
+            g = _typed(g, dict, "an object", f"generator {i}")
+            at = f"generator {i} ({g.get('name')!r}): "
             for field, kind, what in _ENTRY_FIELDS:
-                if type(g[field]) is not kind:
-                    raise VerificationError(
-                        f"generator {i} ({g['name']!r}): {field} "
-                        f"{g[field]!r} is not {what}")
+                _typed(g.get(field), kind, what, at + field)
             for field, (lo, hi) in bounds.items():
                 if not lo <= g[field] <= hi:
                     raise VerificationError(
-                        f"generator {i} ({g['name']!r}): {field} "
-                        f"{g[field]} is outside {lo}..{hi}")
+                        f"{at}{field} {g[field]} is outside {lo}..{hi}")
             entries.append(TableEntry(g["name"], g["degree"], g["weight"],
                                       g["origin"]))
-        return cls(p, entries, list(data.get("notes", [])))
+        return cls(p, entries, _typed(data.get("notes", []), list, "a list", "notes"))
 
     def to_csv(self) -> str:
         lines = ["name,degree,weight,origin"]

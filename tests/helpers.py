@@ -129,6 +129,12 @@ def check_square_zero(page, spec, r):
     return dmap
 
 
+def by_name(cat, m):
+    """The monomial m of ``cat`` as {generator name: exponent}, the form a
+    relation or a `DiffEntry` image term is written in."""
+    return {s.name: e for s, e in zip(cat.symbols, m) if e}
+
+
 def mono_mul(cat, a, b):
     """(sign, a*b) in the graded-commutative algebra on ``cat``, or None
     when an odd generator would square: the Koszul rule written factor by
@@ -472,7 +478,7 @@ def random_square_zero_case(rng: random.Random):
             continue
         picks = rng.sample(candidates,
                            min(len(candidates), rng.randint(1, 2)))
-        image = tuple((mono, rng.randint(1, p - 1)) for mono in picks)
+        image = tuple((by_name(cat, mono), rng.randint(1, p - 1)) for mono in picks)
         entries.append(DiffEntry(r, gens[i].name, 1, image))
     return pres, Window(*edges), DifferentialSpec(pres, entries), r
 
@@ -504,11 +510,8 @@ def random_two_page_case(rng: random.Random):
     inside = [m for m in allowed if window_contains(window, *source_bidegree(m))]
     new = rng.randint(1, 2)
     gens = list(pres.gens)
-    entries = [DiffEntry(e.page, e.gen, e.base_exp,
-                         tuple((m + (0,) * new, c) for m, c in e.image))
-               for e in spec.entries]
-    rels = [{cat.symbols[i].name: e for i, e in enumerate(rel) if e}
-            for rel in pres.relations]
+    entries = list(spec.entries)
+    rels = [by_name(cat, rel) for rel in pres.relations]
     for k in range(new):
         target = cat.bidegree(rng.choice(inside or allowed))
         same = [m for m in allowed if cat.bidegree(m) == target]
@@ -519,7 +522,7 @@ def random_two_page_case(rng: random.Random):
         if deg % 2 == 0:
             rels.append({name: p})
         entries.append(DiffEntry(r2, name, 1, tuple(
-            (m + (0,) * new, rng.randint(1, p - 1)) for m in picks)))
+            (by_name(cat, m), rng.randint(1, p - 1)) for m in picks)))
     pres2 = Presentation(p, gens, relations=rels)
     return pres2, window, DifferentialSpec(pres2, entries), r, r2
 

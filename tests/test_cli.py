@@ -9,6 +9,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from unittest import mock
 import pytest
 
 from helpers import SRC, run_cli, source_env
-from synto import summand
+from synto import cli, summand
 from synto.cli import CLIUsageError, format_series, main, parse_presentation
 from synto.fgl import p_series, right_unit_t
 from synto.summand import _is_prime
@@ -278,6 +279,14 @@ class TestSsCommand:
         assert "bigraded dimensions" in out
         assert "t^3*lambda2" in out
 
+    def test_preset_is_certified_against_its_closed_form(self, monkeypatch):
+        # a closed form that keeps every t^(3k) where F_3[t^±9] ⊗ Λ survives
+        monkeypatch.setitem(summand._CLOSED_FORMS, "tp",
+                            lambda pres, p, m: m[pres.catalog.index["t"]] % p == 0)
+        assert run_cli(["ss", "--preset", "tp", "--prime", "3"]) == (
+            2, "", "assertion failed: tp E-infinity mismatch at bidegree "
+                   "(-2, 12): computed [], closed form ['t^12*lambda1*lambda2']\n")
+
     def test_file_run_small_window_is_honest(self, tmp_path):
         f = tmp_path / "toy.ss"
         f.write_text(TOY_PRESENTATION)
@@ -417,14 +426,14 @@ class TestSsCommand:
         # the refused gen or rel is the last of the lines, after `prime`
         assert code == 1 and out == "" and f"line {1 + len(lines)}: {why}" in err
 
-    def test_duplicate_generator_name_names_no_line(self, tmp_path):
+    def test_duplicate_generator_name_names_its_second_line(self, tmp_path):
+        # as a repeated 'prime' line is refused on its second line
         f = tmp_path / "bad.ss"
         f.write_text("prime 3\ngen x deg 2 weight 0 parity even\n"
                      "gen x deg 4 weight 0 parity even\n"
                      "window deg 0 8 weight 0 0\n")
-        code, out, err = run_cli(["ss", "--file", str(f)])
-        assert code == 1 and out == ""
-        assert "bad presentation: duplicate generator name" in err
+        assert run_cli(["ss", "--file", str(f)]) == (
+            1, "", "error: line 3: duplicate generator name 'x'\n")
 
     # F_3[x]/(x^3) ⊗ Λ(y) with d_1 x = y: E∞ is 1 and x^2*y.  The window
     # holds the whole quotient, so neither class is flagged, whether x^3 = 0
@@ -520,8 +529,9 @@ class TestSsCommand:
         assert "d_1: 15 -> 15 classes\n" in out
         assert "survivors (boundary-safe): 12\n" in out
 
-    @pytest.mark.parametrize("rel", ["rel y*z\n", ""], ids=["killed", "unkilled"])
-    def test_killed_image_term_in_the_wrong_bidegree(self, tmp_path, rel):
+    @pytest.mark.parametrize("rel, ln", [("rel y*z\n", 6), ("", 5)],
+                             ids=["killed", "unkilled"])
+    def test_killed_image_term_in_the_wrong_bidegree(self, tmp_path, rel, ln):
         # y*z sits at (2, 2), not at d_1(x)'s (1, 1): a typo, refused
         # whether or not a relation kills it
         f = tmp_path / "killed.ss"
@@ -531,7 +541,7 @@ class TestSsCommand:
                      f"{rel}diff page 1 x -> y*z\n"
                      "window deg 0 6 weight 0 2\n")
         assert run_cli(["ss", "--file", str(f)]) == (
-            1, "", "error: bad differential: image term y*z of d_1(x^1) "
+            1, "", f"error: line {ln}: image term y*z of d_1(x^1) "
                    "has bidegree (2, 2), expected (1, 1)\n")
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -576,7 +586,7 @@ class TestSsCommand:
         f = tmp_path / "square.ss"
         f.write_text(self.SQUARE.format(window=window))
         assert run_cli(["ss", "--file", str(f)]) == (
-            1, "", "error: bad differential: d_1 squared is nonzero on x: "
+            1, "", "error: line 5: d_1 squared is nonzero on x: "
                    "d_1 of its image has the term w\n")
 
     def test_image_outside_its_own_pages_domain(self, tmp_path):
@@ -588,7 +598,7 @@ class TestSsCommand:
                      "diff page 1 x^2 -> x*y\nwindow deg 0 8 weight 0 2\n")
         code, out, err = run_cli(["ss", "--file", str(f)])
         assert code == 1 and out == ""
-        assert err == ("error: bad differential: image term x*y of d_1(x^2) "
+        assert err == ("error: line 4: image term x*y of d_1(x^2) "
                        "is outside the domain of d_1: its exponent of x is "
                        "not a multiple of 2\n")
 
@@ -664,6 +674,9 @@ class TestSsFileFuzz:
                 head = "error: " if code == 1 else "assertion failed: "
                 assert (err.startswith(head) and err.endswith("\n")
                         and err.count("\n") == 1), (case, err)
+            # every refusal of a gen, rel or diff line names that line
+            assert not err.startswith(("error: bad differential",
+                                       "error: bad presentation")), (case, err)
             codes.add(code)
         assert codes == {0, 1, 2}
 
@@ -734,6 +747,13 @@ class TestChartInputFuzz:
                     assert (out == "" and err.startswith(head)
                             and err.endswith("\n")
                             and err.count("\n") == 1), (p, case, err)
+                    # a refusal names its field, not in Python's words for
+                    # a failed lookup
+                    why = err.removeprefix("error: bad table JSON: ")
+                    assert not re.fullmatch(r"'[^']*'\n", why) and not any(
+                        text in why for text in ("object is not",
+                                                 "indices must be",
+                                                 "not iterable")), (p, case, err)
                 codes[code] += 1
         # the fuzz reaches both a chart and a refusal
         assert codes[0] and codes[1]
@@ -799,6 +819,84 @@ class TestParseRefusals:
         line, why = self.INT_SITES[site]
         self.test_line_is_refused(tmp_path, line.format(number),
                                   why.format(number))
+
+    # each InputError raise site of the engine, as lines after the file's
+    # head (prime 3, even x in (2, 0), odd y in (1, 1)) and before its
+    # window: the line it refuses and the message
+    INPUT_ERRORS = {
+        "duplicate-gen": (["gen x deg 4 weight 0 parity even"], 4,
+                          "duplicate generator name 'x'"),
+        "odd-invertible": (["gen z deg 3 weight 0 parity odd invertible"], 4,
+                           "odd generator z must have exponent <= 1"),
+        "rel-unknown": (["rel x*w"], 4, "unknown generator 'w' in relation"),
+        # the relation z^3 of maxexp comes first, on its gen line
+        "rel-unknown-after-maxexp": (
+            ["gen z deg 2 weight 0 parity even maxexp 2", "rel x*w"], 5,
+            "unknown generator 'w' in relation"),
+        "rel-negative": (["rel x^-1"], 4,
+                         "relations must have non-negative exponents"),
+        "rel-kills-unit": (["gen u deg 0 weight 1 parity even invertible",
+                            "rel u*x"], 5,
+                           "relation x*u kills the unit u, so every class"),
+        "page-zero": (["diff page 0 x -> y"], 4,
+                      "pages and base exponents are positive"),
+        "base-exp-zero": (["diff page 1 x^0 -> y"], 4,
+                          "pages and base exponents are positive"),
+        # the base is checked before the image, which names no generator either
+        "diff-unknown-base": (["diff page 1 w -> v"], 4,
+                              "differential on unknown generator 'w'"),
+        "diff-odd-power": (["diff page 1 y^2 -> x"], 4,
+                           "odd generator y has no power 2"),
+        "image-unknown": (["diff page 1 x -> w"], 4,
+                          "unknown generator 'w' in image"),
+        "image-bidegree": (["diff page 1 x -> x"], 4,
+                           "image term x of d_1(x^1) has bidegree (2, 0), "
+                           "expected (1, 1)"),
+        "diff-duplicate": (["diff page 1 x -> y", "diff page 1 x -> 2*y"], 5,
+                           "duplicate differential for x at page 1"),
+        "image-outside-domain": (["diff page 1 x^2 -> x*y"], 4,
+                                 "image term x*y of d_1(x^2) is outside the "
+                                 "domain of d_1: its exponent of x is not a "
+                                 "multiple of 2"),
+        "square-nonzero": (["gen w deg 0 weight 2 parity even",
+                            "diff page 1 x -> y", "diff page 1 y -> w"], 5,
+                           "d_1 squared is nonzero on x: d_1 of its image "
+                           "has the term w"),
+        "rel-not-preserved": (["rel x^2", "diff page 1 x -> y"], 4,
+                              "d_1 does not preserve the relation x^2: "
+                              "d_1(x^2) has the term x*y"),
+        "maxexp-not-preserved": (
+            ["gen z deg 2 weight 0 parity even maxexp 1", "diff page 1 z -> y"],
+            4, "d_1 does not preserve the relation z^2: d_1(z^2) has the "
+               "term y*z"),
+    }
+
+    @pytest.mark.parametrize("site", sorted(INPUT_ERRORS))
+    def test_input_error_names_its_line(self, tmp_path, site):
+        lines, ln, why = self.INPUT_ERRORS[site]
+        f = tmp_path / "bad.ss"
+        f.write_text("\n".join(["prime 3", "gen x deg 2 weight 0 parity even",
+                                "gen y deg 1 weight 1 parity odd", *lines,
+                                "window deg 0 8 weight 0 2"]) + "\n")
+        assert run_cli(["ss", "--file", str(f)]) == (1, "", f"error: line {ln}: {why}\n")
+
+    @pytest.mark.parametrize("refused", [False, True],
+                             ids=["accepted", "refused"])
+    def test_each_object_is_built_once(self, monkeypatch, refused):
+        # a refusal on a rel line builds no more than an accepted file
+        built = collections.Counter()
+        for name in ("Presentation", "DifferentialSpec"):
+            def counted(*args, real=getattr(cli, name), name=name):
+                built[name] += 1
+                return real(*args)
+            monkeypatch.setattr(cli, name, counted)
+        if refused:
+            with pytest.raises(CLIUsageError, match="^line 6: d_1 does not "
+                                                    "preserve the relation"):
+                parse_presentation(TestSsCommand.DERHAM_XY)
+        else:
+            assert parse_presentation(FUZZ_BASE) is not None
+        assert built == {"Presentation": 1, "DifferentialSpec": 1}
 
     def test_at_most_4300_digits(self):
         text = ("prime 3\ngen x deg 2 weight 0 parity even\n"
@@ -942,7 +1040,8 @@ class TestChartCommand:
         ("name", 5, "generator 0 (5): name 5 is not a string"),
         ("degree", True, "generator 0 ('1'): degree True is not an int"),
         ("weight", "0", "generator 0 ('1'): weight '0' is not an int"),
-        ("origin", None, "bad origin None"),
+        ("origin", None, "generator 0 ('1'): origin None is not a string"),
+        ("origin", "both", "bad origin 'both'"),
         # of the right type, outside the degrees of default_table_window(2)
         # or the chart's weights; a degree of 10^4 draws 10^4 grid lines
         ("degree", 10 ** 4, "generator 0 ('1'): degree 10000 is outside "
