@@ -18,6 +18,12 @@ boundaries" check, as a unit basis with no boundary is RREF and spans
 every image over its monomials; as a source its kernel vectors are its
 cycles as they stand.
 
+A page's records come in page order: page 1 in the order the walk reaches
+its bidegrees, and each turn keeps its input's order for the records it
+leaves.  Nothing reads an output order off it; whatever needs one sorts.
+So a turn settles a pair of unturned one-monomial bidegrees where its
+first pass meets it, and only the other pairs go on to the second pass.
+
 A `DifferentialSpec` is checked once, on generators, when it is built: each
 d_r has degree -1, so it is an odd derivation, and d_r² is then an even
 derivation in any characteristic.  So d_r is a differential on the quotient
@@ -118,6 +124,10 @@ class Presentation:
                 if e and g.invertible:
                     raise InputError(f"relation {self.catalog.mono_str(rel)} "
                                      f"kills the unit {g.name}, so every class", ("rel", j))
+        # each relation's support: the positions of its nonzero exponents
+        self._supports = tuple(
+            (tuple(i for i, e in enumerate(rel) if e), tuple(e for e in rel if e))
+            for rel in self.relations)
 
     def mono(self, exps: dict[str, int], what: str, where: tuple[str, int]) -> Mono:
         """The monomial of the exponents ``exps``, named by generator; a name
@@ -128,9 +138,16 @@ class Presentation:
         return self.catalog.mono(exps)
 
     def killed(self, m: Mono) -> bool:
-        """Zero in the quotient: divisible by a relation."""
-        return any(all(x >= e for x, e in zip(m, rel) if e > 0)
-                   for rel in self.relations)
+        """Zero in the quotient: divisible by a relation.  Only a relation's
+        support is read, so a unit's negative exponent elsewhere in m is
+        no obstacle."""
+        for positions, exps in self._supports:
+            for i, e in zip(positions, exps):
+                if m[i] < e:
+                    break
+            else:
+                return True
+        return False
 
     def _structural_ranges(self) -> list[tuple[Optional[int], Optional[int]]]:
         """Per-generator exponent interval of the quotient (None = unbounded).
@@ -499,7 +516,9 @@ class SSPage:
     """One page: surviving classes per bidegree, with canonical
     representatives.  `data` maps each bidegree that has at least one class
     to its record; a bidegree with no class has no record, so a turned page
-    lists only the bidegrees that still have classes."""
+    lists only the bidegrees that still have classes.  `data` is in page
+    order, the walk's (see `build_page`), and no output order may be read
+    off it: `dims` and `class_reps` sort."""
 
     def __init__(self, pres: Presentation, window: Window, r: int,
                  data: dict[tuple[int, int], BidegreeData],
@@ -535,12 +554,13 @@ class SSPage:
 def build_page(pres: Presentation, window: Window) -> SSPage:
     """Page 1: every relation-free window monomial is a class of its own,
     grouped by the (degree, weight) the walk reaches it at, in one
-    `BidegreeData` with the default alive list per bidegree."""
+    `BidegreeData` with the default alive list per bidegree.  The records
+    come in walk order, the order in which the walk first reaches each
+    bidegree, not sorted; nothing may read an output order off it."""
     data: dict[tuple[int, int], list[Mono]] = {}
     for m, b in pres._walk(pres.exponent_ranges(window), pres._gradings(window)):
         data.setdefault(b, []).append(m)
-    return SSPage(pres, window, 1,
-                  {b: BidegreeData(ms) for b, ms in sorted(data.items())})
+    return SSPage(pres, window, 1, {b: BidegreeData(ms) for b, ms in data.items()})
 
 
 def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
@@ -564,17 +584,27 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
     cycle mod boundaries" check.  Neither can fail there: its classes are
     the unit basis of its monomials, so they are RREF with no boundary to
     meet, and every image whose terms all lie in the target's monomials is
-    in their span.  The domain check, the missing-term check and the rank
-    bookkeeping run on every pair.  A source that holds `_units(n)` has
-    alive[j] = e_j, so its kernel vectors are inserted as its cycles.
+    in their span.  The domain check and the missing-term check run on
+    every pair, and the rank bookkeeping counts every pair's classes.  A
+    source that holds `_units(n)` has alive[j] = e_j, so its kernel vectors
+    are inserted as its cycles.
 
     A bidegree that a turn leaves with no class is deleted from the new
-    page.  A pair of untouched one-monomial bidegrees, both alive lists the
-    shared `_ONE`, is decided by d_r's one coefficient c: with c ≠ 0 both
-    lose their class and both records, with no span built, and with c = 0
-    both stay as they are.  A one-monomial bidegree that loses or gains a
-    class is left with none without an insert: a killing pair builds no
-    span, so the insert would keep the hit target's class.
+    page.  A 1 x 1 pair, two one-monomial bidegrees whose alive lists are
+    both the shared `_ONE`, is settled where the first pass meets it, in
+    page order: d_r of the source monomial, with the domain and
+    missing-term checks of every pair, gives d_r's one coefficient c.
+    With c ≠ 0 both records are deleted on the spot, with no span built,
+    and with c = 0 both stay as they are.  So the second pass sees only
+    pairs with a record of several monomials or one a turn has changed.
+    The rank bookkeeping still counts every class a 1 x 1 pair took out
+    of or into a bidegree, wherever the general path also touches it, and
+    also where two 1 x 1 pairs meet.  A one-monomial bidegree that loses
+    or gains a class is left with none without an insert: a killing pair
+    builds no span, so the insert would keep the hit target's class.
+
+    With several faults on one page, a first-pass check names the first
+    one it meets in page order.
 
     d_r(m) is computed only for the monomials of an alive source class whose
     target has alive classes, and at most once per page.  d_r² = 0 needs no
@@ -617,10 +647,13 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         return dv if one else {j: x for j, x in dv.items() if x}
 
     # every read is of the input page, and tb = b + shift is injective
+    data = dict(page.data)
     kernels: dict[tuple[int, int], list[Vec]] = {}
     grown: dict[tuple[int, int], tuple[Optional[Span], int]] = {}
-    for b in sorted(page.data):
-        d = page.data[b]
+    # the bidegrees whose one class a 1 x 1 pair took out, and took in
+    lost: set[tuple[int, int]] = set()
+    hit: set[tuple[int, int]] = set()
+    for b, d in page.data.items():
         tb = (b[0] + shift[0], b[1] + shift[1])
         td = page.data.get(tb)
         if td is None:
@@ -629,10 +662,15 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
             continue
         tindex = td.index
         if d.alive is _ONE is td.alive:
-            # a 1 x 1 pair: d_r is the scalar c of the target's monomial
+            # a 1 x 1 pair: d_r is the scalar c of the target's monomial,
+            # and c != 0 leaves both bidegrees with no class
             if image(b, d, _ONE[0], tb, tindex):
-                kernels[b] = []
-                grown[tb] = None, 1
+                lost.add(b)
+                hit.add(tb)
+                # one already gone met an earlier pair too: it is in
+                # lost & hit, which the rank bookkeeping refuses
+                data.pop(b, None)
+                data.pop(tb, None)
             continue
         bounds = td.boundaries or Span(p)
         # an unturned target's classes, the unit basis of its monomials with
@@ -662,14 +700,15 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         if span.dim > bounds.dim:
             grown[tb] = span, span.dim - bounds.dim
 
-    # new representatives: RREF(boundaries + cycles) rows outside boundaries
-    data = dict(page.data)
-    for b in sorted(kernels.keys() | grown.keys()):
+    # new representatives: RREF(boundaries + cycles) rows outside boundaries;
+    # a bidegree that 1 x 1 pairs alone touched is here only if two did
+    for b in sorted(kernels.keys() | grown.keys() | (lost & hit)):
         d = page.data[b]
         old_dim = len(d.alive)
         ker = kernels[b] if b in kernels else _units(old_dim)
         span, rank_in = grown.get(b, (d.boundaries, 0))
-        rank_out = old_dim - len(ker)
+        rank_out = old_dim - len(ker) + (b in lost)
+        rank_in += b in hit
         if not (rank_out or rank_in):
             continue
         alive = []
@@ -697,7 +736,7 @@ def turn_page(page: SSPage, spec: DifferentialSpec) -> SSPage:
         if alive:
             data[b] = BidegreeData(d.monos, alive, span)
         else:
-            del data[b]
+            data.pop(b, None)
     return SSPage(page.pres, page.window, r + 1, data, page.flags)
 
 

@@ -568,6 +568,14 @@ def reference_kernel_basis(p, cols):
     return out
 
 
+def reference_killed(pres, m):
+    """`Presentation.killed` by its definition: m is divisible by a
+    relation, read whole, with the relation's zero exponents skipped, so a
+    unit's negative exponent in m is no obstacle."""
+    return any(all(x >= e for x, e in zip(m, rel) if e > 0)
+               for rel in pres.relations)
+
+
 def _reference_clone(d):
     c = BidegreeData.__new__(BidegreeData)
     c.monos = d.monos

@@ -12,7 +12,8 @@ from helpers import (check_square_zero, dense_matrix, dense_page_dims,
                      dense_rank, dense_two_page_dims, enumerate_basis,
                      random_square_zero_case, random_two_page_case,
                      load_grid, mono_mul, reference_collapse_witnesses,
-                     reference_flag_boundary, reference_turn_page, run_cli,
+                     reference_flag_boundary, reference_killed,
+                     reference_turn_page, run_cli,
                      unchecked_spec, window_contains)
 from synto import spectral
 from synto.cli import parse_presentation
@@ -82,6 +83,30 @@ class TestPresentation:
         assert pres.killed((3,)) and pres.killed((4,))
         assert not pres.killed((2,))
         assert pres._structural_ranges() == [(0, 2)]
+
+    def test_killed_matches_the_reference(self):
+        # relations over several generators, and monomials with a negative
+        # exponent on a unit, which no relation may mention
+        rng = random.Random(39)
+        several = killed = unit_below_zero = 0
+        for _ in range(300):
+            gens = [GeneratorSymbol(f"g{i}", 2 * rng.randint(-2, 2), rng.randint(-3, 3),
+                                    invertible=rng.random() < 0.3)
+                    for i in range(rng.randint(1, 5))]
+            bounded = [g.name for g in gens if not g.invertible]
+            rels = [{name: rng.randint(0, 3)
+                     for name in rng.sample(bounded, rng.randint(1, len(bounded)))}
+                    for _ in range(rng.randint(0, 3) if bounded else 0)]
+            pres = Presentation(3, gens, rels)
+            several += any(sum(map(bool, rel)) > 1 for rel in pres.relations)
+            for _ in range(20):
+                m = tuple(rng.randint(-3, 4) for _ in gens)
+                got = pres.killed(m)
+                assert got == reference_killed(pres, m), (gens, pres.relations, m)
+                killed += got
+                unit_below_zero += got and any(g.invertible and e < 0
+                                               for g, e in zip(gens, m))
+        assert several >= 50 and 500 <= killed <= 5500 and unit_below_zero >= 100
 
     def test_odd_generator_exponent_guard(self):
         with pytest.raises(ValueError):
@@ -1134,6 +1159,18 @@ def _outside_domain_page(flags):
     return SSPage(pres, page.window, 1, page.data, flags), spec
 
 
+def _mixed_page():
+    """Page 1 of x in (2, 0), odd y in (1, 1), and z and w in (0, 2), with
+    d_1(x) = y: one-monomial bidegrees 1, x and y, and two of two
+    monomials, (0, 2) with z and w and (2, 2) with x*z and x*w."""
+    pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
+                            GeneratorSymbol("y", 1, 1),
+                            GeneratorSymbol("z", 0, 2),
+                            GeneratorSymbol("w", 0, 2)])
+    spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (({"y": 1}, 1),))])
+    return build_page(pres, Window(0, 2, 0, 2)), spec
+
+
 class TestOneMonomialPairs:
     """A pair of one-monomial bidegrees is decided by d_r's one coefficient;
     each hard check of the general turn still fires on that shape."""
@@ -1231,6 +1268,31 @@ class TestOneMonomialPairs:
                            match=r"stale representative in bidegree \(1, 1\)"):
             turn_page(page, spec)
 
+    def test_hit_class_that_is_a_cycle_into_a_wider_target(self):
+        # x -> y is a 1 x 1 pair, and y's own class maps by zero into
+        # (0, 2), which holds z and w: y is hit and is a cycle, as legal
+        # as on any page
+        page, spec = _mixed_page()
+        assert [len(page.data[b].monos) for b in ((2, 0), (1, 1), (0, 2))] == [1, 1, 2]
+        nxt = _turn_against_reference(page, spec)
+        assert sorted(nxt.rep_names()) == ["1", "w", "x*w", "x*z", "z"]
+        assert (2, 0) not in nxt.data and (1, 1) not in nxt.data
+
+    def test_image_with_a_second_term_raises(self):
+        # d_1(x) = y + z, but the target (1, 1) is left holding y alone
+        pres = Presentation(3, [GeneratorSymbol("x", 2, 0),
+                                GeneratorSymbol("y", 1, 1),
+                                GeneratorSymbol("z", 1, 1)])
+        spec = DifferentialSpec(pres, [DiffEntry(1, "x", 1, (
+            ({"y": 1}, 1), ({"z": 1}, 1)))])
+        page = build_page(pres, Window(0, 2, 0, 1))
+        assert len(page.data[(2, 0)].monos) == 1
+        y = pres.catalog.mono({"y": 1})
+        page.data[(1, 1)] = spectral.BidegreeData([y])
+        with pytest.raises(VerificationError, match=r"d_1 image term z missing "
+                                                    r"from target bidegree \(1, 1\)"):
+            turn_page(page, spec)
+
     def test_class_lost_and_gained_fails_rank_bookkeeping(self):
         # d_1(x) = y and d_1(y) = w, so d_1 squared is w on x; with the
         # square-zero check skipped, y both loses and gains its one class
@@ -1250,6 +1312,72 @@ class TestOneMonomialPairs:
                            match=r"rank bookkeeping failed at bidegree \(1, 1\) "
                                  r"page 1: 1 - 1 - 1 != 0"):
             turn_page(page, spec)
+
+    @pytest.mark.parametrize("wide", ["source", "target"])
+    def test_pair_and_wider_pair_at_one_class_fail_rank_bookkeeping(self, wide):
+        # y in (1, 1) is in a 1 x 1 pair on one side and meets a bidegree
+        # of two monomials on the other: with d_1(x_i) = y and d_1(y) = w_1,
+        # y both loses and gains its one class, whichever side is wide
+        names = {"source": ("x1", "x2", "w1"), "target": ("x1", "w1", "w2")}[wide]
+        at = {"x1": (2, 0), "x2": (2, 0), "w1": (0, 2), "w2": (0, 2)}
+        pres = Presentation(3, [GeneratorSymbol(n, *at[n]) for n in names]
+                            + [GeneratorSymbol("y", 1, 1)])
+        entries = [DiffEntry(1, n, 1, (({"y": 1}, 1),)) for n in names if n[0] == "x"]
+        entries.append(DiffEntry(1, "y", 1, (({"w1": 1}, 1),)))
+        page = build_page(pres, Window(0, 2, 0, 2))
+        monos = [len(page.data[b].monos) for b in ((2, 0), (1, 1), (0, 2))]
+        assert monos == ([2, 1, 1] if wide == "source" else [1, 1, 2])
+        with pytest.raises(VerificationError,
+                           match=r"rank bookkeeping failed at bidegree \(1, 1\) "
+                                 r"page 1: 1 - 1 - 1 != 0"):
+            turn_page(page, unchecked_spec(pres, entries))
+
+
+def _reversed(page):
+    """``page`` with its records in the reverse of its page order."""
+    return SSPage(page.pres, page.window, page.r,
+                  dict(reversed(page.data.items())), page.flags)
+
+
+class TestPageOrder:
+    """Page order is the walk's, and no result may be read off it: a turn
+    keeps its input's order, and a page whose records come in reverse turns
+    to the same classes, flags and log."""
+
+    @staticmethod
+    def inputs(source):
+        if source == "mixed":
+            return _mixed_page()
+        if source == "derham":
+            _p, pres, spec, window = parse_presentation(DERHAM_SMALL)
+        else:
+            spec = derive_differentials(5, source)
+            pres, window = spec.pres, run_window(5, source, *default_table_window(5))
+        return build_page(pres, window), spec
+
+    @pytest.mark.parametrize("source", ["tp", "tcminus", "derham", "mixed"])
+    def test_reversed_page_turns_alike(self, source):
+        page, spec = self.inputs(source)
+        page = SSPage(page.pres, page.window, page.r, page.data,
+                      flag_boundary(page, spec))
+        back = _reversed(page)
+        while page.r <= spec.pages[-1]:
+            page, back = turn_page(page, spec), turn_page(back, spec)
+            assert page.dims() == back.dims()
+            assert page.class_reps() == back.class_reps()
+            assert page.flags == back.flags
+            # each turn keeps the order of the records it leaves
+            assert list(back.data) == list(reversed(page.data))
+
+    @pytest.mark.parametrize("source", ["tp", "tcminus", "derham", "mixed"])
+    def test_reversed_page_runs_to_the_same_stable_page(self, source):
+        page, spec = self.inputs(source)
+        final, log = run_to_stable(page, spec)
+        back, back_log = run_to_stable(_reversed(page), spec)
+        assert back_log == log
+        assert back.dims() == final.dims()
+        assert back.class_reps() == final.class_reps()
+        assert back.flags == final.flags
 
 
 class TestPageRecords:
